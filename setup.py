@@ -1,21 +1,9 @@
-"""Build script.
-
-The gate kernels have a compiled variant (src/qtm/_kernels_c.pyx). If Cython
-is not available the build still succeeds and the package falls back to the
-numpy kernels at import time.
-"""
+"""Build script: compiles the gate kernels as qtm._kernels_c when a C
+compiler is present; without one the package installs and uses the numpy
+kernels."""
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("qtm._kernels_c", ["src/qtm/_kernels_c.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("qtm._kernels_c", ["src/qtm/_kernels_c.c"], optional=True),
+])

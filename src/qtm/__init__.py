@@ -15,7 +15,7 @@ from .engine import MachineConfig, Trajectory, run, run_mixed, schedule
 from .errors import (CircleFitError, ConfigurationError,
                      NumericalValidationError, QtmError)
 from .exprs import parse_angle
-from .gates import apply_head_rotation, apply_qcnot, qcnot_minus_defect
+from .gates import apply_head_rotation, apply_qcnot
 from .kernels import BACKEND
 from .primitives import (PeriodicityClass, all_patterns, classify, decompose,
                          detect_period_numeric, evolve_angles, period_census,
@@ -28,7 +28,7 @@ __all__ = [
     "__version__", "BACKEND",
     "BlochVector", "StateVector", "head_bloch", "inner_product",
     "make_product_state", "make_state", "purity",
-    "apply_head_rotation", "apply_qcnot", "qcnot_minus_defect",
+    "apply_head_rotation", "apply_qcnot",
     "MachineConfig", "Trajectory", "run", "run_mixed", "schedule",
     "PeriodicityClass", "all_patterns", "classify", "decompose",
     "detect_period_numeric", "evolve_angles", "period_census",

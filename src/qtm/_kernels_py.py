@@ -1,8 +1,8 @@
 """Numpy gate kernels, used when the compiled extension is unavailable.
 
 All kernels mutate the flat amplitude array in place and must match the
-compiled versions bit-exactly for the permutation gates and to rounding for
-the rotation. Head is index bit 0, tape spin mu is index bit mu.
+compiled versions (_kernels_c.c) bit for bit. Head is index bit 0, tape spin
+mu is index bit mu.
 """
 
 import numpy as np

@@ -21,6 +21,7 @@ import sys
 from . import __version__, analysis, engine, io, primitives, recursion
 from .errors import CircleFitError, ConfigurationError, NumericalValidationError
 from .exprs import parse_angle
+from .gates import VARIANT_X
 from .state import normalize_tape_spec
 
 
@@ -29,6 +30,10 @@ def _angle(src):
         return parse_angle(src)
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+_INITIAL_HELP = ("tape spec: zeros, ones, or a string over 0 1 + -; spell "
+                 "leading-minus specs as --initial=-+01")
 
 
 def _add_out_flags(sub, formats=("csv", "json", "svg")):
@@ -53,8 +58,7 @@ def build_parser():
     sim.add_argument("--phi0", type=_angle, default=0.0,
                      help="initial head angle (default 0)")
     sim.add_argument("--steps", type=int, required=True)
-    sim.add_argument("--initial", default="zeros",
-                     help="tape spec: zeros, ones, or a string over 0 1 + -")
+    sim.add_argument("--initial", default="zeros", help=_INITIAL_HELP)
     sim.add_argument("--variant", choices=("x", "iy"), default="x")
     sim.add_argument("--engine",
                      choices=("statevector", "recursion", "primitives"),
@@ -89,7 +93,7 @@ def build_parser():
     cla.set_defaults(func=cmd_classify)
 
     dec = subs.add_parser("decompose", help="tape weights over sign patterns")
-    dec.add_argument("--initial", required=True)
+    dec.add_argument("--initial", required=True, help=_INITIAL_HELP)
     dec.add_argument("--tape-size", type=int, required=True)
     _add_out_flags(dec, formats=("csv",))
     dec.set_defaults(func=cmd_decompose)
@@ -100,7 +104,7 @@ def build_parser():
     spec.add_argument("--alpha", type=_angle, required=True)
     spec.add_argument("--phi0", type=_angle, default=0.0)
     spec.add_argument("--steps", type=int, required=True)
-    spec.add_argument("--initial", default="zeros")
+    spec.add_argument("--initial", default="zeros", help=_INITIAL_HELP)
     spec.add_argument("--variant", choices=("x", "iy"), default="x")
     spec.add_argument("--pattern",
                       help="use this +/- primitive instead of the full state")
@@ -113,7 +117,7 @@ def build_parser():
     inv.add_argument("--alpha", type=_angle, required=True)
     inv.add_argument("--phi0", type=_angle, default=0.0)
     inv.add_argument("--steps", type=int, default=3000)
-    inv.add_argument("--initial", default="zeros")
+    inv.add_argument("--initial", default="zeros", help=_INITIAL_HELP)
     inv.add_argument("--max-circles", type=int, default=None,
                      help="default 2**(M+1)")
     inv.add_argument("--out", default="-")
@@ -151,11 +155,15 @@ def _write_trajectory(args, traj, tape_size):
         io.write_manifest(manifest, args.out)
 
 
-def cmd_simulate(args):
-    config = engine.MachineConfig.uniform(
-        args.tape_size, args.alpha, phi0=args.phi0, variant=args.variant,
+def _machine_config(args, variant=VARIANT_X):
+    return engine.MachineConfig.uniform(
+        args.tape_size, args.alpha, phi0=args.phi0, variant=variant,
         initial=args.initial, steps=args.steps,
     )
+
+
+def cmd_simulate(args):
+    config = _machine_config(args, args.variant)
     if args.engine == "statevector":
         traj = engine.run(config)
     elif args.engine == "recursion":
@@ -245,10 +253,7 @@ def cmd_spectrum(args):
     else:
         if args.tape_size is None:
             raise ConfigurationError("spectrum needs --pattern or --tape-size")
-        traj = engine.run(engine.MachineConfig.uniform(
-            args.tape_size, args.alpha, phi0=args.phi0,
-            variant=args.variant, initial=args.initial, steps=args.steps,
-        ))
+        traj = engine.run(_machine_config(args, args.variant))
     spec = analysis.spectrum(traj)
     with io._open_out(args.out) as fh:
         fh.write("frequency,magnitude_y,magnitude_z\n")
@@ -262,11 +267,7 @@ def cmd_spectrum(args):
 
 
 def cmd_invariants(args):
-    config = engine.MachineConfig.uniform(
-        args.tape_size, args.alpha, phi0=args.phi0, initial=args.initial,
-        steps=args.steps,
-    )
-    traj = engine.run(config)
+    traj = engine.run(_machine_config(args))
     max_circles = args.max_circles
     if max_circles is None:
         max_circles = 2 ** (args.tape_size + 1)

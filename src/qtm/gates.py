@@ -42,18 +42,3 @@ def apply_qcnot(state: StateVector, mu: int, variant: str = VARIANT_X) -> None:
     else:
         raise ConfigurationError(f"unknown gate variant {variant!r}")
 
-
-def qcnot_minus_defect(state: StateVector, mu: int) -> float:
-    """Check the no-entanglement identity for a tape spin in the |-> state.
-
-    If tape spin mu of `state` is |-> = (|0> - |1>)/sqrt(2), the controlled
-    flip acts exactly like lz on the head: it only negates the head-|0>
-    amplitudes. Returns the max absolute amplitude difference between the two
-    ways of computing the result (0 up to rounding when the precondition
-    holds). Test support, not part of the evolution.
-    """
-    flipped = state.copy()
-    apply_qcnot(flipped, mu, VARIANT_X)
-    headz = state.copy()
-    headz.amplitudes[0::2] *= -1.0
-    return float(abs(flipped.amplitudes - headz.amplitudes).max())

@@ -1,8 +1,9 @@
 """Kernel dispatch: compiled extension if built, numpy fallback otherwise.
 
 The active backend name is exposed as BACKEND ("compiled" or "numpy").
-Callers go through the wrapper functions here so the implementation can be
-swapped (or monkeypatched in tests) in one place.
+The selected backend's kernels are bound here as module attributes, and
+callers look them up on this module at call time, so the implementation
+can be swapped (or monkeypatched in tests) in one place.
 """
 
 try:
@@ -14,17 +15,9 @@ except ImportError:  # extension not built; the numpy path is fully equivalent
 
     BACKEND = "numpy"
 
-
-def rotate_head(amps, c, s):
-    _impl.rotate_head(amps, c, s)
-
-
-def cnot_flip(amps, mu):
-    _impl.cnot_flip(amps, mu)
-
-
-def cnot_signed_flip(amps, mu):
-    _impl.cnot_signed_flip(amps, mu)
+rotate_head = _impl.rotate_head
+cnot_flip = _impl.cnot_flip
+cnot_signed_flip = _impl.cnot_signed_flip
 
 
 def available_backends():

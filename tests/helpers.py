@@ -1,4 +1,5 @@
-"""Shared test support: a dense-matrix oracle for the machine.
+"""Shared test support: a dense-matrix oracle for the machine, and a check
+of the |-> tape identity against the package's own flip.
 
 Everything here is deliberately naive. Gates are built as full 2**(M+1)
 square matrices by tensoring single-site operators, states evolve by plain
@@ -8,6 +9,8 @@ strided kernels and closed forms are checked.
 """
 
 import numpy as np
+
+from qtm.gates import apply_qcnot
 
 I2 = np.eye(2, dtype=complex)
 LX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,3 +87,19 @@ def dense_run(phi0, tape, alpha, steps, variant="x"):
 def random_state(nbits, rng):
     amps = rng.normal(size=2 ** nbits) + 1j * rng.normal(size=2 ** nbits)
     return amps / np.linalg.norm(amps)
+
+
+def qcnot_minus_defect(state, mu):
+    """Check the no-entanglement identity for a tape spin in the |-> state.
+
+    If tape spin mu of `state` is |-> = (|0> - |1>)/sqrt(2), the controlled
+    flip acts exactly like lz on the head: it only negates the head-|0>
+    amplitudes. Returns the max absolute amplitude difference between the two
+    ways of computing the result (0 up to rounding when the precondition
+    holds).
+    """
+    flipped = state.copy()
+    apply_qcnot(flipped, mu)
+    headz = state.copy()
+    headz.amplitudes[0::2] *= -1.0
+    return float(abs(flipped.amplitudes - headz.amplitudes).max())

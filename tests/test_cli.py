@@ -178,6 +178,10 @@ def test_recursion_engine_rejects_sign_tape():
     assert main(["simulate", "--tape-size", "2", "--alpha", "1.0",
                  "--steps", "5", "--initial", "+-",
                  "--engine", "recursion"]) == 2
+    # a leading-minus spec parses in the = form and reaches the same check
+    assert main(["simulate", "--tape-size", "2", "--alpha", "1.0",
+                 "--steps", "5", "--initial=-+",
+                 "--engine", "recursion"]) == 2
 
 
 def test_primitives_engine_rejects_signed_flip():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from qtm.errors import ConfigurationError
 from qtm.gates import (VARIANT_IY, VARIANT_X, apply_head_rotation,
-                       apply_qcnot, qcnot_minus_defect)
+                       apply_qcnot)
 from qtm.state import StateVector, head_bloch, make_product_state
 
 
@@ -141,7 +141,7 @@ def test_signed_variant_square_negates_head_down_sector():
 
 def test_minus_tape_acts_as_head_z():
     s = make_product_state(math.pi / 6, "-")
-    assert qcnot_minus_defect(s, 1) <= 1e-12
+    assert helpers.qcnot_minus_defect(s, 1) <= 1e-12
     x, y, z = head_bloch(s)
     apply_qcnot(s, 1)
     got = head_bloch(s)
@@ -158,7 +158,7 @@ def test_minus_defect_over_random_head_angles():
     rng = np.random.default_rng(37)
     for phi0 in rng.uniform(-2 * np.pi, 2 * np.pi, size=20):
         s = make_product_state(phi0, "0-1")
-        assert qcnot_minus_defect(s, 2) <= 1e-12
+        assert helpers.qcnot_minus_defect(s, 2) <= 1e-12
 
 
 def test_qcnot_validates_inputs():
