@@ -11,6 +11,7 @@ The global step index is m = n + 2M*(p-1) where p counts cycles from 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalValidationError
 from .gates import VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot
-from .state import BlochVector, head_bloch, make_state, normalize_tape_spec
+from .state import (BlochVector, head_bloch, head_cross, make_state,
+                    normalize_tape_spec)
 
 ROTATION = "rotation"
 QCNOT = "qcnot"
@@ -134,6 +136,16 @@ class Trajectory:
 def run(config: MachineConfig) -> Trajectory:
     """Evolve the full state vector and record the head Bloch vector.
 
+    The head Bloch vector is carried from step to step rather than reduced
+    from the whole state every time:
+
+    - a rotation turns it rigidly about the x axis (the formula in gates.py),
+      so it is updated in O(1) without reading the state;
+    - a flip only permutes head-0 amplitudes, so the head populations and z
+      stay put, and x and y come from the one cross term head_cross;
+    - at the end of every cycle it is reduced in full (head_bloch), which
+      drops whatever rounding the updates carried.
+
     The state norm is checked at the end of every cycle (and after a final
     partial cycle); drift beyond 1e-12 raises NumericalValidationError.
     The norm is never re-imposed, a drifting norm means a broken kernel and
@@ -141,20 +153,28 @@ def run(config: MachineConfig) -> Trajectory:
     """
     state = make_state(config.phi0, config.resolved_initial())
     cycle = 2 * config.num_tape_spins
+    turns = [(math.cos(a), math.sin(a)) for a in config.alphas]
     bloch = np.empty((config.steps + 1, 3), dtype=float)
-    bloch[0] = head_bloch(state)
+    x, y, z = head_bloch(state)
+    bloch[0] = x, y, z
     drift = 0.0
     n = 0
     for m in range(1, config.steps + 1):
         n = (m - 1) % cycle + 1
-        op = schedule(n, config.num_tape_spins)
-        if op.kind == ROTATION:
-            apply_head_rotation(state, config.alphas[op.mu - 1])
+        mu = (n + 1) // 2  # step n is rotation or flip mu, see schedule()
+        if n % 2:
+            apply_head_rotation(state, config.alphas[mu - 1])
+            c, s = turns[mu - 1]
+            y, z = y * c - z * s, y * s + z * c
         else:
-            apply_qcnot(state, op.mu, config.variant)
-        bloch[m] = head_bloch(state)
-        if n == cycle:
-            drift = _check_norm(state, m, drift)
+            apply_qcnot(state, mu, config.variant)
+            if n < cycle:
+                cross = head_cross(state)
+                x, y = 2.0 * cross.real, -2.0 * cross.imag
+            else:
+                x, y, z = head_bloch(state)
+                drift = _check_norm(state, m, drift)
+        bloch[m] = x, y, z
     if config.steps and n != cycle:
         drift = _check_norm(state, config.steps, drift)
     return Trajectory(bloch, config, drift)

@@ -32,6 +32,13 @@ HEAD_BIT = 0
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
+# Sums over amplitudes are taken in blocks of this many elements, one BLAS
+# call per block. OpenBLAS splits a longer dot product across its threads,
+# which changes the order of summation, so the bits of a reduction (and of
+# every trajectory) would depend on the thread count; below about 10,000
+# elements it never splits.
+REDUCE_BLOCK = 8192
+
 # single-site column vectors for each tape-spec character
 _SITE_VECTORS = {
     "0": np.array([1.0, 0.0], dtype=complex),
@@ -101,7 +108,7 @@ class StateVector:
         self.amplitudes = amplitudes
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return _vdot(self.amplitudes, self.amplitudes).real
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_tape_spins, self.amplitudes.copy())
@@ -140,7 +147,7 @@ def make_state(phi0: float, tape) -> StateVector:
     tape_amps = np.asarray(tape, dtype=complex)
     if tape_amps.ndim != 1 or tape_amps.size < 2 or tape_amps.size & (tape_amps.size - 1):
         raise ConfigurationError("tape amplitude list must have length 2**M, M >= 1")
-    nrm = float(np.vdot(tape_amps, tape_amps).real)
+    nrm = _vdot(tape_amps, tape_amps).real
     if abs(nrm - 1.0) > 1e-9:
         raise ConfigurationError(f"tape amplitude list not normalized (norm² = {nrm})")
     tape_amps = tape_amps / math.sqrt(nrm)
@@ -158,11 +165,18 @@ def head_bloch(state: StateVector) -> BlochVector:
         y = -2 Im sum(conj(a0) a1)
         z = sum |a1|² - sum |a0|²
     """
-    pairs = state.amplitudes.reshape(-1, 2)
-    cross = complex(np.vdot(pairs[:, 0], pairs[:, 1]))
-    p0 = float(np.vdot(pairs[:, 0], pairs[:, 0]).real)
-    p1 = float(np.vdot(pairs[:, 1], pairs[:, 1]).real)
+    amps = state.amplitudes
+    cross = head_cross(state)
+    p0 = _vdot(amps[0::2], amps[0::2]).real
+    p1 = _vdot(amps[1::2], amps[1::2]).real
     return BlochVector(2.0 * cross.real, -2.0 * cross.imag, p1 - p0)
+
+
+def head_cross(state: StateVector) -> complex:
+    """sum(conj(a0) a1) over the head pairs (a0, a1), the one sum behind
+    the x and y of head_bloch."""
+    amps = state.amplitudes
+    return _vdot(amps[0::2], amps[1::2])
 
 
 def purity(b: BlochVector) -> float:
@@ -174,4 +188,13 @@ def purity(b: BlochVector) -> float:
 def inner_product(a: StateVector, b: StateVector):
     if a.num_tape_spins != b.num_tape_spins:
         raise ConfigurationError("states have different tape sizes")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return _vdot(a.amplitudes, b.amplitudes)
+
+
+def _vdot(a, b) -> complex:
+    """np.vdot(a, b) summed block by block, so its bits do not depend on
+    the BLAS thread count (see REDUCE_BLOCK)."""
+    total = 0j
+    for i in range(0, a.size, REDUCE_BLOCK):
+        total += np.vdot(a[i:i + REDUCE_BLOCK], b[i:i + REDUCE_BLOCK])
+    return complex(total)

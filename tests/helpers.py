@@ -1,5 +1,6 @@
-"""Shared test support: a dense-matrix oracle for the machine, and a check
-of the |-> tape identity against the package's own flip.
+"""Shared test support: a dense-matrix oracle for the machine, one-shot
+reference forms of the kernels and of the engine loop, and a check of the
+|-> tape identity against the package's own flip.
 
 Everything here is deliberately naive. Gates are built as full 2**(M+1)
 square matrices by tensoring single-site operators, states evolve by plain
@@ -10,7 +11,9 @@ strided kernels and closed forms are checked.
 
 import numpy as np
 
-from qtm.gates import apply_qcnot
+from qtm.engine import Trajectory
+from qtm.gates import apply_head_rotation, apply_qcnot
+from qtm.state import head_bloch, make_state
 
 I2 = np.eye(2, dtype=complex)
 LX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,3 +106,46 @@ def qcnot_minus_defect(state, mu):
     headz = state.copy()
     headz.amplitudes[0::2] *= -1.0
     return float(abs(flipped.amplitudes - headz.amplitudes).max())
+
+
+# The kernel formulas applied to the whole array in one pass. The package's
+# numpy kernels apply the same formulas block by block and must equal these
+# bit for bit.
+
+def one_shot_rotate_head(amps, c, s):
+    v = amps.reshape(-1, 2)
+    a0 = c * v[:, 0] - 1j * s * v[:, 1]
+    v[:, 1] = -1j * s * v[:, 0] + c * v[:, 1]
+    v[:, 0] = a0
+
+
+def one_shot_cnot_flip(amps, mu):
+    h0 = amps.reshape(-1, 2, 1 << mu)[:, :, 0::2]
+    t = h0[:, 0].copy()
+    h0[:, 0] = h0[:, 1]
+    h0[:, 1] = t
+
+
+def one_shot_cnot_signed_flip(amps, mu):
+    h0 = amps.reshape(-1, 2, 1 << mu)[:, :, 0::2]
+    t = h0[:, 0].copy()
+    h0[:, 0] = -h0[:, 1]
+    h0[:, 1] = t
+
+
+def per_step_run(config):
+    """engine.run as a plain loop that reduces the whole state to the head
+    Bloch vector after every step, with no carried vector and no norm
+    check."""
+    state = make_state(config.phi0, config.resolved_initial())
+    cycle = 2 * config.num_tape_spins
+    bloch = np.empty((config.steps + 1, 3))
+    bloch[0] = head_bloch(state)
+    for m in range(1, config.steps + 1):
+        n = (m - 1) % cycle + 1
+        if n % 2:
+            apply_head_rotation(state, config.alphas[(n - 1) // 2])
+        else:
+            apply_qcnot(state, n // 2, config.variant)
+        bloch[m] = head_bloch(state)
+    return Trajectory(bloch, config)

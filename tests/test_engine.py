@@ -2,11 +2,16 @@
 symmetries, and the runtime norm check."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import qtm
 import qtm.kernels
 from qtm import (
     ConfigurationError,
@@ -140,6 +145,54 @@ def test_cycle_against_dense_cycle_matrix():
     np.testing.assert_allclose(
         traj.point(4), helpers.dense_head_bloch(u @ psi), atol=1e-12
     )
+
+
+def _amplitude_tape(num_tape_spins):
+    rng = np.random.default_rng(59)
+    amps = rng.normal(size=2 ** num_tape_spins) + 1j * rng.normal(size=2 ** num_tape_spins)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("variant, alphas, phi0, initial, steps", [
+    ("x", (ALPHA,) * 2, 0.0, "01", 20000),
+    ("iy", (ALPHA,) * 2, 0.0, "10", 20000),
+    ("x", (0.7, 1.9, ALPHA), 1.234, "+-0", 20001),
+    ("iy", (0.7, 1.9, ALPHA), 2.9, "-+1", 20003),
+    ("x", (0.3, ALPHA, 2.2, 1.1), 0.8, "amplitudes", 20005),
+    ("iy", (ALPHA,) * 4, 1.234, "+-01", 20000),
+])
+def test_carried_bloch_matches_per_step_reduction(variant, alphas, phi0,
+                                                  initial, steps):
+    # engine.run carries the head vector through rotations and flips and
+    # reduces in full once per cycle; the plain loop reduces every step
+    if initial == "amplitudes":
+        initial = _amplitude_tape(len(alphas))
+    cfg = MachineConfig(num_tape_spins=len(alphas), alphas=alphas, phi0=phi0,
+                        variant=variant, initial=initial, steps=steps)
+    np.testing.assert_allclose(run(cfg).bloch, helpers.per_step_run(cfg).bloch,
+                               rtol=0, atol=1e-12)
+
+
+_THREADED_RUN = """
+import sys
+import numpy as np
+from qtm import MachineConfig, run
+traj = run(MachineConfig.uniform(16, float(sys.argv[2]), steps=60))
+np.save(sys.argv[1], np.vstack([traj.bloch, [traj.norm_drift] * 3]))
+"""
+
+
+def test_trajectory_bits_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(qtm.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = tmp_path / f"threads{threads}.npy"
+        subprocess.run([sys.executable, "-c", _THREADED_RUN, str(out), repr(float(ALPHA))],
+                       env=env, check=True, timeout=120)
+        results.append(np.load(out))
+    np.testing.assert_array_equal(results[0], results[1])
 
 
 def test_norm_guard_trips_on_broken_kernel(monkeypatch):

@@ -12,6 +12,12 @@ from qtm import _kernels_py, kernels
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "qtm" / "_kernels_c.c"
 
+# states of 2 to 7 bits fit in one block of the numpy kernels; the two
+# sizes above it span 2 and 4 blocks, and their top spins have groups of
+# 2 << mu amplitudes larger than a block
+BLOCK_BITS = _kernels_py.BLOCK.bit_length() - 1
+SIZES = (*range(2, 8), BLOCK_BITS + 1, BLOCK_BITS + 2)
+
 
 def test_backend_reported():
     assert kernels.BACKEND in ("compiled", "numpy")
@@ -50,7 +56,7 @@ def compiled(tmp_path_factory):
 def test_backends_agree_on_rotation(compiled):
     rng = np.random.default_rng(41)
     c, s = math.cos(0.9), math.sin(0.9)
-    for nbits in range(2, 8):
+    for nbits in SIZES:
         amps = helpers.random_state(nbits, rng)
         a = amps.copy()
         b = amps.copy()
@@ -61,7 +67,7 @@ def test_backends_agree_on_rotation(compiled):
 
 def test_backends_agree_on_flips_bit_exact(compiled):
     rng = np.random.default_rng(43)
-    for nbits in range(2, 8):
+    for nbits in SIZES:
         for mu in range(1, nbits):
             amps = helpers.random_state(nbits, rng)
             a = amps.copy()
@@ -71,6 +77,25 @@ def test_backends_agree_on_flips_bit_exact(compiled):
             np.testing.assert_array_equal(a, b)
             _kernels_py.cnot_signed_flip(a, mu)
             compiled.cnot_signed_flip(b, mu)
+            np.testing.assert_array_equal(a, b)
+
+
+def test_blocked_kernels_equal_one_shot_formulas():
+    rng = np.random.default_rng(53)
+    c, s = math.cos(1.1), math.sin(1.1)
+    for nbits in SIZES:
+        amps = helpers.random_state(nbits, rng)
+        a = amps.copy()
+        b = amps.copy()
+        _kernels_py.rotate_head(a, c, s)
+        helpers.one_shot_rotate_head(b, c, s)
+        np.testing.assert_array_equal(a, b)
+        for mu in range(1, nbits):
+            _kernels_py.cnot_flip(a, mu)
+            helpers.one_shot_cnot_flip(b, mu)
+            np.testing.assert_array_equal(a, b)
+            _kernels_py.cnot_signed_flip(a, mu)
+            helpers.one_shot_cnot_signed_flip(b, mu)
             np.testing.assert_array_equal(a, b)
 
 
