@@ -61,32 +61,53 @@ def primitive_step(phi: float, pattern: str, n: int, alpha: float) -> float:
     return phi
 
 
+def _cycle_table(signs):
+    """Integer form of one cycle: j = 0..2M steps after a cycle start at
+    angle phi, row b is at sign[b, j]*phi + offset[b, j]*alpha. With c_i
+    the product of the first i spin signs, step 2i leaves sign c_i and
+    offset c_i*(c_0 + ... + c_{i-1}), and step 2i-1 adds one to the offset
+    of step 2i-2. The last column is the cycle map phi -> S*phi + K*alpha.
+    """
+    prods = np.cumprod(np.hstack([np.ones_like(signs[:, :1]), signs]), axis=1)
+    sign = np.repeat(prods, 2, axis=1)[:, :-1]
+    offset = np.repeat(prods * np.cumsum(prods, axis=1) - 1, 2, axis=1)[:, :-1]
+    offset[:, 1::2] += 1
+    return sign, offset
+
+
+def _cycle_starts(sign, offset, first, stop):
+    """(sigma, k) of cycle starts first..stop-1: S = +1 gives k = p*K, and
+    S = -1 alternates phi0 with -phi0 + K*alpha."""
+    p = np.arange(first, stop)
+    flips = sign[:, -1:] < 0
+    return (np.where(flips, 1 - 2 * (p & 1), 1),
+            offset[:, -1:] * np.where(flips, p & 1, p))
+
+
 def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray:
     """Head angle at every step for a batch of patterns.
 
-    Returns an array of shape (len(patterns), steps+1). All patterns must
-    share one tape size; the per-step work is vectorized over the batch.
+    Returns an array of shape (len(patterns), steps+1) holding
+    sigma*phi0 + kappa*alpha for the exact integers of each step. All
+    patterns must share one tape size.
     """
     pats = [normalize_pattern(p) for p in patterns]
     if not pats:
         raise ConfigurationError("empty pattern batch")
-    num = len(pats[0])
-    if any(len(p) != num for p in pats):
+    if any(len(p) != len(pats[0]) for p in pats):
         raise ConfigurationError("patterns in a batch must share one tape size")
-    # sign[j, k] = -1 where pattern j has '-' at tape spin k+1
-    signs = np.array([[-1.0 if ch == "-" else 1.0 for ch in p] for p in pats])
-    phi = np.full(len(pats), float(phi0))
-    out = np.empty((len(pats), steps + 1))
-    out[:, 0] = phi
-    cycle = 2 * num
-    for m in range(1, steps + 1):
-        n = (m - 1) % cycle + 1
-        if n % 2:
-            phi = phi + alpha
-        else:
-            phi = phi * signs[:, n // 2 - 1]
-        out[:, m] = phi
-    return out
+    if steps < 0:
+        raise ConfigurationError("step count must be >= 0")
+    sign, offset = _cycle_table(np.array([[-1 if ch == "-" else 1 for ch in p]
+                                          for p in pats]))
+    sigma_p, k_p = _cycle_starts(sign, offset, 0, steps // (sign.shape[1] - 1) + 1)
+    # kappa = k_p*sign + offset, sigma = sigma_p*sign: exact in float64
+    s = sign[:, None, :-1].astype(float)
+    phis = (np.stack([k_p, np.ones_like(k_p)], axis=2)
+            @ np.hstack([s, offset[:, None, :-1]]))
+    phis *= alpha
+    phis += (sigma_p * phi0)[:, :, None] @ s
+    return phis.reshape(len(s), -1)[:, :steps + 1]
 
 
 def run_primitive(pattern: str, phi0: float, alpha: float, steps: int) -> Trajectory:
@@ -148,28 +169,36 @@ def detect_period_numeric(pattern: str, phi0: float, alpha: float,
     revisit the starting angle without the orbit being closed. Returns the
     period in steps, or None.
     """
-    pattern = normalize_pattern(pattern)
+    return _find_periods([normalize_pattern(pattern)], phi0, alpha,
+                         max_cycles, tol)[0]
+
+
+def _find_periods(pats, phi0, alpha, max_cycles, tol):
+    """detect_period_numeric for a batch of patterns of one tape size. The
+    chord test 2*|sin(d/2)| < tol is |w| < 2*asin(tol/2) for d wrapped to
+    w = d - 2*pi*rint(d/(2*pi)), so no transcendental is taken per step.
+    Only the steps that match step 0 are tried as periods, in order."""
     if max_cycles < 2:
         raise ConfigurationError("need max_cycles >= 2")
-    cycle = 2 * len(pattern)
+    cycle = 2 * len(pats[0])
     horizon = cycle * max_cycles
-    phis = evolve_angles([pattern], phi0, alpha, horizon + cycle)[0]
-    return _find_period(phis, cycle, horizon, tol)
+    phis = evolve_angles(pats, phi0, alpha, horizon + cycle)
+    limit = math.asin(min(tol / 2, 1.0)) / math.pi  # in turns
 
+    def match(d):  # overwrites d
+        d *= 0.5 / math.pi
+        d -= np.rint(d)
+        return np.abs(d, out=d) < limit
 
-def _find_period(phis, cycle, horizon, tol):
-    pts = np.exp(1j * phis)
-    candidates = np.nonzero(np.abs(pts[1:horizon + 1] - pts[0]) < tol)[0] + 1
-    window = pts[: cycle + 1]
-    for s in candidates:
-        if np.all(np.abs(pts[s:s + cycle + 1] - window) < tol):
-            return int(s)
-    return None
+    hits = match(phis[:, 1:horizon + 1] - phis[:, :1])
+    return [next((int(s) for s in np.flatnonzero(hit) + 1
+                  if match(row[s:s + cycle + 1] - row[:cycle + 1]).all()), None)
+            for row, hit in zip(phis, hits)]
 
 
 def period_census(num_tape_spins: int, phi0: float, alpha: float,
                   max_cycles: int, tol: float = 1e-9,
-                  chunk: int = 128, workers: int = 1) -> dict:
+                  chunk: int = 16, workers: int = 1) -> dict:
     """detect_period_numeric for every pattern of a tape size at once.
 
     Evolves the patterns in batches so the sweep stays vectorized without
@@ -178,13 +207,9 @@ def period_census(num_tape_spins: int, phi0: float, alpha: float,
     numpy). Returns {pattern: period or None} in canonical order.
     """
     pats = all_patterns(num_tape_spins)
-    cycle = 2 * num_tape_spins
-    horizon = cycle * max_cycles
 
     def sweep(batch):
-        phis = evolve_angles(batch, phi0, alpha, horizon + cycle)
-        return [_find_period(phis[row], cycle, horizon, tol)
-                for row in range(len(batch))]
+        return _find_periods(batch, phi0, alpha, max_cycles, tol)
 
     batches = [pats[lo:lo + chunk] for lo in range(0, len(pats), chunk)]
     if workers > 1 and len(batches) > 1:
@@ -257,19 +282,37 @@ def _sign_basis_transform(amps, num):
 def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     """Head trajectory of a product state from its primitive weights.
 
-    Runs all 2**M primitives in one vectorized batch and sums their Bloch
-    vectors with the given weights at every step. Exact for any product
-    initial state because relative phases between primitives never reach
-    the head observable.
+    Sums the Bloch vectors of all 2**M primitives with the given weights at
+    every step. Exact for any product initial state because relative
+    phases between primitives never reach the head observable. A primitive
+    at s*theta + o*alpha, theta a cycle start, has sin and cos linear in
+    those of theta, so a block of cycles is one matrix product and memory
+    is O(2**M * (2M + cycles per block)).
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size < 2 or weights.size & (weights.size - 1):
         raise ConfigurationError("weight vector must have length 2**M, M >= 1")
     if weights.min() < -1e-15 or abs(weights.sum() - 1.0) > 1e-12:
         raise ConfigurationError("weights must be nonnegative and sum to 1")
+    if steps < 0:
+        raise ConfigurationError("step count must be >= 0")
     num = weights.size.bit_length() - 1
-    phis = evolve_angles(all_patterns(num), phi0, alpha, steps)
+    used = np.flatnonzero(weights)  # canonical index bits are the '-' spins
+    bits = (used[:, None] >> np.arange(num)[::-1]) & 1
+    sign, offset = _cycle_table(1 - 2 * bits)
+    w, s, o = weights[used, None], sign[:, :-1], offset[:, :-1] * alpha
+    wcos, wsin = w * np.cos(o), w * np.sin(o)
+    # y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o))
+    # z = sum w*(s*sin(theta)*sin(o) - cos(theta)*cos(o))
+    coef = np.block([[s * wcos, s * wsin], [wsin, -wcos]])
+    cycles = steps // (2 * num) + 1
+    per_block = max(1, (1 << 18) // len(used))  # 2 MiB of cycle starts
+    yz = np.empty((cycles, 4 * num))
+    for lo in range(0, cycles, per_block):
+        sigma, k = _cycle_starts(sign, offset, lo, min(lo + per_block, cycles))
+        theta = sigma * phi0 + k * alpha
+        yz[lo:lo + per_block] = np.vstack([np.sin(theta), np.cos(theta)]).T @ coef
     bloch = np.zeros((steps + 1, 3))
-    bloch[:, 1] = weights @ np.sin(phis)
-    bloch[:, 2] = -(weights @ np.cos(phis))
+    yz = yz.reshape(-1, 2, 2 * num).transpose(0, 2, 1).reshape(-1, 2)
+    bloch[:, 1:] = yz[:steps + 1]
     return Trajectory(bloch, None)

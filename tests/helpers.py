@@ -1,6 +1,7 @@
 """Shared test support: a dense-matrix oracle for the machine, one-shot
-reference forms of the kernels and of the engine loop, and a check of the
-|-> tape identity against the package's own flip.
+reference forms of the kernels and of the engine loop, a check of the |->
+tape identity against the package's own flip, and step-by-step references
+for the primitive angles and the period search.
 
 Everything here is deliberately naive. Gates are built as full 2**(M+1)
 square matrices by tensoring single-site operators, states evolve by plain
@@ -149,3 +150,36 @@ def per_step_run(config):
             apply_qcnot(state, n // 2, config.variant)
         bloch[m] = head_bloch(state)
     return Trajectory(bloch, config)
+
+
+def integer_angles(pattern, steps):
+    """The head angle of a primitive as exact integers: after step m it is
+    sigma[m]*phi0 + kappa[m]*alpha. A plain loop over the step rules: an
+    odd step adds one alpha, an even step on a '-' spin negates both."""
+    sigma, kappa = [1], [0]
+    for m in range(1, steps + 1):
+        n = (m - 1) % (2 * len(pattern)) + 1
+        if n % 2:
+            sigma.append(sigma[-1])
+            kappa.append(kappa[-1] + 1)
+        elif pattern[n // 2 - 1] == "-":
+            sigma.append(-sigma[-1])
+            kappa.append(-kappa[-1])
+        else:
+            sigma.append(sigma[-1])
+            kappa.append(kappa[-1])
+    return np.array(sigma), np.array(kappa)
+
+
+def exp_find_period(phis, cycle, horizon, tol):
+    """Period search on one angle sequence by chords between points
+    exp(1j*phi) on the unit circle: the first s in 1..horizon whose point
+    and the cycle that follows match the points from 0. The package
+    compares wrapped angle differences instead and must agree."""
+    pts = np.exp(1j * phis)
+    candidates = np.nonzero(np.abs(pts[1:horizon + 1] - pts[0]) < tol)[0] + 1
+    window = pts[: cycle + 1]
+    for s in candidates:
+        if np.all(np.abs(pts[s:s + cycle + 1] - window) < tol):
+            return int(s)
+    return None

@@ -124,6 +124,26 @@ def test_classify_single_pattern(capsys):
     assert lines[1] == "--+,aperiodic,2,0;0;1,"
 
 
+@pytest.mark.parametrize("max_cycles", ["1", "0", "-3"])
+def test_classify_all_needs_two_cycles(max_cycles, capsys):
+    assert main(["classify", "--all", "--tape-size", "3",
+                 "--max-cycles", max_cycles]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "max_cycles >= 2" in err
+
+
+def test_primitives_negative_steps_is_a_usage_error(capsys):
+    assert main(["primitives", "--pattern=-+", "--alpha", "1",
+                 "--steps", "-2"]) == 2
+    assert "step count" in capsys.readouterr().err
+
+
+def test_spectrum_pattern_negative_steps_is_a_usage_error(capsys):
+    assert main(["spectrum", "--pattern=-+", "--alpha", "1",
+                 "--steps", "-2"]) == 2
+    assert "step count" in capsys.readouterr().err
+
+
 def test_classify_pattern_size_conflict():
     assert main(["classify", "--pattern", "+-", "--tape-size", "3"]) == 2
 

@@ -3,6 +3,7 @@ the periodicity classifier against brute-force period detection, and the
 decompose/superpose round trip."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import helpers
 from qtm import (
     ConfigurationError,
+    HeadRecursion,
     MachineConfig,
     all_patterns,
     classify,
@@ -111,6 +113,45 @@ def test_evolve_angles_rejects_ragged_batch():
         evolve_angles([], 0.0, 1.0, 5)
 
 
+def test_evolve_angles_rejects_negative_steps():
+    with pytest.raises(ConfigurationError):
+        evolve_angles(["-+"], 0.0, 1.0, -2)
+
+
+@pytest.mark.parametrize("num", range(1, 7))
+def test_evolve_angles_is_the_integer_step_loop(num):
+    # every angle is sigma*phi0 + kappa*alpha for the exact integers of
+    # the step rules, bit for bit; 0 steps, one step, runs that stop
+    # mid-cycle and several whole cycles
+    pats = all_patterns(num)
+    cycle = 2 * num
+    for steps in (0, 1, cycle - 1, cycle, 3 * cycle + 3):
+        for phi0, alpha in ((1.234, ALPHA), (0.0, 1.0)):
+            got = evolve_angles(pats, phi0, alpha, steps)
+            assert got.shape == (len(pats), steps + 1)
+            for row, pattern in enumerate(pats):
+                sigma, kappa = helpers.integer_angles(pattern, steps)
+                np.testing.assert_array_equal(
+                    got[row], sigma * phi0 + kappa * alpha, err_msg=pattern)
+
+
+@pytest.mark.parametrize("num", range(1, 11))
+def test_cycle_map_agrees_with_classify(num):
+    # one cycle maps phi -> S*phi + K*alpha. The classifier's gap rule says
+    # periodic exactly when S = -1 or K = 0, and K is the signed gap sum:
+    # (-1)**q * (even-index gaps - odd-index gaps + q mod 2)
+    pats = all_patterns(num)
+    signs = np.array([[-1 if ch == "-" else 1 for ch in p] for p in pats])
+    sign, offset = primitives._cycle_table(signs)
+    assert sign.shape == offset.shape == (len(pats), 2 * num + 1)
+    for p, big_s, big_k in zip(pats, sign[:, -1], offset[:, -1]):
+        cls = classify(p)
+        assert big_s == (-1) ** cls.q, p
+        assert big_k == (-1) ** cls.q * (
+            sum(cls.gaps[0::2]) - sum(cls.gaps[1::2]) + cls.q % 2), p
+        assert cls.periodic == (big_s == -1 or big_k == 0), p
+
+
 class TestClassifier:
     def test_single_spin(self):
         assert not classify("+").periodic
@@ -179,6 +220,9 @@ class TestPeriodDetection:
     def test_needs_two_cycles(self):
         with pytest.raises(ConfigurationError):
             detect_period_numeric("-", 0.3, ALPHA, 1)
+        for max_cycles in (1, 0, -3):
+            with pytest.raises(ConfigurationError):
+                period_census(2, 0.3, ALPHA, max_cycles)
 
     def test_census_matches_per_pattern_calls(self):
         for alpha in (ALPHA, 1.0):
@@ -204,6 +248,36 @@ class TestPeriodDetection:
             a = period_census(num, 0.3, ALPHA, 12)
             b = period_census(num, 0.3, 1.0, 12)
             assert a == b
+
+    @pytest.mark.parametrize("factor,period", [(1.01, 8), (0.99, None)])
+    def test_tolerance_is_the_chord_length(self, factor, period):
+        # '+' at alpha = pi/2 + eps misses closing after 8 steps by an
+        # angle of 4*eps, a chord of 2*sin(2*eps); tol just above that
+        # chord finds the period, tol just below does not
+        eps = 1e-10
+        chord = 2 * math.sin(2 * eps)
+        alpha = math.pi / 2 + eps
+        tol = factor * chord
+        assert detect_period_numeric("+", 0.0, alpha, 10, tol) == period
+        phis = evolve_angles(["+"], 0.0, alpha, 22)[0]
+        assert helpers.exp_find_period(phis, 2, 20, tol) == period
+
+    @pytest.mark.parametrize("alpha", [ALPHA, 1.0, math.pi / 2,
+                                       2 * math.pi / 3])
+    @pytest.mark.parametrize("phi0", [0.0, 0.3, math.pi])
+    def test_census_equals_the_chord_finder(self, alpha, phi0):
+        # wrapped angle differences against chords between exp(1j*phi):
+        # reflection revisits, closures at special alphas, phi0 at 0 and pi
+        max_cycles = 12
+        for num in range(1, 8):
+            cycle = 2 * num
+            horizon = cycle * max_cycles
+            pats = all_patterns(num)
+            phis = evolve_angles(pats, phi0, alpha, horizon + cycle)
+            expected = {p: helpers.exp_find_period(phis[row], cycle, horizon,
+                                                   1e-9)
+                        for row, p in enumerate(pats)}
+            assert period_census(num, phi0, alpha, max_cycles) == expected
 
     def test_threaded_census_agrees(self):
         single = period_census(5, 0.3, ALPHA, 12, chunk=8, workers=1)
@@ -278,6 +352,45 @@ class TestSuperpose:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("num", [2, 3])
+    def test_long_horizon_matches_recursion(self, num):
+        # angles from exact integers do not drift: 60,000 steps agree with
+        # the closed-form recursion as tightly as 2000 do
+        steps = 60_000
+        ref = HeadRecursion(ALPHA).trajectory(steps, num)
+        got = superpose(decompose("0" * num), 0.0, ALPHA, steps).bloch
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11)
+
+    def test_long_horizon_matches_engine_on_mixed_tape(self):
+        cfg = MachineConfig.uniform(4, ALPHA, phi0=1.234, initial="0+-1",
+                                    steps=20_000)
+        np.testing.assert_allclose(
+            superpose(decompose("0+-1"), 1.234, ALPHA, 20_000).bloch,
+            run(cfg).bloch, rtol=0, atol=1e-11)
+
+    def test_memory_stays_off_the_step_count(self):
+        # all 2**14 x 2001 angles would take 250 MiB per array; the sum
+        # runs over several blocks of cycles here
+        weights = decompose("0" * 14)
+        tracemalloc.start()
+        try:
+            traj = superpose(weights, 0.0, ALPHA, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2 ** 20
+        np.testing.assert_allclose(
+            traj.bloch, HeadRecursion(ALPHA).trajectory(2000, 14),
+            rtol=0, atol=1e-11)
+
+    def test_zero_steps_and_mid_cycle_stop(self):
+        w = decompose("0+1")
+        for steps in (0, 1, 7):
+            cfg = MachineConfig.uniform(3, ALPHA, phi0=0.4, initial="0+1",
+                                        steps=steps)
+            np.testing.assert_allclose(superpose(w, 0.4, ALPHA, steps).bloch,
+                                       run(cfg).bloch, atol=1e-14)
+
     def test_weight_validation(self):
         with pytest.raises(ConfigurationError):
             superpose([0.5, 0.4], 0.0, 1.0, 5)
@@ -285,6 +398,8 @@ class TestSuperpose:
             superpose([1.5, -0.5], 0.0, 1.0, 5)
         with pytest.raises(ConfigurationError):
             superpose([0.5, 0.25, 0.25], 0.0, 1.0, 5)
+        with pytest.raises(ConfigurationError):
+            superpose([0.5, 0.5], 0.0, 1.0, -1)
 
 
 def test_computational_tapes_share_one_trajectory():
