@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .analysis import (CircleSet, PointSet, Spectrum, distinct_points,
                        fit_invariant_circles, invariant_residual, spectrum)
-from .engine import MachineConfig, Trajectory, run, run_mixed, schedule
+from .engine import MachineConfig, Trajectory, run, run_mixed
 from .errors import (CircleFitError, ConfigurationError,
                      NumericalValidationError, QtmError)
 from .exprs import parse_angle
@@ -29,7 +29,7 @@ __all__ = [
     "BlochVector", "StateVector", "head_bloch", "inner_product",
     "make_product_state", "make_state", "purity",
     "apply_head_rotation", "apply_qcnot",
-    "MachineConfig", "Trajectory", "run", "run_mixed", "schedule",
+    "MachineConfig", "Trajectory", "run", "run_mixed",
     "PeriodicityClass", "all_patterns", "classify", "decompose",
     "detect_period_numeric", "evolve_angles", "period_census",
     "run_primitive", "superpose",

@@ -80,6 +80,8 @@ def fit_invariant_circles(traj, max_circles, tape_size=None,
     residual_tol; the latter is the expected outcome for three or more tape
     spins, where the orbit sub-manifolds are no longer plain circles.
     """
+    if max_circles < 1:
+        raise ConfigurationError(f"max_circles must be >= 1, got {max_circles}")
     yz, tape_size = _yz(traj, tape_size)
     stride = 4 * tape_size
     groups = [list(range(r, len(yz), stride)) for r in range(min(stride, len(yz)))]
@@ -191,7 +193,7 @@ class PointSet:
     counts: np.ndarray  # visits per retained point
 
 
-def distinct_points(traj, tol: float = 1e-9, tape_size=None) -> PointSet:
+def distinct_points(traj, tol: float = 1e-9) -> PointSet:
     """Greedy dedup of the yz trajectory in visit order.
 
     A point within tol of an already retained point increments that point's

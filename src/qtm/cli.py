@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, analysis, engine, io, primitives, recursion
@@ -186,50 +185,36 @@ def cmd_primitives(args):
     return 0
 
 
-def _census_workers():
-    raw = os.environ.get("QTM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(f"QTM_THREADS must be an integer, got {raw!r}")
+def _write_csv(args, header, lines):
+    with io._open_out(args.out) as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+    if args.out != "-":
+        io.write_manifest(_manifest(args), args.out)
+    return 0
 
 
 def cmd_classify(args):
     if args.pattern is not None:
-        pats = [primitives.normalize_pattern(args.pattern)]
-        if args.tape_size is not None and len(pats[0]) != args.tape_size:
+        pat = primitives.normalize_pattern(args.pattern)
+        if args.tape_size is not None and len(pat) != args.tape_size:
             raise ConfigurationError("--pattern length disagrees with --tape-size")
+        periods = {pat: primitives.detect_period_numeric(
+            pat, args.phi0, args.alpha, args.max_cycles)}
     else:
         if args.tape_size is None:
             raise ConfigurationError("--all needs --tape-size")
-        pats = primitives.all_patterns(args.tape_size)
-
-    if args.pattern is not None:
-        periods = {
-            pats[0]: primitives.detect_period_numeric(
-                pats[0], args.phi0, args.alpha, args.max_cycles)
-        }
-    else:
         periods = primitives.period_census(
-            args.tape_size, args.phi0, args.alpha, args.max_cycles,
-            workers=_census_workers(),
-        )
+            args.tape_size, args.phi0, args.alpha, args.max_cycles)
 
-    with io._open_out(args.out) as fh:
-        fh.write("pattern,kind,q,gaps,period\n")
-        for pat in pats:
-            cls = primitives.classify(pat)
-            period = periods[pat]
-            fh.write(
-                f"{pat},{cls.kind},{cls.q},"
-                f"{';'.join(str(g) for g in cls.gaps)},"
-                f"{'' if period is None else period}\n"
-            )
-    if args.out != "-":
-        io.write_manifest(_manifest(args), args.out)
-    return 0
+    def row(pat, period):
+        cls = primitives.classify(pat)
+        return (f"{pat},{cls.kind},{cls.q},{';'.join(map(str, cls.gaps))},"
+                f"{'' if period is None else period}")
+
+    return _write_csv(args, "pattern,kind,q,gaps,period",
+                      (row(pat, period) for pat, period in periods.items()))
 
 
 def cmd_decompose(args):
@@ -237,13 +222,8 @@ def cmd_decompose(args):
         normalize_tape_spec(args.initial, args.tape_size)
     )
     pats = primitives.all_patterns(args.tape_size)
-    with io._open_out(args.out) as fh:
-        fh.write("pattern,weight\n")
-        for pat, w in zip(pats, weights.tolist()):
-            fh.write(f"{pat},{w!r}\n")
-    if args.out != "-":
-        io.write_manifest(_manifest(args), args.out)
-    return 0
+    return _write_csv(args, "pattern,weight",
+                      (f"{pat},{w!r}" for pat, w in zip(pats, weights.tolist())))
 
 
 def cmd_spectrum(args):
@@ -255,15 +235,10 @@ def cmd_spectrum(args):
             raise ConfigurationError("spectrum needs --pattern or --tape-size")
         traj = engine.run(_machine_config(args, args.variant))
     spec = analysis.spectrum(traj)
-    with io._open_out(args.out) as fh:
-        fh.write("frequency,magnitude_y,magnitude_z\n")
-        rows = zip(spec.frequencies.tolist(), spec.magnitude_y.tolist(),
-                   spec.magnitude_z.tolist())
-        for f, my, mz in rows:
-            fh.write(f"{f!r},{my!r},{mz!r}\n")
-    if args.out != "-":
-        io.write_manifest(_manifest(args), args.out)
-    return 0
+    rows = zip(spec.frequencies.tolist(), spec.magnitude_y.tolist(),
+               spec.magnitude_z.tolist())
+    return _write_csv(args, "frequency,magnitude_y,magnitude_z",
+                      (f"{f!r},{my!r},{mz!r}" for f, my, mz in rows))
 
 
 def cmd_invariants(args):

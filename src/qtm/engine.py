@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,32 +22,7 @@ from .gates import VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot
 from .state import (BlochVector, head_bloch, head_cross, make_state,
                     normalize_tape_spec)
 
-ROTATION = "rotation"
-QCNOT = "qcnot"
-
 NORM_TOL = 1e-12
-
-
-class GateOp(NamedTuple):
-    kind: str  # ROTATION or QCNOT
-    mu: int  # tape spin the step addresses (rotation: selects alpha_mu)
-
-
-def schedule(n: int, num_tape_spins: int) -> GateOp:
-    """Gate for step n of a cycle, 1 <= n <= 2M."""
-    if not 1 <= n <= 2 * num_tape_spins:
-        raise ConfigurationError(
-            f"cycle step {n} out of range 1..{2 * num_tape_spins}"
-        )
-    if n % 2:
-        return GateOp(ROTATION, (n + 1) // 2)
-    return GateOp(QCNOT, n // 2)
-
-
-def step_index(m: int, num_tape_spins: int) -> tuple[int, int]:
-    """Split global step m >= 1 into (n, p) with m = n + 2M*(p-1)."""
-    cycle = 2 * num_tape_spins
-    return (m - 1) % cycle + 1, (m - 1) // cycle + 1
 
 
 @dataclass(frozen=True)
@@ -161,7 +136,7 @@ def run(config: MachineConfig) -> Trajectory:
     n = 0
     for m in range(1, config.steps + 1):
         n = (m - 1) % cycle + 1
-        mu = (n + 1) // 2  # step n is rotation or flip mu, see schedule()
+        mu = (n + 1) // 2  # odd n rotates by alpha_mu, even n flips spin mu
         if n % 2:
             apply_head_rotation(state, config.alphas[mu - 1])
             c, s = turns[mu - 1]

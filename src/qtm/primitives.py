@@ -34,6 +34,8 @@ from .errors import ConfigurationError
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
 
+CENSUS_BATCH = 16  # patterns per period_census batch
+
 
 def normalize_pattern(pattern: str) -> str:
     pattern = pattern.replace("−", "-").replace("–", "-")
@@ -46,19 +48,9 @@ def normalize_pattern(pattern: str) -> str:
 
 def all_patterns(num_tape_spins: int) -> list[str]:
     """The 2**M sign patterns in canonical (lexicographic) order."""
+    if num_tape_spins < 1:
+        raise ConfigurationError("need at least one tape spin")
     return ["".join(p) for p in itertools.product("+-", repeat=num_tape_spins)]
-
-
-def primitive_step(phi: float, pattern: str, n: int, alpha: float) -> float:
-    """Head angle after step n (1..2M) of a cycle."""
-    num = len(pattern)
-    if not 1 <= n <= 2 * num:
-        raise ConfigurationError(f"cycle step {n} out of range 1..{2 * num}")
-    if n % 2:
-        return phi + alpha
-    if pattern[n // 2 - 1] == "-":
-        return -phi
-    return phi
 
 
 def _cycle_table(signs):
@@ -197,31 +189,19 @@ def _find_periods(pats, phi0, alpha, max_cycles, tol):
 
 
 def period_census(num_tape_spins: int, phi0: float, alpha: float,
-                  max_cycles: int, tol: float = 1e-9,
-                  chunk: int = 16, workers: int = 1) -> dict:
+                  max_cycles: int, tol: float = 1e-9) -> dict:
     """detect_period_numeric for every pattern of a tape size at once.
 
-    Evolves the patterns in batches so the sweep stays vectorized without
-    holding all 2**M angle histories in memory. Batches are independent, so
-    workers > 1 spreads them over a thread pool (the heavy per-step work is
-    numpy). Returns {pattern: period or None} in canonical order.
+    Evolves the patterns in batches of CENSUS_BATCH so the sweep stays
+    vectorized without holding all 2**M angle histories in memory.
+    Returns {pattern: period or None} in canonical order.
     """
     pats = all_patterns(num_tape_spins)
-
-    def sweep(batch):
-        return _find_periods(batch, phi0, alpha, max_cycles, tol)
-
-    batches = [pats[lo:lo + chunk] for lo in range(0, len(pats), chunk)]
-    if workers > 1 and len(batches) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sweep, batches))
-    else:
-        results = [sweep(b) for b in batches]
     out = {}
-    for batch, periods in zip(batches, results):
-        out.update(zip(batch, periods))
+    for lo in range(0, len(pats), CENSUS_BATCH):
+        batch = pats[lo:lo + CENSUS_BATCH]
+        out.update(zip(batch, _find_periods(batch, phi0, alpha, max_cycles,
+                                            tol)))
     return out
 
 

@@ -152,6 +152,12 @@ def test_classify_all_needs_tape_size():
     assert main(["classify", "--all"]) == 2
 
 
+@pytest.mark.parametrize("size", ["-1", "0"])
+def test_classify_all_rejects_empty_tape(size, capsys):
+    assert main(["classify", "--all", "--tape-size", size]) == 2
+    assert "need at least one tape spin" in capsys.readouterr().err
+
+
 def test_decompose_zeros(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["decompose", "--initial", "zeros", "--tape-size", "4",
@@ -194,6 +200,13 @@ def test_invariants_three_spins_fails_numerically(tmp_path, capsys):
     assert "numeric validation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_circles", ["0", "-1"])
+def test_invariants_circle_budget_must_be_positive(max_circles, capsys):
+    assert main(["invariants", "--tape-size", "1", "--alpha", "1",
+                 "--steps", "10", "--max-circles", max_circles]) == 2
+    assert "max_circles must be >= 1" in capsys.readouterr().err
+
+
 def test_recursion_engine_rejects_sign_tape():
     assert main(["simulate", "--tape-size", "2", "--alpha", "1.0",
                  "--steps", "5", "--initial", "+-",
@@ -220,21 +233,6 @@ def test_bad_angle_expression_is_a_usage_error():
 def test_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["transmogrify"])
-
-
-def test_thread_env_round_trip(tmp_path, monkeypatch):
-    plain = tmp_path / "a.csv"
-    pooled = tmp_path / "b.csv"
-    args = ["classify", "--all", "--tape-size", "4", "--max-cycles", "20"]
-    assert main(args + ["--out", str(plain)]) == 0
-    monkeypatch.setenv("QTM_THREADS", "3")
-    assert main(args + ["--out", str(pooled)]) == 0
-    assert plain.read_text() == pooled.read_text()
-
-
-def test_thread_env_validated(monkeypatch):
-    monkeypatch.setenv("QTM_THREADS", "many")
-    assert main(["classify", "--all", "--tape-size", "2"]) == 2
 
 
 def test_module_entry_point_subprocess(tmp_path):

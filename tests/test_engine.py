@@ -1,5 +1,5 @@
-"""Engine tests: schedule bookkeeping, agreement with the dense-matrix oracle,
-symmetries, and the runtime norm check."""
+"""Engine tests: agreement with the dense-matrix oracle, symmetries, and the
+runtime norm check."""
 
 import math
 import os
@@ -17,36 +17,11 @@ from qtm import (
     ConfigurationError,
     MachineConfig,
     NumericalValidationError,
-    engine,
     run,
     run_mixed,
 )
 
 ALPHA = helpers.ALPHA
-
-
-class TestSchedule:
-    def test_odd_steps_are_rotations(self):
-        op = engine.schedule(1, 3)
-        assert op.kind == engine.ROTATION and op.mu == 1
-        assert engine.schedule(5, 3).mu == 3
-
-    def test_even_steps_are_qcnots(self):
-        op = engine.schedule(2, 3)
-        assert op.kind == engine.QCNOT and op.mu == 1
-        assert engine.schedule(6, 3).mu == 3
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            engine.schedule(0, 3)
-        with pytest.raises(ConfigurationError):
-            engine.schedule(7, 3)
-
-    def test_step_index_round_trip(self):
-        for m in range(1, 40):
-            n, p = engine.step_index(m, 3)
-            assert m == n + 2 * 3 * (p - 1)
-            assert 1 <= n <= 6 and p >= 1
 
 
 def test_first_step_tilts_head_by_alpha():

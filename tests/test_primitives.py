@@ -30,20 +30,6 @@ from qtm.state import head_bloch, make_state, purity
 ALPHA = helpers.ALPHA
 
 
-class TestPrimitiveStep:
-    def test_odd_step_adds_alpha(self):
-        assert primitives.primitive_step(0.3, "+-", 1, 0.5) == 0.8
-        assert primitives.primitive_step(0.3, "+-", 3, 0.5) == 0.8
-
-    def test_even_step_reads_tape_sign(self):
-        assert primitives.primitive_step(0.3, "+-", 2, 0.5) == 0.3
-        assert primitives.primitive_step(0.3, "+-", 4, 0.5) == -0.3
-
-    def test_step_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            primitives.primitive_step(0.0, "+", 3, 0.5)
-
-
 def test_pattern_normalization_accepts_unicode_minus():
     assert primitives.normalize_pattern("−+") == "-+"
     with pytest.raises(ConfigurationError):
@@ -278,11 +264,6 @@ class TestPeriodDetection:
                                                    1e-9)
                         for row, p in enumerate(pats)}
             assert period_census(num, phi0, alpha, max_cycles) == expected
-
-    def test_threaded_census_agrees(self):
-        single = period_census(5, 0.3, ALPHA, 12, chunk=8, workers=1)
-        pooled = period_census(5, 0.3, ALPHA, 12, chunk=8, workers=4)
-        assert single == pooled
 
 
 class TestDecompose:
