@@ -14,22 +14,8 @@ import numpy as np
 from .errors import CircleFitError, ConfigurationError
 
 X_PLANE_TOL = 1e-9
-
-
-def _yz(traj, tape_size):
-    bloch = traj.bloch
-    worst = float(np.abs(bloch[:, 0]).max())
-    if worst > X_PLANE_TOL:
-        raise ConfigurationError(
-            f"trajectory leaves the x=0 plane (max |lambda_x| = {worst:.3e})"
-        )
-    if tape_size is None:
-        if traj.config is None:
-            raise ConfigurationError(
-                "trajectory carries no config; pass tape_size explicitly"
-            )
-        tape_size = traj.config.num_tape_spins
-    return bloch[:, 1:], tape_size
+MERGE_TOL = 1e-6  # circles this close in center and radius are one circle
+RESIDUAL_TOL = 1e-6  # largest miss of a point from its fitted circle
 
 
 @dataclass
@@ -67,23 +53,27 @@ def _algebraic_circle(pts):
     return center, float(np.sqrt(max(r2, 0.0)))
 
 
-def fit_invariant_circles(traj, max_circles, tape_size=None,
-                          merge_tol=1e-6, residual_tol=1e-6) -> CircleSet:
+def fit_invariant_circles(traj, max_circles) -> CircleSet:
     """Fit the family of circles traced by a trajectory in the yz plane.
 
     Points are seeded into clusters by step index modulo two cycles (each
     residue revisits one circle when the orbit structure is the simple one),
-    clusters whose fitted circles coincide within merge_tol are merged, a
+    clusters whose fitted circles coincide within MERGE_TOL are merged, a
     common radius is enforced by averaging, and centers are refit against
     the shared radius. Raises CircleFitError when more than max_circles
     distinct circles remain or any point misses its circle by more than
-    residual_tol; the latter is the expected outcome for three or more tape
+    RESIDUAL_TOL; the latter is the expected outcome for three or more tape
     spins, where the orbit sub-manifolds are no longer plain circles.
     """
     if max_circles < 1:
         raise ConfigurationError(f"max_circles must be >= 1, got {max_circles}")
-    yz, tape_size = _yz(traj, tape_size)
-    stride = 4 * tape_size
+    worst = float(np.abs(traj.bloch[:, 0]).max())
+    if worst > X_PLANE_TOL:
+        raise ConfigurationError(
+            f"trajectory leaves the x=0 plane (max |lambda_x| = {worst:.3e})"
+        )
+    yz = traj.yz()
+    stride = 4 * traj.num_tape_spins
     groups = [list(range(r, len(yz), stride)) for r in range(min(stride, len(yz)))]
     residues = [[r] for r in range(len(groups))]
     circles = [_algebraic_circle(yz[g]) for g in groups]
@@ -94,7 +84,7 @@ def fit_invariant_circles(traj, max_circles, tape_size=None,
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 (ci, ri), (cj, rj) = circles[i], circles[j]
-                if np.hypot(*(ci - cj)) < merge_tol and abs(ri - rj) < merge_tol:
+                if np.hypot(*(ci - cj)) < MERGE_TOL and abs(ri - rj) < MERGE_TOL:
                     groups[i].extend(groups[j])
                     residues[i].extend(residues[j])
                     del groups[j], residues[j], circles[j]
@@ -123,12 +113,12 @@ def fit_invariant_circles(traj, max_circles, tape_size=None,
         k = int(np.argmax(err))
         worst_pts.append((float(err[k]), g[k]))
         worst_val = max(worst_val, float(err[k]))
-    if worst_val > residual_tol:
+    if worst_val > RESIDUAL_TOL:
         worst_pts.sort(reverse=True)
         offenders = [(m, float(err), tuple(yz[m]))
                      for err, m in worst_pts[:3]]
         raise CircleFitError(
-            f"fit residual {worst_val:.3e} exceeds {residual_tol:.1e} "
+            f"fit residual {worst_val:.3e} exceeds {RESIDUAL_TOL:.1e} "
             f"(worst at steps {[m for m, _, _ in offenders]})",
             residual=worst_val, worst=offenders, num_circles=len(groups),
         )

@@ -14,7 +14,6 @@ validation (norm drift, circle fit above tolerance).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__, analysis, engine, io, primitives, recursion
@@ -141,10 +140,10 @@ def _manifest(args, extra=None):
     return manifest
 
 
-def _write_trajectory(args, traj, tape_size):
+def _write_trajectory(args, traj):
     manifest = _manifest(args)
     if args.format == "csv":
-        io.write_trajectory_csv(traj, args.out, tape_size=tape_size)
+        io.write_trajectory_csv(traj, args.out)
     elif args.format == "json":
         io.write_trajectory_json(traj, manifest, args.out)
         return
@@ -162,34 +161,23 @@ def _machine_config(args, variant=VARIANT_X):
 
 
 def cmd_simulate(args):
-    config = _machine_config(args, args.variant)
-    if args.engine == "statevector":
-        traj = engine.run(config)
-    elif args.engine == "recursion":
-        traj = recursion.run(config)
-    else:
-        if args.variant != "x":
-            raise ConfigurationError(
-                "the primitives engine covers the plain flip variant only"
-            )
-        weights = primitives.decompose(config.resolved_initial())
-        traj = primitives.superpose(weights, args.phi0, args.alpha, args.steps)
-    _write_trajectory(args, traj, args.tape_size)
+    # the table holds modules, so run is looked up at call time and a
+    # wrapper installed on engine.run or recursion.run sees the call
+    path = {"statevector": engine, "recursion": recursion,
+            "primitives": primitives}[args.engine]
+    _write_trajectory(args, path.run(_machine_config(args, args.variant)))
     return 0
 
 
 def cmd_primitives(args):
     traj = primitives.run_primitive(args.pattern, args.phi0, args.alpha,
                                     args.steps)
-    _write_trajectory(args, traj, len(traj.config.resolved_initial()))
+    _write_trajectory(args, traj)
     return 0
 
 
 def _write_csv(args, header, lines):
-    with io._open_out(args.out) as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    io.write_csv(args.out, header, lines)
     if args.out != "-":
         io.write_manifest(_manifest(args), args.out)
     return 0
@@ -255,9 +243,7 @@ def cmd_invariants(args):
         "num_circles": len(circles),
         "residues": circles.residues,
     }
-    with io._open_out(args.out) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    io.write_json(payload, args.out)
     return 0
 
 

@@ -79,13 +79,14 @@ class MachineConfig:
 class Trajectory:
     """Head Bloch vector at every step, including the initial point m=0.
 
-    bloch has shape (steps+1, 3). norm_drift is the largest deviation of the
-    state norm² from 1 observed at the cycle checkpoints of the run that
-    produced the trajectory (0.0 for analytic paths).
+    bloch has shape (steps+1, 3); num_tape_spins M sets the cycle of 2M
+    steps. norm_drift is the largest deviation of the state norm² from 1
+    observed at the cycle checkpoints of the run that produced the
+    trajectory (0.0 for analytic paths).
     """
 
     bloch: np.ndarray
-    config: MachineConfig | None = None
+    num_tape_spins: int
     norm_drift: float = 0.0
 
     def __post_init__(self):
@@ -152,7 +153,7 @@ def run(config: MachineConfig) -> Trajectory:
         bloch[m] = x, y, z
     if config.steps and n != cycle:
         drift = _check_norm(state, config.steps, drift)
-    return Trajectory(bloch, config, drift)
+    return Trajectory(bloch, config.num_tape_spins, drift)
 
 
 def _check_norm(state, m, drift):
@@ -193,4 +194,4 @@ def run_mixed(weights: Sequence[tuple[float, MachineConfig]]) -> Trajectory:
         traj = run(cfg)
         drift = max(drift, traj.norm_drift)
         out = w * traj.bloch if out is None else out + w * traj.bloch
-    return Trajectory(out, None, drift)
+    return Trajectory(out, first.num_tape_spins, drift)

@@ -123,7 +123,10 @@ def parse_angle(src: str) -> float:
     if not isinstance(src, str) or not src.strip():
         raise ConfigurationError("empty angle expression")
     parser = _Parser(src)
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        raise ConfigurationError("angle expression nests too deeply") from None
     trailing = parser.peek()
     if trailing is not None:
         raise ConfigurationError(

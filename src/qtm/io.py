@@ -33,16 +33,6 @@ def step_labels(num_points: int, tape_size: int):
     return n, p
 
 
-def _resolve_tape_size(traj, tape_size):
-    if tape_size is not None:
-        return tape_size
-    if traj.config is None:
-        raise ConfigurationError(
-            "trajectory carries no config; pass tape_size explicitly"
-        )
-    return traj.config.num_tape_spins
-
-
 @contextlib.contextmanager
 def _open_out(path):
     if path == "-":
@@ -52,15 +42,25 @@ def _open_out(path):
             yield fh
 
 
-def write_trajectory_csv(traj, path, tape_size=None) -> None:
-    tape_size = _resolve_tape_size(traj, tape_size)
-    n, p = step_labels(len(traj.bloch), tape_size)
+def write_csv(path, header: str, lines) -> None:
+    """A header line, then one line per row, to path ("-" for stdout)."""
     with _open_out(path) as fh:
-        fh.write(CSV_HEADER + "\n")
-        for m, row in enumerate(traj.bloch.tolist()):
-            fh.write(
-                f"{m},{n[m]},{p[m]},{row[0]!r},{row[1]!r},{row[2]!r}\n"
-            )
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_json(payload, path) -> None:
+    with _open_out(path) as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def write_trajectory_csv(traj, path) -> None:
+    n, p = step_labels(len(traj.bloch), traj.num_tape_spins)
+    write_csv(path, CSV_HEADER,
+              (f"{m},{n[m]},{p[m]},{row[0]!r},{row[1]!r},{row[2]!r}"
+               for m, row in enumerate(traj.bloch.tolist())))
 
 
 def read_trajectory_csv(path):
@@ -89,9 +89,7 @@ def write_trajectory_json(traj, manifest: dict, path) -> None:
             for m, row in enumerate(traj.bloch.tolist())
         ],
     }
-    with _open_out(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def trajectory_svg(traj) -> str:
@@ -121,14 +119,8 @@ def write_trajectory_svg(traj, path) -> None:
         fh.write(trajectory_svg(traj))
 
 
-def manifest_sidecar_path(out_path: str) -> str:
-    return f"{out_path}.manifest.json"
-
-
 def write_manifest(manifest: dict, out_path: str) -> str:
     """Drop a manifest JSON next to a data file; returns the sidecar path."""
-    sidecar = manifest_sidecar_path(out_path)
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    sidecar = f"{out_path}.manifest.json"
+    write_json(manifest, sidecar)
     return sidecar

@@ -109,9 +109,7 @@ def run_primitive(pattern: str, phi0: float, alpha: float, steps: int) -> Trajec
     bloch = np.zeros((steps + 1, 3))
     bloch[:, 1] = np.sin(phis)
     bloch[:, 2] = -np.cos(phis)
-    cfg = MachineConfig.uniform(len(pattern), alpha, phi0=phi0,
-                                initial=pattern, steps=steps)
-    return Trajectory(bloch, cfg)
+    return Trajectory(bloch, len(pattern))
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def classify(pattern: str) -> PeriodicityClass:
     M >= 1 since the single gap n_0 = M can never equal (M - 0)/2.
     """
     pattern = normalize_pattern(pattern)
-    gaps = tuple(len(run) for run in pattern.split("-"))
+    gaps = tuple(len(plus) for plus in pattern.split("-"))
     q = len(gaps) - 1
     if q % 2 == 1:
         return PeriodicityClass(PERIODIC, q, gaps)
@@ -240,9 +238,9 @@ def _sign_basis_transform(amps, num):
     """Coefficients of a tape amplitude array in the sign-pattern basis.
 
     Butterfly over each tape bit (same recursive halving as a Walsh
-    transform), then a bit reversal because the canonical pattern order
-    puts tape spin 1 in the most significant position while the amplitude
-    index keeps it in bit 0.
+    transform), then a bit reversal, the axes of the (2,)*M view in reverse
+    order, because the canonical pattern order puts tape spin 1 in the most
+    significant position while the amplitude index keeps it in bit 0.
     """
     v = amps.astype(complex).copy()
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -252,11 +250,7 @@ def _sign_basis_transform(amps, num):
         b = w[:, 1].copy()
         w[:, 0] = (a + b) * inv_sqrt2
         w[:, 1] = (a - b) * inv_sqrt2
-    idx = np.arange(1 << num)
-    rev = np.zeros_like(idx)
-    for k in range(num):
-        rev |= ((idx >> k) & 1) << (num - 1 - k)
-    return v[rev]
+    return v.reshape((2,) * num).T.ravel()
 
 
 def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
@@ -295,4 +289,16 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     bloch = np.zeros((steps + 1, 3))
     yz = yz.reshape(-1, 2, 2 * num).transpose(0, 2, 1).reshape(-1, 2)
     bloch[:, 1:] = yz[:steps + 1]
-    return Trajectory(bloch, None)
+    return Trajectory(bloch, num)
+
+
+def run(config: MachineConfig) -> Trajectory:
+    """Primitive superposition for a MachineConfig, as a drop-in for the
+    state-vector engine. Valid only for uniform alpha and the plain flip
+    variant; any tape, spec string or amplitude array, is decomposed."""
+    if config.variant != "x":
+        raise ConfigurationError(
+            "the primitives engine covers the plain flip variant only"
+        )
+    return superpose(decompose(config.resolved_initial()), config.phi0,
+                     config.uniform_alpha(), config.steps)

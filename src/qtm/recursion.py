@@ -135,7 +135,7 @@ def run(config: MachineConfig) -> Trajectory:
         )
     rec = HeadRecursion(alpha)
     bloch = sign * rec.trajectory(config.steps, config.num_tape_spins)
-    return Trajectory(bloch, config)
+    return Trajectory(bloch, config.num_tape_spins)
 
 
 def m1_closed_form(kind: str, m: int, phi0: float, alpha: float) -> BlochVector:

@@ -22,6 +22,7 @@ with Bloch vector (0, sin(phi), -cos(phi)).
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +65,8 @@ def normalize_tape_spec(spec: str, num_tape_spins: int | None = None) -> str:
     Accepts the shorthands "zeros" and "ones" (requires num_tape_spins),
     maps the unicode minus sign to ASCII '-', and validates the alphabet.
     """
+    if num_tape_spins is not None and num_tape_spins < 1:
+        raise ConfigurationError("need at least one tape spin")
     if spec == "zeros":
         if num_tape_spins is None:
             raise ConfigurationError('"zeros" shorthand needs a tape size')
@@ -132,6 +135,13 @@ def make_product_state(phi0: float, tape: str) -> StateVector:
     string is tape spin k+1.
     """
     tape = normalize_tape_spec(tape)
+    need = 16 << (len(tape) + 1)  # bytes of complex128 amplitudes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigurationError(
+            f"{len(tape)} tape spins need {need / 2**20:,.0f} MiB, "
+            f"more than the {have / 2**20:,.0f} MiB of physical memory"
+        )
     vec = head_vector(phi0)
     for ch in tape:
         vec = np.kron(_SITE_VECTORS[ch], vec)

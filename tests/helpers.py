@@ -149,7 +149,7 @@ def per_step_run(config):
         else:
             apply_qcnot(state, n // 2, config.variant)
         bloch[m] = head_bloch(state)
-    return Trajectory(bloch, config)
+    return Trajectory(bloch, config.num_tape_spins)
 
 
 def integer_angles(pattern, steps):

@@ -131,15 +131,7 @@ class TestCircleFits:
         bloch[:, 0] = 0.01
         bloch[:, 2] = -1.0
         with pytest.raises(ConfigurationError):
-            fit_invariant_circles(Trajectory(bloch), max_circles=4, tape_size=1)
-
-    def test_configless_trajectory_needs_tape_size(self):
-        traj = run(MachineConfig.uniform(1, ALPHA, steps=200))
-        bare = Trajectory(traj.bloch.copy())
-        with pytest.raises(ConfigurationError):
-            fit_invariant_circles(bare, max_circles=4)
-        circles = fit_invariant_circles(bare, max_circles=4, tape_size=1)
-        assert len(circles) == 3
+            fit_invariant_circles(Trajectory(bloch, 1), max_circles=4)
 
 
 class TestInvariantResidual:
@@ -181,7 +173,7 @@ class TestSpectrum:
     def test_constant_signal_is_pure_dc(self):
         bloch = np.zeros((64, 3))
         bloch[:, 2] = -1.0
-        spec = spectrum(Trajectory(bloch))
+        spec = spectrum(Trajectory(bloch, 1))
         assert spec.magnitude_z[0] == pytest.approx(8.0, abs=1e-12)
         assert float(np.abs(spec.magnitude_z[1:]).max()) <= 1e-12
         assert float(np.abs(spec.magnitude_y).max()) <= 1e-12
@@ -200,7 +192,7 @@ class TestSpectrum:
         bloch = np.zeros((1024, 3))
         bloch[:, 1] = rng.normal(size=1024)
         bloch[:, 2] = rng.normal(size=1024)
-        spec = spectrum(Trajectory(bloch))
+        spec = spectrum(Trajectory(bloch, 1))
         assert float((spec.magnitude_y ** 2).sum()) == pytest.approx(
             float((bloch[:, 1] ** 2).sum()), rel=1e-9
         )
@@ -219,7 +211,7 @@ class TestSpectrum:
 
     def test_too_short(self):
         with pytest.raises(ConfigurationError):
-            spectrum(Trajectory(np.zeros((1, 3))))
+            spectrum(Trajectory(np.zeros((1, 3)), 1))
 
 
 class TestDistinctPoints:

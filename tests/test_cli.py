@@ -158,6 +158,14 @@ def test_classify_all_rejects_empty_tape(size, capsys):
     assert "need at least one tape spin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["-1", "0"])
+def test_decompose_rejects_empty_tape(size, capsys):
+    assert main(["decompose", "--initial", "zeros", "--tape-size", size]) == 2
+    err = capsys.readouterr().err
+    assert "need at least one tape spin" in err
+    assert "tape spec" not in err
+
+
 def test_decompose_zeros(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["decompose", "--initial", "zeros", "--tape-size", "4",
@@ -228,6 +236,25 @@ def test_bad_angle_expression_is_a_usage_error():
         main(["simulate", "--tape-size", "1", "--alpha", "pi+1",
               "--steps", "5"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("alpha", [
+    pytest.param("(" * 1000 + "1" + ")" * 1000, id="1000-nested-parens"),
+    pytest.param("-" * 2000 + "1", id="2000-unary-minus"),
+])
+def test_deeply_nested_angle_is_a_usage_error(alpha, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--tape-size", "1", "--alpha=" + alpha,
+              "--steps", "5"])
+    assert info.value.code == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
+def test_state_too_large_for_memory_is_a_usage_error(capsys):
+    # 16 * 2**41 bytes: refused on the estimate, before any allocation
+    assert main(["simulate", "--tape-size", "40", "--alpha", "1",
+                 "--steps", "1"]) == 2
+    assert "need 33,554,432 MiB" in capsys.readouterr().err
 
 
 def test_unknown_subcommand():

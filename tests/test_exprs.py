@@ -42,6 +42,8 @@ def test_accepted_expressions(src, value):
     "(1))",
     "1/0",
     "sqrt(-1)",
+    pytest.param("(" * 1000 + "1" + ")" * 1000, id="1000-nested-parens"),
+    pytest.param("-" * 2000 + "1", id="2000-unary-minus"),
 ])
 def test_rejected_expressions(src):
     with pytest.raises(ConfigurationError):

@@ -62,15 +62,6 @@ def test_csv_reader_rejects_foreign_files(tmp_path):
         qio.read_trajectory_csv(str(truncated))
 
 
-def test_csv_needs_tape_size_without_config(traj, tmp_path):
-    from qtm import Trajectory
-
-    bare = Trajectory(traj.bloch.copy())
-    with pytest.raises(ConfigurationError):
-        qio.write_trajectory_csv(bare, str(tmp_path / "t.csv"))
-    qio.write_trajectory_csv(bare, str(tmp_path / "t.csv"), tape_size=2)
-
-
 def test_json_schema(traj, tmp_path):
     path = tmp_path / "t.json"
     qio.write_trajectory_json(traj, {"purpose": "test"}, str(path))

@@ -20,7 +20,9 @@ from qtm import (
     evolve_angles,
     period_census,
     primitives,
+    recursion,
     run,
+    run_mixed,
     run_primitive,
     superpose,
 )
@@ -372,6 +374,31 @@ class TestSuperpose:
             np.testing.assert_allclose(superpose(w, 0.4, ALPHA, steps).bloch,
                                        run(cfg).bloch, atol=1e-14)
 
+    def test_run_is_decompose_then_superpose(self):
+        cfg = MachineConfig.uniform(4, ALPHA, phi0=0.4, initial="+0-1",
+                                    steps=90)
+        traj = primitives.run(cfg)
+        np.testing.assert_array_equal(
+            traj.bloch, superpose(decompose("+0-1"), 0.4, ALPHA, 90).bloch)
+        np.testing.assert_allclose(traj.bloch, run(cfg).bloch, atol=1e-12)
+
+    def test_run_takes_an_amplitude_tape(self):
+        # sign-basis components of any tape, entangled or not, stay
+        # orthogonal, so the head sees only their weights
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        cfg = MachineConfig.uniform(3, ALPHA, phi0=0.9,
+                                    initial=amps / np.linalg.norm(amps),
+                                    steps=60)
+        np.testing.assert_allclose(primitives.run(cfg).bloch, run(cfg).bloch,
+                                   atol=1e-12)
+
+    def test_run_covers_uniform_plain_flips_only(self):
+        with pytest.raises(ConfigurationError, match="plain flip"):
+            primitives.run(MachineConfig.uniform(2, ALPHA, variant="iy"))
+        with pytest.raises(ConfigurationError, match="not uniform"):
+            primitives.run(MachineConfig(2, (ALPHA, 1.0)))
+
     def test_weight_validation(self):
         with pytest.raises(ConfigurationError):
             superpose([0.5, 0.4], 0.0, 1.0, 5)
@@ -381,6 +408,16 @@ class TestSuperpose:
             superpose([0.5, 0.25, 0.25], 0.0, 1.0, 5)
         with pytest.raises(ConfigurationError):
             superpose([0.5, 0.5], 0.0, 1.0, -1)
+
+
+def test_every_path_reports_its_tape_size():
+    cfg = MachineConfig.uniform(3, ALPHA, steps=12)
+    ones = MachineConfig.uniform(3, ALPHA, initial="111", steps=12)
+    trajs = [run(cfg), run_mixed([(0.5, cfg), (0.5, ones)]),
+             recursion.run(cfg), primitives.run(cfg),
+             superpose(decompose("000"), 0.0, ALPHA, 12),
+             run_primitive("+-+", 0.0, ALPHA, 12)]
+    assert [t.num_tape_spins for t in trajs] == [3] * 6
 
 
 def test_computational_tapes_share_one_trajectory():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ def test_tape_spec_shorthands():
         normalize_tape_spec("zeros")
     with pytest.raises(ConfigurationError):
         normalize_tape_spec("01+", 2)
+    for size in (0, -1):
+        with pytest.raises(ConfigurationError, match="at least one tape spin"):
+            normalize_tape_spec("zeros", size)
+
+
+def test_memory_guard_compares_with_physical_memory(monkeypatch):
+    # on a machine that reports 1 MiB, the 2 MiB state of M=16 is refused
+    # and the 1 MiB state of M=15 still fits
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
+    with pytest.raises(ConfigurationError,
+                       match="need 2 MiB, more than the 1 MiB"):
+        make_product_state(0.0, "0" * 16)
+    assert make_product_state(0.0, "0" * 15).amplitudes.nbytes == 2 ** 20
 
 
 def test_tape_bit_mapping():
