@@ -2,15 +2,18 @@
 
    Same contract as _kernels_py: in place, head is index bit 0, tape spin mu
    is index bit mu. Each kernel is one strided pass with no temporaries. The
-   rotation forms c*a0 + (-i s)*a1 part by part, rounding each product on
-   its own as numpy does, so both backends agree bit for bit (fusing the
-   products into FMAs would break that; tests/test_kernels.py checks it). */
+   rotation spells out numpy's complex products term for term, rounding
+   each product on its own as numpy does, so both backends agree bit for
+   bit, signed zeros included (tests/test_kernels.py checks it). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
 typedef struct { double re, im; } cplx;
+/* a (re, im) pair as one 16-byte vector: a GCC and Clang extension; a
+   compiler without it fails the optional build, leaving the numpy kernels */
+typedef double v2d __attribute__((vector_size(16)));
 
 /* Borrow amps as a writable, 1-d, C-contiguous complex128 buffer whose
    length block divides. On failure return NULL with an exception set and no
@@ -47,13 +50,27 @@ static PyObject *rotate_head(PyObject *self, PyObject *const *args,
         return NULL;
     cplx *a = view.buf;
     Py_ssize_t n = view.shape[0];
+    /* numpy computes c*a0 - 1j*s*a1 and -1j*s*a0 + c*a1 as complex
+       products with the scalars c + 0j, 1j*s and -1j*s, the last two as
+       Python forms them: (0 + 1j)(s + 0j) and (-0 - 1j)(s + 0j). A product
+       (kr + i ki) z is (kr z.re - ki z.im, kr z.im + ki z.re), each term
+       rounded on its own. Below it is kr*z + (-ki, ki)*swap(z) on (re, im)
+       pairs: (-ki)*y is exactly -(ki*y), and x + -(ki*y) is x - ki*y, so
+       every component, zero terms and signed zeros included, is numpy's. */
+    const double wr = 0.0 * s - 1.0 * 0.0, wi = 0.0 * 0.0 + 1.0 * s;
+    const double ur = -0.0 * s - -1.0 * 0.0, ui = -0.0 * 0.0 + -1.0 * s;
+    const v2d cr = {c, c}, ci = {-0.0, 0.0}, w_r = {wr, wr}, w_i = {-wi, wi},
+              u_r = {ur, ur}, u_i = {-ui, ui};
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t i = 0; i < n; i += 2) {
-        cplx a0 = a[i], a1 = a[i + 1];
-        a[i].re = c * a0.re + s * a1.im;
-        a[i].im = c * a0.im - s * a1.re;
-        a[i + 1].re = s * a0.im + c * a1.re;
-        a[i + 1].im = c * a1.im - s * a0.re;
+        v2d a0 = {a[i].re, a[i].im}, a0s = {a[i].im, a[i].re};
+        v2d a1 = {a[i + 1].re, a[i + 1].im}, a1s = {a[i + 1].im, a[i + 1].re};
+        v2d b0 = (cr * a0 + ci * a0s) - (w_r * a1 + w_i * a1s);
+        v2d b1 = (u_r * a0 + u_i * a0s) + (cr * a1 + ci * a1s);
+        a[i].re = b0[0];
+        a[i].im = b0[1];
+        a[i + 1].re = b1[0];
+        a[i + 1].im = b1[1];
     }
     Py_END_ALLOW_THREADS
     PyBuffer_Release(&view);

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalValidationError
 from .gates import VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot
-from .state import (BlochVector, head_bloch, head_cross, make_state,
+from .state import (BlochVector, StateVector, add_tape_spin,
+                    check_state_fits, head_bloch, head_cross, make_state,
                     normalize_tape_spec)
 
 NORM_TOL = 1e-12
@@ -122,12 +123,24 @@ def run(config: MachineConfig) -> Trajectory:
     - at the end of every cycle it is reduced in full (head_bloch), which
       drops whatever rounding the updates carried.
 
+    A tape given as a spec string is a product state, and the head reaches
+    spin mu first at the flip of step 2*mu. Until then spin mu is still in
+    its initial single-site state, so the state starts as the head plus
+    spin 1 and gains spin mu (as the new top index bit, exactly where the
+    full layout has it) just before that first flip. A run shorter than one
+    cycle never holds the full state, and no first-cycle step works on
+    amplitudes the head has not reached. An explicit amplitude tape may be
+    entangled and starts at full size.
+
     The state norm is checked at the end of every cycle (and after a final
     partial cycle); drift beyond 1e-12 raises NumericalValidationError.
     The norm is never re-imposed, a drifting norm means a broken kernel and
     renormalizing would hide it.
     """
-    state = make_state(config.phi0, config.resolved_initial())
+    initial = config.resolved_initial()
+    check_state_fits(config.num_tape_spins)
+    state = make_state(config.phi0,
+                       initial[:1] if isinstance(initial, str) else initial)
     cycle = 2 * config.num_tape_spins
     turns = [(math.cos(a), math.sin(a)) for a in config.alphas]
     bloch = np.empty((config.steps + 1, 3), dtype=float)
@@ -143,6 +156,9 @@ def run(config: MachineConfig) -> Trajectory:
             c, s = turns[mu - 1]
             y, z = y * c - z * s, y * s + z * c
         else:
+            if mu > state.num_tape_spins:  # the head's first visit to spin mu
+                state = StateVector(
+                    mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
             apply_qcnot(state, mu, config.variant)
             if n < cycle:
                 cross = head_cross(state)

@@ -127,6 +127,25 @@ def head_vector(phi0: float) -> np.ndarray:
     )
 
 
+def check_state_fits(num_tape_spins: int) -> None:
+    """Refuse a state whose 16*2**(M+1) bytes of complex128 amplitudes
+    exceed physical memory, before anything of that size is allocated."""
+    need = 16 << (num_tape_spins + 1)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigurationError(
+            f"{num_tape_spins} tape spins need {need / 2**20:,.0f} MiB, "
+            f"more than the {have / 2**20:,.0f} MiB of physical memory"
+        )
+
+
+def add_tape_spin(amps: np.ndarray, ch: str) -> np.ndarray:
+    """amps with one more tape spin, in the single-site state of spec
+    character ch, as the new top index bit: the layout puts spin mu at bit
+    mu, so the spin after the last one goes on top."""
+    return np.kron(_SITE_VECTORS[ch], amps)
+
+
 def make_product_state(phi0: float, tape: str) -> StateVector:
     """Product state: head at angle phi0, tape spins from a spec string.
 
@@ -135,16 +154,10 @@ def make_product_state(phi0: float, tape: str) -> StateVector:
     string is tape spin k+1.
     """
     tape = normalize_tape_spec(tape)
-    need = 16 << (len(tape) + 1)  # bytes of complex128 amplitudes
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigurationError(
-            f"{len(tape)} tape spins need {need / 2**20:,.0f} MiB, "
-            f"more than the {have / 2**20:,.0f} MiB of physical memory"
-        )
+    check_state_fits(len(tape))
     vec = head_vector(phi0)
     for ch in tape:
-        vec = np.kron(_SITE_VECTORS[ch], vec)
+        vec = add_tape_spin(vec, ch)
     return StateVector(len(tape), vec)
 
 
@@ -157,12 +170,14 @@ def make_state(phi0: float, tape) -> StateVector:
     tape_amps = np.asarray(tape, dtype=complex)
     if tape_amps.ndim != 1 or tape_amps.size < 2 or tape_amps.size & (tape_amps.size - 1):
         raise ConfigurationError("tape amplitude list must have length 2**M, M >= 1")
+    num_tape_spins = tape_amps.size.bit_length() - 1
+    check_state_fits(num_tape_spins)
     nrm = _vdot(tape_amps, tape_amps).real
     if abs(nrm - 1.0) > 1e-9:
         raise ConfigurationError(f"tape amplitude list not normalized (norm² = {nrm})")
     tape_amps = tape_amps / math.sqrt(nrm)
     amps = (tape_amps[:, None] * head_vector(phi0)[None, :]).ravel()
-    return StateVector(tape_amps.size.bit_length() - 1, amps)
+    return StateVector(num_tape_spins, amps)
 
 
 def head_bloch(state: StateVector) -> BlochVector:

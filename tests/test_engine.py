@@ -148,6 +148,67 @@ def test_carried_bloch_matches_per_step_reduction(variant, alphas, phi0,
                                rtol=0, atol=1e-12)
 
 
+GROWTH_M = 4
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2 * GROWTH_M - 1, 2 * GROWTH_M,
+                                   2 * GROWTH_M + 1, 3 * GROWTH_M])
+@pytest.mark.parametrize("variant", ["x", "iy"])
+@pytest.mark.parametrize("tape", ["01+-", "+-10"])
+def test_growing_state_matches_full_state_run(tape, variant, steps):
+    # engine.run adds tape spin mu when the head first reaches it; the
+    # plain loop builds the full state at step 0
+    cfg = MachineConfig(num_tape_spins=GROWTH_M, alphas=(0.7, 1.9, ALPHA, 2.6),
+                        phi0=1.1, variant=variant, initial=tape, steps=steps)
+    np.testing.assert_allclose(run(cfg).bloch, helpers.per_step_run(cfg).bloch,
+                               rtol=0, atol=1e-12)
+
+
+def _record_kernel_sizes(monkeypatch):
+    """The amplitude count of every kernel call, in call order."""
+    sizes = []
+    for name in ("rotate_head", "cnot_flip", "cnot_signed_flip"):
+        def recorded(amps, *args, _kernel=getattr(qtm.kernels, name)):
+            sizes.append(amps.size)
+            return _kernel(amps, *args)
+
+        monkeypatch.setattr(qtm.kernels, name, recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("variant", ["x", "iy"])
+def test_first_cycle_holds_only_the_spins_the_head_reached(monkeypatch, variant):
+    # one kernel call per step; step m of the first cycle is on spin
+    # mu = (m+1)//2, and until spin mu is flipped the state holds at most
+    # the head and spins 1..mu
+    num = 6
+    sizes = _record_kernel_sizes(monkeypatch)
+    run(MachineConfig.uniform(num, ALPHA, variant=variant, initial="+01-10",
+                              steps=3 * num))
+    assert len(sizes) == 3 * num
+    for m, size in enumerate(sizes[:2 * num], start=1):
+        assert size <= 2 ** ((m + 1) // 2 + 1)
+    assert sizes[1:2 * num:2] == [2 ** (mu + 1) for mu in range(1, num + 1)]
+    assert sizes[2 * num:] == [2 ** (num + 1)] * num
+
+
+def test_amplitude_tape_runs_at_full_size_from_step_zero(monkeypatch):
+    num = 4
+    sizes = _record_kernel_sizes(monkeypatch)
+    run(MachineConfig.uniform(num, ALPHA, initial=_amplitude_tape(num),
+                              steps=3 * num))
+    assert sizes == [2 ** (num + 1)] * (3 * num)
+
+
+def test_run_refuses_a_state_larger_than_memory(monkeypatch):
+    # a 1-step run never builds the M=16 state, but the guard counts the
+    # full state before anything is allocated
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
+    with pytest.raises(ConfigurationError, match="16 tape spins need 2 MiB"):
+        run(MachineConfig.uniform(16, ALPHA, steps=1))
+
+
 _THREADED_RUN = """
 import sys
 import numpy as np

@@ -53,31 +53,48 @@ def compiled(tmp_path_factory):
     return mod
 
 
+def _state_with_signed_zeros(nbits, rng):
+    """A random state with about a third of its real and imaginary parts
+    set to +0.0 or -0.0, so a kernel that drops a zero-valued term of
+    numpy's complex products shows up as a flipped sign bit."""
+    amps = helpers.random_state(nbits, rng)
+    parts = amps.view(float)
+    zero = rng.random(parts.size) < 1 / 3
+    parts[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    return amps
+
+
+def _assert_same_bits(a, b):
+    # assert_array_equal counts -0.0 equal to +0.0
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_backends_agree_on_rotation(compiled):
     rng = np.random.default_rng(41)
-    c, s = math.cos(0.9), math.sin(0.9)
-    for nbits in SIZES:
-        amps = helpers.random_state(nbits, rng)
-        a = amps.copy()
-        b = amps.copy()
-        _kernels_py.rotate_head(a, c, s)
-        compiled.rotate_head(b, c, s)
-        np.testing.assert_array_equal(a, b)
+    for angle in (0.9, -2.3):
+        c, s = math.cos(angle), math.sin(angle)
+        for nbits in SIZES:
+            amps = _state_with_signed_zeros(nbits, rng)
+            a = amps.copy()
+            b = amps.copy()
+            _kernels_py.rotate_head(a, c, s)
+            compiled.rotate_head(b, c, s)
+            _assert_same_bits(a, b)
 
 
 def test_backends_agree_on_flips_bit_exact(compiled):
     rng = np.random.default_rng(43)
     for nbits in SIZES:
         for mu in range(1, nbits):
-            amps = helpers.random_state(nbits, rng)
+            amps = _state_with_signed_zeros(nbits, rng)
             a = amps.copy()
             b = amps.copy()
             _kernels_py.cnot_flip(a, mu)
             compiled.cnot_flip(b, mu)
-            np.testing.assert_array_equal(a, b)
+            _assert_same_bits(a, b)
             _kernels_py.cnot_signed_flip(a, mu)
             compiled.cnot_signed_flip(b, mu)
-            np.testing.assert_array_equal(a, b)
+            _assert_same_bits(a, b)
 
 
 def test_blocked_kernels_equal_one_shot_formulas():
