@@ -133,7 +133,8 @@ def run(config: MachineConfig) -> Trajectory:
     entangled and starts at full size.
 
     The state norm is checked at the end of every cycle (and after a final
-    partial cycle); drift beyond 1e-12 raises NumericalValidationError.
+    partial cycle); drift beyond 1e-12, or a norm that is not a number,
+    raises NumericalValidationError.
     The norm is never re-imposed, a drifting norm means a broken kernel and
     renormalizing would hide it.
     """
@@ -174,7 +175,7 @@ def run(config: MachineConfig) -> Trajectory:
 
 def _check_norm(state, m, drift):
     dev = abs(state.norm_sq() - 1.0)
-    if dev > NORM_TOL:
+    if not dev <= NORM_TOL:  # a NaN norm fails this test too
         raise NumericalValidationError(
             f"state norm² drifted to 1{dev:+.3e} by step {m}"
         )

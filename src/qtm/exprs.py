@@ -8,7 +8,8 @@ decimal literals invites transcription drift, so flags accept
 
 evaluated in double precision. That is the whole language: multiplication,
 division, unary minus, parentheses, sqrt, pi, and numeric literals
-(including exponent notation).
+(including exponent notation). A literal or a product or quotient that
+overflows a double is an error, so every value is finite.
 """
 
 import math
@@ -35,7 +36,13 @@ def _tokenize(src):
                 f"expression {src!r} at position {pos}"
             )
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if math.isinf(value):
+                raise ConfigurationError(
+                    f"number {m.group('num')} in angle expression {src!r} "
+                    f"overflows a double"
+                )
+            tokens.append(("num", value, m.start("num")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -85,6 +92,10 @@ class _Parser:
                         f"division by zero in angle expression {self.src!r}"
                     )
                 value /= rhs
+            if math.isinf(value):
+                raise ConfigurationError(
+                    f"angle expression {self.src!r} overflows a double"
+                )
 
     def term(self):
         tok = self.take()

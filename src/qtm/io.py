@@ -82,14 +82,21 @@ def read_trajectory_csv(path):
 
 
 def write_trajectory_json(traj, manifest: dict, path) -> None:
-    payload = {
-        "manifest": manifest,
-        "points": [
-            [int(m), row[0], row[1], row[2]]
-            for m, row in enumerate(traj.bloch.tolist())
-        ],
-    }
-    write_json(payload, path)
+    """Write {"manifest": manifest, "points": [[m, x, y, z], ...]} in the
+    exact bytes of write_json. json lays out the manifest; the points,
+    where json's pure-Python indenting encoder would spend its time, are
+    written here row by row in the same layout, floats by float.__repr__
+    and non-finite ones as json spells them (NaN, Infinity)."""
+    head = json.dumps({"manifest": manifest, "points": []}, indent=1)
+    num = float.__repr__ if np.isfinite(traj.bloch).all() else json.dumps
+    with _open_out(path) as fh:
+        fh.write(head[:-len("[]\n}")] + "[")
+        sep = "\n  "
+        for m, (x, y, z) in enumerate(traj.bloch.tolist()):
+            fh.write(f"{sep}[\n   {m},\n   {num(x)},\n   {num(y)},\n"
+                     f"   {num(z)}\n  ]")
+            sep = ",\n  "
+        fh.write("\n ]\n}\n")
 
 
 def trajectory_svg(traj) -> str:

@@ -30,11 +30,12 @@ import numpy as np
 
 from .engine import MachineConfig, Trajectory
 from .errors import ConfigurationError
+from .state import check_fits, normalize_tape_spec
 
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
 
-CENSUS_BATCH = 16  # patterns per period_census batch
+CENSUS_WINDOW = 1 << 15  # angles held per period_census window
 
 
 def normalize_pattern(pattern: str) -> str:
@@ -50,7 +51,22 @@ def all_patterns(num_tape_spins: int) -> list[str]:
     """The 2**M sign patterns in canonical (lexicographic) order."""
     if num_tape_spins < 1:
         raise ConfigurationError("need at least one tape spin")
+    # a string object of 49 + M bytes and about 64 bytes of list and dict
+    # slots around it: the census holds 125 bytes per pattern at M=16
+    check_fits((num_tape_spins + 113) << num_tape_spins,
+               f"the sign patterns of {num_tape_spins} tape spins")
     return ["".join(p) for p in itertools.product("+-", repeat=num_tape_spins)]
+
+
+def _pattern_signs(pats):
+    """+-1 spin signs of sign-pattern strings, one row per pattern."""
+    return np.array([[-1 if ch == "-" else 1 for ch in p] for p in pats])
+
+
+def _signs(index, num):
+    """+-1 spin signs of the canonical pattern numbers in index: bit
+    num-1-i of a pattern's number is 1 when spin i+1 is '-'."""
+    return 1 - 2 * ((index[:, None] >> np.arange(num)[::-1]) & 1)
 
 
 def _cycle_table(signs):
@@ -59,12 +75,14 @@ def _cycle_table(signs):
     the product of the first i spin signs, step 2i leaves sign c_i and
     offset c_i*(c_0 + ... + c_{i-1}), and step 2i-1 adds one to the offset
     of step 2i-2. The last column is the cycle map phi -> S*phi + K*alpha.
+    The integers are held as float64, exact below 2**53, so the products
+    that build angles from them need no casts.
     """
     prods = np.cumprod(np.hstack([np.ones_like(signs[:, :1]), signs]), axis=1)
     sign = np.repeat(prods, 2, axis=1)[:, :-1]
     offset = np.repeat(prods * np.cumsum(prods, axis=1) - 1, 2, axis=1)[:, :-1]
     offset[:, 1::2] += 1
-    return sign, offset
+    return sign.astype(float), offset.astype(float)
 
 
 def _cycle_starts(sign, offset, first, stop):
@@ -74,6 +92,20 @@ def _cycle_starts(sign, offset, first, stop):
     flips = sign[:, -1:] < 0
     return (np.where(flips, 1 - 2 * (p & 1), 1),
             offset[:, -1:] * np.where(flips, p & 1, p))
+
+
+def _angles(sign, offset, phi0, alpha, first, stop):
+    """Head angle sigma*phi0 + kappa*alpha at every step of cycles
+    first..stop-1, shape (rows, (stop-first)*2M). kappa is built in exact
+    integers and multiplied by alpha once. At phi0 = 0 the phi0 term is
+    +0.0, so a zero angle is +0.0 and its sine prints as 0.0."""
+    sigma_p, k_p = _cycle_starts(sign, offset, first, stop)
+    s = sign[:, None, :-1]
+    phis = k_p[:, :, None] * s
+    phis += offset[:, None, :-1]
+    phis *= alpha
+    phis += (sigma_p * phi0)[:, :, None] * s if phi0 else 0.0
+    return phis.reshape(len(sign), -1)
 
 
 def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray:
@@ -90,16 +122,9 @@ def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray
         raise ConfigurationError("patterns in a batch must share one tape size")
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
-    sign, offset = _cycle_table(np.array([[-1 if ch == "-" else 1 for ch in p]
-                                          for p in pats]))
-    sigma_p, k_p = _cycle_starts(sign, offset, 0, steps // (sign.shape[1] - 1) + 1)
-    # kappa = k_p*sign + offset, sigma = sigma_p*sign: exact in float64
-    s = sign[:, None, :-1].astype(float)
-    phis = (np.stack([k_p, np.ones_like(k_p)], axis=2)
-            @ np.hstack([s, offset[:, None, :-1]]))
-    phis *= alpha
-    phis += (sigma_p * phi0)[:, :, None] @ s
-    return phis.reshape(len(s), -1)[:, :steps + 1]
+    sign, offset = _cycle_table(_pattern_signs(pats))
+    cycles = steps // (sign.shape[1] - 1) + 1
+    return _angles(sign, offset, phi0, alpha, 0, cycles)[:, :steps + 1]
 
 
 def run_primitive(pattern: str, phi0: float, alpha: float, steps: int) -> Trajectory:
@@ -159,20 +184,26 @@ def detect_period_numeric(pattern: str, phi0: float, alpha: float,
     revisit the starting angle without the orbit being closed. Returns the
     period in steps, or None.
     """
-    return _find_periods([normalize_pattern(pattern)], phi0, alpha,
-                         max_cycles, tol)[0]
+    signs = _pattern_signs([normalize_pattern(pattern)])
+    return _find_periods(signs, phi0, alpha, max_cycles, tol)[0]
 
 
-def _find_periods(pats, phi0, alpha, max_cycles, tol):
-    """detect_period_numeric for a batch of patterns of one tape size. The
-    chord test 2*|sin(d/2)| < tol is |w| < 2*asin(tol/2) for d wrapped to
-    w = d - 2*pi*rint(d/(2*pi)), so no transcendental is taken per step.
-    Only the steps that match step 0 are tried as periods, in order."""
+def _find_periods(signs, phi0, alpha, max_cycles, tol):
+    """detect_period_numeric for rows of +-1 spin signs of one tape size.
+
+    The chord test 2*|sin(d/2)| < tol is |w| < 2*asin(tol/2) for d wrapped
+    to w = d - 2*pi*rint(d/(2*pi)), so no transcendental is taken per step.
+    Only the steps that match step 0 are candidates, and a candidate s is
+    the period when steps s..s+2M match steps 0..2M. The horizon is walked
+    in windows of whole cycles, each holding at most CENSUS_WINDOW angles
+    of the rows still without a period: its candidates are the steps of
+    all but its last cycle, which it holds for their check. A row leaves at
+    its first checked candidate."""
     if max_cycles < 2:
         raise ConfigurationError("need max_cycles >= 2")
-    cycle = 2 * len(pats[0])
+    sign, offset = _cycle_table(signs)
+    cycle = sign.shape[1] - 1
     horizon = cycle * max_cycles
-    phis = evolve_angles(pats, phi0, alpha, horizon + cycle)
     limit = math.asin(min(tol / 2, 1.0)) / math.pi  # in turns
 
     def match(d):  # overwrites d
@@ -180,27 +211,53 @@ def _find_periods(pats, phi0, alpha, max_cycles, tol):
         d -= np.rint(d)
         return np.abs(d, out=d) < limit
 
-    hits = match(phis[:, 1:horizon + 1] - phis[:, :1])
-    return [next((int(s) for s in np.flatnonzero(hit) + 1
-                  if match(row[s:s + cycle + 1] - row[:cycle + 1]).all()), None)
-            for row, hit in zip(phis, hits)]
+    ref = _angles(sign, offset, phi0, alpha, 0, 2)[:, :cycle + 1].copy()
+    span = np.arange(cycle + 1)
+    per_check = max(1, CENSUS_WINDOW // (cycle + 1))  # candidates at once
+    periods = np.zeros(len(sign), dtype=int)
+    live = np.arange(len(sign))  # sign, offset and ref hold these rows
+    first = 0
+    while first <= max_cycles and live.size:
+        n = min(max(1, CENSUS_WINDOW // (live.size * cycle) - 1),
+                max_cycles + 1 - first)
+        phis = _angles(sign, offset, phi0, alpha, first, first + n + 1)
+        base = first * cycle
+        lo, hi = max(base, 1) - base, min(base + n * cycle, horizon + 1) - base
+        rows, at = np.divmod(np.flatnonzero(match(phis[:, lo:hi] - ref[:, :1])),
+                             hi - lo)
+        at += lo
+        ok = np.empty(rows.size, dtype=bool)
+        for i in range(0, rows.size, per_check):
+            r = rows[i:i + per_check]
+            d = phis[r[:, None], at[i:i + per_check, None] + span]
+            d -= ref[r]
+            ok[i:i + per_check] = match(d).all(axis=1)
+        del phis  # free the window before the next is built
+        first += n
+        found, pick = np.unique(rows[ok], return_index=True)
+        if found.size:
+            periods[live[found]] = base + at[ok][pick]
+            live, sign, offset, ref = (np.delete(a, found, axis=0)
+                                       for a in (live, sign, offset, ref))
+    return [int(p) if p else None for p in periods]
 
 
 def period_census(num_tape_spins: int, phi0: float, alpha: float,
                   max_cycles: int, tol: float = 1e-9) -> dict:
     """detect_period_numeric for every pattern of a tape size at once.
 
-    Evolves the patterns in batches of CENSUS_BATCH so the sweep stays
-    vectorized without holding all 2**M angle histories in memory.
-    Returns {pattern: period or None} in canonical order.
+    Patterns go through in batches that fill a window of two cycles, so
+    no more than CENSUS_WINDOW angles are held at a time. Returns
+    {pattern: period or None} in canonical order.
     """
     pats = all_patterns(num_tape_spins)
-    out = {}
-    for lo in range(0, len(pats), CENSUS_BATCH):
-        batch = pats[lo:lo + CENSUS_BATCH]
-        out.update(zip(batch, _find_periods(batch, phi0, alpha, max_cycles,
-                                            tol)))
-    return out
+    batch = max(1, CENSUS_WINDOW // (4 * num_tape_spins))
+    periods = []
+    for lo in range(0, len(pats), batch):
+        index = np.arange(lo, min(lo + batch, len(pats)))
+        periods += _find_periods(_signs(index, num_tape_spins), phi0, alpha,
+                                 max_cycles, tol)
+    return dict(zip(pats, periods))
 
 
 def decompose(tape) -> np.ndarray:
@@ -213,9 +270,9 @@ def decompose(tape) -> np.ndarray:
     pattern order and sum to 1.
     """
     if isinstance(tape, str):
-        from .state import normalize_tape_spec
-
         tape = normalize_tape_spec(tape)
+        # 8-byte weights, plus the half-size vector the last kron reads
+        check_fits(12 << len(tape), f"the weights of {len(tape)} tape spins")
         per_site = {
             "0": np.array([0.5, 0.5]),
             "1": np.array([0.5, 0.5]),
@@ -271,9 +328,8 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
     num = weights.size.bit_length() - 1
-    used = np.flatnonzero(weights)  # canonical index bits are the '-' spins
-    bits = (used[:, None] >> np.arange(num)[::-1]) & 1
-    sign, offset = _cycle_table(1 - 2 * bits)
+    used = np.flatnonzero(weights)
+    sign, offset = _cycle_table(_signs(used, num))
     w, s, o = weights[used, None], sign[:, :-1], offset[:, :-1] * alpha
     wcos, wsin = w * np.cos(o), w * np.sin(o)
     # y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o))
@@ -300,5 +356,11 @@ def run(config: MachineConfig) -> Trajectory:
         raise ConfigurationError(
             "the primitives engine covers the plain flip variant only"
         )
+    # per pattern: superpose's two table rows of 4M floats, the blocks
+    # np.block joins into them and as much again in per-step rows (three
+    # tables in all, as measured at M=12 and 14), and 12 bytes of weights
+    num = config.num_tape_spins
+    check_fits((3 * 2 * 4 * num * 8 + 12) << num,
+               f"the primitive superposition of {num} tape spins")
     return superpose(decompose(config.resolved_initial()), config.phi0,
                      config.uniform_alpha(), config.steps)

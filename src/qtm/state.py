@@ -127,16 +127,23 @@ def head_vector(phi0: float) -> np.ndarray:
     )
 
 
-def check_state_fits(num_tape_spins: int) -> None:
-    """Refuse a state whose 16*2**(M+1) bytes of complex128 amplitudes
-    exceed physical memory, before anything of that size is allocated."""
-    need = 16 << (num_tape_spins + 1)
+def check_fits(need: int, what: str) -> None:
+    """Refuse a computation whose estimated footprint of `need` bytes
+    exceeds physical memory, before anything of that size is allocated."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigurationError(
-            f"{num_tape_spins} tape spins need {need / 2**20:,.0f} MiB, "
+            f"{what} need {need / 2**20:,.0f} MiB, "
             f"more than the {have / 2**20:,.0f} MiB of physical memory"
         )
+
+
+def check_state_fits(num_tape_spins: int) -> None:
+    """Refuse a state whose 16*2**(M+1) bytes of complex128 amplitudes,
+    plus the half-size array it is built from (the state before
+    add_tape_spin's last spin, or make_state's tape amplitudes), exceed
+    physical memory."""
+    check_fits(24 << (num_tape_spins + 1), f"{num_tape_spins} tape spins")
 
 
 def add_tape_spin(amps: np.ndarray, ch: str) -> np.ndarray:

@@ -2,6 +2,7 @@
 assertions, plus one real subprocess smoke test."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -250,11 +251,63 @@ def test_deeply_nested_angle_is_a_usage_error(alpha, capsys):
     assert "nests too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tape-size", "1", "--alpha", "1e309", "--steps", "5"],
+    ["simulate", "--tape-size", "1", "--alpha", "1", "--phi0", "1e309",
+     "--steps", "5"],
+    ["simulate", "--tape-size", "1", "--alpha", "1e308*10", "--steps", "5"],
+    ["classify", "--all", "--tape-size", "3", "--alpha", "1e309"],
+], ids=["alpha-literal", "phi0-literal", "alpha-product", "classify-all"])
+def test_overflowing_angle_is_a_usage_error(argv, capsys):
+    # an infinite angle used to die in math.cos (exit 1) or, in the census,
+    # write a table with no period at all (exit 0)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "overflows a double" in err
+
+
 def test_state_too_large_for_memory_is_a_usage_error(capsys):
-    # 16 * 2**41 bytes: refused on the estimate, before any allocation
+    # 16 * 2**41 bytes and the half-size state before the last spin:
+    # refused on the estimate, before any allocation
     assert main(["simulate", "--tape-size", "40", "--alpha", "1",
                  "--steps", "1"]) == 2
-    assert "need 33,554,432 MiB" in capsys.readouterr().err
+    assert "need 50,331,648 MiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["classify", "--all", "--tape-size", "60"], "the sign patterns"),
+    (["decompose", "--initial", "zeros", "--tape-size", "60"],
+     "the weights"),
+    (["simulate", "--tape-size", "60", "--alpha", "1", "--steps", "1",
+      "--engine", "primitives"], "the primitive superposition"),
+], ids=["classify-all", "decompose", "simulate-primitives"])
+def test_primitive_path_too_large_for_memory_is_a_usage_error(argv, what,
+                                                              capsys):
+    # 2**60 patterns: refused on the estimate, before any allocation
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{what} of 60 tape spins need" in err
+    assert "MiB of physical memory" in err
+
+
+def test_primitive_guards_use_their_estimates(monkeypatch, tmp_path):
+    # on a 1 MiB machine: 2**13 patterns of 62+64 bytes (0.98 MiB) fit and
+    # 2**14 of 63+64 bytes (1.98 MiB) do not; the superposition of M=9
+    # needs (3*64*9 + 12) * 2**9 bytes (0.85 MiB) and fits, M=10 does not
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
+    out = str(tmp_path / "o.csv")
+    assert main(["classify", "--all", "--tape-size", "13",
+                 "--max-cycles", "2", "--out", out]) == 0
+    assert main(["classify", "--all", "--tape-size", "14",
+                 "--max-cycles", "2", "--out", out]) == 2
+    sim = ["simulate", "--alpha", "1", "--steps", "1", "--engine",
+           "primitives", "--out", out, "--tape-size"]
+    assert main(sim + ["9"]) == 0
+    assert main(sim + ["10"]) == 2
 
 
 def test_unknown_subcommand():

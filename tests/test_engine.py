@@ -20,6 +20,7 @@ from qtm import (
     run,
     run_mixed,
 )
+from qtm.cli import main
 
 ALPHA = helpers.ALPHA
 
@@ -202,10 +203,11 @@ def test_amplitude_tape_runs_at_full_size_from_step_zero(monkeypatch):
 
 def test_run_refuses_a_state_larger_than_memory(monkeypatch):
     # a 1-step run never builds the M=16 state, but the guard counts the
-    # full state before anything is allocated
+    # full state, and the half-size one it grows from, before anything is
+    # allocated
     monkeypatch.setattr(os, "sysconf", lambda name: {
         "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
-    with pytest.raises(ConfigurationError, match="16 tape spins need 2 MiB"):
+    with pytest.raises(ConfigurationError, match="16 tape spins need 3 MiB"):
         run(MachineConfig.uniform(16, ALPHA, steps=1))
 
 
@@ -239,6 +241,24 @@ def test_norm_guard_trips_on_broken_kernel(monkeypatch):
     cfg = MachineConfig.uniform(2, ALPHA, steps=8)
     with pytest.raises(NumericalValidationError):
         run(cfg)
+
+
+def test_norm_guard_trips_on_a_nan(monkeypatch, tmp_path, capsys):
+    # NaN > tol is false, so a guard written as `dev > tol` let a NaN state
+    # finish with norm_drift 0.0 and NaN rows
+    rotate = qtm.kernels.rotate_head
+
+    def poisoned(amps, c, s):
+        rotate(amps, c, s)
+        amps[0] = complex("nan")
+
+    monkeypatch.setattr(qtm.kernels, "rotate_head", poisoned)
+    with pytest.raises(NumericalValidationError, match="by step 4"):
+        run(MachineConfig.uniform(2, ALPHA, steps=8))
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--tape-size", "2", "--alpha", "1",
+                 "--steps", "8", "--out", str(out)]) == 3
+    assert "numeric validation failed" in capsys.readouterr().err
 
 
 def test_norm_drift_is_tiny():

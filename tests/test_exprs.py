@@ -24,6 +24,9 @@ from qtm import ConfigurationError, parse_angle
     ("2*(3*4)", 24.0),
     ("--1", 1.0),
     (" pi / 2 ", math.pi / 2),
+    ("1.7976931348623157e308", 1.7976931348623157e308),  # largest double
+    ("1e308*1.5", 1.5e308),
+    ("1e-400", 0.0),  # underflow rounds to zero, which is finite
 ])
 def test_accepted_expressions(src, value):
     assert parse_angle(src) == pytest.approx(value, rel=1e-15)
@@ -47,6 +50,21 @@ def test_accepted_expressions(src, value):
 ])
 def test_rejected_expressions(src):
     with pytest.raises(ConfigurationError):
+        parse_angle(src)
+
+
+@pytest.mark.parametrize("src", [
+    "1e309",
+    "-1e309",
+    "1/1e309",  # an overflowing literal is refused even where 1/inf is 0
+    "sqrt(1e400)",
+    "1e308*10",
+    "1e308*10/10",
+    "-1e200*1e200",
+    "1e300/1e-300",
+])
+def test_overflow_is_rejected(src):
+    with pytest.raises(ConfigurationError, match="overflows a double"):
         parse_angle(src)
 
 

@@ -8,6 +8,7 @@ import pytest
 import helpers
 from qtm import ConfigurationError, MachineConfig, run
 from qtm import io as qio
+from qtm.engine import Trajectory
 
 ALPHA = helpers.ALPHA
 
@@ -71,6 +72,41 @@ def test_json_schema(traj, tmp_path):
     first = doc["points"][0]
     assert first[0] == 0 and isinstance(first[0], int)
     assert doc["points"][5][1:] == traj.bloch[5].tolist()
+
+
+def _json_dump_bytes(traj, manifest, path):
+    # the layout write_trajectory_json reproduces without json's encoder
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump({"manifest": manifest,
+                   "points": [[m, *row] for m, row in
+                              enumerate(traj.bloch.tolist())]}, fh, indent=1)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 500])
+@pytest.mark.parametrize("special", [False, True])
+def test_json_points_equal_json_dump(rows, special, tmp_path):
+    # random rows salted with -0.0, +0.0, subnormals and extremes, and,
+    # when special, NaN and infinities, which json spells NaN/Infinity;
+    # a single row is a 0-step trajectory
+    rng = np.random.default_rng(rows)
+    bloch = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                             (rows, 3))
+    pool = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+            1.7976931348623157e308, 1 / 3]
+    if special:
+        pool += [float("nan"), float("inf"), float("-inf")]
+    salt = rng.random((rows, 3)) < 0.3
+    bloch[salt] = rng.choice(pool, size=salt.sum())
+    traj = Trajectory(bloch, 2)
+    manifest = {"command": "qtm simulate --alpha 'pi/3'", "config": {
+        "alpha": 1 / 3, "initial": "+-\u2212", "nested": [[], {}, [1, "x"]]},
+        "outputs": [], "tool_version": "0"}
+    path = tmp_path / "t.json"
+    qio.write_trajectory_json(traj, manifest, str(path))
+    assert path.read_bytes() == _json_dump_bytes(traj, manifest,
+                                                 tmp_path / "ref.json")
 
 
 def test_svg_deterministic_and_bounded(traj, tmp_path):

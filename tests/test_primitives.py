@@ -268,6 +268,77 @@ class TestPeriodDetection:
             assert period_census(num, phi0, alpha, max_cycles) == expected
 
 
+class TestCensusWindows:
+    """The census walks the horizon in windows of cycles over the patterns
+    still without a period; these pin down the window edges."""
+
+    @pytest.mark.parametrize("max_cycles", [2, 3, 50])
+    @pytest.mark.parametrize("phi0, alpha", [(0.3, ALPHA), (0.0, math.pi / 2),
+                                             (math.pi, 1.0)])
+    def test_one_cycle_windows_equal_the_chord_finder(self, monkeypatch,
+                                                      max_cycles, phi0,
+                                                      alpha):
+        # a window of one angle is widened to the least window: one
+        # candidate cycle of one pattern and the cycle that checks it
+        monkeypatch.setattr(primitives, "CENSUS_WINDOW", 1)
+        for num in range(1, 8):
+            cycle = 2 * num
+            horizon = cycle * max_cycles
+            pats = all_patterns(num)
+            phis = evolve_angles(pats, phi0, alpha, horizon + cycle)
+            expected = {p: helpers.exp_find_period(phis[row], cycle, horizon,
+                                                   1e-9)
+                        for row, p in enumerate(pats)}
+            assert period_census(num, phi0, alpha, max_cycles) == expected
+
+    @pytest.mark.parametrize("window", [1, primitives.CENSUS_WINDOW])
+    def test_failed_candidate_then_a_period_in_the_next_window(
+            self, monkeypatch, window):
+        # '+' at alpha = pi/2 is back at phi0 after step 7, but step 8 is
+        # not at step 1's angle; the period is 8, which with one-cycle
+        # windows (steps 6-7, then 8-9) is the next window's first step
+        monkeypatch.setattr(primitives, "CENSUS_WINDOW", window)
+        phis = evolve_angles(["+"], 0.3, math.pi / 2, 22)[0]
+        chord = abs(np.exp(1j * phis) - np.exp(1j * phis[0]))
+        assert chord[7] < 1e-9 and chord[8] < 1e-9
+        assert abs(np.exp(1j * phis[8]) - np.exp(1j * phis[1])) > 1
+        assert detect_period_numeric("+", 0.3, math.pi / 2, 10) == 8
+        assert period_census(1, 0.3, math.pi / 2, 10) == {"+": 8, "-": 4}
+
+    @pytest.mark.parametrize("window", [1, 8, primitives.CENSUS_WINDOW])
+    def test_period_exactly_at_the_horizon(self, monkeypatch, window):
+        # '+' at alpha = pi/2 closes after 8 steps, 4 cycles of M=1: found
+        # with a horizon of 4 cycles, whose last candidate is step 8 and
+        # whose check reads steps 8-10, and not with 3. Step 8 is alone in
+        # a one-cycle window, and the last candidate of a window for 8
+        # angles (steps 6-8 after 1-5) and of the one default window
+        monkeypatch.setattr(primitives, "CENSUS_WINDOW", window)
+        assert period_census(1, 0.0, math.pi / 2, 4)["+"] == 8
+        assert period_census(1, 0.0, math.pi / 2, 3)["+"] is None
+        assert detect_period_numeric("+", 0.0, math.pi / 2, 4) == 8
+        assert detect_period_numeric("+", 0.0, math.pi / 2, 3) is None
+
+    def test_census_memory_is_bounded_by_the_window(self):
+        num, window = 12, primitives.CENSUS_WINDOW * 8
+        batch = primitives.CENSUS_WINDOW // (4 * num)
+        tracemalloc.start()
+        try:
+            dict(zip(all_patterns(num), [None] * 2 ** num))
+            baseline = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            tracemalloc.start()
+            period_census(num, 0.3, ALPHA, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the patterns and the result: the window, the candidates'
+        # difference to step 0 and its rint, and the batch's sign, offset
+        # and step-0..2M tables of 2M+1 columns; one window more covers
+        # the candidates' index arrays and numpy's broadcasting buffers
+        tables = 3 * batch * (2 * num + 1) * 8
+        assert peak <= baseline + 4 * window + tables
+
+
 class TestDecompose:
     def test_computational_tapes_spread_evenly(self):
         np.testing.assert_array_equal(decompose("0"), [0.5, 0.5])

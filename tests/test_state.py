@@ -146,16 +146,20 @@ def test_tape_spec_shorthands():
 
 
 def test_memory_guard_compares_with_physical_memory(monkeypatch):
-    # on a machine that reports 1 MiB, the 2 MiB state of M=16 is refused,
-    # from a spec string or an amplitude tape, and the 1 MiB state of M=15
+    # on a machine that reports 1 MiB, a state is refused when it and the
+    # half-size array it is built from exceed 1 MiB: the 2 MiB state of
+    # M=16 (3 MiB in all), from a spec string or an amplitude tape, and
+    # the 1 MiB state of M=15 (1.5 MiB in all); the 0.5 MiB state of M=14
     # still fits
     monkeypatch.setattr(os, "sysconf", lambda name: {
         "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
     with pytest.raises(ConfigurationError,
-                       match="need 2 MiB, more than the 1 MiB"):
+                       match="need 3 MiB, more than the 1 MiB"):
         make_product_state(0.0, "0" * 16)
-    assert make_product_state(0.0, "0" * 15).amplitudes.nbytes == 2 ** 20
-    with pytest.raises(ConfigurationError, match="need 2 MiB"):
+    with pytest.raises(ConfigurationError, match="15 tape spins need"):
+        make_product_state(0.0, "0" * 15)
+    assert make_product_state(0.0, "0" * 14).amplitudes.nbytes == 2 ** 19
+    with pytest.raises(ConfigurationError, match="need 3 MiB"):
         make_state(0.0, np.full(2 ** 16, 2.0 ** -8, dtype=complex))
 
 
