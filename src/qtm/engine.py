@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalValidationError
 from .gates import VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot
-from .state import (BlochVector, StateVector, add_tape_spin,
-                    check_state_fits, head_bloch, head_cross, make_state,
-                    normalize_tape_spec)
+from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
+                    check_state_fits, head_bloch, head_bloch_rows, head_cross,
+                    make_state, normalize_tape_spec, norm_sq_rows)
 
 NORM_TOL = 1e-12
 
@@ -132,9 +132,14 @@ def run(config: MachineConfig) -> Trajectory:
     amplitudes the head has not reached. An explicit amplitude tape may be
     entangled and starts at full size.
 
+    On a small tape, whose cycle matrix of 4**(M+1) entries fits in
+    REDUCE_BLOCK (M <= 5), a run longer than one cycle steps this way
+    through its first cycle only and goes on in windows of cycles
+    (_run_windows).
+
     The state norm is checked at the end of every cycle (and after a final
-    partial cycle); drift beyond 1e-12, or a norm that is not a number,
-    raises NumericalValidationError.
+    partial cycle, and at every cycle start a window chains); drift beyond
+    1e-12, or a norm that is not a number, raises NumericalValidationError.
     The norm is never re-imposed, a drifting norm means a broken kernel and
     renormalizing would hide it.
     """
@@ -143,38 +148,133 @@ def run(config: MachineConfig) -> Trajectory:
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
     cycle = 2 * config.num_tape_spins
+    fused = (config.steps > cycle
+             and 4 ** (config.num_tape_spins + 1) <= REDUCE_BLOCK)
     turns = [(math.cos(a), math.sin(a)) for a in config.alphas]
     bloch = np.empty((config.steps + 1, 3), dtype=float)
     x, y, z = head_bloch(state)
     bloch[0] = x, y, z
     drift = 0.0
     n = 0
-    for m in range(1, config.steps + 1):
+    for m in range(1, (cycle if fused else config.steps) + 1):
         n = (m - 1) % cycle + 1
         mu = (n + 1) // 2  # odd n rotates by alpha_mu, even n flips spin mu
+        if not n % 2 and mu > state.num_tape_spins:
+            # the head's first visit to spin mu
+            state = StateVector(
+                mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
+        _apply_step(state, n, config)
         if n % 2:
-            apply_head_rotation(state, config.alphas[mu - 1])
             c, s = turns[mu - 1]
             y, z = y * c - z * s, y * s + z * c
+        elif n < cycle:
+            cross = head_cross(state)
+            x, y = 2.0 * cross.real, -2.0 * cross.imag
         else:
-            if mu > state.num_tape_spins:  # the head's first visit to spin mu
-                state = StateVector(
-                    mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
-            apply_qcnot(state, mu, config.variant)
-            if n < cycle:
-                cross = head_cross(state)
-                x, y = 2.0 * cross.real, -2.0 * cross.imag
-            else:
-                x, y, z = head_bloch(state)
-                drift = _check_norm(state, m, drift)
+            x, y, z = head_bloch(state)
+            drift = _check_norm(state, m, drift)
         bloch[m] = x, y, z
-    if config.steps and n != cycle:
+    if fused:
+        drift = _run_windows(config, state, bloch, drift)
+    elif config.steps and n != cycle:
         drift = _check_norm(state, config.steps, drift)
     return Trajectory(bloch, config.num_tape_spins, drift)
 
 
+class _Stack(NamedTuple):
+    """States of num_tape_spins tape spins stored one after another in one
+    flat amplitude array. The gates read only these two fields, and every
+    kernel acts on each 2**(M+1)-amplitude state of the stack alike."""
+
+    num_tape_spins: int
+    amplitudes: np.ndarray
+
+
+def _apply_step(state, n, config):
+    """Step n of the cycle (see the module docstring) on a state or a
+    stack of them."""
+    mu = (n + 1) // 2
+    if n % 2:
+        apply_head_rotation(state, config.alphas[mu - 1])
+    else:
+        apply_qcnot(state, mu, config.variant)
+
+
+def _run_windows(config, state, bloch, drift):
+    """Steps 2M+1 onwards of a small-tape run, from the full state at the
+    end of the first cycle; returns the norm drift.
+
+    Every cycle applies the same unitary U, so each cycle start is U times
+    the one before: one matrix-vector product of at most REDUCE_BLOCK
+    entries, which BLAS never splits over threads. A window stacks the
+    starts of up to REDUCE_BLOCK // 2**(M+1) cycles, chained this way, and
+    the gates replay the cycle over the whole stack at once, one kernel
+    call per step, with the head Bloch vector of every row reduced after
+    each step. The last row's replay stops at the run's last step. U is
+    built only when a window holds more than one start.
+
+    The norm guard checks every chained start, the state its replayed
+    cycle starts from, and every replayed row where its replay ends: at
+    the end of its cycle, or at the run's last step.
+    """
+    cycle = 2 * config.num_tape_spins
+    size = state.amplitudes.size
+    starts = (config.steps - 1) // cycle  # cycle k starts at step k * cycle
+    window = REDUCE_BLOCK // size
+    if starts > 1:
+        # row j is U applied to basis state j, so psi @ images is U psi
+        images = np.eye(size, dtype=complex)
+        basis = _Stack(config.num_tape_spins, images.reshape(-1))
+        for n in range(1, cycle + 1):
+            _apply_step(basis, n, config)
+    psi = state.amplitudes
+    for k0 in range(1, starts + 1, window):
+        stack = np.empty((min(window, starts + 1 - k0), size), dtype=complex)
+        stack[0] = psi
+        for i in range(1, len(stack)):
+            np.dot(stack[i - 1], images, out=stack[i])
+        at = (k0 + np.arange(len(stack))) * cycle
+        drift = _check_norms(norm_sq_rows(stack), at, drift)
+        if k0 + len(stack) <= starts:
+            psi = stack[-1] @ images
+        _replay(config, stack, k0 * cycle, bloch)
+        drift = _check_norms(norm_sq_rows(stack),
+                             np.minimum(at + cycle, config.steps), drift)
+    return drift
+
+
+def _replay(config, stack, first, bloch):
+    """Run one cycle on every row of stack, row k starting at step
+    first + k * cycle, and record the head after each step; the last row
+    stops at the run's last step."""
+    cycle = 2 * config.num_tape_spins
+    rows, size = stack.shape
+    last_n = len(bloch) - 1 - first - (rows - 1) * cycle
+    flat = stack.reshape(-1)
+    for n in range(1, cycle + 1):
+        active = rows if n <= last_n else rows - 1
+        if not active:
+            break
+        _apply_step(_Stack(config.num_tape_spins, flat[:active * size]), n,
+                    config)
+        bloch[first + n:first + n + active * cycle:cycle] = head_bloch_rows(
+            stack[:active])
+
+
 def _check_norm(state, m, drift):
-    dev = abs(state.norm_sq() - 1.0)
+    return _check_dev(abs(state.norm_sq() - 1.0), m, drift)
+
+
+def _check_norms(norm_sq, steps, drift):
+    """_check_norm for the states whose norms² norm_sq are taken at steps
+    `steps`; the first that fails raises."""
+    dev = np.abs(norm_sq - 1.0)
+    bad = np.flatnonzero(~(dev <= NORM_TOL))
+    i = bad[0] if bad.size else np.argmax(dev)
+    return _check_dev(float(dev[i]), int(steps[i]), drift)
+
+
+def _check_dev(dev, m, drift):
     if not dev <= NORM_TOL:  # a NaN norm fails this test too
         raise NumericalValidationError(
             f"state norm² drifted to 1{dev:+.3e} by step {m}"

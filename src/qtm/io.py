@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigurationError
+from .state import REDUCE_BLOCK
 
 CSV_HEADER = "m,n,p,lambda_x,lambda_y,lambda_z"
 SVG_SIZE = 600
@@ -28,8 +29,8 @@ def step_labels(num_points: int, tape_size: int):
     cycle = 2 * tape_size
     n = (m - 1) % cycle + 1
     p = (m - 1) // cycle + 1
-    n[0] = 0
-    p[0] = 0
+    n[:1] = 0
+    p[:1] = 0
     return n, p
 
 
@@ -56,11 +57,19 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
+def _numbered_rows(bloch):
+    """(m, row as a list of Python floats) for every row of bloch. Rows are
+    converted one block at a time (REDUCE_BLOCK rows, reused as a bounded
+    size), so a long trajectory never exists as Python floats all at once."""
+    for start in range(0, len(bloch), REDUCE_BLOCK):
+        yield from enumerate(bloch[start:start + REDUCE_BLOCK].tolist(), start)
+
+
 def write_trajectory_csv(traj, path) -> None:
     n, p = step_labels(len(traj.bloch), traj.num_tape_spins)
     write_csv(path, CSV_HEADER,
               (f"{m},{n[m]},{p[m]},{row[0]!r},{row[1]!r},{row[2]!r}"
-               for m, row in enumerate(traj.bloch.tolist())))
+               for m, row in _numbered_rows(traj.bloch)))
 
 
 def read_trajectory_csv(path):
@@ -92,7 +101,7 @@ def write_trajectory_json(traj, manifest: dict, path) -> None:
     with _open_out(path) as fh:
         fh.write(head[:-len("[]\n}")] + "[")
         sep = "\n  "
-        for m, (x, y, z) in enumerate(traj.bloch.tolist()):
+        for m, (x, y, z) in _numbered_rows(traj.bloch):
             fh.write(f"{sep}[\n   {m},\n   {num(x)},\n   {num(y)},\n"
                      f"   {num(z)}\n  ]")
             sep = ",\n  "

@@ -204,6 +204,25 @@ def head_bloch(state: StateVector) -> BlochVector:
     return BlochVector(2.0 * cross.real, -2.0 * cross.imag, p1 - p0)
 
 
+def head_bloch_rows(rows: np.ndarray) -> np.ndarray:
+    """head_bloch of every row of a (states, 2**(M+1)) array of
+    amplitudes, as a (states, 3) array. einsum sums each row in its own C
+    loop, with no BLAS call whose summation order could depend on the
+    thread count."""
+    a0, a1 = rows[:, 0::2], rows[:, 1::2]
+    c0 = a0.conj()
+    cross = np.einsum("ij,ij->i", c0, a1)
+    p0 = np.einsum("ij,ij->i", c0, a0).real
+    p1 = np.einsum("ij,ij->i", a1.conj(), a1).real
+    return np.stack([2.0 * cross.real, -2.0 * cross.imag, p1 - p0], axis=1)
+
+
+def norm_sq_rows(rows: np.ndarray) -> np.ndarray:
+    """The norm² of every row of a (states, 2**(M+1)) array of amplitudes,
+    summed like head_bloch_rows."""
+    return np.einsum("ij,ij->i", rows.conj(), rows).real
+
+
 def head_cross(state: StateVector) -> complex:
     """sum(conj(a0) a1) over the head pairs (a0, a1), the one sum behind
     the x and y of head_bloch."""

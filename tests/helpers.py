@@ -51,7 +51,11 @@ def dense_qcnot(mu, nbits, variant="x"):
 
 
 def dense_product_state(phi0, tape):
+    """Head at phi0 times the tape: a spec string, or an array of 2**M
+    tape amplitudes (tape index bit k is spin k+1)."""
     vec = np.array([np.cos(phi0 / 2), -1j * np.sin(phi0 / 2)], dtype=complex)
+    if not isinstance(tape, str):
+        return np.kron(tape, vec)
     for ch in tape:
         vec = np.kron(SITE[ch], vec)
     return vec
@@ -69,11 +73,12 @@ def dense_head_bloch(amps):
 
 
 def dense_run(phi0, tape, alpha, steps, variant="x"):
-    """Full trajectory by dense matrix products; tape is a spec string.
+    """Full trajectory by dense matrix products; tape is a spec string or
+    an array of tape amplitudes.
 
     alpha may be a scalar (same angle everywhere) or one angle per site.
     """
-    num = len(tape)
+    num = len(tape) if isinstance(tape, str) else len(tape).bit_length() - 1
     nbits = num + 1
     alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (num,))
     psi = dense_product_state(phi0, tape)

@@ -21,6 +21,7 @@ from qtm import (
     run_mixed,
 )
 from qtm.cli import main
+from qtm.state import REDUCE_BLOCK
 
 ALPHA = helpers.ALPHA
 
@@ -201,6 +202,72 @@ def test_amplitude_tape_runs_at_full_size_from_step_zero(monkeypatch):
     assert sizes == [2 ** (num + 1)] * (3 * num)
 
 
+# Small tapes (M <= 5) step gate by gate through the first cycle only; later
+# cycle starts are chained by the cycle matrix U and the cycle is replayed
+# over windows of stacked starts.
+FUSED_WINDOW = REDUCE_BLOCK // 2 ** 6  # cycle starts per window at M=5
+
+
+def _fused_config(num, variant, tape, steps):
+    initial = _amplitude_tape(num) if tape == "amplitudes" else tape
+    return MachineConfig(num, (0.7, 1.9, ALPHA, 2.6, 0.4)[:num], phi0=1.1,
+                         variant=variant, initial=initial, steps=steps)
+
+
+def _assert_matches_references(cfg):
+    traj = run(cfg)
+    np.testing.assert_allclose(traj.bloch, helpers.per_step_run(cfg).bloch,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        traj.bloch, helpers.dense_run(cfg.phi0, cfg.resolved_initial(),
+                                      cfg.alphas, cfg.steps, cfg.variant),
+        rtol=0, atol=1e-12)
+    assert traj.norm_drift <= 1e-12
+
+
+@pytest.mark.parametrize("cycles, extra", [(2, -1), (2, 0), (2, 1),
+                                           (7, -1), (7, 0), (7, 1)])
+@pytest.mark.parametrize("variant", ["x", "iy"])
+@pytest.mark.parametrize("num, tape", [
+    (1, "-"), (2, "+-"), (3, "+-1"), (4, "-+01"), (5, "+0-1+"),
+    (2, "amplitudes"), (5, "amplitudes")])
+def test_fused_run_matches_references(num, tape, variant, cycles, extra):
+    # two cycles at most hold one cycle start after the first cycle, and
+    # replay it without building U; one step more builds U
+    _assert_matches_references(
+        _fused_config(num, variant, tape, cycles * 2 * num + extra))
+
+
+@pytest.mark.parametrize("starts", [FUSED_WINDOW, FUSED_WINDOW + 1,
+                                    FUSED_WINDOW * 3 // 2])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("variant", ["x", "iy"])
+def test_fused_windows_match_references(variant, starts, extra):
+    # cycle k starts at step 10k; a window holds FUSED_WINDOW starts, so
+    # these runs end in the last cycle of one window, or one window and one
+    # or half a window more
+    _assert_matches_references(
+        _fused_config(5, variant, "+0-1+", 10 * (starts + 1) + extra))
+
+
+def test_fused_run_builds_u_once_and_replays_one_window(monkeypatch):
+    # an amplitude tape at M=5 over five cycles: the first cycle on the
+    # state, U built on the 64 basis states, then one window of the four
+    # later cycle starts
+    sizes = _record_kernel_sizes(monkeypatch)
+    run(MachineConfig.uniform(5, ALPHA, initial=_amplitude_tape(5),
+                              steps=50))
+    assert sizes == [64] * 10 + [64 * 64] * 10 + [4 * 64] * 10
+
+
+def test_six_spins_keep_the_loop(monkeypatch):
+    # U of M=6 has 4**7 > REDUCE_BLOCK entries: one full-size call per step
+    sizes = _record_kernel_sizes(monkeypatch)
+    run(MachineConfig.uniform(6, ALPHA, initial=_amplitude_tape(6),
+                              steps=5 * 12))
+    assert sizes == [2 ** 7] * 60
+
+
 def test_run_refuses_a_state_larger_than_memory(monkeypatch):
     # a 1-step run never builds the M=16 state, but the guard counts the
     # full state, and the half-size one it grows from, before anything is
@@ -215,8 +282,13 @@ _THREADED_RUN = """
 import sys
 import numpy as np
 from qtm import MachineConfig, run
-traj = run(MachineConfig.uniform(16, float(sys.argv[2]), steps=60))
-np.save(sys.argv[1], np.vstack([traj.bloch, [traj.norm_drift] * 3]))
+rows = []
+# M=16 steps gate by gate; M=3 runs 2000 steps on the cycle matrix
+for num, tape, steps in ((16, "zeros", 60), (3, "+-1", 2000)):
+    traj = run(MachineConfig.uniform(num, float(sys.argv[2]), initial=tape,
+                                     steps=steps))
+    rows += [traj.bloch, [traj.norm_drift] * 3]
+np.save(sys.argv[1], np.vstack(rows))
 """
 
 
@@ -259,6 +331,52 @@ def test_norm_guard_trips_on_a_nan(monkeypatch, tmp_path, capsys):
     assert main(["simulate", "--tape-size", "2", "--alpha", "1",
                  "--steps", "8", "--out", str(out)]) == 3
     assert "numeric validation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num", [3, 6])
+def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num):
+    # a rotation that leaks 1e-13 of the amplitude per call puts norm²
+    # 1.2e-12 off after six rotations, 12 steps at both sizes: two cycles at
+    # M=3, where U carries the leak of the three rotations it is built
+    # with, and one cycle at M=6
+    rotate = qtm.kernels.rotate_head
+
+    def leaky(amps, c, s):
+        rotate(amps, c, s)
+        amps *= 1.0 + 1e-13
+
+    monkeypatch.setattr(qtm.kernels, "rotate_head", leaky)
+    with pytest.raises(NumericalValidationError, match="by step 12$"):
+        run(MachineConfig.uniform(num, ALPHA, steps=100 * 2 * num))
+
+
+@pytest.mark.parametrize("bad_calls, row, step", [
+    # every rotation after the first cycle: U is built with a NaN, so the
+    # chained start of cycle 2 (step 12) has one, as the loop's would
+    (range(4, 1000), 0, 12),
+    # only the rotations that build U: the replay of the cycle from step 6
+    # is clean, the chained start at step 12 is not
+    (range(4, 7), 0, 12),
+    # only the first replayed rotation, on row 4, the cycle from step 30
+    ((7,), 4, 36),
+    # the same on the last row, whose replay stops at the run's last step
+    ((7,), 19, 123),
+])
+def test_norm_guard_reports_a_later_nan_at_its_cycle_end(monkeypatch, bad_calls,
+                                                         row, step):
+    rotate = qtm.kernels.rotate_head
+    calls = []
+
+    def poisoned(amps, c, s):
+        rotate(amps, c, s)
+        calls.append(amps.size)
+        if len(calls) in bad_calls:
+            amps[row * 16] = complex("nan")
+
+    monkeypatch.setattr(qtm.kernels, "rotate_head", poisoned)
+    with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
+        run(MachineConfig.uniform(3, ALPHA, initial="+-1", steps=123))
+    assert calls[3:6] == [16 * 16] * 3  # U, built on the 16 basis states
 
 
 def test_norm_drift_is_tiny():

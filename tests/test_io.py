@@ -9,6 +9,7 @@ import helpers
 from qtm import ConfigurationError, MachineConfig, run
 from qtm import io as qio
 from qtm.engine import Trajectory
+from qtm.state import REDUCE_BLOCK
 
 ALPHA = helpers.ALPHA
 
@@ -107,6 +108,37 @@ def test_json_points_equal_json_dump(rows, special, tmp_path):
     qio.write_trajectory_json(traj, manifest, str(path))
     assert path.read_bytes() == _json_dump_bytes(traj, manifest,
                                                  tmp_path / "ref.json")
+
+
+def _one_pass_files(traj, manifest):
+    """CSV and JSON bytes of the writers' formats, made in one pass over
+    the whole trajectory as Python floats."""
+    rows = traj.bloch.tolist()
+    n, p = qio.step_labels(len(rows), traj.num_tape_spins)
+    csv = "".join(f"{m},{n[m]},{p[m]},{r[0]!r},{r[1]!r},{r[2]!r}\n"
+                  for m, r in enumerate(rows))
+    head = json.dumps({"manifest": manifest, "points": []}, indent=1)
+    points = ",".join(f"\n  [\n   {m},\n   {x!r},\n   {y!r},\n   {z!r}\n  ]"
+                      for m, (x, y, z) in enumerate(rows))
+    return ((qio.CSV_HEADER + "\n" + csv).encode(),
+            (head[:-len("[]\n}")] + "[" + points + "\n ]\n}\n").encode())
+
+
+@pytest.mark.parametrize("rows", [0, 1, REDUCE_BLOCK, REDUCE_BLOCK + 1])
+def test_block_wise_writers_equal_one_pass(rows, tmp_path):
+    # the writers turn REDUCE_BLOCK rows at a time into Python floats;
+    # rows salted with -0.0 and +0.0 must keep their signs
+    rng = np.random.default_rng(rows + 7)
+    bloch = rng.normal(size=(rows, 3))
+    salt = rng.random((rows, 3)) < 0.2
+    bloch[salt] = rng.choice([-0.0, 0.0], size=salt.sum())
+    traj = Trajectory(bloch, 3)
+    manifest = {"purpose": "test"}
+    qio.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
+    qio.write_trajectory_json(traj, manifest, str(tmp_path / "t.json"))
+    csv, doc = _one_pass_files(traj, manifest)
+    assert (tmp_path / "t.csv").read_bytes() == csv
+    assert (tmp_path / "t.json").read_bytes() == doc
 
 
 def test_svg_deterministic_and_bounded(traj, tmp_path):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import helpers
-from qtm import _kernels_py, kernels
+from qtm import MachineConfig, _kernels_py, kernels, run
+from qtm.state import REDUCE_BLOCK
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "qtm" / "_kernels_c.c"
 
@@ -95,6 +96,23 @@ def test_backends_agree_on_flips_bit_exact(compiled):
             _kernels_py.cnot_signed_flip(a, mu)
             compiled.cnot_signed_flip(b, mu)
             _assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("variant", ["x", "iy"])
+def test_backends_agree_on_fused_runs(compiled, monkeypatch, variant):
+    # a run at M=5 builds its cycle matrix and replays windows of stacked
+    # cycle starts through the kernels (here two windows and three steps
+    # into a cycle), so both backends give the same bits
+    window = REDUCE_BLOCK // 2 ** 6
+    cfg = MachineConfig.uniform(5, helpers.ALPHA, phi0=0.9, variant=variant,
+                                initial="+-01-", steps=10 * (window + 4) + 3)
+    runs = []
+    for backend in (_kernels_py, compiled):
+        for name in ("rotate_head", "cnot_flip", "cnot_signed_flip"):
+            monkeypatch.setattr(kernels, name, getattr(backend, name))
+        traj = run(cfg)
+        runs.append(np.append(traj.bloch, traj.norm_drift))
+    _assert_same_bits(*runs)
 
 
 def test_blocked_kernels_equal_one_shot_formulas():
