@@ -18,7 +18,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalValidationError
-from .gates import VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot
+from . import _kernels_py
+from .gates import (VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot,
+                    rotation_coefficients)
 from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
                     check_state_fits, head_bloch, head_bloch_rows, head_cross,
                     make_state, normalize_tape_spec, norm_sq_rows)
@@ -205,13 +207,13 @@ def _run_windows(config, state, bloch, drift):
     end of the first cycle; returns the norm drift.
 
     Every cycle applies the same unitary U, so each cycle start is U times
-    the one before: one matrix-vector product of at most REDUCE_BLOCK
-    entries, which BLAS never splits over threads. A window stacks the
-    starts of up to REDUCE_BLOCK // 2**(M+1) cycles, chained this way, and
-    the gates replay the cycle over the whole stack at once, one kernel
-    call per step, with the head Bloch vector of every row reduced after
-    each step. The last row's replay stops at the run's last step. U is
-    built only when a window holds more than one start.
+    the one before. The starts are chained in extended precision
+    (_cycle_matrix) and rounded to double one by one. A window stacks up to
+    REDUCE_BLOCK // 2**(M+1) of them, and the gates replay the cycle over
+    the whole stack at once, one kernel call per step, with the head Bloch
+    vector of every row reduced after each step. The last row's replay
+    stops at the run's last step. U is built only when a window holds more
+    than one start.
 
     The norm guard checks every chained start, the state its replayed
     cycle starts from, and every replayed row where its replay ends: at
@@ -222,25 +224,70 @@ def _run_windows(config, state, bloch, drift):
     starts = (config.steps - 1) // cycle  # cycle k starts at step k * cycle
     window = REDUCE_BLOCK // size
     if starts > 1:
-        # row j is U applied to basis state j, so psi @ images is U psi
-        images = np.eye(size, dtype=complex)
-        basis = _Stack(config.num_tape_spins, images.reshape(-1))
-        for n in range(1, cycle + 1):
-            _apply_step(basis, n, config)
-    psi = state.amplitudes
+        unitary = _cycle_matrix(config, size)
+    psi = state.amplitudes.astype(np.clongdouble)
     for k0 in range(1, starts + 1, window):
         stack = np.empty((min(window, starts + 1 - k0), size), dtype=complex)
-        stack[0] = psi
-        for i in range(1, len(stack)):
-            np.dot(stack[i - 1], images, out=stack[i])
+        for k, row in enumerate(stack, k0):
+            if k > 1:
+                psi = np.dot(psi, unitary)
+            row[:] = psi
         at = (k0 + np.arange(len(stack))) * cycle
         drift = _check_norms(norm_sq_rows(stack), at, drift)
-        if k0 + len(stack) <= starts:
-            psi = stack[-1] @ images
         _replay(config, stack, k0 * cycle, bloch)
         drift = _check_norms(norm_sq_rows(stack),
                              np.minimum(at + cycle, config.steps), drift)
     return drift
+
+
+def _cycle_matrix(config, size):
+    """U in extended precision (np.clongdouble), as rows: row j is U
+    applied to basis state j, so psi @ U is U psi.
+
+    The gates' cos and sin are doubles, so a rotation scales norm² by
+    c² + s² = 1 + delta with |delta| up to a few 1e-16. Gate by gate that
+    scaling and the rounding of each step add up over a run; U applied
+    every cycle would add up its own rounding, fixed once, coherently. So
+    U is the exact product of the gates, computed by the numpy kernels in
+    extended precision and divided by the scaling: the unitary of the same
+    rotation angles. The state is never rescaled.
+
+    The gate kernels build U once more on the basis states in double,
+    through the same calls as every step. Each rotation rounds every real
+    component once per product and once per sum, |err| <= gamma_2 (|c x| +
+    |s y|), which is at most sqrt(2) gamma_2 of a row's norm; the flips are
+    exact. So the two builds must agree to sqrt(2) M gamma_2, plus the
+    same for the extended build; more means a faulty kernel, and raises
+    NumericalValidationError.
+    """
+    num = config.num_tape_spins
+    images = np.eye(size, dtype=complex)
+    basis = _Stack(num, images.reshape(-1))
+    for n in range(1, 2 * num + 1):
+        _apply_step(basis, n, config)
+    exact = np.eye(size, dtype=np.clongdouble)
+    flip = (_kernels_py.cnot_flip if config.variant == VARIANT_X
+            else _kernels_py.cnot_signed_flip)
+    scale = np.longdouble(1.0)
+    for mu, alpha in enumerate(config.alphas, 1):
+        c, s = (np.longdouble(v) for v in rotation_coefficients(alpha))
+        _kernels_py.rotate_head(exact.reshape(-1), c, s)
+        flip(exact.reshape(-1), mu)
+        scale *= c * c + s * s
+    dev = float(np.abs(images - exact).max())
+    bound = math.sqrt(2.0) * num * (_gamma2(float) + _gamma2(np.longdouble))
+    if not dev <= bound:  # a NaN fails this test too
+        raise NumericalValidationError(
+            f"gate kernels build the cycle matrix {dev:.3e} off its exact "
+            f"product (rounding allows {bound:.3e}) by step {2 * num}")
+    return exact / np.sqrt(scale)
+
+
+def _gamma2(dtype):
+    """gamma_2 = 2u / (1 - 2u) for the unit roundoff u of dtype: the
+    relative error bound of a rounded sum of two rounded products."""
+    u = float(np.finfo(dtype).eps) / 2.0
+    return 2.0 * u / (1.0 - 2.0 * u)
 
 
 def _replay(config, stack, first, bloch):

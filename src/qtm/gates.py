@@ -28,9 +28,14 @@ VARIANT_IY = "iy"
 VARIANTS = (VARIANT_X, VARIANT_IY)
 
 
-def apply_head_rotation(state: StateVector, alpha: float) -> None:
+def rotation_coefficients(alpha: float) -> tuple[float, float]:
+    """(cos(alpha/2), sin(alpha/2)), the coefficients of a head rotation."""
     half = 0.5 * float(alpha)
-    kernels.rotate_head(state.amplitudes, math.cos(half), math.sin(half))
+    return math.cos(half), math.sin(half)
+
+
+def apply_head_rotation(state: StateVector, alpha: float) -> None:
+    kernels.rotate_head(state.amplitudes, *rotation_coefficients(alpha))
 
 
 def apply_qcnot(state: StateVector, mu: int, variant: str = VARIANT_X) -> None:

@@ -37,7 +37,10 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # call per block. OpenBLAS splits a longer dot product across its threads,
 # which changes the order of summation, so the bits of a reduction (and of
 # every trajectory) would depend on the thread count; below about 10,000
-# elements it never splits.
+# elements it never splits. Other users of this size, which move with it:
+# engine.run's small-tape rule (a cycle matrix of at most REDUCE_BLOCK
+# entries, M <= 5) and its windows of at most REDUCE_BLOCK stacked
+# amplitudes, and the rows per block of io's trajectory writers.
 REDUCE_BLOCK = 8192
 
 # single-site column vectors for each tape-spec character

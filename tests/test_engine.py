@@ -20,6 +20,7 @@ from qtm import (
     run,
     run_mixed,
 )
+from qtm import recursion
 from qtm.cli import main
 from qtm.state import REDUCE_BLOCK
 
@@ -283,8 +284,10 @@ import sys
 import numpy as np
 from qtm import MachineConfig, run
 rows = []
-# M=16 steps gate by gate; M=3 runs 2000 steps on the cycle matrix
-for num, tape, steps in ((16, "zeros", 60), (3, "+-1", 2000)):
+# M=16 steps gate by gate; M=3 and M=5 (the largest cycle matrix) run
+# 2000 steps on the cycle matrix
+for num, tape, steps in ((16, "zeros", 60), (3, "+-1", 2000),
+                         (5, "+-01-", 2000)):
     traj = run(MachineConfig.uniform(num, float(sys.argv[2]), initial=tape,
                                      steps=steps))
     rows += [traj.bloch, [traj.norm_drift] * 3]
@@ -333,12 +336,13 @@ def test_norm_guard_trips_on_a_nan(monkeypatch, tmp_path, capsys):
     assert "numeric validation failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("num", [3, 6])
-def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num):
+@pytest.mark.parametrize("num, message", [
+    (3, "cycle matrix .* by step 6$"), (6, "norm² .* by step 12$")])
+def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num, message):
     # a rotation that leaks 1e-13 of the amplitude per call puts norm²
-    # 1.2e-12 off after six rotations, 12 steps at both sizes: two cycles at
-    # M=3, where U carries the leak of the three rotations it is built
-    # with, and one cycle at M=6
+    # 1.2e-12 off after six rotations, one cycle at M=6. At M=3 the cycle
+    # matrix the kernels build after the first cycle is 1.5e-13 off its
+    # exact product, where rounding allows 9.4e-16
     rotate = qtm.kernels.rotate_head
 
     def leaky(amps, c, s):
@@ -346,17 +350,16 @@ def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num):
         amps *= 1.0 + 1e-13
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", leaky)
-    with pytest.raises(NumericalValidationError, match="by step 12$"):
+    with pytest.raises(NumericalValidationError, match=message):
         run(MachineConfig.uniform(num, ALPHA, steps=100 * 2 * num))
 
 
 @pytest.mark.parametrize("bad_calls, row, step", [
-    # every rotation after the first cycle: U is built with a NaN, so the
-    # chained start of cycle 2 (step 12) has one, as the loop's would
-    (range(4, 1000), 0, 12),
-    # only the rotations that build U: the replay of the cycle from step 6
-    # is clean, the chained start at step 12 is not
-    (range(4, 7), 0, 12),
+    # every rotation after the first cycle, or only those that build U:
+    # the kernels' U is checked against its exact product when it is
+    # built, after step 6
+    (range(4, 1000), 0, 6),
+    (range(4, 7), 0, 6),
     # only the first replayed rotation, on row 4, the cycle from step 30
     ((7,), 4, 36),
     # the same on the last row, whose replay stops at the run's last step
@@ -382,6 +385,24 @@ def test_norm_guard_reports_a_later_nan_at_its_cycle_end(monkeypatch, bad_calls,
 def test_norm_drift_is_tiny():
     cfg = MachineConfig.uniform(3, ALPHA, steps=400)
     assert run(cfg).norm_drift <= 1e-12
+
+
+@pytest.mark.parametrize("num, alpha, tape, steps", [
+    (4, ALPHA, "zeros", 66000), (3, ALPHA, "+-0", 66000),
+    (4, ALPHA, "+-01", 66000), (5, ALPHA, "+-01+", 66000),
+    (2, 2.5, "11", 100000)])
+def test_small_tapes_run_past_the_loops_horizon(num, alpha, tape, steps):
+    # gate by gate, M=4 on zeros stops at step 64,888 with norm² 1e-12 off,
+    # and the next three end 66,000 steps 9e-13 off. A cycle matrix rounded
+    # to double and applied every cycle adds up its rounding: the kernels'
+    # U stopped the first four at steps 49,152, 45,018, 32,800 and 34,510,
+    # and the exact unitary, rounded once, stops the last at 33,888
+    cfg = MachineConfig.uniform(num, alpha, initial=tape, steps=steps)
+    traj = run(cfg)
+    assert traj.norm_drift <= 1e-12
+    if tape == "zeros":
+        np.testing.assert_allclose(traj.bloch, recursion.run(cfg).bloch,
+                                   rtol=0, atol=1e-12)
 
 
 class TestMixtures:
