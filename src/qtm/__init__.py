@@ -10,7 +10,7 @@ analytic periodicity classifier) and cross-checks them against each other.
 __version__ = "0.1.0"
 
 from .analysis import (CircleSet, PointSet, Spectrum, distinct_points,
-                       fit_invariant_circles, invariant_residual, spectrum)
+                       fit_invariant_circles, spectrum)
 from .engine import MachineConfig, Trajectory, run, run_mixed
 from .errors import (CircleFitError, ConfigurationError,
                      NumericalValidationError, QtmError)
@@ -21,13 +21,13 @@ from .primitives import (PeriodicityClass, all_patterns, classify, decompose,
                          detect_period_numeric, evolve_angles, period_census,
                          run_primitive, superpose)
 from .recursion import HeadRecursion, m1_closed_form
-from .state import (BlochVector, StateVector, head_bloch, inner_product,
-                    make_product_state, make_state, purity)
+from .state import (BlochVector, StateVector, head_bloch, make_product_state,
+                    make_state, purity)
 
 __all__ = [
     "__version__", "BACKEND",
-    "BlochVector", "StateVector", "head_bloch", "inner_product",
-    "make_product_state", "make_state", "purity",
+    "BlochVector", "StateVector", "head_bloch", "make_product_state",
+    "make_state", "purity",
     "apply_head_rotation", "apply_qcnot",
     "MachineConfig", "Trajectory", "run", "run_mixed",
     "PeriodicityClass", "all_patterns", "classify", "decompose",
@@ -35,7 +35,7 @@ __all__ = [
     "run_primitive", "superpose",
     "HeadRecursion", "m1_closed_form",
     "CircleSet", "PointSet", "Spectrum", "distinct_points",
-    "fit_invariant_circles", "invariant_residual", "spectrum",
+    "fit_invariant_circles", "spectrum",
     "parse_angle",
     "QtmError", "ConfigurationError", "NumericalValidationError",
     "CircleFitError",

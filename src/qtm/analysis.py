@@ -141,15 +141,6 @@ def _refit_center(pts, center, radius):
     return c
 
 
-def invariant_residual(circles: CircleSet, point) -> float:
-    """Distance of one Bloch point from the nearest fitted circle."""
-    x, y, z = point
-    if abs(x) > X_PLANE_TOL:
-        raise ConfigurationError(f"point leaves the x=0 plane (lambda_x = {x:.3e})")
-    d = np.hypot(*(circles.centers - np.array([y, z])).T)
-    return float(np.abs(d - circles.radius).min())
-
-
 @dataclass
 class Spectrum:
     """Magnitude spectra of the y and z step sequences.

@@ -12,6 +12,7 @@ The global step index is m = n + 2M*(p-1) where p counts cycles from 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -23,7 +24,8 @@ from .gates import (VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot,
                     rotation_coefficients)
 from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
                     check_state_fits, head_bloch, head_bloch_rows, head_cross,
-                    make_state, normalize_tape_spec, norm_sq_rows)
+                    make_state, normalize_tape_spec, norm_sq_rows,
+                    tape_amplitudes)
 
 NORM_TOL = 1e-12
 
@@ -52,11 +54,15 @@ class MachineConfig:
                 f"{len(self.alphas)} rotation angles for "
                 f"{self.num_tape_spins} tape spins"
             )
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        if not all(map(math.isfinite, self.alphas + (self.phi0,))):
+            raise ConfigurationError("rotation angles and phi0 must be finite")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown gate variant {self.variant!r}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ConfigurationError(f"step count {self.steps!r} is not an integer")
         if self.steps < 0:
             raise ConfigurationError("step count must be >= 0")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     @classmethod
     def uniform(cls, num_tape_spins, alpha, phi0=0.0, variant=VARIANT_X,
@@ -66,9 +72,11 @@ class MachineConfig:
                    phi0, variant, initial, steps)
 
     def resolved_initial(self):
-        """Tape spec with shorthands expanded (strings only)."""
+        """Tape spec with shorthands expanded, or the amplitude tape as
+        given once tape_amplitudes has checked it against the tape size."""
         if isinstance(self.initial, str):
             return normalize_tape_spec(self.initial, self.num_tape_spins)
+        tape_amplitudes(self.initial, self.num_tape_spins)
         return self.initial
 
     def uniform_alpha(self) -> float:

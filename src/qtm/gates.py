@@ -21,7 +21,7 @@ import math
 
 from . import kernels
 from .errors import ConfigurationError
-from .state import StateVector, tape_bit
+from .state import StateVector
 
 VARIANT_X = "x"
 VARIANT_IY = "iy"
@@ -39,11 +39,14 @@ def apply_head_rotation(state: StateVector, alpha: float) -> None:
 
 
 def apply_qcnot(state: StateVector, mu: int, variant: str = VARIANT_X) -> None:
-    bit = tape_bit(mu, state.num_tape_spins)
+    """Controlled flip of tape spin mu, which sits at index bit mu."""
+    if not 1 <= mu <= state.num_tape_spins:
+        raise ConfigurationError(
+            f"tape spin index {mu} out of range 1..{state.num_tape_spins}")
     if variant == VARIANT_X:
-        kernels.cnot_flip(state.amplitudes, bit)
+        kernels.cnot_flip(state.amplitudes, mu)
     elif variant == VARIANT_IY:
-        kernels.cnot_signed_flip(state.amplitudes, bit)
+        kernels.cnot_signed_flip(state.amplitudes, mu)
     else:
         raise ConfigurationError(f"unknown gate variant {variant!r}")
 

@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .state import REDUCE_BLOCK
 
 CSV_HEADER = "m,n,p,lambda_x,lambda_y,lambda_z"
@@ -70,24 +69,6 @@ def write_trajectory_csv(traj, path) -> None:
     write_csv(path, CSV_HEADER,
               (f"{m},{n[m]},{p[m]},{row[0]!r},{row[1]!r},{row[2]!r}"
                for m, row in _numbered_rows(traj.bloch)))
-
-
-def read_trajectory_csv(path):
-    """Parse a trajectory CSV back into arrays (m, n, p, bloch)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigurationError(f"unexpected CSV header {header!r}")
-        m, n, p, bloch = [], [], [], []
-        for line in fh:
-            fields = line.strip().split(",")
-            if len(fields) != 6:
-                raise ConfigurationError(f"malformed CSV row {line!r}")
-            m.append(int(fields[0]))
-            n.append(int(fields[1]))
-            p.append(int(fields[2]))
-            bloch.append([float(v) for v in fields[3:]])
-    return np.array(m), np.array(n), np.array(p), np.array(bloch)
 
 
 def write_trajectory_json(traj, manifest: dict, path) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .engine import MachineConfig, Trajectory
 from .errors import ConfigurationError
-from .state import check_fits, normalize_tape_spec
+from .state import check_fits, normalize_tape_spec, tape_amplitudes
 
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
@@ -273,22 +273,15 @@ def decompose(tape) -> np.ndarray:
         tape = normalize_tape_spec(tape)
         # 8-byte weights, plus the half-size vector the last kron reads
         check_fits(12 << len(tape), f"the weights of {len(tape)} tape spins")
-        per_site = {
-            "0": np.array([0.5, 0.5]),
-            "1": np.array([0.5, 0.5]),
-            "+": np.array([1.0, 0.0]),
-            "-": np.array([0.0, 1.0]),
-        }
+        per_site = {"0": [0.5, 0.5], "1": [0.5, 0.5], "+": [1.0, 0.0],
+                    "-": [0.0, 1.0]}
         w = np.ones(1)
         for ch in tape:
             w = np.kron(w, per_site[ch])
         return w
-    amps = np.asarray(tape, dtype=complex)
-    if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
-        raise ConfigurationError("tape amplitude list must have length 2**M, M >= 1")
-    num = amps.size.bit_length() - 1
-    coeffs = _sign_basis_transform(amps, num)
-    return np.abs(coeffs) ** 2
+    amps, nrm = tape_amplitudes(tape)
+    coeffs = _sign_basis_transform(amps, amps.size.bit_length() - 1)
+    return np.abs(coeffs) ** 2 / nrm
 
 
 def _sign_basis_transform(amps, num):
@@ -299,14 +292,15 @@ def _sign_basis_transform(amps, num):
     order, because the canonical pattern order puts tape spin 1 in the most
     significant position while the amplitude index keeps it in bit 0.
     """
-    v = amps.astype(complex).copy()
+    v = amps.astype(complex)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for k in range(num):
         w = v.reshape(-1, 2, 1 << k)
         a = w[:, 0].copy()
-        b = w[:, 1].copy()
-        w[:, 0] = (a + b) * inv_sqrt2
-        w[:, 1] = (a - b) * inv_sqrt2
+        w[:, 0] += w[:, 1]
+        np.subtract(a, w[:, 1], out=w[:, 1])
+        w *= inv_sqrt2
+        del a  # so no two half-size copies are ever live
     return v.reshape((2,) * num).T.ravel()
 
 
@@ -323,20 +317,26 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size < 2 or weights.size & (weights.size - 1):
         raise ConfigurationError("weight vector must have length 2**M, M >= 1")
-    if weights.min() < -1e-15 or abs(weights.sum() - 1.0) > 1e-12:
+    if not (weights.min() >= -1e-15 and abs(weights.sum() - 1.0) <= 1e-12):
         raise ConfigurationError("weights must be nonnegative and sum to 1")
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
     num = weights.size.bit_length() - 1
     used = np.flatnonzero(weights)
     sign, offset = _cycle_table(_signs(used, num))
-    w, s, o = weights[used, None], sign[:, :-1], offset[:, :-1] * alpha
-    wcos, wsin = w * np.cos(o), w * np.sin(o)
-    # y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o))
-    # z = sum w*(s*sin(theta)*sin(o) - cos(theta)*cos(o))
-    coef = np.block([[s * wcos, s * wsin], [wsin, -wcos]])
+    offset[:, :-1] *= alpha  # o; _cycle_starts reads only the last column
+    # y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o)) and
+    # z = sum w*(s*sin(theta)*sin(o) - cos(theta)*cos(o)): one table, its
+    # sin(theta) rows [s*w*cos o | s*w*sin o], cos(theta) rows [w*sin o | -w*cos o]
+    coef = np.empty((2, len(used), 2, 2 * num))
+    np.sin(offset[:, :-1], out=coef[1, :, 0])
+    np.cos(offset[:, :-1], out=coef[1, :, 1])
+    coef[1] *= weights[used, None, None]
+    np.multiply(sign[:, None, :-1], coef[1, :, ::-1], out=coef[0])
+    np.negative(coef[1, :, 1], out=coef[1, :, 1])
+    coef = coef.reshape(2 * len(used), 4 * num)
     cycles = steps // (2 * num) + 1
-    per_block = max(1, (1 << 18) // len(used))  # 2 MiB of cycle starts
+    per_block = max(1, (1 << 18) // len(used))  # ~8 live 2 MiB arrays a block
     yz = np.empty((cycles, 4 * num))
     for lo in range(0, cycles, per_block):
         sigma, k = _cycle_starts(sign, offset, lo, min(lo + per_block, cycles))
@@ -356,11 +356,11 @@ def run(config: MachineConfig) -> Trajectory:
         raise ConfigurationError(
             "the primitives engine covers the plain flip variant only"
         )
-    # per pattern: superpose's two table rows of 4M floats, the blocks
-    # np.block joins into them and as much again in per-step rows (three
-    # tables in all, as measured at M=12 and 14), and 12 bytes of weights
+    # per pattern: superpose's two table rows of 4M floats and as much
+    # again in the cycle table and per-step rows (two tables in all, as
+    # measured at M=12 and 14), and 12 bytes of weights
     num = config.num_tape_spins
-    check_fits((3 * 2 * 4 * num * 8 + 12) << num,
+    check_fits((2 * 2 * 4 * num * 8 + 12) << num,
                f"the primitive superposition of {num} tape spins")
     return superpose(decompose(config.resolved_initial()), config.phi0,
                      config.uniform_alpha(), config.steps)

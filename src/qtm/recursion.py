@@ -57,18 +57,13 @@ class HeadRecursion:
         self.z1 = -math.cos(self.alpha)
         self._tables: dict[int, list] = {}
 
-    def head_at(self, m: int, num_tape_spins: int) -> BlochVector:
-        """Head Bloch vector at step m for the all-zeros tape; x is 0."""
-        if m < 0:
-            raise ConfigurationError("step index must be >= 0")
+    def trajectory(self, steps: int, num_tape_spins: int) -> np.ndarray:
+        """Head Bloch vectors at steps 0..steps for the all-zeros tape, as
+        an array of shape (steps+1, 3); x is 0."""
+        if steps < 0:
+            raise ConfigurationError("step count must be >= 0")
         if num_tape_spins < 1:
             raise ConfigurationError("need at least one tape spin")
-        self._fill(num_tape_spins, m)
-        y, z = self._tables[num_tape_spins][m]
-        return BlochVector(0.0, y, z)
-
-    def trajectory(self, steps: int, num_tape_spins: int) -> np.ndarray:
-        """All points 0..steps as an array of shape (steps+1, 3)."""
         self._fill(num_tape_spins, steps)
         tab = self._tables[num_tape_spins][: steps + 1]
         bloch = np.zeros((steps + 1, 3))

@@ -52,16 +52,6 @@ _SITE_VECTORS = {
 }
 
 
-def tape_bit(mu: int, num_tape_spins: int) -> int:
-    """Index bit carrying tape spin mu. The mapping is the identity on
-    1..M by construction; this helper exists to validate the range."""
-    if not 1 <= mu <= num_tape_spins:
-        raise ConfigurationError(
-            f"tape spin index {mu} out of range 1..{num_tape_spins}"
-        )
-    return mu
-
-
 def normalize_tape_spec(spec: str, num_tape_spins: int | None = None) -> str:
     """Canonicalize a tape spec string.
 
@@ -171,20 +161,32 @@ def make_product_state(phi0: float, tape: str) -> StateVector:
     return StateVector(len(tape), vec)
 
 
+def tape_amplitudes(tape, num_tape_spins: int | None = None):
+    """(amplitudes, norm²) of an explicit tape, refused unless it has 2**M
+    entries, M >= 1 (M = num_tape_spins when given), and a norm² within
+    1e-9 of 1. The path that builds from it divides by the norm, once."""
+    amps = np.asarray(tape, dtype=complex)
+    num = amps.size.bit_length() - 1
+    if amps.ndim != 1 or num < 1 or amps.size != 1 << num or (
+            num_tape_spins not in (None, num)):
+        raise ConfigurationError(
+            f"tape amplitude list must have length 2**"
+            f"{num_tape_spins or 'M, M >= 1'} (got {amps.size})")
+    nrm = _vdot(amps, amps).real
+    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails this test too
+        raise ConfigurationError(f"tape amplitude list not normalized (norm² = {nrm})")
+    return amps, nrm
+
+
 def make_state(phi0: float, tape) -> StateVector:
     """Build head (x) tape with the tape given either as a spec string or as
     an explicit array of 2**M tape amplitudes (tape index bit k is spin k+1).
     """
     if isinstance(tape, str):
         return make_product_state(phi0, tape)
-    tape_amps = np.asarray(tape, dtype=complex)
-    if tape_amps.ndim != 1 or tape_amps.size < 2 or tape_amps.size & (tape_amps.size - 1):
-        raise ConfigurationError("tape amplitude list must have length 2**M, M >= 1")
+    tape_amps, nrm = tape_amplitudes(tape)
     num_tape_spins = tape_amps.size.bit_length() - 1
     check_state_fits(num_tape_spins)
-    nrm = _vdot(tape_amps, tape_amps).real
-    if abs(nrm - 1.0) > 1e-9:
-        raise ConfigurationError(f"tape amplitude list not normalized (norm² = {nrm})")
     tape_amps = tape_amps / math.sqrt(nrm)
     amps = (tape_amps[:, None] * head_vector(phi0)[None, :]).ravel()
     return StateVector(num_tape_spins, amps)
@@ -237,12 +239,6 @@ def purity(b: BlochVector) -> float:
     """Squared Bloch length; 1 for a pure head, below 1 when the head is
     entangled with the tape."""
     return b.x * b.x + b.y * b.y + b.z * b.z
-
-
-def inner_product(a: StateVector, b: StateVector):
-    if a.num_tape_spins != b.num_tape_spins:
-        raise ConfigurationError("states have different tape sizes")
-    return _vdot(a.amplitudes, b.amplitudes)
 
 
 def _vdot(a, b) -> complex:

@@ -1,7 +1,9 @@
 """Shared test support: a dense-matrix oracle for the machine, one-shot
-reference forms of the kernels and of the engine loop, a check of the |->
-tape identity against the package's own flip, and step-by-step references
-for the primitive angles and the period search.
+reference forms of the kernels, of the engine loop and of the primitive
+superposition, a check of the |-> tape identity against the package's own
+flip, step-by-step references for the primitive angles and the period
+search, and readers the tests check the package's results with (state
+overlaps, distance from fitted circles, trajectory CSV files).
 
 Everything here is deliberately naive. Gates are built as full 2**(M+1)
 square matrices by tensoring single-site operators, states evolve by plain
@@ -12,8 +14,12 @@ strided kernels and closed forms are checked.
 
 import numpy as np
 
+from qtm.analysis import X_PLANE_TOL
 from qtm.engine import Trajectory
+from qtm.errors import ConfigurationError
 from qtm.gates import apply_head_rotation, apply_qcnot
+from qtm.io import CSV_HEADER
+from qtm.primitives import _cycle_starts, _cycle_table, _signs
 from qtm.state import head_bloch, make_state
 
 I2 = np.eye(2, dtype=complex)
@@ -188,3 +194,61 @@ def exp_find_period(phis, cycle, horizon, tol):
         if np.all(np.abs(pts[s:s + cycle + 1] - window) < tol):
             return int(s)
     return None
+
+
+def one_shot_superpose(weights, phi0, alpha, steps):
+    """primitives.superpose with its coefficient table joined by np.block
+    from separate quarter arrays, as the package built it before it filled
+    one table in place; the package must equal this bit for bit."""
+    weights = np.asarray(weights, dtype=float)
+    num = weights.size.bit_length() - 1
+    used = np.flatnonzero(weights)
+    sign, offset = _cycle_table(_signs(used, num))
+    w, s, o = weights[used, None], sign[:, :-1], offset[:, :-1] * alpha
+    wcos, wsin = w * np.cos(o), w * np.sin(o)
+    coef = np.block([[s * wcos, s * wsin], [wsin, -wcos]])
+    cycles = steps // (2 * num) + 1
+    per_block = max(1, (1 << 18) // len(used))
+    yz = np.empty((cycles, 4 * num))
+    for lo in range(0, cycles, per_block):
+        sigma, k = _cycle_starts(sign, offset, lo, min(lo + per_block, cycles))
+        theta = sigma * phi0 + k * alpha
+        yz[lo:lo + per_block] = np.vstack([np.sin(theta), np.cos(theta)]).T @ coef
+    bloch = np.zeros((steps + 1, 3))
+    yz = yz.reshape(-1, 2, 2 * num).transpose(0, 2, 1).reshape(-1, 2)
+    bloch[:, 1:] = yz[:steps + 1]
+    return bloch
+
+
+def inner_product(a, b):
+    """<a|b> of two StateVectors of one tape size."""
+    if a.num_tape_spins != b.num_tape_spins:
+        raise ConfigurationError("states have different tape sizes")
+    return np.vdot(a.amplitudes, b.amplitudes)
+
+
+def invariant_residual(circles, point):
+    """Distance of one Bloch point from the nearest circle of a CircleSet."""
+    x, y, z = point
+    if abs(x) > X_PLANE_TOL:
+        raise ConfigurationError(f"point leaves the x=0 plane (lambda_x = {x:.3e})")
+    d = np.hypot(*(circles.centers - np.array([y, z])).T)
+    return float(np.abs(d - circles.radius).min())
+
+
+def read_trajectory_csv(path):
+    """Parse a trajectory CSV back into arrays (m, n, p, bloch)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ConfigurationError(f"unexpected CSV header {header!r}")
+        m, n, p, bloch = [], [], [], []
+        for line in fh:
+            fields = line.strip().split(",")
+            if len(fields) != 6:
+                raise ConfigurationError(f"malformed CSV row {line!r}")
+            m.append(int(fields[0]))
+            n.append(int(fields[1]))
+            p.append(int(fields[2]))
+            bloch.append([float(v) for v in fields[3:]])
+    return np.array(m), np.array(n), np.array(p), np.array(bloch)

@@ -20,7 +20,6 @@ from qtm import (
     Trajectory,
     distinct_points,
     fit_invariant_circles,
-    invariant_residual,
     run,
     spectrum,
     superpose,
@@ -143,7 +142,7 @@ class TestInvariantResidual:
             abs(np.hypot(*(probe - c)) - circles.radius)
             for c in circles.centers
         )
-        assert invariant_residual(
+        assert helpers.invariant_residual(
             circles, (0.0, probe[0], probe[1])
         ) == pytest.approx(expected, abs=1e-12)
 
@@ -151,7 +150,7 @@ class TestInvariantResidual:
         traj = run(MachineConfig.uniform(2, ALPHA, phi0=0.3, steps=2000))
         circles = fit_invariant_circles(traj, max_circles=8)
         for m in range(0, 2001, 97):
-            assert invariant_residual(circles, traj.bloch[m]) <= 1e-6
+            assert helpers.invariant_residual(circles, traj.bloch[m]) <= 1e-6
 
     def test_unseen_points_lie_on_the_family(self):
         # circles fitted on one run must absorb the points of a longer run:
@@ -160,13 +159,13 @@ class TestInvariantResidual:
         circles = fit_invariant_circles(short, max_circles=8)
         longer = run(MachineConfig.uniform(2, ALPHA, phi0=0.3, steps=4000))
         for m in range(1501, 4001, 53):
-            assert invariant_residual(circles, longer.bloch[m]) <= 1e-6
+            assert helpers.invariant_residual(circles, longer.bloch[m]) <= 1e-6
 
     def test_rejects_out_of_plane_point(self):
         traj = run(MachineConfig.uniform(1, ALPHA, steps=400))
         circles = fit_invariant_circles(traj, max_circles=4)
         with pytest.raises(ConfigurationError):
-            invariant_residual(circles, (0.3, 0.0, -1.0))
+            helpers.invariant_residual(circles, (0.3, 0.0, -1.0))
 
 
 class TestSpectrum:

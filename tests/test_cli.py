@@ -24,7 +24,7 @@ def test_simulate_csv_with_sidecar(tmp_path):
     argv = ["simulate", "--tape-size", "2", "--alpha", ALPHA_SRC,
             "--steps", "40", "--out", str(out)]
     assert main(argv) == 0
-    m, n, p, bloch = qio.read_trajectory_csv(str(out))
+    m, n, p, bloch = helpers.read_trajectory_csv(str(out))
     expected = run(MachineConfig.uniform(2, ALPHA, steps=40)).bloch
     np.testing.assert_array_equal(bloch, expected)
 
@@ -56,8 +56,8 @@ def test_alternate_engines_agree_with_statevector(alt, tmp_path):
     ref, other = tmp_path / "sv.csv", tmp_path / "alt.csv"
     assert main(["simulate", *common, "--out", str(ref)]) == 0
     assert main(["simulate", *common, "--engine", alt, "--out", str(other)]) == 0
-    *_, ref_bloch = qio.read_trajectory_csv(str(ref))
-    *_, alt_bloch = qio.read_trajectory_csv(str(other))
+    *_, ref_bloch = helpers.read_trajectory_csv(str(ref))
+    *_, alt_bloch = helpers.read_trajectory_csv(str(other))
     np.testing.assert_allclose(alt_bloch, ref_bloch, atol=1e-9)
 
 
@@ -68,8 +68,8 @@ def test_primitives_engine_handles_sign_tapes(tmp_path):
     assert main(["simulate", *common, "--out", str(ref)]) == 0
     assert main(["simulate", *common, "--engine", "primitives",
                  "--out", str(other)]) == 0
-    *_, ref_bloch = qio.read_trajectory_csv(str(ref))
-    *_, alt_bloch = qio.read_trajectory_csv(str(other))
+    *_, ref_bloch = helpers.read_trajectory_csv(str(ref))
+    *_, alt_bloch = helpers.read_trajectory_csv(str(other))
     np.testing.assert_allclose(alt_bloch, ref_bloch, atol=1e-10)
 
 
@@ -97,7 +97,7 @@ def test_primitives_subcommand(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["primitives", "--pattern=-+", "--alpha", ALPHA_SRC,
                  "--steps", "20", "--out", str(out)]) == 0
-    *_, bloch = qio.read_trajectory_csv(str(out))
+    *_, bloch = helpers.read_trajectory_csv(str(out))
     assert bloch.shape == (21, 3)
     assert np.all(bloch[:, 0] == 0.0)
 

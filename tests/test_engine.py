@@ -461,6 +461,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             run(cfg)
 
+    @pytest.mark.parametrize("alpha, phi0", [
+        (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_angles(self, alpha, phi0):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            MachineConfig.uniform(2, alpha, phi0=phi0, steps=5)
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            MachineConfig(2, (1.0, alpha), phi0=phi0, steps=5)
+
+    def test_fractional_steps(self):
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            MachineConfig.uniform(2, 1.0, steps=10.5)
+
+    def test_numpy_integer_steps(self):
+        cfg = MachineConfig.uniform(2, ALPHA, steps=np.int64(9))
+        np.testing.assert_array_equal(
+            run(cfg).bloch, run(MachineConfig.uniform(2, ALPHA, steps=9)).bloch)
+
 
 def test_zero_steps_yields_initial_point_only():
     cfg = MachineConfig.uniform(2, ALPHA, phi0=0.7, steps=0)

@@ -29,7 +29,7 @@ def test_step_labels_schedule():
 def test_csv_round_trip_bit_exact(traj, tmp_path):
     path = tmp_path / "t.csv"
     qio.write_trajectory_csv(traj, str(path))
-    m, n, p, bloch = qio.read_trajectory_csv(str(path))
+    m, n, p, bloch = helpers.read_trajectory_csv(str(path))
     np.testing.assert_array_equal(m, np.arange(26))
     np.testing.assert_array_equal(bloch, traj.bloch)
     # labels reproduce the engine schedule
@@ -57,11 +57,11 @@ def test_csv_reader_rejects_foreign_files(tmp_path):
     bad = tmp_path / "x.csv"
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigurationError):
-        qio.read_trajectory_csv(str(bad))
+        helpers.read_trajectory_csv(str(bad))
     truncated = tmp_path / "y.csv"
     truncated.write_text(qio.CSV_HEADER + "\n0,0,0,0.0,0.0\n")
     with pytest.raises(ConfigurationError):
-        qio.read_trajectory_csv(str(truncated))
+        helpers.read_trajectory_csv(str(truncated))
 
 
 def test_json_schema(traj, tmp_path):

@@ -371,6 +371,49 @@ class TestDecompose:
         with pytest.raises(ConfigurationError):
             decompose(np.ones(3) / math.sqrt(3))
 
+    def test_unnormalized_tape_is_refused_like_make_state(self):
+        for call in (decompose, lambda tape: make_state(0.0, tape)):
+            with pytest.raises(ConfigurationError,
+                               match=r"not normalized \(norm² = 4.0\)"):
+                call([2, 0, 0, 0])
+
+
+class TestAmplitudeTapes:
+    """An explicit tape is checked one way, so every run path accepts and
+    refuses the same tapes."""
+
+    PATHS = (run, primitives.run)
+
+    @pytest.mark.parametrize("num, size", [(3, 4), (1, 8), (2, 2)])
+    def test_length_must_match_the_tape_size(self, num, size):
+        tape = np.zeros(size)
+        tape[0] = 1.0
+        cfg = MachineConfig.uniform(num, ALPHA, initial=tape, steps=10)
+        for path in self.PATHS:
+            with pytest.raises(ConfigurationError,
+                               match=f"length 2\\*\\*{num} \\(got {size}\\)"):
+                path(cfg)
+
+    def test_nearly_normalized_tape_runs_on_every_path(self):
+        tape = np.array([0.6, 0.0, 0.0, 0.8]) * math.sqrt(1 + 1e-10)
+        cfg = MachineConfig.uniform(2, ALPHA, phi0=0.4, initial=tape,
+                                    steps=500)
+        engine, prim = (path(cfg).bloch for path in self.PATHS)
+        np.testing.assert_allclose(prim, engine, rtol=0, atol=1e-12)
+        exact = MachineConfig.uniform(2, ALPHA, phi0=0.4,
+                                      initial=np.array([0.6, 0, 0, 0.8]),
+                                      steps=500)
+        np.testing.assert_allclose(engine, run(exact).bloch, rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1 + 1e-8, math.nan])
+    def test_unnormalized_tape_is_refused_on_every_path(self, scale):
+        cfg = MachineConfig.uniform(2, ALPHA, initial=np.array([scale, 0, 0, 0]),
+                                    steps=5)
+        for path in self.PATHS:
+            with pytest.raises(ConfigurationError, match="not normalized"):
+                path(cfg)
+
 
 class TestSuperpose:
     def test_one_hot_weights_reduce_to_the_primitive(self):
@@ -437,6 +480,34 @@ class TestSuperpose:
             traj.bloch, HeadRecursion(ALPHA).trajectory(2000, 14),
             rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("num, steps", [(1, 5000), (3, 20000),
+                                            (8, 3000), (12, 40)])
+    @pytest.mark.parametrize("phi0", [0.0, 1.234])
+    def test_table_filled_in_place_equals_the_block_form(self, num, steps,
+                                                         phi0):
+        rng = np.random.default_rng(num)
+        weights = rng.random(2 ** num)
+        weights[rng.random(2 ** num) < 0.25] = 0.0  # patterns left out
+        weights[0], weights[-1] = 1.0, 0.0
+        weights /= weights.sum()
+        np.testing.assert_array_equal(
+            superpose(weights, phi0, ALPHA, steps).bloch,
+            helpers.one_shot_superpose(weights, phi0, ALPHA, steps))
+
+    def test_memory_estimate_covers_the_measured_peak(self, monkeypatch):
+        estimates = []
+        monkeypatch.setattr(primitives, "check_fits",
+                            lambda need, what: estimates.append(need))
+        cfg = MachineConfig.uniform(12, ALPHA, steps=1)
+        tracemalloc.start()
+        try:
+            primitives.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 2 ** 13 * 4 * 12 * 8
+        assert table < peak <= estimates[0]
+
     def test_zero_steps_and_mid_cycle_stop(self):
         w = decompose("0+1")
         for steps in (0, 1, 7):
@@ -479,6 +550,8 @@ class TestSuperpose:
             superpose([0.5, 0.25, 0.25], 0.0, 1.0, 5)
         with pytest.raises(ConfigurationError):
             superpose([0.5, 0.5], 0.0, 1.0, -1)
+        with pytest.raises(ConfigurationError):
+            superpose([math.nan, 1.0], 0.0, 1.0, 5)
 
 
 def test_every_path_reports_its_tape_size():

@@ -18,10 +18,10 @@ ALPHA = helpers.ALPHA
 def test_seed_values():
     rec = HeadRecursion(ALPHA)
     for num in (1, 2, 5):
-        assert rec.head_at(0, num) == (0.0, 0.0, -1.0)
+        traj = rec.trajectory(1, num)
+        np.testing.assert_array_equal(traj[0], (0.0, 0.0, -1.0))
         np.testing.assert_allclose(
-            rec.head_at(1, num), (0.0, math.sin(ALPHA), -math.cos(ALPHA)),
-            atol=1e-15,
+            traj[1], (0.0, math.sin(ALPHA), -math.cos(ALPHA)), atol=1e-15,
         )
 
 
@@ -30,7 +30,7 @@ def test_first_flip_single_spin():
     # equal mix of reflected angles) and keeps z
     rec = HeadRecursion(ALPHA)
     np.testing.assert_allclose(
-        rec.head_at(2, 1), (0.0, 0.0, -math.cos(ALPHA)), atol=1e-15
+        rec.trajectory(2, 1)[2], (0.0, 0.0, -math.cos(ALPHA)), atol=1e-15
     )
 
 
@@ -44,20 +44,24 @@ def test_recursion_matches_engine(num, alpha):
 
 
 def test_trajectory_equals_pointwise_queries():
+    # a long trajectory holds, bit for bit, the last point of every
+    # shorter one, whether asked of the same instance or a fresh one
     rec = HeadRecursion(1.3)
     traj = rec.trajectory(60, 3)
     for m in (0, 1, 7, 33, 60):
-        np.testing.assert_array_equal(traj[m], np.asarray(rec.head_at(m, 3)))
+        np.testing.assert_array_equal(traj[m], rec.trajectory(m, 3)[-1])
+        np.testing.assert_array_equal(traj[m],
+                                      HeadRecursion(1.3).trajectory(m, 3)[-1])
 
 
 def test_query_order_does_not_matter():
     a = HeadRecursion(ALPHA)
     b = HeadRecursion(ALPHA)
-    far = a.head_at(500, 4)
-    a_near = a.head_at(17, 4)
-    b_near = b.head_at(17, 4)
-    assert a_near == b_near
-    assert far == b.head_at(500, 4)
+    far = a.trajectory(500, 4)
+    a_near = a.trajectory(17, 4)
+    b_near = b.trajectory(17, 4)
+    np.testing.assert_array_equal(a_near, b_near)
+    np.testing.assert_array_equal(far, b.trajectory(500, 4))
 
 
 def test_points_stay_inside_the_disc():
@@ -68,8 +72,14 @@ def test_points_stay_inside_the_disc():
 
 def test_internal_tables_follow_the_size_chain():
     rec = HeadRecursion(ALPHA)
-    rec.head_at(2000, 6)
+    rec.trajectory(2000, 6)
     assert set(rec._tables) == {6, 4, 2}
+
+
+@pytest.mark.parametrize("steps, num", [(10, 0), (10, -2), (-1, 2)])
+def test_trajectory_refuses_bad_arguments(steps, num):
+    with pytest.raises(ConfigurationError):
+        HeadRecursion(1.0).trajectory(steps, num)
 
 
 class TestRunAdapter:

@@ -6,9 +6,10 @@ import pytest
 
 import helpers
 from qtm.errors import ConfigurationError
-from qtm.state import (BlochVector, StateVector, head_bloch, inner_product,
+from qtm.gates import apply_qcnot
+from qtm.state import (BlochVector, StateVector, head_bloch,
                        make_product_state, make_state, normalize_tape_spec,
-                       purity, tape_bit)
+                       purity)
 
 
 def test_all_zeros_product_state():
@@ -82,21 +83,21 @@ def test_construction_is_normalized():
 
 def test_inner_product_basics():
     s = make_product_state(0.4, "+-0")
-    assert inner_product(s, s) == pytest.approx(1.0, abs=1e-12)
+    assert helpers.inner_product(s, s) == pytest.approx(1.0, abs=1e-12)
     plus = make_product_state(0.4, "+")
     minus = make_product_state(0.4, "-")
-    assert abs(inner_product(plus, minus)) == pytest.approx(0.0, abs=1e-15)
+    assert abs(helpers.inner_product(plus, minus)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_inner_product_plus_tape_overlap():
     zeros = make_product_state(0.0, "00")
     mixed = make_product_state(0.0, "+0")
-    assert inner_product(zeros, mixed) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert helpers.inner_product(zeros, mixed) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 def test_inner_product_dimension_mismatch():
     with pytest.raises(ConfigurationError):
-        inner_product(make_product_state(0, "0"), make_product_state(0, "00"))
+        helpers.inner_product(make_product_state(0, "0"), make_product_state(0, "00"))
 
 
 def test_purity_extremes():
@@ -164,8 +165,13 @@ def test_memory_guard_compares_with_physical_memory(monkeypatch):
 
 
 def test_tape_bit_mapping():
-    assert [tape_bit(mu, 4) for mu in range(1, 5)] == [1, 2, 3, 4]
-    with pytest.raises(ConfigurationError):
-        tape_bit(0, 4)
-    with pytest.raises(ConfigurationError):
-        tape_bit(5, 4)
+    # tape spin mu sits at index bit mu: with the head at |0>, flipping
+    # spin mu of the all-zeros tape moves the amplitude to index 2**mu
+    for mu in range(1, 5):
+        s = make_product_state(0.0, "0000")
+        apply_qcnot(s, mu)
+        assert np.flatnonzero(s.amplitudes).tolist() == [1 << mu]
+    s = make_product_state(0.0, "0000")
+    for mu in (0, 5):
+        with pytest.raises(ConfigurationError, match="out of range 1..4"):
+            apply_qcnot(s, mu)
