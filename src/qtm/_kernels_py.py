@@ -1,61 +1,81 @@
 """Numpy gate kernels, used when the compiled extension is unavailable.
 
-All kernels mutate the flat amplitude array in place and must match the
-compiled versions (_kernels_c.c) bit for bit. Head is index bit 0, tape spin
-mu is index bit mu.
+All kernels mutate amps in place and must match the compiled versions
+(_kernels_c.c) bit for bit. The last axis of amps is one state, and any
+leading axes are a stack of states the kernel treats alike. A state of M
+tape spins is head-major: amplitude t + h * 2**M is head h, tape t, with
+tape spin mu at bit mu-1 of t. So the first half of a state holds its
+head-0 amplitudes and the second half its head-1 amplitudes.
 
 Each kernel applies its elementwise formula one block of at most BLOCK
-amplitudes at a time, so the temporaries numpy makes for a block stay in
-cache instead of streaming state-sized arrays through memory. Blocking only
-regroups independent elementwise work; every amplitude gets the same
-operations as in one whole-array pass.
+amplitudes at a time, so the scratch a block needs stays in cache instead
+of streaming state-sized arrays through memory. Blocking only regroups
+independent elementwise work; every amplitude gets the same operations as
+in one whole-array pass.
 """
 
 import numpy as np
 
-# amplitudes per block: 512 KiB of state, so a block and its temporaries fit
+# amplitudes per block: 512 KiB of state, so a block and its scratch fit
 # in a core's L2 cache
 BLOCK = 1 << 15
 
 
+def _blocks(v):
+    """v, a (rows, groups, 2, width) view, as blocks of at most BLOCK
+    amplitudes: whole rows while a row fits, whole groups of one row while
+    a group fits, and slices of one group's width otherwise."""
+    rows, groups, _, width = v.shape
+    if v.size <= BLOCK:
+        yield v
+        return
+    r = max(1, BLOCK // (2 * width * groups))
+    g = max(1, BLOCK // (2 * width))
+    w = min(width, BLOCK // 2)
+    for i in range(0, rows, r):
+        for k in range(0, groups, g):
+            for j in range(0, width, w):
+                yield v[i:i + r, k:k + g, :, j:j + w]
+
+
 def rotate_head(amps, c, s):
-    # head pairs are contiguous (stride 1): view as (pairs, 2)
-    pairs = amps.reshape(-1, 2)
-    for i in range(0, len(pairs), BLOCK // 2):
-        v = pairs[i:i + BLOCK // 2]
-        a0 = c * v[:, 0] - 1j * s * v[:, 1]
-        v[:, 1] = -1j * s * v[:, 0] + c * v[:, 1]
-        v[:, 0] = a0
+    # (a0, a1) -> (c a0 - 1j s a1, -1j s a0 + c a1), a0 and a1 the two
+    # halves of every state: the same complex-scalar products as the
+    # whole-array formula, each written into scratch of amps.dtype
+    w, u = 1j * s, -1j * s
+    scratch = None
+    for b in _blocks(amps.reshape(-1, 1, 2, amps.shape[-1] // 2)):
+        a0, a1 = b[:, :, 0], b[:, :, 1]
+        if scratch is None:
+            scratch = np.empty((2,) + a0.shape, amps.dtype)
+        t, r = scratch[0, :len(a0)], scratch[1, :len(a0)]
+        np.multiply(w, a1, out=t)
+        np.multiply(u, a0, out=r)
+        np.multiply(c, a0, out=a0)
+        np.subtract(a0, t, out=a0)
+        np.multiply(c, a1, out=a1)
+        np.add(r, a1, out=a1)
 
 
 def _flip_blocks(amps, mu):
-    """The head-0 amplitudes of amps, viewed as (groups, 2, k) with axis 1
-    the tape bit mu, one block at a time.
-
-    Amplitudes come in groups of 2**(mu+1); even offsets within a group are
-    head-0. A block holds whole groups while a group fits in BLOCK, and a
-    slice of the inner axis of every group otherwise.
-    """
-    half = 1 << mu
-    v = amps.reshape(-1, 2, half)
-    groups = max(1, BLOCK // (2 * half))
-    width = min(half, BLOCK // 2)
-    for g in range(0, v.shape[0], groups):
-        for j in range(0, half, width):
-            yield v[g:g + groups, :, j:j + width:2]
+    """The head-0 half of every state, viewed as (rows, groups, 2, run)
+    with axis 2 the tape bit mu-1 and run = 2**(mu-1), one block at a time."""
+    run = 1 << (mu - 1)
+    v = amps.reshape(-1, 2, amps.shape[-1] // (4 * run), 2, run)[:, 0]
+    return _blocks(v)
 
 
 def cnot_flip(amps, mu):
-    # swap the tape-bit-mu pair wherever the head bit is 0
+    # swap the runs of every head-0 half that differ in spin mu
     for h0 in _flip_blocks(amps, mu):
-        t = h0[:, 0].copy()
-        h0[:, 0] = h0[:, 1]
-        h0[:, 1] = t
+        t = h0[:, :, 0].copy()
+        h0[:, :, 0] = h0[:, :, 1]
+        h0[:, :, 1] = t
 
 
 def cnot_signed_flip(amps, mu):
-    # signed variant: (t0, t1) -> (-t1, t0) on the head-0 block
+    # signed variant: (t0, t1) -> (-t1, t0) on the head-0 half
     for h0 in _flip_blocks(amps, mu):
-        t = h0[:, 0].copy()
-        np.negative(h0[:, 1], out=h0[:, 0])
-        h0[:, 1] = t
+        t = h0[:, :, 0].copy()
+        np.negative(h0[:, :, 1], out=h0[:, :, 0])
+        h0[:, :, 1] = t

@@ -136,10 +136,10 @@ def run(config: MachineConfig) -> Trajectory:
     A tape given as a spec string is a product state, and the head reaches
     spin mu first at the flip of step 2*mu. Until then spin mu is still in
     its initial single-site state, so the state starts as the head plus
-    spin 1 and gains spin mu (as the new top index bit, exactly where the
-    full layout has it) just before that first flip. A run shorter than one
-    cycle never holds the full state, and no first-cycle step works on
-    amplitudes the head has not reached. An explicit amplitude tape may be
+    spin 1 and gains spin mu (as the new top tape bit, just below the head
+    bit, where the full layout has it) just before that first flip. A run
+    shorter than one cycle never holds the full state, and no first-cycle
+    step works on amplitudes the head has not reached. An explicit amplitude tape may be
     entangled and starts at full size.
 
     On a small tape, whose cycle matrix of 4**(M+1) entries fits in
@@ -192,9 +192,9 @@ def run(config: MachineConfig) -> Trajectory:
 
 
 class _Stack(NamedTuple):
-    """States of num_tape_spins tape spins stored one after another in one
-    flat amplitude array. The gates read only these two fields, and every
-    kernel acts on each 2**(M+1)-amplitude state of the stack alike."""
+    """States of num_tape_spins tape spins, one per row of a C-contiguous
+    (rows, 2**(M+1)) amplitude array. The gates read only these two
+    fields, and every kernel acts on each row of the stack alike."""
 
     num_tape_spins: int
     amplitudes: np.ndarray
@@ -270,17 +270,16 @@ def _cycle_matrix(config, size):
     """
     num = config.num_tape_spins
     images = np.eye(size, dtype=complex)
-    basis = _Stack(num, images.reshape(-1))
     for n in range(1, 2 * num + 1):
-        _apply_step(basis, n, config)
+        _apply_step(_Stack(num, images), n, config)
     exact = np.eye(size, dtype=np.clongdouble)
     flip = (_kernels_py.cnot_flip if config.variant == VARIANT_X
             else _kernels_py.cnot_signed_flip)
     scale = np.longdouble(1.0)
     for mu, alpha in enumerate(config.alphas, 1):
         c, s = (np.longdouble(v) for v in rotation_coefficients(alpha))
-        _kernels_py.rotate_head(exact.reshape(-1), c, s)
-        flip(exact.reshape(-1), mu)
+        _kernels_py.rotate_head(exact, c, s)
+        flip(exact, mu)
         scale *= c * c + s * s
     dev = float(np.abs(images - exact).max())
     bound = math.sqrt(2.0) * num * (_gamma2(float) + _gamma2(np.longdouble))
@@ -303,15 +302,13 @@ def _replay(config, stack, first, bloch):
     first + k * cycle, and record the head after each step; the last row
     stops at the run's last step."""
     cycle = 2 * config.num_tape_spins
-    rows, size = stack.shape
+    rows = len(stack)
     last_n = len(bloch) - 1 - first - (rows - 1) * cycle
-    flat = stack.reshape(-1)
     for n in range(1, cycle + 1):
         active = rows if n <= last_n else rows - 1
         if not active:
             break
-        _apply_step(_Stack(config.num_tape_spins, flat[:active * size]), n,
-                    config)
+        _apply_step(_Stack(config.num_tape_spins, stack[:active]), n, config)
         bloch[first + n:first + n + active * cycle:cycle] = head_bloch_rows(
             stack[:active])
 

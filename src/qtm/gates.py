@@ -39,7 +39,7 @@ def apply_head_rotation(state: StateVector, alpha: float) -> None:
 
 
 def apply_qcnot(state: StateVector, mu: int, variant: str = VARIANT_X) -> None:
-    """Controlled flip of tape spin mu, which sits at index bit mu."""
+    """Controlled flip of tape spin mu, which sits at index bit mu-1."""
     if not 1 <= mu <= state.num_tape_spins:
         raise ConfigurationError(
             f"tape spin index {mu} out of range 1..{state.num_tape_spins}")

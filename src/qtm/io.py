@@ -65,10 +65,17 @@ def _numbered_rows(bloch):
 
 
 def write_trajectory_csv(traj, path) -> None:
-    n, p = step_labels(len(traj.bloch), traj.num_tape_spins)
-    write_csv(path, CSV_HEADER,
-              (f"{m},{n[m]},{p[m]},{row[0]!r},{row[1]!r},{row[2]!r}"
-               for m, row in _numbered_rows(traj.bloch)))
+    """The header, then one row m,n,p,x,y,z per step, written as one
+    string per block of REDUCE_BLOCK rows (floats by repr)."""
+    bloch = traj.bloch
+    n, p = step_labels(len(bloch), traj.num_tape_spins)
+    fmt = "{},{},{},{!r},{!r},{!r}\n".format
+    with _open_out(path) as fh:
+        fh.write(CSV_HEADER + "\n")
+        for s in range(0, len(bloch), REDUCE_BLOCK):
+            e = s + REDUCE_BLOCK
+            fh.write("".join(map(fmt, range(s, e), n[s:e].tolist(),
+                                 p[s:e].tolist(), *bloch[s:e].T.tolist())))
 
 
 def write_trajectory_json(traj, manifest: dict, path) -> None:

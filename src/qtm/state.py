@@ -1,9 +1,12 @@
 """Network state of the spin Turing machine.
 
 The machine is one distinguished head spin plus M tape spins, stored as a
-flat array of 2**(M+1) complex amplitudes. Index bit 0 selects the head
-component and index bit mu (1 <= mu <= M) selects tape spin mu, so the
-amplitude of |head=h, tape=b_M..b_1> sits at index h + sum(b_mu * 2**mu).
+flat array of 2**(M+1) complex amplitudes, head-major: the amplitude of
+|head=h, tape=b_M..b_1> sits at index t + h * 2**M, with tape spin mu
+(1 <= mu <= M) at bit mu-1 of t = sum(b_mu * 2**(mu-1)). So amps[:2**M]
+holds the head-0 amplitudes and amps[2**M:] the head-1 amplitudes, each
+half in tape order, and every gate and head reduction reads them at unit
+stride.
 
 The single-spin operators used throughout are
 
@@ -29,14 +32,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-HEAD_BIT = 0
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 # Sums over amplitudes are taken in blocks of this many elements, one BLAS
-# call per block. OpenBLAS splits a longer dot product across its threads,
-# which changes the order of summation, so the bits of a reduction (and of
-# every trajectory) would depend on the thread count; below about 10,000
+# call per block over a contiguous run (a head half, or a whole state).
+# OpenBLAS splits a longer dot product across its threads, which changes
+# the order of summation, so the bits of a reduction (and of every
+# trajectory) would depend on the thread count; below about 10,000
 # elements it never splits. Other users of this size, which move with it:
 # engine.run's small-tape rule (a cycle matrix of at most REDUCE_BLOCK
 # entries, M <= 5) and its windows of at most REDUCE_BLOCK stacked
@@ -120,14 +122,28 @@ def head_vector(phi0: float) -> np.ndarray:
     )
 
 
+def _read_meminfo() -> str:
+    with open("/proc/meminfo", encoding="ascii") as fh:
+        return fh.read()
+
+
 def check_fits(need: int, what: str) -> None:
     """Refuse a computation whose estimated footprint of `need` bytes
-    exceeds physical memory, before anything of that size is allocated."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    exceeds the physical memory available (MemAvailable of /proc/meminfo,
+    what the kernel can hand out without swapping), before anything of
+    that size is allocated. Where /proc/meminfo cannot be read, the budget
+    is all of physical memory."""
+    try:
+        line = next(ln for ln in _read_meminfo().splitlines()
+                    if ln.startswith("MemAvailable:"))
+        have, of = int(line.split()[1]) << 10, "physical memory available"
+    except (OSError, StopIteration, IndexError, ValueError):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        of = "physical memory"
     if need > have:
         raise ConfigurationError(
             f"{what} need {need / 2**20:,.0f} MiB, "
-            f"more than the {have / 2**20:,.0f} MiB of physical memory"
+            f"more than the {have / 2**20:,.0f} MiB of {of}"
         )
 
 
@@ -135,15 +151,16 @@ def check_state_fits(num_tape_spins: int) -> None:
     """Refuse a state whose 16*2**(M+1) bytes of complex128 amplitudes,
     plus the half-size array it is built from (the state before
     add_tape_spin's last spin, or make_state's tape amplitudes), exceed
-    physical memory."""
+    the memory available (check_fits)."""
     check_fits(24 << (num_tape_spins + 1), f"{num_tape_spins} tape spins")
 
 
 def add_tape_spin(amps: np.ndarray, ch: str) -> np.ndarray:
     """amps with one more tape spin, in the single-site state of spec
-    character ch, as the new top index bit: the layout puts spin mu at bit
-    mu, so the spin after the last one goes on top."""
-    return np.kron(_SITE_VECTORS[ch], amps)
+    character ch, as the new top tape bit, between the tape and the head
+    bit: new[h, b, t] = site[b] * old[h, t], the products np.kron forms."""
+    site = _SITE_VECTORS[ch]
+    return (site[None, :, None] * amps.reshape(2, 1, -1)).reshape(-1)
 
 
 def make_product_state(phi0: float, tape: str) -> StateVector:
@@ -188,24 +205,24 @@ def make_state(phi0: float, tape) -> StateVector:
     num_tape_spins = tape_amps.size.bit_length() - 1
     check_state_fits(num_tape_spins)
     tape_amps = tape_amps / math.sqrt(nrm)
-    amps = (tape_amps[:, None] * head_vector(phi0)[None, :]).ravel()
+    amps = (tape_amps[None, :] * head_vector(phi0)[:, None]).reshape(-1)
     return StateVector(num_tape_spins, amps)
 
 
 def head_bloch(state: StateVector) -> BlochVector:
     """Bloch vector of the head spin, summed over all tape configurations.
 
-    Equivalent to tracing out the tape: with amplitude pairs (a0, a1) over
-    head bit for each tape configuration,
+    Equivalent to tracing out the tape: with a0 and a1 the head-0 and
+    head-1 halves of the state, paired by tape configuration,
 
         x = 2 Re sum(conj(a0) a1)
         y = -2 Im sum(conj(a0) a1)
         z = sum |a1|² - sum |a0|²
     """
-    amps = state.amplitudes
-    cross = head_cross(state)
-    p0 = _vdot(amps[0::2], amps[0::2]).real
-    p1 = _vdot(amps[1::2], amps[1::2]).real
+    a0, a1 = _halves(state.amplitudes)
+    cross = _vdot(a0, a1)
+    p0 = _vdot(a0, a0).real
+    p1 = _vdot(a1, a1).real
     return BlochVector(2.0 * cross.real, -2.0 * cross.imag, p1 - p0)
 
 
@@ -214,7 +231,7 @@ def head_bloch_rows(rows: np.ndarray) -> np.ndarray:
     amplitudes, as a (states, 3) array. einsum sums each row in its own C
     loop, with no BLAS call whose summation order could depend on the
     thread count."""
-    a0, a1 = rows[:, 0::2], rows[:, 1::2]
+    a0, a1 = _halves(rows)
     c0 = a0.conj()
     cross = np.einsum("ij,ij->i", c0, a1)
     p0 = np.einsum("ij,ij->i", c0, a0).real
@@ -231,8 +248,13 @@ def norm_sq_rows(rows: np.ndarray) -> np.ndarray:
 def head_cross(state: StateVector) -> complex:
     """sum(conj(a0) a1) over the head pairs (a0, a1), the one sum behind
     the x and y of head_bloch."""
-    amps = state.amplitudes
-    return _vdot(amps[0::2], amps[1::2])
+    return _vdot(*_halves(state.amplitudes))
+
+
+def _halves(amps):
+    """The head-0 and head-1 halves of amps' last axis."""
+    half = amps.shape[-1] // 2
+    return amps[..., :half], amps[..., half:]
 
 
 def purity(b: BlochVector) -> float:

@@ -9,11 +9,16 @@ Everything here is deliberately naive. Gates are built as full 2**(M+1)
 square matrices by tensoring single-site operators, states evolve by plain
 matrix-vector products, and the head Bloch vector comes from the reduced
 density matrix. Slow, but an independent path against which the package's
-strided kernels and closed forms are checked.
+kernels and closed forms are checked.
+
+States use the package's head-major layout: index t + h * 2**M, tape spin
+mu at bit mu-1 of t and the head at bit M, the top bit, so raw amplitudes
+compare directly.
 """
 
 import numpy as np
 
+import qtm.state
 from qtm.analysis import X_PLANE_TOL
 from qtm.engine import Trajectory
 from qtm.errors import ConfigurationError
@@ -48,29 +53,33 @@ def op_on_bit(u, bit, nbits):
 
 
 def dense_rotation(alpha, nbits):
-    return np.cos(alpha / 2) * np.eye(2 ** nbits) - 1j * np.sin(alpha / 2) * op_on_bit(LX, 0, nbits)
+    head = nbits - 1
+    return np.cos(alpha / 2) * np.eye(2 ** nbits) - 1j * np.sin(alpha / 2) * op_on_bit(LX, head, nbits)
 
 
 def dense_qcnot(mu, nbits, variant="x"):
     flip = LX if variant == "x" else 1j * LY
-    return op_on_bit(P00, 0, nbits) @ op_on_bit(flip, mu, nbits) + op_on_bit(P11, 0, nbits)
+    head = nbits - 1
+    return (op_on_bit(P00, head, nbits) @ op_on_bit(flip, mu - 1, nbits)
+            + op_on_bit(P11, head, nbits))
 
 
 def dense_product_state(phi0, tape):
     """Head at phi0 times the tape: a spec string, or an array of 2**M
     tape amplitudes (tape index bit k is spin k+1)."""
-    vec = np.array([np.cos(phi0 / 2), -1j * np.sin(phi0 / 2)], dtype=complex)
+    head = np.array([np.cos(phi0 / 2), -1j * np.sin(phi0 / 2)], dtype=complex)
     if not isinstance(tape, str):
-        return np.kron(tape, vec)
+        return np.kron(head, tape)
+    vec = np.ones(1, dtype=complex)
     for ch in tape:
         vec = np.kron(SITE[ch], vec)
-    return vec
+    return np.kron(head, vec)
 
 
 def dense_head_bloch(amps):
     """Bloch vector from the reduced head density matrix."""
-    pairs = amps.reshape(-1, 2)
-    rho = pairs.T @ pairs.conj()
+    halves = amps.reshape(2, -1)
+    rho = halves @ halves.conj().T
     return np.array([
         np.trace(rho @ LX).real,
         np.trace(rho @ LY).real,
@@ -99,6 +108,14 @@ def dense_run(phi0, tape, alpha, steps, variant="x"):
     return bloch
 
 
+def one_mib_available(monkeypatch):
+    """Make check_fits see a host whose /proc/meminfo reports 1 MiB of
+    memory available out of 8 GiB."""
+    monkeypatch.setattr(qtm.state, "_read_meminfo", lambda: (
+        "MemTotal:        8388608 kB\nMemFree:          1024 kB\n"
+        "MemAvailable:     1024 kB\n"))
+
+
 def random_state(nbits, rng):
     amps = rng.normal(size=2 ** nbits) + 1j * rng.normal(size=2 ** nbits)
     return amps / np.linalg.norm(amps)
@@ -116,33 +133,40 @@ def qcnot_minus_defect(state, mu):
     flipped = state.copy()
     apply_qcnot(flipped, mu)
     headz = state.copy()
-    headz.amplitudes[0::2] *= -1.0
+    headz.amplitudes[:headz.amplitudes.size // 2] *= -1.0
     return float(abs(flipped.amplitudes - headz.amplitudes).max())
 
 
-# The kernel formulas applied to the whole array in one pass. The package's
-# numpy kernels apply the same formulas block by block and must equal these
-# bit for bit.
+# The kernel formulas applied to the whole array in one pass, on a state or
+# a stack of states (the last axis). The package's numpy kernels apply the
+# same formulas block by block and must equal these bit for bit.
 
 def one_shot_rotate_head(amps, c, s):
-    v = amps.reshape(-1, 2)
+    v = amps.reshape(-1, 2, amps.shape[-1] // 2)
     a0 = c * v[:, 0] - 1j * s * v[:, 1]
     v[:, 1] = -1j * s * v[:, 0] + c * v[:, 1]
     v[:, 0] = a0
 
 
+def _head0_runs(amps, mu):
+    """The head-0 half of every state as (rows, groups, 2, 2**(mu-1)), axis
+    2 the tape bit of spin mu."""
+    run = 1 << (mu - 1)
+    return amps.reshape(-1, 2, amps.shape[-1] // (4 * run), 2, run)[:, 0]
+
+
 def one_shot_cnot_flip(amps, mu):
-    h0 = amps.reshape(-1, 2, 1 << mu)[:, :, 0::2]
-    t = h0[:, 0].copy()
-    h0[:, 0] = h0[:, 1]
-    h0[:, 1] = t
+    h0 = _head0_runs(amps, mu)
+    t = h0[:, :, 0].copy()
+    h0[:, :, 0] = h0[:, :, 1]
+    h0[:, :, 1] = t
 
 
 def one_shot_cnot_signed_flip(amps, mu):
-    h0 = amps.reshape(-1, 2, 1 << mu)[:, :, 0::2]
-    t = h0[:, 0].copy()
-    h0[:, 0] = -h0[:, 1]
-    h0[:, 1] = t
+    h0 = _head0_runs(amps, mu)
+    t = h0[:, :, 0].copy()
+    h0[:, :, 0] = -h0[:, :, 1]
+    h0[:, :, 1] = t
 
 
 def per_step_run(config):

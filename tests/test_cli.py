@@ -2,7 +2,6 @@
 assertions, plus one real subprocess smoke test."""
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -294,11 +293,10 @@ def test_primitive_path_too_large_for_memory_is_a_usage_error(argv, what,
 
 
 def test_primitive_guards_use_their_estimates(monkeypatch, tmp_path):
-    # on a 1 MiB machine: 2**13 patterns of 62+64 bytes (0.98 MiB) fit and
+    # with 1 MiB available: 2**13 patterns of 62+64 bytes (0.98 MiB) fit and
     # 2**14 of 63+64 bytes (1.98 MiB) do not; the superposition of M=9
     # needs (3*64*9 + 12) * 2**9 bytes (0.85 MiB) and fits, M=10 does not
-    monkeypatch.setattr(os, "sysconf", lambda name: {
-        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
+    helpers.one_mib_available(monkeypatch)
     out = str(tmp_path / "o.csv")
     assert main(["classify", "--all", "--tape-size", "13",
                  "--max-cycles", "2", "--out", out]) == 0

@@ -105,7 +105,7 @@ def test_cycle_against_dense_cycle_matrix():
             g = helpers.op_on_bit(
                 math.cos(alphas[(n - 1) // 2] / 2) * helpers.I2
                 - 1j * math.sin(alphas[(n - 1) // 2] / 2) * helpers.LX,
-                0,
+                2,  # the head, the top bit of 3
                 3,
             )
         else:
@@ -273,8 +273,7 @@ def test_run_refuses_a_state_larger_than_memory(monkeypatch):
     # a 1-step run never builds the M=16 state, but the guard counts the
     # full state, and the half-size one it grows from, before anything is
     # allocated
-    monkeypatch.setattr(os, "sysconf", lambda name: {
-        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
+    helpers.one_mib_available(monkeypatch)
     with pytest.raises(ConfigurationError, match="16 tape spins need 3 MiB"):
         run(MachineConfig.uniform(16, ALPHA, steps=1))
 
@@ -373,8 +372,8 @@ def test_norm_guard_reports_a_later_nan_at_its_cycle_end(monkeypatch, bad_calls,
     def poisoned(amps, c, s):
         rotate(amps, c, s)
         calls.append(amps.size)
-        if len(calls) in bad_calls:
-            amps[row * 16] = complex("nan")
+        if len(calls) in bad_calls:  # amplitude 0 of state `row`
+            amps.reshape(-1)[row * 16] = complex("nan")
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", poisoned)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):

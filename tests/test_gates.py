@@ -66,11 +66,11 @@ def test_qcnot_flips_target_when_head_down():
 def test_qcnot_ignores_target_when_head_up():
     # head |1> with no phase: build it directly
     amps = np.zeros(4, dtype=complex)
-    amps[1] = 1.0  # |head=1, tape=0>
+    amps[2] = 1.0  # |head=1, tape=0>
     s = StateVector(1, amps)
     apply_qcnot(s, 1)
     expected = np.zeros(4, dtype=complex)
-    expected[1] = 1.0
+    expected[2] = 1.0
     np.testing.assert_array_equal(s.amplitudes, expected)
 
 
@@ -135,8 +135,8 @@ def test_signed_variant_square_negates_head_down_sector():
     apply_qcnot(s, 2, VARIANT_IY)
     assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
     apply_qcnot(s, 2, VARIANT_IY)
-    np.testing.assert_array_equal(s.amplitudes[0::2], -before[0::2])
-    np.testing.assert_array_equal(s.amplitudes[1::2], before[1::2])
+    np.testing.assert_array_equal(s.amplitudes[:4], -before[:4])
+    np.testing.assert_array_equal(s.amplitudes[4:], before[4:])
 
 
 def test_minus_tape_acts_as_head_z():

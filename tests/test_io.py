@@ -141,6 +141,25 @@ def test_block_wise_writers_equal_one_pass(rows, tmp_path):
     assert (tmp_path / "t.json").read_bytes() == doc
 
 
+def test_csv_blocks_equal_per_row_form_on_special_values(tmp_path):
+    # one joined string per block of rows gives the bytes the per-row
+    # f-string gave, for signed zeros, NaN, infinities and the floats whose
+    # repr switches to exponent form (1e-05, 1e16), across a block boundary
+    values = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-05,
+              1e16, -1e16, 0.0001, 1e15, 1 / 3]
+    rows = REDUCE_BLOCK + 5
+    bloch = np.resize(values, rows * 3).reshape(rows, 3)
+    traj = Trajectory(bloch, 4)
+    path = tmp_path / "t.csv"
+    qio.write_trajectory_csv(traj, str(path))
+    n, p = qio.step_labels(rows, 4)
+    want = qio.CSV_HEADER + "\n" + "".join(
+        f"{m},{n[m]},{p[m]},{r[0]!r},{r[1]!r},{r[2]!r}\n"
+        for m, r in enumerate(bloch.tolist()))
+    assert path.read_bytes() == want.encode()
+    assert b",nan," in path.read_bytes() and b",1e-05," in path.read_bytes()
+
+
 def test_svg_deterministic_and_bounded(traj, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     qio.write_trajectory_svg(traj, str(a))

@@ -98,6 +98,34 @@ def test_backends_agree_on_flips_bit_exact(compiled):
             _assert_same_bits(a, b)
 
 
+# (states, bits per state) of 2-d stacks: a stack inside one block, one of
+# several rows per block with a short last block, and one whose rows each
+# span several blocks
+STACKS = ((7, 5), (5, BLOCK_BITS - 1), (3, BLOCK_BITS + 2))
+
+
+@pytest.mark.parametrize("rows, nbits", STACKS)
+def test_backends_agree_on_stacks(compiled, rows, nbits):
+    # every kernel, every spin and both flip variants, on a stack of states
+    # with signed zeros: numpy and compiled give the same bits, and each
+    # row gets exactly what the kernel gives that row as a 1-d state
+    rng = np.random.default_rng(61)
+    stack = np.stack([_state_with_signed_zeros(nbits, rng)
+                      for _ in range(rows)])
+    c, s = math.cos(-0.7), math.sin(-0.7)
+    calls = [("rotate_head", (c, s))] + [
+        (name, (mu,)) for mu in range(1, nbits)
+        for name in ("cnot_flip", "cnot_signed_flip")]
+    for name, args in calls:
+        a, b = stack.copy(), stack.copy()
+        getattr(_kernels_py, name)(a, *args)
+        getattr(compiled, name)(b, *args)
+        _assert_same_bits(a, b)
+        for row, want in zip(stack.copy(), a):
+            getattr(compiled, name)(row, *args)
+            _assert_same_bits(row, want)
+
+
 @pytest.mark.parametrize("variant", ["x", "iy"])
 def test_backends_agree_on_fused_runs(compiled, monkeypatch, variant):
     # a run at M=5 builds its cycle matrix and replays windows of stacked
@@ -118,8 +146,11 @@ def test_backends_agree_on_fused_runs(compiled, monkeypatch, variant):
 def test_blocked_kernels_equal_one_shot_formulas():
     rng = np.random.default_rng(53)
     c, s = math.cos(1.1), math.sin(1.1)
-    for nbits in SIZES:
-        amps = helpers.random_state(nbits, rng)
+    states = [(nbits, helpers.random_state(nbits, rng)) for nbits in SIZES]
+    states += [(nbits, np.stack([helpers.random_state(nbits, rng)
+                                 for _ in range(rows)]))
+               for rows, nbits in STACKS]
+    for nbits, amps in states:
         a = amps.copy()
         b = amps.copy()
         _kernels_py.rotate_head(a, c, s)
@@ -149,6 +180,10 @@ def _read_only(amps):
     ("cnot_signed_flip", np.zeros(8, complex), 3),
     ("cnot_flip", np.zeros(8, complex), -1),
     ("cnot_flip", _read_only(np.zeros(8, complex)), 1),
+    ("cnot_flip", np.zeros(8, complex), 0),
+    ("rotate_head", np.zeros((2, 2, 4), complex), None),
+    ("rotate_head", np.zeros((4, 16), complex)[:, :8], None),
+    ("cnot_flip", np.zeros((3, 4), complex), 2),
 ])
 def test_compiled_kernels_reject_bad_buffers(compiled, kernel, amps, arg):
     # the loops index raw memory unchecked: any buffer they cannot treat
@@ -172,6 +207,6 @@ def test_flip_kernel_is_pure_permutation():
 def test_dispatch_wrappers_forward():
     amps = np.array([1.0, 0, 0, 0], dtype=complex)
     kernels.cnot_flip(amps, 1)
-    assert amps[2] == 1.0  # tape bit set, head bit clear
+    assert amps[1] == 1.0  # tape bit set, head bit clear
     kernels.rotate_head(amps, math.cos(0.25), math.sin(0.25))
-    assert abs(amps[2]) < 1.0 and abs(amps[3]) > 0.0
+    assert abs(amps[1]) < 1.0 and abs(amps[3]) > 0.0

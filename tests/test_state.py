@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from qtm.errors import ConfigurationError
+from qtm import state
 from qtm.gates import apply_qcnot
 from qtm.state import (BlochVector, StateVector, head_bloch,
                        make_product_state, make_state, normalize_tape_spec,
@@ -27,13 +28,29 @@ def test_head_angle_sets_bloch():
 
 
 def test_plus_minus_tape_amplitude_layout():
-    # head |0>, tape |+>|->: with the head in index bit 0 and tape spin mu
-    # in bit mu, the nonzero amplitudes sit at the even indices and the
-    # sign follows tape bit 2 (the '-' site)
+    # head |0>, tape |+>|->: head-major, with tape spin mu at bit mu-1, the
+    # nonzero amplitudes fill the head-0 half and the sign follows tape
+    # bit 1 (the '-' site)
     s = make_product_state(0.0, "+-")
-    np.testing.assert_allclose(s.amplitudes[0::2], [0.5, 0.5, -0.5, -0.5],
+    np.testing.assert_allclose(s.amplitudes[:4], [0.5, 0.5, -0.5, -0.5],
                                atol=1e-15)
-    np.testing.assert_array_equal(s.amplitudes[1::2], np.zeros(4))
+    np.testing.assert_array_equal(s.amplitudes[4:], np.zeros(4))
+
+
+@pytest.mark.parametrize("amplitude_tape", [False, True])
+def test_amplitude_index_is_tape_plus_head_times_2_to_the_m(amplitude_tape):
+    # |head=h, tape=t> sits at t + h * 2**M, tape spin mu at bit mu-1 of t,
+    # whether the tape is a spec string or an explicit amplitude list
+    spec = "1+0-"
+    sites = [helpers.SITE[ch] for ch in spec]
+    tape = np.array([np.prod([sites[mu][(t >> mu) & 1] for mu in range(4)])
+                     for t in range(16)])
+    head = np.array([math.cos(0.35), -1j * math.sin(0.35)])
+    s = make_state(0.7, tape if amplitude_tape else spec)
+    for h in (0, 1):
+        for t in range(16):
+            assert s.amplitudes[t + h * 16] == pytest.approx(
+                head[h] * tape[t], abs=1e-15)
 
 
 def test_unicode_minus_in_tape_spec():
@@ -44,8 +61,8 @@ def test_unicode_minus_in_tape_spec():
 
 def test_entangled_head_has_zero_bloch():
     amps = np.zeros(4, dtype=complex)
-    amps[2] = 1 / math.sqrt(2)  # |head=0, tape=1>
-    amps[1] = 1 / math.sqrt(2)  # |head=1, tape=0>
+    amps[1] = 1 / math.sqrt(2)  # |head=0, tape=1>
+    amps[2] = 1 / math.sqrt(2)  # |head=1, tape=0>
     b = head_bloch(StateVector(1, amps))
     assert purity(b) == pytest.approx(0.0, abs=1e-15)
 
@@ -70,9 +87,9 @@ def test_bloch_invariant_under_tape_phases():
     rng = np.random.default_rng(11)
     amps = helpers.random_state(4, rng)
     before = head_bloch(StateVector(3, amps))
-    pairs = amps.reshape(-1, 2).copy()
-    pairs *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=(8, 1)))
-    after = head_bloch(StateVector(3, pairs.ravel()))
+    halves = amps.reshape(2, -1).copy()
+    halves *= np.exp(1j * rng.uniform(0, 2 * np.pi, size=8))
+    after = head_bloch(StateVector(3, halves.ravel()))
     np.testing.assert_allclose(after, before, atol=1e-12)
 
 
@@ -146,16 +163,26 @@ def test_tape_spec_shorthands():
             normalize_tape_spec("zeros", size)
 
 
-def test_memory_guard_compares_with_physical_memory(monkeypatch):
-    # on a machine that reports 1 MiB, a state is refused when it and the
-    # half-size array it is built from exceed 1 MiB: the 2 MiB state of
-    # M=16 (3 MiB in all), from a spec string or an amplitude tape, and
-    # the 1 MiB state of M=15 (1.5 MiB in all); the 0.5 MiB state of M=14
-    # still fits
+def _one_mib_of_physical_memory(monkeypatch, meminfo):
+    monkeypatch.setattr(state, "_read_meminfo", meminfo)
     monkeypatch.setattr(os, "sysconf", lambda name: {
         "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}[name])
+
+
+def _unreadable():
+    raise PermissionError("/proc/meminfo")
+
+
+def test_memory_guard_compares_with_physical_memory(monkeypatch):
+    # where /proc/meminfo cannot be read the budget is physical memory: on
+    # a machine that reports 1 MiB, a state is refused when it and the
+    # half-size array it is built from exceed 1 MiB: the 2 MiB state of
+    # M=16 (3 MiB in all), from a spec string or an amplitude tape, and the
+    # 1 MiB state of M=15 (1.5 MiB in all); the 0.5 MiB state of M=14
+    # still fits
+    _one_mib_of_physical_memory(monkeypatch, _unreadable)
     with pytest.raises(ConfigurationError,
-                       match="need 3 MiB, more than the 1 MiB"):
+                       match="need 3 MiB, more than the 1 MiB of physical memory$"):
         make_product_state(0.0, "0" * 16)
     with pytest.raises(ConfigurationError, match="15 tape spins need"):
         make_product_state(0.0, "0" * 15)
@@ -164,13 +191,43 @@ def test_memory_guard_compares_with_physical_memory(monkeypatch):
         make_state(0.0, np.full(2 ** 16, 2.0 ** -8, dtype=complex))
 
 
+def test_memory_guard_without_memavailable_uses_physical_memory(monkeypatch):
+    _one_mib_of_physical_memory(monkeypatch,
+                                lambda: "MemTotal:        8388608 kB\n")
+    with pytest.raises(ConfigurationError,
+                       match="need 3 MiB, more than the 1 MiB of physical memory$"):
+        make_product_state(0.0, "0" * 16)
+
+
+def test_memory_guard_budgets_memory_available(monkeypatch):
+    # /proc/meminfo's MemAvailable, not physical memory, is the budget: with
+    # 1 MiB available on an 8 GiB machine the M=16 state is refused and the
+    # M=14 one fits
+    helpers.one_mib_available(monkeypatch)
+    with pytest.raises(ConfigurationError, match=(
+            "need 3 MiB, more than the 1 MiB of physical memory available$")):
+        make_product_state(0.0, "0" * 16)
+    assert make_product_state(0.0, "0" * 14).amplitudes.nbytes == 2 ** 19
+
+
+def test_memory_guard_reads_this_hosts_meminfo():
+    # on a host with /proc/meminfo the real reader yields a budget: a 1 TiB
+    # state is refused with the MemAvailable message
+    try:
+        state._read_meminfo()
+    except OSError:
+        pytest.skip("no /proc/meminfo")
+    with pytest.raises(ConfigurationError, match="of physical memory available$"):
+        state.check_fits(1 << 40, "a test")
+
+
 def test_tape_bit_mapping():
-    # tape spin mu sits at index bit mu: with the head at |0>, flipping
-    # spin mu of the all-zeros tape moves the amplitude to index 2**mu
+    # tape spin mu sits at index bit mu-1: with the head at |0>, flipping
+    # spin mu of the all-zeros tape moves the amplitude to index 2**(mu-1)
     for mu in range(1, 5):
         s = make_product_state(0.0, "0000")
         apply_qcnot(s, mu)
-        assert np.flatnonzero(s.amplitudes).tolist() == [1 << mu]
+        assert np.flatnonzero(s.amplitudes).tolist() == [1 << (mu - 1)]
     s = make_product_state(0.0, "0000")
     for mu in (0, 5):
         with pytest.raises(ConfigurationError, match="out of range 1..4"):
