@@ -5,19 +5,27 @@ amplitude) and of spin M (runs of a quarter of the state), and a machine
 cycle over a range of tape sizes for every available backend (compiled
 extension, numpy fallback) and prints per-call times plus the speedup.
 The two backends must agree numerically, so the benchmark also
-cross-checks the final state.
+cross-checks the final state. Two end-to-end rows follow: the gate-by-gate
+loop of engine.run at M=8 over 20,000 steps per backend, in steps/s, and
+the CSV and JSON writers on its 20,001-row trajectory.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
 
 import argparse
 import math
+import os
+import tempfile
 import time
 
 import numpy as np
 
+from qtm import MachineConfig, io, kernels, run
 from qtm.kernels import available_backends
 from qtm.state import make_product_state
+
+LOOP_TAPE = "11000011"
+LOOP_STEPS = 20000
 
 
 def bench_backend(mod, num_tape_spins, repeats):
@@ -60,6 +68,44 @@ def bench_top_flip(mod, num_tape_spins, repeats):
     return best
 
 
+def bench_loop(mod, repeats):
+    """(best time, trajectory) of engine.run at M=8 on LOOP_TAPE over
+    LOOP_STEPS steps, a run too large for the cycle matrix that steps gate
+    by gate, with mod's kernels."""
+    cfg = MachineConfig.uniform(len(LOOP_TAPE), math.pi / math.sqrt(3.0),
+                                initial=LOOP_TAPE, steps=LOOP_STEPS)
+    names = ("rotate_head", "cnot_flip", "cnot_signed_flip")
+    saved = [getattr(kernels, name) for name in names]
+    best = math.inf
+    try:
+        for name in names:
+            setattr(kernels, name, getattr(mod, name))
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            traj = run(cfg)
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        for name, kernel in zip(names, saved):
+            setattr(kernels, name, kernel)
+    return best, traj
+
+
+def bench_writers(traj, repeats):
+    """Best times of write_trajectory_csv and write_trajectory_json on
+    traj, written into a temporary directory."""
+    best = [math.inf, math.inf]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t")
+        writers = (lambda: io.write_trajectory_csv(traj, path),
+                   lambda: io.write_trajectory_json(traj, {}, path))
+        for _ in range(repeats):
+            for i, write in enumerate(writers):
+                t0 = time.perf_counter()
+                write()
+                best[i] = min(best[i], time.perf_counter() - t0)
+    return tuple(best)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-tape-size", type=int, default=20)
@@ -88,6 +134,19 @@ def main():
                   f"flip mu=M {a[2] / b[2]:9.2f} x   cycle {a[3] / b[3]:8.2f} x")
             diff = float(np.abs(finals["numpy"] - finals["compiled"]).max())
             print(f"  backend disagreement: {diff:.3e}")
+
+    print(f"\nengine.run, M={len(LOOP_TAPE)} on {LOOP_TAPE}, "
+          f"{LOOP_STEPS:,} steps")
+    trajs = {}
+    for name, mod in backends.items():
+        best, trajs[name] = bench_loop(mod, args.repeats)
+        print(f"  {name:>8}: {best * 1e3:9.1f} ms   "
+              f"{LOOP_STEPS / best:12,.0f} steps/s")
+    same = len({t.bloch.tobytes() for t in trajs.values()}) == 1
+    print(f"  trajectories bit-equal across backends: {same}")
+    csv_s, json_s = bench_writers(trajs["numpy"], args.repeats)
+    print(f"\nwriters, {LOOP_STEPS + 1:,} rows: csv {csv_s * 1e3:.1f} ms   "
+          f"json {json_s * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ Each kernel applies its elementwise formula one block of at most BLOCK
 amplitudes at a time, so the scratch a block needs stays in cache instead
 of streaming state-sized arrays through memory. Blocking only regroups
 independent elementwise work; every amplitude gets the same operations as
-in one whole-array pass.
+in one whole-array pass. An array that fits in one block takes that pass
+directly, with no block loop: at mid-size tapes a kernel call costs
+little more than its numpy calls.
 """
 
 import numpy as np
@@ -22,13 +24,10 @@ BLOCK = 1 << 15
 
 
 def _blocks(v):
-    """v, a (rows, groups, 2, width) view, as blocks of at most BLOCK
-    amplitudes: whole rows while a row fits, whole groups of one row while
-    a group fits, and slices of one group's width otherwise."""
+    """v, a (rows, groups, 2, width) view larger than BLOCK, as blocks of
+    at most BLOCK amplitudes: whole rows while a row fits, whole groups of
+    one row while a group fits, and slices of one group's width otherwise."""
     rows, groups, _, width = v.shape
-    if v.size <= BLOCK:
-        yield v
-        return
     r = max(1, BLOCK // (2 * width * groups))
     g = max(1, BLOCK // (2 * width))
     w = min(width, BLOCK // 2)
@@ -41,10 +40,20 @@ def _blocks(v):
 def rotate_head(amps, c, s):
     # (a0, a1) -> (c a0 - 1j s a1, -1j s a0 + c a1), a0 and a1 the two
     # halves of every state: the same complex-scalar products as the
-    # whole-array formula, each written into scratch of amps.dtype
+    # whole-array formula, which a larger array writes block by block into
+    # scratch of amps.dtype
     w, u = 1j * s, -1j * s
+    half = amps.shape[-1] // 2
+    if amps.size <= BLOCK:
+        a0, a1 = amps[..., :half], amps[..., half:]
+        t = np.multiply(w, a1)
+        r = np.multiply(u, a0)
+        np.multiply(c, amps, out=amps)
+        np.subtract(a0, t, out=a0)
+        np.add(r, a1, out=a1)
+        return
     scratch = None
-    for b in _blocks(amps.reshape(-1, 1, 2, amps.shape[-1] // 2)):
+    for b in _blocks(amps.reshape(-1, 1, 2, half)):
         a0, a1 = b[:, :, 0], b[:, :, 1]
         if scratch is None:
             scratch = np.empty((2,) + a0.shape, amps.dtype)
@@ -57,25 +66,37 @@ def rotate_head(amps, c, s):
         np.add(r, a1, out=a1)
 
 
-def _flip_blocks(amps, mu):
+def _flip_view(amps, mu):
     """The head-0 half of every state, viewed as (rows, groups, 2, run)
-    with axis 2 the tape bit mu-1 and run = 2**(mu-1), one block at a time."""
+    with axis 2 the tape bit mu-1 and run = 2**(mu-1)."""
     run = 1 << (mu - 1)
-    v = amps.reshape(-1, 2, amps.shape[-1] // (4 * run), 2, run)[:, 0]
-    return _blocks(v)
+    return amps.reshape(-1, 2, amps.shape[-1] // (4 * run), 2, run)[:, 0]
 
+
+# In one block a flip is one assignment from the view with axis 2
+# reversed; numpy reads a source that overlaps its destination through a
+# copy. Larger arrays swap block by block through a copy of one run.
 
 def cnot_flip(amps, mu):
     # swap the runs of every head-0 half that differ in spin mu
-    for h0 in _flip_blocks(amps, mu):
-        t = h0[:, :, 0].copy()
-        h0[:, :, 0] = h0[:, :, 1]
-        h0[:, :, 1] = t
+    h0 = _flip_view(amps, mu)
+    if h0.size <= BLOCK:
+        h0[...] = h0[:, :, ::-1]
+        return
+    for b in _blocks(h0):
+        t = b[:, :, 0].copy()
+        b[:, :, 0] = b[:, :, 1]
+        b[:, :, 1] = t
 
 
 def cnot_signed_flip(amps, mu):
     # signed variant: (t0, t1) -> (-t1, t0) on the head-0 half
-    for h0 in _flip_blocks(amps, mu):
-        t = h0[:, :, 0].copy()
-        np.negative(h0[:, :, 1], out=h0[:, :, 0])
-        h0[:, :, 1] = t
+    h0 = _flip_view(amps, mu)
+    if h0.size <= BLOCK:
+        h0[...] = h0[:, :, ::-1]
+        np.negative(h0[:, :, 0], out=h0[:, :, 0])
+        return
+    for b in _blocks(h0):
+        t = b[:, :, 0].copy()
+        np.negative(b[:, :, 1], out=b[:, :, 0])
+        b[:, :, 1] = t

@@ -62,8 +62,9 @@ def fit_invariant_circles(traj, max_circles) -> CircleSet:
     common radius is enforced by averaging, and centers are refit against
     the shared radius. Raises CircleFitError when more than max_circles
     distinct circles remain or any point misses its circle by more than
-    RESIDUAL_TOL; the latter is the expected outcome for three or more tape
-    spins, where the orbit sub-manifolds are no longer plain circles.
+    RESIDUAL_TOL, naming the three worst points in step order; the latter
+    is the expected outcome for three or more tape spins, where the orbit
+    sub-manifolds are no longer plain circles.
     """
     if max_circles < 1:
         raise ConfigurationError(f"max_circles must be >= 1, got {max_circles}")
@@ -114,9 +115,11 @@ def fit_invariant_circles(traj, max_circles) -> CircleSet:
         worst_pts.append((float(err[k]), g[k]))
         worst_val = max(worst_val, float(err[k]))
     if worst_val > RESIDUAL_TOL:
+        # the three worst points, listed in step order: residuals that tie
+        # to their last bits would otherwise order them by rounding
         worst_pts.sort(reverse=True)
-        offenders = [(m, float(err), tuple(yz[m]))
-                     for err, m in worst_pts[:3]]
+        offenders = sorted((m, float(err), tuple(yz[m]))
+                           for err, m in worst_pts[:3])
         raise CircleFitError(
             f"fit residual {worst_val:.3e} exceeds {RESIDUAL_TOL:.1e} "
             f"(worst at steps {[m for m, _, _ in offenders]})",

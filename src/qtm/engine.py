@@ -11,6 +11,7 @@ The global step index is m = n + 2M*(p-1) where p counts cycles from 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -157,36 +158,40 @@ def run(config: MachineConfig) -> Trajectory:
     check_state_fits(config.num_tape_spins)
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
-    cycle = 2 * config.num_tape_spins
-    fused = (config.steps > cycle
-             and 4 ** (config.num_tape_spins + 1) <= REDUCE_BLOCK)
-    turns = [(math.cos(a), math.sin(a)) for a in config.alphas]
+    num = config.num_tape_spins
+    cycle = 2 * num
+    fused = config.steps > cycle and 4 ** (num + 1) <= REDUCE_BLOCK
+    # step n of a cycle as (mu, turn): turn is (alpha_mu, cos, sin) for a
+    # rotation, which turns the Bloch vector by alpha_mu, and None for a flip
+    schedule = []
+    for mu, a in enumerate(config.alphas, 1):
+        schedule += [(mu, (a, math.cos(a), math.sin(a))), (mu, None)]
     bloch = np.empty((config.steps + 1, 3), dtype=float)
     x, y, z = head_bloch(state)
     bloch[0] = x, y, z
     drift = 0.0
-    n = 0
-    for m in range(1, (cycle if fused else config.steps) + 1):
-        n = (m - 1) % cycle + 1
-        mu = (n + 1) // 2  # odd n rotates by alpha_mu, even n flips spin mu
-        if not n % 2 and mu > state.num_tape_spins:
-            # the head's first visit to spin mu
-            state = StateVector(
-                mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
-        _apply_step(state, n, config)
-        if n % 2:
-            c, s = turns[mu - 1]
+    for m, (mu, turn) in zip(range(1, (cycle if fused else config.steps) + 1),
+                             itertools.cycle(schedule)):
+        if turn:
+            alpha, c, s = turn
+            apply_head_rotation(state, alpha)
             y, z = y * c - z * s, y * s + z * c
-        elif n < cycle:
-            cross = head_cross(state)
-            x, y = 2.0 * cross.real, -2.0 * cross.imag
         else:
-            x, y, z = head_bloch(state)
-            drift = _check_norm(state, m, drift)
+            if mu > state.num_tape_spins:
+                # the head's first visit to spin mu
+                state = StateVector(
+                    mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
+            apply_qcnot(state, mu, config.variant)
+            if mu < num:
+                cross = head_cross(state)
+                x, y = 2.0 * cross.real, -2.0 * cross.imag
+            else:
+                x, y, z = head_bloch(state)
+                drift = _check_norm(state, m, drift)
         bloch[m] = x, y, z
     if fused:
         drift = _run_windows(config, state, bloch, drift)
-    elif config.steps and n != cycle:
+    elif config.steps % cycle:
         drift = _check_norm(state, config.steps, drift)
     return Trajectory(bloch, config.num_tape_spins, drift)
 

@@ -19,6 +19,10 @@ from .state import REDUCE_BLOCK
 CSV_HEADER = "m,n,p,lambda_x,lambda_y,lambda_z"
 SVG_SIZE = 600
 SVG_SPAN = 1.1  # the viewport covers [-1.1, 1.1]² in the yz plane
+_CSV_ROW = "%d,%d,%d,%r,%r,%r\n"
+# a point of the "points" list of json.dump(..., indent=1), comma first;
+# %s spells a float as its repr, and passes json's NaN and Infinity through
+_JSON_POINT = ",\n  [\n   %d,\n   %s,\n   %s,\n   %s\n  ]"
 
 
 def step_labels(num_points: int, tape_size: int):
@@ -56,43 +60,51 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def _numbered_rows(bloch):
-    """(m, row as a list of Python floats) for every row of bloch. Rows are
-    converted one block at a time (REDUCE_BLOCK rows, reused as a bounded
-    size), so a long trajectory never exists as Python floats all at once."""
-    for start in range(0, len(bloch), REDUCE_BLOCK):
-        yield from enumerate(bloch[start:start + REDUCE_BLOCK].tolist(), start)
+def _flat_blocks(bloch, *labels):
+    """(rows, flat) for every block of REDUCE_BLOCK rows of bloch: flat
+    holds m, labels[0][m], ..., x, y, z of each row in turn, as Python
+    ints and floats. Rows are converted one block at a time, so a long
+    trajectory never exists as Python objects all at once."""
+    width = 4 + len(labels)
+    for s in range(0, len(bloch), REDUCE_BLOCK):
+        block = bloch[s:s + REDUCE_BLOCK]
+        rows = len(block)
+        flat = [0] * (width * rows)
+        flat[0::width] = range(s, s + rows)
+        for j, col in enumerate([lab[s:s + rows] for lab in labels]
+                                + list(block.T), 1):
+            flat[j::width] = col.tolist()
+        yield rows, flat
 
 
 def write_trajectory_csv(traj, path) -> None:
-    """The header, then one row m,n,p,x,y,z per step, written as one
-    string per block of REDUCE_BLOCK rows (floats by repr)."""
-    bloch = traj.bloch
-    n, p = step_labels(len(bloch), traj.num_tape_spins)
-    fmt = "{},{},{},{!r},{!r},{!r}\n".format
+    """The header, then one row m,n,p,x,y,z per step (floats by repr),
+    written with one %-format per block of REDUCE_BLOCK rows."""
+    n, p = step_labels(len(traj.bloch), traj.num_tape_spins)
     with _open_out(path) as fh:
         fh.write(CSV_HEADER + "\n")
-        for s in range(0, len(bloch), REDUCE_BLOCK):
-            e = s + REDUCE_BLOCK
-            fh.write("".join(map(fmt, range(s, e), n[s:e].tolist(),
-                                 p[s:e].tolist(), *bloch[s:e].T.tolist())))
+        for rows, flat in _flat_blocks(traj.bloch, n, p):
+            fh.write(_CSV_ROW * rows % tuple(flat))
 
 
 def write_trajectory_json(traj, manifest: dict, path) -> None:
     """Write {"manifest": manifest, "points": [[m, x, y, z], ...]} in the
     exact bytes of write_json. json lays out the manifest; the points,
     where json's pure-Python indenting encoder would spend its time, are
-    written here row by row in the same layout, floats by float.__repr__
-    and non-finite ones as json spells them (NaN, Infinity)."""
+    written here with one %-format per block of rows in the same layout,
+    floats by float.__repr__ and non-finite ones as json spells them
+    (NaN, Infinity)."""
     head = json.dumps({"manifest": manifest, "points": []}, indent=1)
-    num = float.__repr__ if np.isfinite(traj.bloch).all() else json.dumps
+    finite = np.isfinite(traj.bloch).all()
     with _open_out(path) as fh:
         fh.write(head[:-len("[]\n}")] + "[")
-        sep = "\n  "
-        for m, (x, y, z) in _numbered_rows(traj.bloch):
-            fh.write(f"{sep}[\n   {m},\n   {num(x)},\n   {num(y)},\n"
-                     f"   {num(z)}\n  ]")
-            sep = ",\n  "
+        skip = 1  # the first point has no comma before it
+        for rows, flat in _flat_blocks(traj.bloch):
+            if not finite:
+                for j in (1, 2, 3):
+                    flat[j::4] = map(json.dumps, flat[j::4])
+            fh.write((_JSON_POINT * rows % tuple(flat))[skip:])
+            skip = 0
         fh.write("\n ]\n}\n")
 
 

@@ -265,7 +265,11 @@ def purity(b: BlochVector) -> float:
 
 def _vdot(a, b) -> complex:
     """np.vdot(a, b) summed block by block, so its bits do not depend on
-    the BLAS thread count (see REDUCE_BLOCK)."""
+    the BLAS thread count (see REDUCE_BLOCK). The sum starts from 0j,
+    which turns a -0.0 part of the first block's sum into +0.0, at every
+    size."""
+    if a.size <= REDUCE_BLOCK:
+        return complex(0j + np.vdot(a, b))
     total = 0j
     for i in range(0, a.size, REDUCE_BLOCK):
         total += np.vdot(a[i:i + REDUCE_BLOCK], b[i:i + REDUCE_BLOCK])

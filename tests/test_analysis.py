@@ -119,6 +119,27 @@ class TestCircleFits:
         assert err.residual is not None and err.residual > 1e-3
         assert err.worst and len(err.worst) <= 3
 
+    def test_refused_fit_lists_its_worst_steps_in_step_order(self):
+        # four circles, one per residue of the step modulo 4, each with one
+        # point pushed out by 1e-4: the three misses tie to 1e-9, largest
+        # at step 42, and are listed by step, not by residual
+        centers = np.array([(-0.3, -0.3), (0.3, -0.3), (-0.3, 0.3),
+                            (0.3, 0.3)])
+        m = np.arange(200)
+        angle = 2 * np.pi * (m // 4) / 50 + 0.1 * (m % 4)
+        radius = np.full(m.size, 0.2)
+        radius[[9, 42, 103]] += 1e-4 * np.array([1 - 1e-9, 1 + 1e-9, 1])
+        bloch = np.zeros((m.size, 3))
+        bloch[:, 1:] = centers[m % 4] + radius[:, None] * np.stack(
+            [np.cos(angle), np.sin(angle)], axis=1)
+        with pytest.raises(CircleFitError,
+                           match=r"steps \[9, 42, 103\]") as info:
+            fit_invariant_circles(Trajectory(bloch, 1), max_circles=4)
+        worst = info.value.worst
+        assert [step for step, _, _ in worst] == [9, 42, 103]
+        errs = [err for _, err, _ in worst]
+        assert max(errs) == errs[1] and max(errs) - min(errs) < 1e-12
+
     def test_circle_budget_enforced(self):
         traj = run(MachineConfig.uniform(1, ALPHA, phi0=math.pi / 6, steps=800))
         with pytest.raises(CircleFitError) as info:

@@ -269,6 +269,28 @@ def test_six_spins_keep_the_loop(monkeypatch):
     assert sizes == [2 ** 7] * 60
 
 
+@pytest.mark.parametrize("variant", ["x", "iy"])
+@pytest.mark.parametrize("num", [6, 8])
+def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
+    # the loop calls the gates through the names engine binds, once per
+    # step, so a wrapper there sees every step: step n of a cycle rotates
+    # by alpha_mu (n odd) or flips spin mu (n even), mu = (n + 1) // 2
+    calls = []
+    for name in ("apply_head_rotation", "apply_qcnot"):
+        def recorded(state, *args, _gate=getattr(qtm.engine, name)):
+            calls.append(args)
+            return _gate(state, *args)
+
+        monkeypatch.setattr(qtm.engine, name, recorded)
+    alphas = tuple(0.3 + 0.1 * mu for mu in range(num))
+    steps = 3 * 2 * num + 5
+    run(MachineConfig(num, alphas, variant=variant,
+                      initial=("+-01" * 2)[:num], steps=steps))
+    want = [(alphas[(n - 1) // 2],) if n % 2 else (n // 2, variant)
+            for n in ((m - 1) % (2 * num) + 1 for m in range(1, steps + 1))]
+    assert calls == want
+
+
 def test_run_refuses_a_state_larger_than_memory(monkeypatch):
     # a 1-step run never builds the M=16 state, but the guard counts the
     # full state, and the half-size one it grows from, before anything is

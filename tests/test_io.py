@@ -85,22 +85,33 @@ def _json_dump_bytes(traj, manifest, path):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("rows", [1, 2, 500])
-@pytest.mark.parametrize("special", [False, True])
-def test_json_points_equal_json_dump(rows, special, tmp_path):
-    # random rows salted with -0.0, +0.0, subnormals and extremes, and,
-    # when special, NaN and infinities, which json spells NaN/Infinity;
-    # a single row is a 0-step trajectory
-    rng = np.random.default_rng(rows)
+# -0.0, subnormals and extremes, and NaN and infinities, which json
+# spells NaN/Infinity
+FINITE_SALT = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1 / 3]
+SPECIAL_SALT = [float("nan"), float("inf"), float("-inf")]
+
+
+def _salted_rows(rows, pool, rng):
+    """rows random rows, about 30% of their values, and one row of each
+    pool value (where rows allow), drawn from pool."""
     bloch = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300,
                                                              (rows, 3))
-    pool = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
-            1.7976931348623157e308, 1 / 3]
-    if special:
-        pool += [float("nan"), float("inf"), float("-inf")]
     salt = rng.random((rows, 3)) < 0.3
     bloch[salt] = rng.choice(pool, size=salt.sum())
-    traj = Trajectory(bloch, 2)
+    whole = rng.permutation(rows)[:len(pool)]
+    bloch[whole] = np.array(pool)[:len(whole), None]
+    return bloch
+
+
+@pytest.mark.parametrize("rows", [1, 2, 500, REDUCE_BLOCK + 1])
+@pytest.mark.parametrize("special", [False, True])
+def test_json_points_equal_json_dump(rows, special, tmp_path):
+    # a single row is a 0-step trajectory; REDUCE_BLOCK + 1 rows are two
+    # blocks of the writer
+    rng = np.random.default_rng(rows)
+    traj = Trajectory(_salted_rows(
+        rows, FINITE_SALT + SPECIAL_SALT * special, rng), 2)
     manifest = {"command": "qtm simulate --alpha 'pi/3'", "config": {
         "alpha": 1 / 3, "initial": "+-\u2212", "nested": [[], {}, [1, "x"]]},
         "outputs": [], "tool_version": "0"}
@@ -110,40 +121,36 @@ def test_json_points_equal_json_dump(rows, special, tmp_path):
                                                  tmp_path / "ref.json")
 
 
-def _one_pass_files(traj, manifest):
-    """CSV and JSON bytes of the writers' formats, made in one pass over
-    the whole trajectory as Python floats."""
+def _per_row_csv(traj):
+    """The CSV bytes formatted one row at a time."""
     rows = traj.bloch.tolist()
     n, p = qio.step_labels(len(rows), traj.num_tape_spins)
-    csv = "".join(f"{m},{n[m]},{p[m]},{r[0]!r},{r[1]!r},{r[2]!r}\n"
-                  for m, r in enumerate(rows))
-    head = json.dumps({"manifest": manifest, "points": []}, indent=1)
-    points = ",".join(f"\n  [\n   {m},\n   {x!r},\n   {y!r},\n   {z!r}\n  ]"
-                      for m, (x, y, z) in enumerate(rows))
-    return ((qio.CSV_HEADER + "\n" + csv).encode(),
-            (head[:-len("[]\n}")] + "[" + points + "\n ]\n}\n").encode())
+    fmt = "{},{},{},{!r},{!r},{!r}\n".format
+    return (qio.CSV_HEADER + "\n" + "".join(
+        fmt(m, n[m], p[m], *r) for m, r in enumerate(rows))).encode()
 
 
 @pytest.mark.parametrize("rows", [0, 1, REDUCE_BLOCK, REDUCE_BLOCK + 1])
 def test_block_wise_writers_equal_one_pass(rows, tmp_path):
-    # the writers turn REDUCE_BLOCK rows at a time into Python floats;
-    # rows salted with -0.0 and +0.0 must keep their signs
+    # the writers format REDUCE_BLOCK rows at a time; rows salted with
+    # signed zeros, subnormals, NaN and infinities must come out as the
+    # per-row CSV form and as json.dump gives them
     rng = np.random.default_rng(rows + 7)
-    bloch = rng.normal(size=(rows, 3))
-    salt = rng.random((rows, 3)) < 0.2
-    bloch[salt] = rng.choice([-0.0, 0.0], size=salt.sum())
-    traj = Trajectory(bloch, 3)
+    traj = Trajectory(_salted_rows(rows, FINITE_SALT + SPECIAL_SALT, rng), 3)
     manifest = {"purpose": "test"}
     qio.write_trajectory_csv(traj, str(tmp_path / "t.csv"))
     qio.write_trajectory_json(traj, manifest, str(tmp_path / "t.json"))
-    csv, doc = _one_pass_files(traj, manifest)
-    assert (tmp_path / "t.csv").read_bytes() == csv
-    assert (tmp_path / "t.json").read_bytes() == doc
+    assert (tmp_path / "t.csv").read_bytes() == _per_row_csv(traj)
+    doc = (tmp_path / "t.json").read_bytes()
+    if rows:
+        assert doc == _json_dump_bytes(traj, manifest, tmp_path / "ref.json")
+    else:  # json.dump would write the empty list as [] on one line
+        assert json.loads(doc) == {"manifest": manifest, "points": []}
 
 
 def test_csv_blocks_equal_per_row_form_on_special_values(tmp_path):
-    # one joined string per block of rows gives the bytes the per-row
-    # f-string gave, for signed zeros, NaN, infinities and the floats whose
+    # one %-format per block of rows gives the bytes of the per-row form,
+    # for signed zeros, NaN, infinities and the floats whose
     # repr switches to exponent form (1e-05, 1e16), across a block boundary
     values = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-05,
               1e16, -1e16, 0.0001, 1e15, 1 / 3]
@@ -152,11 +159,7 @@ def test_csv_blocks_equal_per_row_form_on_special_values(tmp_path):
     traj = Trajectory(bloch, 4)
     path = tmp_path / "t.csv"
     qio.write_trajectory_csv(traj, str(path))
-    n, p = qio.step_labels(rows, 4)
-    want = qio.CSV_HEADER + "\n" + "".join(
-        f"{m},{n[m]},{p[m]},{r[0]!r},{r[1]!r},{r[2]!r}\n"
-        for m, r in enumerate(bloch.tolist()))
-    assert path.read_bytes() == want.encode()
+    assert path.read_bytes() == _per_row_csv(traj)
     assert b",nan," in path.read_bytes() and b",1e-05," in path.read_bytes()
 
 

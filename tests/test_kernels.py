@@ -165,6 +165,58 @@ def test_blocked_kernels_equal_one_shot_formulas():
             np.testing.assert_array_equal(a, b)
 
 
+BLOCK = _kernels_py.BLOCK
+
+
+# 1-d states and 2-d stacks of BLOCK // 2, BLOCK and BLOCK + 2 amplitudes,
+# as (rows, amplitudes per state); the stack of 2-amplitude states (a head
+# and no tape) only rotates, and 4-amplitude states give a flip's head-0
+# view of BLOCK + 2
+ONE_BLOCK_SHAPES = ((1, BLOCK // 2), (1, BLOCK), (BLOCK // 16, 8),
+                    (BLOCK // 8, 8), (BLOCK // 2 + 1, 2), (BLOCK // 4 + 1, 4),
+                    (BLOCK // 2 + 1, 4))
+
+
+def _assert_same_values(a, b):
+    # equal parts with equal sign bits; a bit view of long doubles would
+    # also compare their padding bytes
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("rows, size", ONE_BLOCK_SHAPES)
+def test_one_block_path_equals_blocked_path(compiled, monkeypatch, rows,
+                                            size, dtype):
+    # every kernel on an array taken in one pass (BLOCK raised past its
+    # size) and in blocks of at most 256 amplitudes gives the same values
+    # and sign bits, in double and in the extended precision the cycle
+    # matrix is built in; in double both equal the compiled kernels
+    rng = np.random.default_rng(67 + size + rows)
+    nbits = size.bit_length() - 1
+    amps = np.stack([_state_with_signed_zeros(nbits, rng)
+                     for _ in range(rows)])
+    amps = (amps[0] if rows == 1 else amps).astype(dtype)
+    real = np.longdouble if dtype == np.clongdouble else float
+    c, s = real(math.cos(-0.7)), real(math.sin(-0.7))
+    calls = [("rotate_head", (c, s))] + [
+        (name, (mu,)) for mu in range(1, nbits)
+        for name in ("cnot_flip", "cnot_signed_flip")]
+    for name, args in calls:
+        out = []
+        for block in (2 * amps.size, 256):
+            monkeypatch.setattr(_kernels_py, "BLOCK", block)
+            a = amps.copy()
+            getattr(_kernels_py, name)(a, *args)
+            out.append(a)
+        _assert_same_values(*out)
+        if dtype == np.complex128:
+            b = amps.copy()
+            getattr(compiled, name)(b, *args)
+            _assert_same_bits(out[0], b)
+
+
 def _read_only(amps):
     amps.flags.writeable = False
     return amps
