@@ -114,8 +114,8 @@ def main():
 
     backends = available_backends()
     print(f"backends: {', '.join(backends)}")
-    sizes = [m for m in (8, 12, 16, args.max_tape_size) if m <= args.max_tape_size]
-    for m in sizes:
+    for m in sorted({m for m in (8, 12, 16, args.max_tape_size)
+                     if m <= args.max_tape_size}):
         row = {}
         finals = {}
         for name, mod in backends.items():

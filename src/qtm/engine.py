@@ -161,17 +161,12 @@ def run(config: MachineConfig) -> Trajectory:
     num = config.num_tape_spins
     cycle = 2 * num
     fused = config.steps > cycle and 4 ** (num + 1) <= REDUCE_BLOCK
-    # step n of a cycle as (mu, turn): turn is (alpha_mu, cos, sin) for a
-    # rotation, which turns the Bloch vector by alpha_mu, and None for a flip
-    schedule = []
-    for mu, a in enumerate(config.alphas, 1):
-        schedule += [(mu, (a, math.cos(a), math.sin(a))), (mu, None)]
     bloch = np.empty((config.steps + 1, 3), dtype=float)
     x, y, z = head_bloch(state)
     bloch[0] = x, y, z
     drift = 0.0
     for m, (mu, turn) in zip(range(1, (cycle if fused else config.steps) + 1),
-                             itertools.cycle(schedule)):
+                             itertools.cycle(_schedule(config))):
         if turn:
             alpha, c, s = turn
             apply_head_rotation(state, alpha)
@@ -205,14 +200,15 @@ class _Stack(NamedTuple):
     amplitudes: np.ndarray
 
 
-def _apply_step(state, n, config):
-    """Step n of the cycle (see the module docstring) on a state or a
-    stack of them."""
-    mu = (n + 1) // 2
-    if n % 2:
-        apply_head_rotation(state, config.alphas[mu - 1])
-    else:
-        apply_qcnot(state, mu, config.variant)
+def _schedule(config):
+    """Steps 1..2M of a cycle (see the module docstring) as (mu, turn):
+    turn is (alpha_mu, cos, sin) for the rotation by alpha_mu, which
+    turns the head's Bloch vector by alpha_mu about x, and None for the
+    flip of spin mu."""
+    schedule = []
+    for mu, a in enumerate(config.alphas, 1):
+        schedule += [(mu, (a, math.cos(a), math.sin(a))), (mu, None)]
+    return schedule
 
 
 def _run_windows(config, state, bloch, drift):
@@ -274,19 +270,19 @@ def _cycle_matrix(config, size):
     NumericalValidationError.
     """
     num = config.num_tape_spins
-    images = np.eye(size, dtype=complex)
-    for n in range(1, 2 * num + 1):
-        _apply_step(_Stack(num, images), n, config)
+    images = _Stack(num, np.eye(size, dtype=complex))
     exact = np.eye(size, dtype=np.clongdouble)
     flip = (_kernels_py.cnot_flip if config.variant == VARIANT_X
             else _kernels_py.cnot_signed_flip)
     scale = np.longdouble(1.0)
     for mu, alpha in enumerate(config.alphas, 1):
+        apply_head_rotation(images, alpha)
+        apply_qcnot(images, mu, config.variant)
         c, s = (np.longdouble(v) for v in rotation_coefficients(alpha))
         _kernels_py.rotate_head(exact, c, s)
         flip(exact, mu)
         scale *= c * c + s * s
-    dev = float(np.abs(images - exact).max())
+    dev = float(np.abs(images.amplitudes - exact).max())
     bound = math.sqrt(2.0) * num * (_gamma2(float) + _gamma2(np.longdouble))
     if not dev <= bound:  # a NaN fails this test too
         raise NumericalValidationError(
@@ -309,11 +305,15 @@ def _replay(config, stack, first, bloch):
     cycle = 2 * config.num_tape_spins
     rows = len(stack)
     last_n = len(bloch) - 1 - first - (rows - 1) * cycle
-    for n in range(1, cycle + 1):
+    for n, (mu, turn) in enumerate(_schedule(config), 1):
         active = rows if n <= last_n else rows - 1
         if not active:
             break
-        _apply_step(_Stack(config.num_tape_spins, stack[:active]), n, config)
+        states = _Stack(config.num_tape_spins, stack[:active])
+        if turn:
+            apply_head_rotation(states, turn[0])
+        else:
+            apply_qcnot(states, mu, config.variant)
         bloch[first + n:first + n + active * cycle:cycle] = head_bloch_rows(
             stack[:active])
 

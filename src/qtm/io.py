@@ -97,6 +97,9 @@ def write_trajectory_json(traj, manifest: dict, path) -> None:
     head = json.dumps({"manifest": manifest, "points": []}, indent=1)
     finite = np.isfinite(traj.bloch).all()
     with _open_out(path) as fh:
+        if not len(traj.bloch):  # json spells an empty list []
+            fh.write(head + "\n")
+            return
         fh.write(head[:-len("[]\n}")] + "[")
         skip = 1  # the first point has no comma before it
         for rows, flat in _flat_blocks(traj.bloch):
