@@ -1,7 +1,8 @@
 """Timing comparison of the gate kernel backends.
 
 Runs the head rotation, the controlled flip of spin 1 (runs of one
-amplitude) and of spin M (runs of a quarter of the state), and a machine
+amplitude) and of spin M (runs of a quarter of the state), the M flips of
+one cycle (spins 1..M) in each variant, plain and signed, and a machine
 cycle over a range of tape sizes for every available backend (compiled
 extension, numpy fallback) and prints per-call times plus the speedup.
 The two backends must agree numerically, so the benchmark also
@@ -68,6 +69,20 @@ def bench_top_flip(mod, num_tape_spins, repeats):
     return best
 
 
+def bench_cycle_flips(mod, num_tape_spins, repeats):
+    """(plain, signed): best times of the flips of spins 1..M, one
+    cycle's flips, with cnot_flip and with cnot_signed_flip."""
+    amps = make_product_state(0.0, "0" * num_tape_spins).amplitudes
+    best = [math.inf, math.inf]
+    for _ in range(repeats):
+        for i, flip in enumerate((mod.cnot_flip, mod.cnot_signed_flip)):
+            t0 = time.perf_counter()
+            for mu in range(1, num_tape_spins + 1):
+                flip(amps, mu)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return tuple(best)
+
+
 def bench_loop(mod, repeats):
     """(best time, trajectory) of engine.run at M=8 on LOOP_TAPE over
     LOOP_STEPS steps, a run too large for the cycle matrix that steps gate
@@ -120,18 +135,23 @@ def main():
         finals = {}
         for name, mod in backends.items():
             rot, flip, cyc, amps = bench_backend(mod, m, args.repeats)
-            row[name] = (rot, flip, bench_top_flip(mod, m, args.repeats), cyc)
+            row[name] = (rot, flip, bench_top_flip(mod, m, args.repeats), cyc,
+                         *bench_cycle_flips(mod, m, args.repeats))
             finals[name] = amps
         print(f"\nM={m} ({2 ** (m + 1)} amplitudes)")
-        for name, (rot, flip, top, cyc) in row.items():
+        for name, (rot, flip, top, cyc, plain, signed) in row.items():
             print(f"  {name:>8}: rotate {rot * 1e6:9.1f} us   "
                   f"flip mu=1 {flip * 1e6:9.1f} us   "
                   f"flip mu=M {top * 1e6:9.1f} us   cycle {cyc * 1e3:8.2f} ms")
+            print(f"  {'':>8}  flips mu=1..M {plain * 1e3:8.3f} ms   "
+                  f"signed flips mu=1..M {signed * 1e3:8.3f} ms")
         if len(row) == 2:
             a, b = (row["numpy"], row["compiled"])
             print(f"  speedup : rotate {a[0] / b[0]:9.2f} x   "
                   f"flip mu=1 {a[1] / b[1]:9.2f} x   "
                   f"flip mu=M {a[2] / b[2]:9.2f} x   cycle {a[3] / b[3]:8.2f} x")
+            print(f"  {'':>8}  flips mu=1..M {a[4] / b[4]:8.2f} x   "
+                  f"signed flips mu=1..M {a[5] / b[5]:8.2f} x")
             diff = float(np.abs(finals["numpy"] - finals["compiled"]).max())
             print(f"  backend disagreement: {diff:.3e}")
 

