@@ -3,7 +3,8 @@
 Covers simulate with each engine (csv, json and svg, both flip variants),
 primitives, classify --pattern and --all, decompose, spectrum and
 invariants, at the benchmark's shapes (M=3, 4 and 8 over 20,000 steps, the
-M=12 census over 200 cycles, M=18 over 100 steps) and at a few small ones.
+M=12 census over 200 cycles, M=18 over 100 steps) and at a few small ones,
+plus configurations and angle spellings the CLI refuses.
 Every command runs in this process from inside OUTDIR with a relative
 --out name, so the manifests, which record the command line, do not depend
 on where OUTDIR is. Exit codes and stderr go to OUTDIR/exit_codes.txt.
@@ -25,6 +26,10 @@ import qtm
 from qtm import cli
 
 ALPHA = "--alpha=pi/sqrt(3)"
+# the last of two --alpha flags wins, so these override ALPHA
+ANGLES_ACCEPTED = ("--alpha=2*pi/7", "--phi0=-pi/6", "--phi0= pi / 2 ",
+                   "--phi0=007")
+ANGLES_REFUSED = ("1e309", "2**3", "pi+1", "sqrt(-1)", "0x10", "pi # c")
 
 
 def _simulate(name, tape_size, steps, initial, engine="statevector",
@@ -89,6 +94,18 @@ def commands():
     yield from _simulate("refused_recursion_plus", 2, 10, "+0", "recursion")
     yield ("refused_invariants_m3.json", ["invariants", "--tape-size", "3",
                                           ALPHA, "--steps", "600"])
+    for name, extra in (("iy", ["--variant", "iy"]),
+                        ("initial", ["--initial=01"]),
+                        ("tape_size", ["--tape-size", "3"])):
+        yield (f"refused_spectrum_pattern_{name}.csv",
+               ["spectrum", "--pattern=-+", ALPHA, "--steps", "255"] + extra)
+    # angle spellings: argparse refuses a bad one with SystemExit(2)
+    for i, angle in enumerate(ANGLES_ACCEPTED):
+        yield (f"angle_{i}.csv", ["simulate", "--tape-size", "2", ALPHA,
+                                  angle, "--steps", "50"])
+    for i, alpha in enumerate(ANGLES_REFUSED):
+        yield (f"refused_angle_{i}.csv", ["simulate", "--tape-size", "2",
+                                          f"--alpha={alpha}", "--steps", "50"])
 
 
 def main():
@@ -102,7 +119,10 @@ def main():
         for out, argv in commands():
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = cli.main(argv + ["--out", out])
+                try:
+                    code = cli.main(argv + ["--out", out])
+                except SystemExit as exc:  # argparse refusing a flag value
+                    code = exc.code
             log.write(f"{out}\t{code}\t{err.getvalue().strip()}\n")
 
 

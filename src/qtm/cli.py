@@ -183,11 +183,17 @@ def _write_csv(args, header, lines):
     return 0
 
 
+def _pattern(args):
+    """--pattern normalized, refused if --tape-size gives another length."""
+    pat = primitives.normalize_pattern(args.pattern)
+    if args.tape_size is not None and len(pat) != args.tape_size:
+        raise ConfigurationError("--pattern length disagrees with --tape-size")
+    return pat
+
+
 def cmd_classify(args):
     if args.pattern is not None:
-        pat = primitives.normalize_pattern(args.pattern)
-        if args.tape_size is not None and len(pat) != args.tape_size:
-            raise ConfigurationError("--pattern length disagrees with --tape-size")
+        pat = _pattern(args)
         periods = {pat: primitives.detect_period_numeric(
             pat, args.phi0, args.alpha, args.max_cycles)}
     else:
@@ -216,8 +222,12 @@ def cmd_decompose(args):
 
 def cmd_spectrum(args):
     if args.pattern is not None:
-        traj = primitives.run_primitive(args.pattern, args.phi0, args.alpha,
-                                        args.steps)
+        pat = _pattern(args)
+        if args.variant != VARIANT_X or args.initial != "zeros":
+            raise ConfigurationError(
+                "--pattern runs the plain flip on the pattern itself, so it "
+                "takes neither --variant iy nor --initial")
+        traj = primitives.run_primitive(pat, args.phi0, args.alpha, args.steps)
     else:
         if args.tape_size is None:
             raise ConfigurationError("spectrum needs --pattern or --tape-size")

@@ -15,7 +15,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -191,15 +191,6 @@ def run(config: MachineConfig) -> Trajectory:
     return Trajectory(bloch, config.num_tape_spins, drift)
 
 
-class _Stack(NamedTuple):
-    """States of num_tape_spins tape spins, one per row of a C-contiguous
-    (rows, 2**(M+1)) amplitude array. The gates read only these two
-    fields, and every kernel acts on each row of the stack alike."""
-
-    num_tape_spins: int
-    amplitudes: np.ndarray
-
-
 def _schedule(config):
     """Steps 1..2M of a cycle (see the module docstring) as (mu, turn):
     turn is (alpha_mu, cos, sin) for the rotation by alpha_mu, which
@@ -270,18 +261,20 @@ def _cycle_matrix(config, size):
     NumericalValidationError.
     """
     num = config.num_tape_spins
-    images = _Stack(num, np.eye(size, dtype=complex))
+    images = StateVector(num, np.eye(size, dtype=complex))
     exact = np.eye(size, dtype=np.clongdouble)
     flip = (_kernels_py.cnot_flip if config.variant == VARIANT_X
             else _kernels_py.cnot_signed_flip)
     scale = np.longdouble(1.0)
-    for mu, alpha in enumerate(config.alphas, 1):
-        apply_head_rotation(images, alpha)
-        apply_qcnot(images, mu, config.variant)
-        c, s = (np.longdouble(v) for v in rotation_coefficients(alpha))
-        _kernels_py.rotate_head(exact, c, s)
-        flip(exact, mu)
-        scale *= c * c + s * s
+    for mu, turn in _schedule(config):
+        if turn:
+            apply_head_rotation(images, turn[0])
+            c, s = (np.longdouble(v) for v in rotation_coefficients(turn[0]))
+            _kernels_py.rotate_head(exact, c, s)
+            scale *= c * c + s * s
+        else:
+            apply_qcnot(images, mu, config.variant)
+            flip(exact, mu)
     dev = float(np.abs(images.amplitudes - exact).max())
     bound = math.sqrt(2.0) * num * (_gamma2(float) + _gamma2(np.longdouble))
     if not dev <= bound:  # a NaN fails this test too
@@ -309,7 +302,7 @@ def _replay(config, stack, first, bloch):
         active = rows if n <= last_n else rows - 1
         if not active:
             break
-        states = _Stack(config.num_tape_spins, stack[:active])
+        states = StateVector(config.num_tape_spins, stack[:active])
         if turn:
             apply_head_rotation(states, turn[0])
         else:

@@ -6,141 +6,75 @@ decimal literals invites transcription drift, so flags accept
     expr := term (('*' | '/') term)*
     term := '-' term | NUMBER | 'pi' | 'sqrt' '(' expr ')' | '(' expr ')'
 
-evaluated in double precision. That is the whole language: multiplication,
-division, unary minus, parentheses, sqrt, pi, and numeric literals
-(including exponent notation). A literal or a product or quotient that
-overflows a double is an error, so every value is finite.
+evaluated in double precision, with decimal literals in exponent notation
+and with leading zeros (007 is 7). A literal or a product or quotient that
+overflows a double is an error, so every value is finite. Python's parser
+(ast) reads the text, and the rest of Python is refused: other operators,
+names, calls, attributes and keywords, comments, trailing commas, and
+literals such as 1_0, 0x10, 1j or True.
 """
 
+import ast
 import math
 import re
+import warnings
 
 from .errors import ConfigurationError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_]+)|(?P<sym>[*/()\-]))"
-)
+_BAD_CHAR = re.compile(r"[^0-9A-Za-z_.+\-*/() ]")
+# leading zeros of an integer part, which Python refuses in 007
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            if src[pos:].strip() == "":
-                break
-            raise ConfigurationError(
-                f"bad character {src[pos:].strip()[0]!r} in angle "
-                f"expression {src!r} at position {pos}"
-            )
-        if m.lastgroup == "num":
-            value = float(m.group("num"))
-            if math.isinf(value):
-                raise ConfigurationError(
-                    f"number {m.group('num')} in angle expression {src!r} "
-                    f"overflows a double"
-                )
-            tokens.append(("num", value, m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        pos = m.end()
-    return tokens
+def _finite(value, what, src):
+    if math.isinf(value):
+        raise ConfigurationError(f"{what} in {src!r} overflows a double")
+    return value
 
 
-class _Parser:
-    def __init__(self, src):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ConfigurationError(
-                f"angle expression {self.src!r} ends unexpectedly"
-            )
-        self.i += 1
-        return tok
-
-    def expect_sym(self, sym):
-        tok = self.take()
-        if tok[0] != "sym" or tok[1] != sym:
-            raise ConfigurationError(
-                f"expected {sym!r} at position {tok[2]} in {self.src!r}"
-            )
-
-    def expr(self):
-        value = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "sym" or tok[1] not in "*/":
-                return value
-            self.take()
-            rhs = self.term()
-            if tok[1] == "*":
-                value *= rhs
-            else:
-                if rhs == 0.0:
-                    raise ConfigurationError(
-                        f"division by zero in angle expression {self.src!r}"
-                    )
-                value /= rhs
-            if math.isinf(value):
-                raise ConfigurationError(
-                    f"angle expression {self.src!r} overflows a double"
-                )
-
-    def term(self):
-        tok = self.take()
-        kind, val, pos = tok
-        if kind == "sym" and val == "-":
-            return -self.term()
-        if kind == "num":
-            return val
-        if kind == "name":
-            if val == "pi":
-                return math.pi
-            if val == "sqrt":
-                self.expect_sym("(")
-                inner = self.expr()
-                self.expect_sym(")")
-                if inner < 0.0:
-                    raise ConfigurationError(
-                        f"sqrt of negative value in {self.src!r}"
-                    )
-                return math.sqrt(inner)
-            raise ConfigurationError(
-                f"unknown name {val!r} at position {pos} in {self.src!r} "
-                f"(only pi and sqrt are defined)"
-            )
-        if kind == "sym" and val == "(":
-            inner = self.expr()
-            self.expect_sym(")")
-            return inner
-        raise ConfigurationError(
-            f"unexpected {val!r} at position {pos} in {self.src!r}"
-        )
+def _value(node, text, src):
+    spelled = text[node.col_offset:node.end_col_offset]
+    match node:
+        case ast.Constant() if _NUMBER.fullmatch(spelled):
+            return _finite(float(spelled), f"number {spelled}", src)
+        case ast.Name(id="pi"):
+            return math.pi
+        case ast.UnaryOp(ast.USub(), operand):
+            return -_value(operand, text, src)
+        case ast.BinOp(left, ast.Mult() | ast.Div() as op, right):
+            lhs, rhs = _value(left, text, src), _value(right, text, src)
+            if isinstance(op, ast.Mult):
+                return _finite(lhs * rhs, "a product", src)
+            if rhs == 0.0:
+                raise ConfigurationError(f"division by zero in {src!r}")
+            return _finite(lhs / rhs, "a quotient", src)
+        case ast.Call(ast.Name(id="sqrt"), [arg], []):
+            inner = _value(arg, text, src)
+            if inner < 0.0:
+                raise ConfigurationError(f"sqrt of negative value in {src!r}")
+            return math.sqrt(inner)
+    raise ConfigurationError(f"{spelled!r} in angle expression {src!r} is "
+                             f"outside the grammar (* / - ( ) pi sqrt NUMBER)")
 
 
 def parse_angle(src: str) -> float:
     """Evaluate an angle expression to a float (radians by convention)."""
     if not isinstance(src, str) or not src.strip():
         raise ConfigurationError("empty angle expression")
-    parser = _Parser(src)
+    text = " ".join(src.split())
+    bad = _BAD_CHAR.search(text)
+    if bad is not None:
+        raise ConfigurationError(f"bad character {bad.group()!r} in {src!r}")
+    text = _LEADING_ZEROS.sub("", text)
     try:
-        value = parser.expr()
+        with warnings.catch_warnings():  # "1if" warns; refuse it like an error
+            warnings.simplefilter("error")
+            tree = ast.parse(text, mode="eval")
+        return _value(tree.body, text, src)
+    except SyntaxError as exc:
+        why = "nests too deeply" if "nested" in exc.msg else "does not parse"
+        raise ConfigurationError(
+            f"angle expression {src!r} {why}: {exc.msg}") from None
     except RecursionError:
         raise ConfigurationError("angle expression nests too deeply") from None
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ConfigurationError(
-            f"trailing {trailing[1]!r} at position {trailing[2]} in {src!r}"
-        )
-    return float(value)

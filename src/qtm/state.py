@@ -89,7 +89,9 @@ class BlochVector(NamedTuple):
 
 
 class StateVector:
-    """Dense amplitude array for the head plus num_tape_spins tape spins."""
+    """Head plus num_tape_spins tape spins: one state of 2**(M+1) amplitudes,
+    or a C-contiguous (rows, 2**(M+1)) stack of states, which every gate and
+    kernel acts on row by row alike; norm_sq and head_bloch are for one."""
 
     __slots__ = ("num_tape_spins", "amplitudes")
 
@@ -97,10 +99,11 @@ class StateVector:
         if num_tape_spins < 1:
             raise ConfigurationError("need at least one tape spin")
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (2 ** (num_tape_spins + 1),):
+        size = 2 ** (num_tape_spins + 1)
+        if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != size:
             raise ConfigurationError(
                 f"amplitude array has shape {amplitudes.shape}, "
-                f"expected ({2 ** (num_tape_spins + 1)},)"
+                f"expected ({size},) or (rows, {size})"
             )
         self.num_tape_spins = num_tape_spins
         self.amplitudes = amplitudes

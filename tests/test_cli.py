@@ -186,6 +186,30 @@ def test_spectrum_pattern(tmp_path):
     assert len(lines) == 129
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--variant", "iy"], "--variant iy"),
+    (["--initial=01"], "--initial"),
+    (["--tape-size", "3"], "disagrees with --tape-size"),
+], ids=["variant-iy", "initial", "tape-size"])
+def test_spectrum_pattern_refuses_flags_it_cannot_honour(extra, message,
+                                                         capsys):
+    # these flags used to be dropped: --variant iy printed the plain-flip
+    # spectrum
+    assert main(["spectrum", "--pattern=+-", "--alpha", "1", "--steps", "7"]
+                + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_spectrum_pattern_keeps_flags_it_honours(capsys):
+    base = ["spectrum", "--pattern=+-", "--alpha", "1", "--steps", "7"]
+    assert main(base) == 0
+    plain = capsys.readouterr().out
+    assert main(base + ["--tape-size", "2", "--initial=zeros",
+                        "--variant", "x"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_spectrum_needs_a_source():
     assert main(["spectrum", "--alpha", "1.0", "--steps", "10"]) == 2
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtm import ConfigurationError, parse_angle
@@ -47,6 +47,21 @@ def test_accepted_expressions(src, value):
     "sqrt(-1)",
     pytest.param("(" * 1000 + "1" + ")" * 1000, id="1000-nested-parens"),
     pytest.param("-" * 2000 + "1", id="2000-unary-minus"),
+    # Python syntax outside the grammar
+    "pi # c",  # a comment in Python
+    "sqrt(2,)",  # a trailing comma in Python
+    "sqrt(x=2)",
+    "sqrt(2, 3)",
+    "2**3",
+    "1_0",
+    "0x10",
+    "1j",
+    "True",
+    "pi.real",
+    "pi()",
+    "+1",
+    "1 if 1 else 2",
+    pytest.param("pi\x00", id="nul-byte"),
 ])
 def test_rejected_expressions(src):
     with pytest.raises(ConfigurationError):
@@ -72,3 +87,54 @@ def test_overflow_is_rejected(src):
                  allow_nan=False, allow_infinity=False))
 def test_repr_round_trip(x):
     assert parse_angle(repr(x)) == x
+
+
+@pytest.mark.parametrize("src,value", [
+    ("007", 7.0),  # leading zeros, which Python refuses in an integer
+    ("00.5", 0.5),
+    (".05", 0.05),
+    ("1e05", 1e5),
+    ("pi\t/ 2", math.pi / 2),
+    ("pi\n/2", math.pi / 2),
+    pytest.param("(" * 150 + "1" + ")" * 150, 1.0, id="150-nested-parens"),
+    ("-0", -0.0),  # the literal is a float before it is negated
+])
+def test_pinned_accepted_spellings(src, value):
+    assert parse_angle(src).hex() == value.hex()
+
+
+_SPELLED_FLOATS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+    st.sampled_from(["0.0", "2.", ".5", "1.5e2", "25E-1", "00.5", "7.e-1"]),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["*", " * ", "/", " / "]), inner)
+        .map("".join),
+        inner.map("-{}".format),
+        inner.map("sqrt({})".format),
+        inner.map("({})".format),
+    )
+
+
+_GRAMMAR = st.recursive(st.one_of(_SPELLED_FLOATS, st.just("pi")), _compound,
+                        max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(_GRAMMAR)
+def test_agrees_with_python_eval(src):
+    # literals are spelled as floats: Python's -0 is the integer 0, but
+    # -0.0 keeps its sign; magnitudes stay far from overflow
+    try:
+        want = eval(src, {"__builtins__": {}},
+                    {"pi": math.pi, "sqrt": math.sqrt})
+    except (ArithmeticError, ValueError):
+        want = math.inf
+    if not math.isfinite(want):
+        with pytest.raises(ConfigurationError):
+            parse_angle(src)
+    else:
+        assert parse_angle(src).hex() == want.hex()

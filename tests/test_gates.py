@@ -169,3 +169,19 @@ def test_qcnot_validates_inputs():
         apply_qcnot(s, 3)
     with pytest.raises(ConfigurationError):
         apply_qcnot(s, 1, "y")
+
+
+@pytest.mark.parametrize("variant", [VARIANT_X, VARIANT_IY])
+def test_gates_on_a_stack_act_on_each_row(variant):
+    rng = np.random.default_rng(41)
+    rows = np.stack([helpers.random_state(4, rng) for _ in range(5)])
+    stack = StateVector(3, rows.copy())
+    apply_head_rotation(stack, helpers.ALPHA)
+    apply_qcnot(stack, 2, variant)
+    for row, got in zip(rows, stack.amplitudes):
+        s = StateVector(3, row.copy())
+        apply_head_rotation(s, helpers.ALPHA)
+        apply_qcnot(s, 2, variant)
+        np.testing.assert_array_equal(got, s.amplitudes)
+    with pytest.raises(ConfigurationError):
+        StateVector(3, rows.reshape(5, 1, 16))
