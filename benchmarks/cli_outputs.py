@@ -94,6 +94,18 @@ def commands():
     yield from _simulate("refused_recursion_plus", 2, 10, "+0", "recursion")
     yield ("refused_invariants_m3.json", ["invariants", "--tape-size", "3",
                                           ALPHA, "--steps", "600"])
+    # angles the primitive path cannot hold in a double (2 * 1e308 is not)
+    for name, argv in (
+            ("simulate", ["simulate", "--engine", "primitives",
+                          "--tape-size", "2", "--steps", "6"]),
+            ("primitives", ["primitives", "--pattern=+-", "--steps", "6"]),
+            ("spectrum", ["spectrum", "--pattern=+-", "--steps", "7"]),
+            ("classify", ["classify", "--pattern=+-"]),
+            ("census", ["classify", "--all", "--tape-size", "2"])):
+        yield (f"refused_overflow_{name}.csv", argv + ["--alpha=1e308"])
+    # the flat norm guard stops this correct run at step 64,020 (exit 3)
+    yield ("refused_norm_m6.csv", ["simulate", "--tape-size", "6", ALPHA,
+                                   "--steps", "70000"])
     for name, extra in (("iy", ["--variant", "iy"]),
                         ("initial", ["--initial=01"]),
                         ("tape_size", ["--tape-size", "3"])):

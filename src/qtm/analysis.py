@@ -8,6 +8,7 @@ which the entry points verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -79,21 +80,18 @@ def fit_invariant_circles(traj, max_circles) -> CircleSet:
     residues = [[r] for r in range(len(groups))]
     circles = [_algebraic_circle(yz[g]) for g in groups]
 
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                (ci, ri), (cj, rj) = circles[i], circles[j]
-                if np.hypot(*(ci - cj)) < MERGE_TOL and abs(ri - rj) < MERGE_TOL:
-                    groups[i].extend(groups[j])
-                    residues[i].extend(residues[j])
-                    del groups[j], residues[j], circles[j]
-                    circles[i] = _algebraic_circle(yz[groups[i]])
-                    merged = True
-                    break
-            if merged:
-                break
+    def coincide(pair):
+        (ci, ri), (cj, rj) = (circles[k] for k in pair)
+        return np.hypot(*(ci - cj)) < MERGE_TOL and abs(ri - rj) < MERGE_TOL
+
+    # merge the first coinciding pair (i < j, in that order) until none is left
+    while pair := next(filter(coincide, combinations(range(len(groups)), 2)),
+                       None):
+        i, j = pair
+        groups[i].extend(groups[j])
+        residues[i].extend(residues[j])
+        del groups[j], residues[j], circles[j]
+        circles[i] = _algebraic_circle(yz[groups[i]])
 
     if len(groups) > max_circles:
         raise CircleFitError(

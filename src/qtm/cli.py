@@ -19,7 +19,7 @@ import sys
 from . import __version__, analysis, engine, io, primitives, recursion
 from .errors import CircleFitError, ConfigurationError, NumericalValidationError
 from .exprs import parse_angle
-from .gates import VARIANT_X
+from .gates import VARIANT_X, VARIANTS
 from .state import normalize_tape_spec
 
 
@@ -40,6 +40,19 @@ def _add_out_flags(sub, formats=("csv", "json", "svg")):
     sub.add_argument("--format", choices=formats, default=formats[0])
 
 
+def _add_machine_flags(sub, tape_size_required=True, steps=None):
+    """The flags of a MachineConfig: --steps is required when it has no
+    default."""
+    sub.add_argument("--tape-size", type=int, required=tape_size_required)
+    sub.add_argument("--alpha", type=_angle, required=True,
+                     help='rotation angle, e.g. "pi/sqrt(3)"')
+    sub.add_argument("--phi0", type=_angle, default=0.0,
+                     help="initial head angle (default 0)")
+    sub.add_argument("--steps", type=int, required=steps is None,
+                     default=steps)
+    sub.add_argument("--initial", default="zeros", help=_INITIAL_HELP)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qtm",
@@ -50,14 +63,8 @@ def build_parser():
 
     sim = subs.add_parser("simulate", help="run the machine and export the "
                           "head trajectory")
-    sim.add_argument("--tape-size", type=int, required=True)
-    sim.add_argument("--alpha", type=_angle, required=True,
-                     help='rotation angle, e.g. "pi/sqrt(3)"')
-    sim.add_argument("--phi0", type=_angle, default=0.0,
-                     help="initial head angle (default 0)")
-    sim.add_argument("--steps", type=int, required=True)
-    sim.add_argument("--initial", default="zeros", help=_INITIAL_HELP)
-    sim.add_argument("--variant", choices=("x", "iy"), default="x")
+    _add_machine_flags(sim)
+    sim.add_argument("--variant", choices=VARIANTS, default=VARIANT_X)
     sim.add_argument("--engine",
                      choices=("statevector", "recursion", "primitives"),
                      default="statevector")
@@ -98,12 +105,8 @@ def build_parser():
 
     spec = subs.add_parser("spectrum", help="magnitude spectrum of a "
                            "trajectory")
-    spec.add_argument("--tape-size", type=int)
-    spec.add_argument("--alpha", type=_angle, required=True)
-    spec.add_argument("--phi0", type=_angle, default=0.0)
-    spec.add_argument("--steps", type=int, required=True)
-    spec.add_argument("--initial", default="zeros", help=_INITIAL_HELP)
-    spec.add_argument("--variant", choices=("x", "iy"), default="x")
+    _add_machine_flags(spec, tape_size_required=False)
+    spec.add_argument("--variant", choices=VARIANTS, default=VARIANT_X)
     spec.add_argument("--pattern",
                       help="use this +/- primitive instead of the full state")
     _add_out_flags(spec, formats=("csv",))
@@ -111,11 +114,7 @@ def build_parser():
 
     inv = subs.add_parser("invariants", help="fit the invariant circle "
                           "family of a trajectory")
-    inv.add_argument("--tape-size", type=int, required=True)
-    inv.add_argument("--alpha", type=_angle, required=True)
-    inv.add_argument("--phi0", type=_angle, default=0.0)
-    inv.add_argument("--steps", type=int, default=3000)
-    inv.add_argument("--initial", default="zeros", help=_INITIAL_HELP)
+    _add_machine_flags(inv, steps=3000)
     inv.add_argument("--max-circles", type=int, default=None,
                      help="default 2**(M+1)")
     inv.add_argument("--out", default="-")

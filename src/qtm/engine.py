@@ -182,12 +182,12 @@ def run(config: MachineConfig) -> Trajectory:
                 x, y = 2.0 * cross.real, -2.0 * cross.imag
             else:
                 x, y, z = head_bloch(state)
-                drift = _check_norm(state, m, drift)
+                drift = _check_norm(state.norm_sq(), m, drift)
         bloch[m] = x, y, z
     if fused:
         drift = _run_windows(config, state, bloch, drift)
     elif config.steps % cycle:
-        drift = _check_norm(state, config.steps, drift)
+        drift = _check_norm(state.norm_sq(), config.steps, drift)
     return Trajectory(bloch, config.num_tape_spins, drift)
 
 
@@ -311,8 +311,14 @@ def _replay(config, stack, first, bloch):
             stack[:active])
 
 
-def _check_norm(state, m, drift):
-    return _check_dev(abs(state.norm_sq() - 1.0), m, drift)
+def _check_norm(norm_sq, m, drift):
+    """The larger of drift and |norm_sq - 1|, norm_sq the norm² of the
+    state at step m; past NORM_TOL it raises with norm_sq - 1 signed."""
+    dev = norm_sq - 1.0
+    if not abs(dev) <= NORM_TOL:  # a NaN norm fails this test too
+        raise NumericalValidationError(
+            f"state norm² drifted to 1{dev:+.3e} by step {m}")
+    return max(drift, abs(dev))
 
 
 def _check_norms(norm_sq, steps, drift):
@@ -321,15 +327,7 @@ def _check_norms(norm_sq, steps, drift):
     dev = np.abs(norm_sq - 1.0)
     bad = np.flatnonzero(~(dev <= NORM_TOL))
     i = bad[0] if bad.size else np.argmax(dev)
-    return _check_dev(float(dev[i]), int(steps[i]), drift)
-
-
-def _check_dev(dev, m, drift):
-    if not dev <= NORM_TOL:  # a NaN norm fails this test too
-        raise NumericalValidationError(
-            f"state norm² drifted to 1{dev:+.3e} by step {m}"
-        )
-    return max(drift, dev)
+    return _check_norm(float(norm_sq[i]), int(steps[i]), drift)
 
 
 def run_mixed(weights: Sequence[tuple[float, MachineConfig]]) -> Trajectory:

@@ -6,13 +6,14 @@ callers look them up on this module at call time, so the implementation
 can be swapped (or monkeypatched in tests) in one place.
 """
 
+from . import _kernels_py
+
 try:
     from . import _kernels_c as _impl
 
     BACKEND = "compiled"
 except ImportError:  # extension not built; the numpy path is fully equivalent
-    from . import _kernels_py as _impl
-
+    _impl = _kernels_py
     BACKEND = "numpy"
 
 rotate_head = _impl.rotate_head
@@ -21,14 +22,7 @@ cnot_signed_flip = _impl.cnot_signed_flip
 
 
 def available_backends():
-    """Map backend name to kernel module, for benchmarks and tests."""
-    from . import _kernels_py
-
-    found = {"numpy": _kernels_py}
-    try:
-        from . import _kernels_c
-
-        found["compiled"] = _kernels_c
-    except ImportError:
-        pass
-    return found
+    """Map backend name to kernel module, for benchmarks and tests: the
+    numpy kernels, and the compiled ones when the import above found
+    them."""
+    return {"numpy": _kernels_py, BACKEND: _impl}

@@ -30,7 +30,9 @@ import numpy as np
 
 from .engine import MachineConfig, Trajectory
 from .errors import ConfigurationError
-from .state import check_fits, normalize_tape_spec, tape_amplitudes
+from .gates import VARIANT_X
+from .state import (check_fits, normalize_tape_spec, spelled_over,
+                    tape_amplitudes)
 
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
@@ -39,12 +41,7 @@ CENSUS_WINDOW = 1 << 15  # angles held per period_census window
 
 
 def normalize_pattern(pattern: str) -> str:
-    pattern = pattern.replace("−", "-").replace("–", "-")
-    if not pattern or any(ch not in "+-" for ch in pattern):
-        raise ConfigurationError(
-            f"sign pattern {pattern!r} must be a nonempty string over + and -"
-        )
-    return pattern
+    return spelled_over(pattern, "+-", "sign pattern", "+ and -")
 
 
 def all_patterns(num_tape_spins: int) -> list[str]:
@@ -87,6 +84,24 @@ def _cycle_table(signs):
     return sign, offset.astype(float)
 
 
+def _run_table(signs, phi0, alpha, steps):
+    """_cycle_table of signs for steps 0..steps of a run, refused when
+    |phi0| + |kappa|*|alpha| at one of them overflows a double. kappa =
+    s*k_p + offset is linear in k_p, which is p*K or alternates 0 and K,
+    so |kappa| peaks in cycle 0, 1 or last-1, or in the last, partial one;
+    _angles at phi0 = 0 and alpha = 1 gives kappa."""
+    sign, offset = _cycle_table(signs)
+    last, part = divmod(steps, sign.shape[1] - 1)
+    top = max(float(np.abs(_angles(sign, offset, 0.0, 1.0, p, p + 1)[
+        :, :part + 1 if p == last else None]).max())
+        for p in {0, min(1, last), max(last - 1, 0), last})
+    if not math.isfinite(abs(float(phi0)) + top * abs(float(alpha))):
+        raise ConfigurationError(
+            f"head angles of the primitive path reach |phi0| + "
+            f"{top:.0f}*|alpha|, which overflows a double")
+    return sign, offset
+
+
 def _cycle_starts(sign, offset, first, stop):
     """(sigma, k) of cycle starts first..stop-1: S = +1 gives k = p*K, and
     S = -1 alternates phi0 with -phi0 + K*alpha."""
@@ -124,7 +139,7 @@ def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray
         raise ConfigurationError("patterns in a batch must share one tape size")
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
-    sign, offset = _cycle_table(_pattern_signs(pats))
+    sign, offset = _run_table(_pattern_signs(pats), phi0, alpha, steps)
     cycles = steps // (sign.shape[1] - 1) + 1
     return _angles(sign, offset, phi0, alpha, 0, cycles)[:, :steps + 1]
 
@@ -203,8 +218,9 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol):
     its first checked candidate."""
     if max_cycles < 2:
         raise ConfigurationError("need max_cycles >= 2")
-    sign, offset = _cycle_table(signs)
-    cycle = sign.shape[1] - 1
+    cycle = 2 * signs.shape[1]
+    # a check of the last candidate, step horizon, reads one cycle past it
+    sign, offset = _run_table(signs, phi0, alpha, cycle * (max_cycles + 1))
     horizon = cycle * max_cycles
     limit = math.asin(min(tol / 2, 1.0)) / math.pi  # in turns
 
@@ -326,7 +342,7 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
         raise ConfigurationError("step count must be >= 0")
     num = weights.size.bit_length() - 1
     used = np.flatnonzero(weights)
-    sign, offset = _cycle_table(_signs(used, num))
+    sign, offset = _run_table(_signs(used, num), phi0, alpha, steps)
     offset[:, :-1] *= alpha  # o; _cycle_starts reads only the last column
     # y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o)) and
     # z = sum w*(s*sin(theta)*sin(o) - cos(theta)*cos(o)): one table, its
@@ -355,10 +371,9 @@ def run(config: MachineConfig) -> Trajectory:
     """Primitive superposition for a MachineConfig, as a drop-in for the
     state-vector engine. Valid only for uniform alpha and the plain flip
     variant; any tape, spec string or amplitude array, is decomposed."""
-    if config.variant != "x":
+    if config.variant != VARIANT_X:
         raise ConfigurationError(
-            "the primitives engine covers the plain flip variant only"
-        )
+            "the primitives engine covers the plain flip variant only")
     # per pattern: superpose's two table rows of 4M floats, as much again
     # for the cycle table and per-step rows, and 12 bytes of weights; one
     # step peaks at 4.39 MB (M=12) and 20.2 MB (M=14) under tracemalloc

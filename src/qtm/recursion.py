@@ -36,6 +36,7 @@ import numpy as np
 
 from .engine import MachineConfig, Trajectory
 from .errors import ConfigurationError
+from .gates import VARIANT_X
 from .state import BlochVector
 
 APERIODIC_M1 = "aperiodic"
@@ -113,7 +114,7 @@ def run(config: MachineConfig) -> Trajectory:
     at pi negates the whole trajectory.
     """
     alpha = config.uniform_alpha()
-    if config.variant != "x":
+    if config.variant != VARIANT_X:
         raise ConfigurationError("closed form covers the plain flip variant only")
     initial = config.resolved_initial()
     if not isinstance(initial, str) or any(ch not in "01" for ch in initial):

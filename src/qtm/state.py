@@ -62,24 +62,28 @@ def normalize_tape_spec(spec: str, num_tape_spins: int | None = None) -> str:
     """
     if num_tape_spins is not None and num_tape_spins < 1:
         raise ConfigurationError("need at least one tape spin")
-    if spec == "zeros":
+    fill = {"zeros": "0", "ones": "1"}.get(spec)
+    if fill:
         if num_tape_spins is None:
-            raise ConfigurationError('"zeros" shorthand needs a tape size')
-        return "0" * num_tape_spins
-    if spec == "ones":
-        if num_tape_spins is None:
-            raise ConfigurationError('"ones" shorthand needs a tape size')
-        return "1" * num_tape_spins
-    spec = spec.replace("−", "-").replace("–", "-")
-    if not spec or any(ch not in _SITE_VECTORS for ch in spec):
-        raise ConfigurationError(
-            f"tape spec {spec!r} must be a nonempty string over 0, 1, +, -"
-        )
+            raise ConfigurationError(f'"{spec}" shorthand needs a tape size')
+        return fill * num_tape_spins
+    spec = spelled_over(spec, _SITE_VECTORS, "tape spec", "0, 1, +, -")
     if num_tape_spins is not None and len(spec) != num_tape_spins:
         raise ConfigurationError(
             f"tape spec {spec!r} has length {len(spec)}, expected {num_tape_spins}"
         )
     return spec
+
+
+def spelled_over(text: str, alphabet, what: str, listed: str) -> str:
+    """text with the unicode minus and en dash as ASCII '-', refused
+    unless it is a nonempty string over alphabet; what names the text and
+    listed the alphabet in the refusal."""
+    text = text.replace("−", "-").replace("–", "-")
+    if not text or any(ch not in alphabet for ch in text):
+        raise ConfigurationError(
+            f"{what} {text!r} must be a nonempty string over {listed}")
+    return text
 
 
 class BlochVector(NamedTuple):

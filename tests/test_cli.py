@@ -1,15 +1,18 @@
 """End-to-end command line checks, driven through cli.main with exit-code
 assertions, plus one real subprocess smoke test."""
 
+import importlib
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import qtm
 from qtm import MachineConfig, run
 from qtm import io as qio
 from qtm.cli import main
@@ -291,6 +294,31 @@ def test_overflowing_angle_is_a_usage_error(argv, capsys):
     assert out == "" and "overflows a double" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--engine", "primitives", "--tape-size", "2", "--steps", "6"],
+    ["primitives", "--pattern=+-", "--steps", "6"],
+    ["spectrum", "--pattern=+-", "--steps", "7"],
+    ["classify", "--pattern=+-"],
+    ["classify", "--all", "--tape-size", "2"],
+], ids=["simulate", "primitives", "spectrum", "classify", "classify-all"])
+def test_primitive_angles_a_double_cannot_hold_are_a_usage_error(
+        argv, tmp_path, capsys):
+    # alpha = 1e308 is a double, but 2*alpha is not: these runs used to
+    # write NaN rows or leave the period empty, with exit 0
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--alpha", "1e308", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "overflows a double" in capsys.readouterr().err
+
+
+def test_state_vector_takes_an_angle_the_primitive_path_refuses(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--tape-size", "2", "--steps", "6", "--alpha",
+                 "1e308", "--out", str(out)]) == 0
+    assert np.isfinite(helpers.read_trajectory_csv(out)[3]).all()
+
+
 def test_state_too_large_for_memory_is_a_usage_error(capsys):
     # 16 * 2**41 bytes and the half-size state before the last spin:
     # refused on the estimate, before any allocation
@@ -359,3 +387,21 @@ def test_console_script_installed():
     proc = subprocess.run(["qtm", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_console_script_entry_point_resolves(monkeypatch, capsys):
+    # the [project.scripts] target, resolved as an installed script would
+    # resolve it, so a moved or renamed entry point fails without an install
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qtm"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["qtm", "--version"])
+    with pytest.raises(SystemExit) as info:
+        entry()
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == qtm.__version__

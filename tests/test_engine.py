@@ -375,6 +375,32 @@ def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num, message):
         run(MachineConfig.uniform(num, ALPHA, steps=100 * 2 * num))
 
 
+@pytest.mark.parametrize("factor", [1.0 - 1e-7, 1.0 + 1e-7],
+                         ids=["shrinks", "grows"])
+@pytest.mark.parametrize("num, stacks_only", [(6, False), (3, True)],
+                         ids=["gate-loop", "window-replay"])
+def test_norm_guard_reports_the_signed_deviation(monkeypatch, factor, num,
+                                                 stacks_only):
+    # every rotation scales norm² by factor**2, so one cycle of M rotations
+    # leaves it factor**(2M) - 1 off 1, a norm that shrinks as 1-... and
+    # one that grows as 1+... At M=3 only the stacked replay of the second
+    # cycle leaks, and its rows are checked (_check_norms) at step 12
+    rotate = qtm.kernels.rotate_head
+
+    def leaky(amps, c, s):
+        rotate(amps, c, s)
+        if amps.ndim == 2 or not stacks_only:
+            amps *= factor
+
+    monkeypatch.setattr(qtm.kernels, "rotate_head", leaky)
+    dev = factor ** (2 * num) - 1.0
+    message = f"drifted to 1{dev:+.3e} by step 12"
+    assert message[12] == ("-" if factor < 1 else "+")
+    with pytest.raises(NumericalValidationError) as info:
+        run(MachineConfig.uniform(num, ALPHA, steps=12))
+    assert str(info.value).endswith(message)
+
+
 @pytest.mark.parametrize("bad_calls, row, step", [
     # every rotation after the first cycle, or only those that build U:
     # the kernels' U is checked against its exact product when it is

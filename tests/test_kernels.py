@@ -28,6 +28,14 @@ def test_numpy_backend_always_available():
     assert "numpy" in kernels.available_backends()
 
 
+def test_available_backends_hold_the_active_kernels():
+    found = kernels.available_backends()
+    assert list(found) == (["numpy"] if kernels.BACKEND == "numpy"
+                           else ["numpy", "compiled"])
+    assert found[kernels.BACKEND].rotate_head is kernels.rotate_head
+    assert found["numpy"] is _kernels_py
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The C kernels built fresh from source into a temporary directory.

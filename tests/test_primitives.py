@@ -142,6 +142,23 @@ def test_cycle_map_agrees_with_classify(num):
         assert cls.periodic == (big_s == -1 or big_k == 0), p
 
 
+@pytest.mark.parametrize("num", [1, 2, 3])
+def test_angle_guard_takes_the_largest_kappa_of_the_run(num):
+    # the run of steps 0..steps is refused on the largest |kappa| of the
+    # step rules over those steps, no more: alpha = max/(top + 1/2) holds
+    # top*alpha and passes, and the message of a refused run names top
+    big = np.finfo(float).max
+    for pattern in all_patterns(num):
+        signs = primitives._pattern_signs([pattern])
+        for steps in range(1, 4 * 2 * num + 2):
+            top = int(np.abs(helpers.integer_angles(pattern, steps)[1]).max())
+            primitives._run_table(signs, -0.5, big / (top + 0.5), steps)
+            if top > 1:
+                with pytest.raises(ConfigurationError,
+                                   match=rf"\+ {top}\*\|alpha\|, which"):
+                    primitives._run_table(signs, 0.0, big, steps)
+
+
 def test_cycle_table_peaks_under_three_offsets():
     # the spin signs stay int8 through the sign table, and the offsets are
     # one int64 repeat and its float64 copy: all 2**14 patterns of M=14

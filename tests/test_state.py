@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from qtm.errors import ConfigurationError
-from qtm import state
+from qtm import primitives, state
 from qtm.gates import apply_qcnot
 from qtm.state import (BlochVector, StateVector, head_bloch,
                        make_product_state, make_state, normalize_tape_spec,
@@ -149,6 +149,16 @@ def test_make_state_rejects_bad_input():
         make_state(0.0, np.ones(3, dtype=complex) / np.sqrt(3))  # not 2**M
     with pytest.raises(ConfigurationError):
         StateVector(2, np.ones(4, dtype=complex) / 2)  # wrong length for M=2
+
+
+def test_tape_specs_and_sign_patterns_share_one_spelling_rule():
+    assert normalize_tape_spec("−0–1") == "-0-1"
+    with pytest.raises(ConfigurationError, match=r"^tape spec '0x' must be "
+                       r"a nonempty string over 0, 1, \+, -$"):
+        normalize_tape_spec("0x")
+    with pytest.raises(ConfigurationError, match=r"^sign pattern '\+0' must "
+                       r"be a nonempty string over \+ and -$"):
+        primitives.normalize_pattern("+0")
 
 
 def test_tape_spec_shorthands():
