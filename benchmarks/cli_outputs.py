@@ -4,7 +4,8 @@ Covers simulate with each engine (csv, json and svg, both flip variants),
 primitives, classify --pattern and --all, decompose, spectrum and
 invariants, at the benchmark's shapes (M=3, 4 and 8 over 20,000 steps, the
 M=12 census over 200 cycles, M=18 over 100 steps) and at a few small ones,
-plus configurations and angle spellings the CLI refuses.
+censuses at angles where most steps match step 0 (alpha = 0, 2*pi/3 and
+pi/50), plus configurations and angle spellings the CLI refuses.
 Every command runs in this process from inside OUTDIR with a relative
 --out name, so the manifests, which record the command line, do not depend
 on where OUTDIR is. Exit codes and stderr go to OUTDIR/exit_codes.txt.
@@ -74,6 +75,18 @@ def commands():
                              "--max-cycles", "10"])
     yield ("census_m12.csv", ["classify", "--all", "--tape-size", "12", ALPHA,
                               "--phi0=0.3", "--max-cycles", "200"])
+    # censuses at angles where most steps match step 0, and a drifting
+    # pattern over the default 1000 cycles
+    for name, tape_size, angle, phi0, max_cycles in (
+            ("census_m6_alpha0", 6, "0", "0.3", 200),
+            ("census_m7_2pi3", 7, "2*pi/3", "0.3", 150),
+            ("census_m8_pi50", 8, "pi/50", "0", 100)):
+        yield (f"{name}.csv", ["classify", "--all", "--tape-size",
+                               str(tape_size), f"--alpha={angle}",
+                               f"--phi0={phi0}", "--max-cycles",
+                               str(max_cycles)])
+    yield ("classify_pattern_default.csv", ["classify", "--pattern=+--+",
+                                            ALPHA, "--phi0=0.3"])
     yield ("decompose_mixed.csv", ["decompose", "--initial=+-01",
                                    "--tape-size", "4"])
     yield ("decompose_zeros.csv", ["decompose", "--initial", "zeros",

@@ -88,11 +88,11 @@ def _run_table(signs, phi0, alpha, steps):
     """_cycle_table of signs for steps 0..steps of a run, refused when
     |phi0| + |kappa|*|alpha| at one of them overflows a double. kappa =
     s*k_p + offset is linear in k_p, which is p*K or alternates 0 and K,
-    so |kappa| peaks in cycle 0, 1 or last-1, or in the last, partial one;
-    _angles at phi0 = 0 and alpha = 1 gives kappa."""
+    so |kappa| peaks in cycle 0, 1 or last-1, or in the last, partial
+    one."""
     sign, offset = _cycle_table(signs)
     last, part = divmod(steps, sign.shape[1] - 1)
-    top = max(float(np.abs(_angles(sign, offset, 0.0, 1.0, p, p + 1)[
+    top = max(float(np.abs(_keys(sign, offset, np.arange(p, p + 1))[1][
         :, :part + 1 if p == last else None]).max())
         for p in {0, min(1, last), max(last - 1, 0), last})
     if not math.isfinite(abs(float(phi0)) + top * abs(float(alpha))):
@@ -102,27 +102,35 @@ def _run_table(signs, phi0, alpha, steps):
     return sign, offset
 
 
-def _cycle_starts(sign, offset, first, stop):
-    """(sigma, k) of cycle starts first..stop-1: S = +1 gives k = p*K, and
-    S = -1 alternates phi0 with -phi0 + K*alpha."""
-    p = np.arange(first, stop)
+def _cycle_starts(sign, offset, p):
+    """(sigma, k) of the starts of cycles p, an integer array broadcast
+    against the rows: S = +1 gives k = p*K, and S = -1 alternates phi0
+    with -phi0 + K*alpha."""
     flips = sign[:, -1:] < 0
     return (np.where(flips, 1 - 2 * (p & 1), 1),
             offset[:, -1:] * np.where(flips, p & 1, p))
 
 
-def _angles(sign, offset, phi0, alpha, first, stop):
-    """Head angle sigma*phi0 + kappa*alpha at every step of cycles
-    first..stop-1, shape (rows, (stop-first)*2M). kappa is built in exact
-    integers and multiplied by alpha once. At phi0 = 0 the phi0 term is
-    +0.0, so a zero angle is +0.0 and its sine prints as 0.0."""
-    sigma_p, k_p = _cycle_starts(sign, offset, first, stop)
+def _keys(sign, offset, p):
+    """Integer key (tot, kappa) of every step of cycles p (as in
+    _cycle_starts), each of shape (rows, len(p)*2M): the head angle there
+    is tot*phi0 + kappa*alpha, with tot = +-1 and kappa an integer held
+    exactly in a float64."""
+    sigma, k = _cycle_starts(sign, offset, p)
     s = sign[:, None, :-1]
-    phis = k_p[:, :, None] * s
-    phis += offset[:, None, :-1]
-    phis *= alpha
-    phis += (sigma_p * phi0)[:, :, None] * s if phi0 else 0.0
-    return phis.reshape(len(sign), -1)
+    kappa = k[:, :, None] * s
+    kappa += offset[:, None, :-1]
+    return ((sigma.astype(np.int8)[:, :, None] * s).reshape(len(sign), -1),
+            kappa.reshape(len(sign), -1))
+
+
+def _angles(tot, kappa, phi0, alpha):
+    """Head angle fl(kappa*alpha) + tot*phi0 of integer keys: kappa is
+    multiplied by alpha once, and at phi0 = 0 the phi0 term is +0.0, so a
+    zero angle is +0.0 and its sine prints as 0.0."""
+    phis = kappa * alpha
+    phis += tot * phi0 if phi0 else 0.0
+    return phis
 
 
 def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray:
@@ -140,8 +148,9 @@ def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
     sign, offset = _run_table(_pattern_signs(pats), phi0, alpha, steps)
-    cycles = steps // (sign.shape[1] - 1) + 1
-    return _angles(sign, offset, phi0, alpha, 0, cycles)[:, :steps + 1]
+    tot, kappa = _keys(sign, offset,
+                       np.arange(steps // (sign.shape[1] - 1) + 1))
+    return _angles(tot[:, :steps + 1], kappa[:, :steps + 1], phi0, alpha)
 
 
 def run_primitive(pattern: str, phi0: float, alpha: float, steps: int) -> Trajectory:
@@ -211,11 +220,21 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol):
     The chord test 2*|sin(d/2)| < tol is |w| < 2*asin(tol/2) for d wrapped
     to w = d - 2*pi*rint(d/(2*pi)), so no transcendental is taken per step.
     Only the steps that match step 0 are candidates, and a candidate s is
-    the period when steps s..s+2M match steps 0..2M. The horizon is walked
-    in windows of whole cycles, each holding at most CENSUS_WINDOW angles
-    of the rows still without a period: its candidates are the steps of
-    all but its last cycle, which it holds for their check. A row leaves at
-    its first checked candidate."""
+    the period when steps s..s+2M match steps 0..2M.
+
+    The candidates are solved for, not scanned. Steps 1..4M are matched
+    from one table of the angles of steps 0..6M, one cycle at a time.
+    After them, a row with S = -1 repeats every angle bit for bit each two
+    cycles and a row with K = 0 each cycle, so only the rows that drift
+    (S = +1, K != 0) go on. A step's angle is a function of its _keys
+    alone, so it matches step 0 by its code 2*kappa + (tot < 0), and each
+    code those rows reach is matched once. A cycle moves their codes by
+    2*K*s_j, so the steps b + 2M*r of a class b = 1..2M have codes a + d*r,
+    and a class's candidates are the r whose code is among the sorted
+    codes that match. Classes without one drop out; the rest are expanded
+    in windows of steps that double, unless one check batch holds them
+    all. A row leaves at the smallest candidate that passes, checked in
+    batches of at most CENSUS_WINDOW angles."""
     if max_cycles < 2:
         raise ConfigurationError("need max_cycles >= 2")
     cycle = 2 * signs.shape[1]
@@ -229,47 +248,87 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol):
         d -= np.rint(d)
         return np.abs(d, out=d) < limit
 
-    ref = _angles(sign, offset, phi0, alpha, 0, 2)[:, :cycle + 1].copy()
+    # steps 0..6M, all that the checks of steps 1..4M read
+    tot, kappa = (k[:, :3 * cycle + 1] for k in _keys(sign, offset,
+                                                      np.arange(4)))
+    phis = _angles(tot, kappa, phi0, alpha)
     span = np.arange(cycle + 1)
-    per_check = max(1, CENSUS_WINDOW // (cycle + 1))  # candidates at once
-    periods = np.zeros(len(sign), dtype=int)
-    live = np.arange(len(sign))  # sign, offset and ref hold these rows
-    first = 0
-    while first <= max_cycles and live.size:
-        n = min(max(1, CENSUS_WINDOW // (live.size * cycle) - 1),
-                max_cycles + 1 - first)
-        phis = _angles(sign, offset, phi0, alpha, first, first + n + 1)
-        base = first * cycle
-        lo, hi = max(base, 1) - base, min(base + n * cycle, horizon + 1) - base
-        rows, at = np.divmod(np.flatnonzero(match(phis[:, lo:hi] - ref[:, :1])),
-                             hi - lo)
-        at += lo
-        ok = np.empty(rows.size, dtype=bool)
-        for i in range(0, rows.size, per_check):
-            r = rows[i:i + per_check]
-            d = phis[r[:, None], at[i:i + per_check, None] + span]
-            d -= ref[r]
-            ok[i:i + per_check] = match(d).all(axis=1)
-        del phis  # free the window before the next is built
-        first += n
-        found, pick = np.unique(rows[ok], return_index=True)
-        if found.size:
-            periods[live[found]] = base + at[ok][pick]
-            live, sign, offset, ref = (np.delete(a, found, axis=0)
-                                       for a in (live, sign, offset, ref))
-    return [int(p) if p else None for p in periods]
+    ref = phis[:, span]
+    per_check = max(1, CENSUS_WINDOW // (cycle + 1))
+    best = np.full(len(sign), horizon + 1)
+
+    def leave(r, at):
+        """Rows r leave at the candidates at whose steps at..at+2M match
+        steps 0..2M, checked per_check at a time."""
+        for i in range(0, len(r), per_check):
+            r_, at_ = r[i:i + per_check], at[i:i + per_check]
+            if at_[-1] <= 2 * cycle:  # steps 1..4M, never mixed with
+                diff = phis[r_[:, None], at_[:, None] + span]  # solved ones
+            else:  # the keys of the two cycles the steps lie in, and the
+                # angles of those steps only
+                p, j = np.divmod(at_, cycle)
+                tot, kappa = _keys(sign[r_], offset[r_], p[:, None] + [0, 1])
+                cols = np.arange(len(r_))[:, None], j[:, None] + span
+                diff = _angles(tot[cols], kappa[cols], phi0, alpha)
+            diff -= ref[r_]
+            ok = match(diff).all(axis=1)
+            np.minimum.at(best, r_[ok], at_[ok])
+
+    for start in (1, cycle + 1):  # one cycle of steps 1..4M each
+        r, at = np.nonzero(match(phis[:, start:start + cycle] - ref[0, 0])
+                           & (best[:, None] > horizon))
+        leave(r, at + start)
+    drift = np.flatnonzero((sign[:, -1] > 0) & (offset[:, -1] != 0)
+                           & (best > horizon))
+    code = (2 * kappa[drift, 1:2 * cycle + 1]
+            + (tot[drift, 1:2 * cycle + 1] < 0)).astype(np.int64)
+    a, d = code[:, :cycle], code[:, cycle:] - code[:, :cycle]
+    top = int(np.abs([a, a + d * ((horizon - span[1:]) // cycle)]).max(
+        initial=0)) // 2
+    chunk = max(4 * cycle, CENSUS_WINDOW // 4)  # codes matched at a time
+    hits = np.concatenate([  # the codes that match, sorted
+        c[match(_angles(1 - 2 * (c & 1), c // 2, phi0, alpha) - ref[0, 0])]
+        for c in (np.arange(lo, min(lo + chunk, 2 * top + 2))
+                  for lo in range(-2 * top, 2 * top + 2, chunk))])
+
+    def count(base, a, d, lo, hi):
+        """First r, first hit and hits of classes in steps lo..hi-1."""
+        ra, rb = -((base - lo) // cycle), -((base - hi) // cycle)
+        e0, e1 = a + d * ra, a + d * (rb - 1)
+        first = np.searchsorted(hits, np.minimum(e0, e1))
+        n = np.searchsorted(hits, np.maximum(e0, e1), "right") - first
+        return ra, first, n
+
+    lo = 2 * cycle + 1
+    n = count(span[1:], a, d, lo, horizon + 1)[2]
+    i, b = np.nonzero(n)
+    cls = np.stack([drift[i], b + 1, a[i, b], d[i, b]])
+    hi = horizon + 1 if n.sum() <= per_check else lo + cycle
+    while lo <= horizon and cls.size:
+        row, base, a, d = cls
+        ra, first, n = count(base, a, d, lo, hi)
+        cum = np.cumsum(n)
+        for i in range(0, cum[-1], per_check):
+            at = np.arange(i, min(i + per_check, cum[-1]))
+            c = np.searchsorted(cum, at, "right")  # the classes of hits at
+            h = hits[at - cum[c] + n[c] + first[c]] - a[c] - d[c] * ra[c]
+            c, h = c[h % d[c] == 0], h[h % d[c] == 0]
+            leave(row[c], base[c] + cycle * (ra[c] + h // d[c]))
+        cls = cls[:, best[row] > horizon]
+        lo, hi = hi, min(3 * hi - 2 * lo, horizon + 1)
+    return [int(p) if p <= horizon else None for p in best]
 
 
 def period_census(num_tape_spins: int, phi0: float, alpha: float,
                   max_cycles: int, tol: float = 1e-9) -> dict:
     """detect_period_numeric for every pattern of a tape size at once.
 
-    Patterns go through in batches that fill a window of two cycles, so
-    no more than CENSUS_WINDOW angles are held at a time. Returns
+    Patterns go through in batches whose keys of four cycles, the most
+    _find_periods holds per pattern, fill CENSUS_WINDOW. Returns
     {pattern: period or None} in canonical order.
     """
     pats = all_patterns(num_tape_spins)
-    batch = max(1, CENSUS_WINDOW // (4 * num_tape_spins))
+    batch = max(1, CENSUS_WINDOW // (8 * num_tape_spins))
     periods = []
     for lo in range(0, len(pats), batch):
         index = np.arange(lo, min(lo + batch, len(pats)))
@@ -343,6 +402,7 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     num = weights.size.bit_length() - 1
     used = np.flatnonzero(weights)
     sign, offset = _run_table(_signs(used, num), phi0, alpha, steps)
+    offset[:, steps + 1:-1] = 0  # steps a run stopping in cycle 0 skips
     offset[:, :-1] *= alpha  # o; _cycle_starts reads only the last column
     # y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o)) and
     # z = sum w*(s*sin(theta)*sin(o) - cos(theta)*cos(o)): one table, its
@@ -358,7 +418,8 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     per_block = max(1, (1 << 18) // len(used))  # ~8 live 2 MiB arrays a block
     yz = np.empty((cycles, 4 * num))
     for lo in range(0, cycles, per_block):
-        sigma, k = _cycle_starts(sign, offset, lo, min(lo + per_block, cycles))
+        sigma, k = _cycle_starts(sign, offset,
+                                 np.arange(lo, min(lo + per_block, cycles)))
         theta = sigma * phi0 + k * alpha
         yz[lo:lo + per_block] = np.vstack([np.sin(theta), np.cos(theta)]).T @ coef
     bloch = np.zeros((steps + 1, 3))

@@ -235,7 +235,8 @@ def one_shot_superpose(weights, phi0, alpha, steps):
     per_block = max(1, (1 << 18) // len(used))
     yz = np.empty((cycles, 4 * num))
     for lo in range(0, cycles, per_block):
-        sigma, k = _cycle_starts(sign, offset, lo, min(lo + per_block, cycles))
+        sigma, k = _cycle_starts(sign, offset,
+                                 np.arange(lo, min(lo + per_block, cycles)))
         theta = sigma * phi0 + k * alpha
         yz[lo:lo + per_block] = np.vstack([np.sin(theta), np.cos(theta)]).T @ coef
     bloch = np.zeros((steps + 1, 3))

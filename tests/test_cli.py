@@ -312,6 +312,28 @@ def test_primitive_angles_a_double_cannot_hold_are_a_usage_error(
     assert "overflows a double" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, engine_argv", [
+    (["primitives", "--pattern=+-", "--steps", "0"], None),
+    (["simulate", "--engine", "primitives", "--tape-size", "2", "--steps",
+      "1"], ["simulate", "--tape-size", "2", "--steps", "1"]),
+], ids=["primitives", "simulate"])
+def test_no_angle_is_computed_past_the_last_step(argv, engine_argv, tmp_path):
+    # alpha = 1e308 holds every angle these runs return, but not the
+    # angles of the rest of their first cycle, which used to be computed
+    # and cut off with an overflow warning
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--alpha", "1e308", "--out", str(out)]) == 0
+    bloch = helpers.read_trajectory_csv(out)[3]
+    if engine_argv is None:
+        np.testing.assert_array_equal(bloch, [[0.0, 0.0, -1.0]])
+    else:
+        ref = tmp_path / "ref.csv"
+        assert main(engine_argv + ["--alpha", "1e308", "--out", str(ref)]) == 0
+        np.testing.assert_array_equal(
+            bloch, helpers.read_trajectory_csv(ref)[3])
+
+
 def test_state_vector_takes_an_angle_the_primitive_path_refuses(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["simulate", "--tape-size", "2", "--steps", "6", "--alpha",

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qtm import (
@@ -123,6 +125,26 @@ def test_evolve_angles_is_the_integer_step_loop(num):
                 sigma, kappa = helpers.integer_angles(pattern, steps)
                 np.testing.assert_array_equal(
                     got[row], sigma * phi0 + kappa * alpha, err_msg=pattern)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=st.text("+-", min_size=1, max_size=9),
+       steps=st.integers(0, 80),
+       phi0=st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, math.pi]),
+       alpha=st.floats(-1e300, 1e300) | st.sampled_from([0.0, 1.0, ALPHA]))
+def test_an_angle_is_a_function_of_its_integer_key(pattern, steps, phi0,
+                                                    alpha):
+    # the period census matches steps to step 0 by the code
+    # 2*kappa + (tot < 0) alone: every angle is fl(kappa*alpha) +
+    # tot*phi0 (+0.0 at phi0 = 0) for the integers (tot, kappa) of the
+    # step loop, bit for bit, and _angles rebuilds it from the code
+    tot, kappa = helpers.integer_angles(pattern, steps)
+    got = evolve_angles([pattern], phi0, alpha, steps)[0]
+    expected = kappa * alpha + (tot * phi0 if phi0 else 0.0)
+    assert got.tobytes() == expected.tobytes()
+    code = 2 * kappa + (tot < 0)
+    rebuilt = primitives._angles(1 - 2 * (code & 1), code // 2, phi0, alpha)
+    assert rebuilt.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("num", range(1, 11))
@@ -303,34 +325,44 @@ class TestPeriodDetection:
 
 
 class TestCensusWindows:
-    """The census walks the horizon in windows of cycles over the patterns
-    still without a period; these pin down the window edges."""
+    """The census matches steps 1..4M a cycle at a time, solves the later
+    candidates of the patterns that drift in windows of steps that double
+    (one window when one check batch holds them all), and checks
+    candidates CENSUS_WINDOW // (2M+1) at a time; these pin down those
+    edges."""
 
     @pytest.mark.parametrize("max_cycles", [2, 3, 50])
-    @pytest.mark.parametrize("phi0, alpha", [(0.3, ALPHA), (0.0, math.pi / 2),
-                                             (math.pi, 1.0)])
+    @pytest.mark.parametrize("phi0, alpha", [
+        (0.3, ALPHA), (0.0, math.pi / 2), (math.pi, 1.0), (0.0, 0.0),
+        (0.0, 2 * math.pi / 3), (0.0, math.pi / 50)])
     def test_one_cycle_windows_equal_the_chord_finder(self, monkeypatch,
                                                       max_cycles, phi0,
                                                       alpha):
-        # a window of one angle is widened to the least window: one
-        # candidate cycle of one pattern and the cycle that checks it
+        # CENSUS_WINDOW = 1: one pattern per batch and one candidate per
+        # check, so the solved steps go through their windows one at a
+        # time. alpha = 0, 2*pi/3 and pi/50 and a loose tol make most
+        # steps candidates
         monkeypatch.setattr(primitives, "CENSUS_WINDOW", 1)
         for num in range(1, 8):
             cycle = 2 * num
             horizon = cycle * max_cycles
             pats = all_patterns(num)
             phis = evolve_angles(pats, phi0, alpha, horizon + cycle)
-            expected = {p: helpers.exp_find_period(phis[row], cycle, horizon,
-                                                   1e-9)
-                        for row, p in enumerate(pats)}
-            assert period_census(num, phi0, alpha, max_cycles) == expected
+            for tol in (1e-9, 1e-3, 0.3):
+                expected = {p: helpers.exp_find_period(phis[row], cycle,
+                                                       horizon, tol)
+                            for row, p in enumerate(pats)}
+                assert period_census(num, phi0, alpha, max_cycles,
+                                     tol) == expected, tol
 
     @pytest.mark.parametrize("window", [1, primitives.CENSUS_WINDOW])
     def test_failed_candidate_then_a_period_in_the_next_window(
             self, monkeypatch, window):
         # '+' at alpha = pi/2 is back at phi0 after step 7, but step 8 is
-        # not at step 1's angle; the period is 8, which with one-cycle
-        # windows (steps 6-7, then 8-9) is the next window's first step
+        # not at step 1's angle; the period is 8. Both are past step 4M,
+        # solved: with CENSUS_WINDOW = 1, 7 fails in one check and 8
+        # passes in the next, and by default one check holds 7, 8 and the
+        # later 15 and 16, which pass too, and the smallest pass counts
         monkeypatch.setattr(primitives, "CENSUS_WINDOW", window)
         phis = evolve_angles(["+"], 0.3, math.pi / 2, 22)[0]
         chord = abs(np.exp(1j * phis) - np.exp(1j * phis[0]))
@@ -339,13 +371,26 @@ class TestCensusWindows:
         assert detect_period_numeric("+", 0.3, math.pi / 2, 10) == 8
         assert period_census(1, 0.3, math.pi / 2, 10) == {"+": 8, "-": 4}
 
+    @pytest.mark.parametrize("pattern, k, period", [
+        ("+", 189, 4), ("+", 127, 6), ("++", 95, 8), ("++", 77, 10),
+        ("+++", 63, 12), ("+++", 55, 14)])
+    def test_periods_either_side_of_the_solved_steps(self, pattern, k,
+                                                     period):
+        # drifting patterns (S = +1, K != 0) whose period at tol = 0.3 is
+        # 4M, the last of the first two cycles, or 4M+2, an early solved
+        # one
+        alpha, cycle = 2 * math.pi * k / 397, 2 * len(pattern)
+        phis = evolve_angles([pattern], 0.3, alpha, 11 * cycle)[0]
+        assert helpers.exp_find_period(phis, cycle, 10 * cycle, 0.3) == period
+        assert detect_period_numeric(pattern, 0.3, alpha, 10, 0.3) == period
+
     @pytest.mark.parametrize("window", [1, 8, primitives.CENSUS_WINDOW])
     def test_period_exactly_at_the_horizon(self, monkeypatch, window):
         # '+' at alpha = pi/2 closes after 8 steps, 4 cycles of M=1: found
         # with a horizon of 4 cycles, whose last candidate is step 8 and
-        # whose check reads steps 8-10, and not with 3. Step 8 is alone in
-        # a one-cycle window, and the last candidate of a window for 8
-        # angles (steps 6-8 after 1-5) and of the one default window
+        # whose check reads steps 8-10, the end of the run, and not with
+        # 3. Step 8 ends the last solved window (steps 7-8 after 5-6), the
+        # one window of the default, and checks of one and two candidates
         monkeypatch.setattr(primitives, "CENSUS_WINDOW", window)
         assert period_census(1, 0.0, math.pi / 2, 4)["+"] == 8
         assert period_census(1, 0.0, math.pi / 2, 3)["+"] is None
@@ -365,10 +410,10 @@ class TestCensusWindows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # beside the patterns and the result: the window, the candidates'
-        # difference to step 0 and its rint, and the batch's sign, offset
-        # and step-0..2M tables of 2M+1 columns; one window more covers
-        # the candidates' index arrays and numpy's broadcasting buffers
+        # beside the patterns and the result: a batch's keys and angles of
+        # four cycles (CENSUS_WINDOW keys) and its sign, offset and
+        # step-0..2M tables of 2M+1 columns, or a check's angles and their
+        # rint; one window more covers index arrays and numpy's buffers
         tables = 3 * batch * (2 * num + 1) * 8
         assert peak <= baseline + 4 * window + tables
 
