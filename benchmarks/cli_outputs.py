@@ -53,6 +53,11 @@ def commands():
                          phi0="0.7", formats=every)
     yield from _simulate("sim_m3_prim_signs", 3, 2000, "-+0", "primitives",
                          phi0="0.3")
+    # a negative alpha at phi0 = 0: the signed zeros of the cycle starts
+    yield ("sim_m3_prim_negative_alpha.csv",
+           ["simulate", "--tape-size", "3", "--alpha=-pi/sqrt(3)",
+            "--phi0=0", "--steps", "2000", "--initial=0+-", "--engine",
+            "primitives"])
     yield from _simulate("sim_m4_iy", 4, 20000, "+-01", variant="iy",
                          phi0="1.234567", formats=("json",))
     yield from _simulate("sim_m4_x", 4, 20000, "0110", phi0="0.5")

@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CircleFitError, ConfigurationError
+from .state import check_count, check_fits
 
 X_PLANE_TOL = 1e-9
 MERGE_TOL = 1e-6  # circles this close in center and radius are one circle
@@ -67,8 +68,8 @@ def fit_invariant_circles(traj, max_circles) -> CircleSet:
     is the expected outcome for three or more tape spins, where the orbit
     sub-manifolds are no longer plain circles.
     """
-    if max_circles < 1:
-        raise ConfigurationError(f"max_circles must be >= 1, got {max_circles}")
+    check_count(max_circles, 1,
+                f"max_circles must be >= 1, got {max_circles}")
     worst = float(np.abs(traj.bloch[:, 0]).max())
     if worst > X_PLANE_TOL:
         raise ConfigurationError(
@@ -161,6 +162,12 @@ def spectrum(traj) -> Spectrum:
     n = len(bloch)
     if n < 2:
         raise ConfigurationError("need at least two trajectory points")
+    # per point: the three result columns and, per transform, a complex
+    # result and its magnitude, 48 bytes under tracemalloc, and pocketfft's
+    # own buffers, which Bluestein's algorithm makes larger than the
+    # transform on a length with a large prime factor: max RSS grew by 176
+    # bytes per point at n = 4,194,301, and by 80 at 2**22
+    check_fits(176 * n, f"the spectrum of {n} points")
     scale = 1.0 / np.sqrt(n)
     return Spectrum(
         np.fft.fftfreq(n),

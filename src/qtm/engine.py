@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,8 +23,8 @@ from . import _kernels_py
 from .gates import (VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot,
                     rotation_coefficients)
 from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
-                    check_state_fits, head_bloch, head_bloch_rows, head_cross,
-                    make_state, normalize_tape_spec, norm_sq_rows,
+                    check_count, check_fits, head_bloch, head_bloch_rows,
+                    head_cross, make_state, normalize_tape_spec, norm_sq_rows,
                     tape_amplitudes)
 
 NORM_TOL = 1e-12
@@ -48,8 +47,7 @@ class MachineConfig:
     steps: int = 0
 
     def __post_init__(self):
-        if self.num_tape_spins < 1:
-            raise ConfigurationError("need at least one tape spin")
+        check_count(self.num_tape_spins, 1, "need at least one tape spin")
         if len(self.alphas) != self.num_tape_spins:
             raise ConfigurationError(
                 f"{len(self.alphas)} rotation angles for "
@@ -60,15 +58,13 @@ class MachineConfig:
             raise ConfigurationError("rotation angles and phi0 must be finite")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown gate variant {self.variant!r}")
-        if not isinstance(self.steps, numbers.Integral):
-            raise ConfigurationError(f"step count {self.steps!r} is not an integer")
-        if self.steps < 0:
-            raise ConfigurationError("step count must be >= 0")
+        check_count(self.steps, 0, "step count must be >= 0")
 
     @classmethod
     def uniform(cls, num_tape_spins, alpha, phi0=0.0, variant=VARIANT_X,
                 initial="zeros", steps=0):
         """Config with the same rotation angle at every site."""
+        check_count(num_tape_spins, 1, "need at least one tape spin")
         return cls(num_tape_spins, (float(alpha),) * num_tape_spins,
                    phi0, variant, initial, steps)
 
@@ -155,10 +151,13 @@ def run(config: MachineConfig) -> Trajectory:
     renormalizing would hide it.
     """
     initial = config.resolved_initial()
-    check_state_fits(config.num_tape_spins)
+    num = config.num_tape_spins
+    # the state and its half-size source (check_state_fits), and a
+    # trajectory row of 3 doubles per step
+    check_fits((24 << (num + 1)) + 24 * (config.steps + 1),
+               f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
-    num = config.num_tape_spins
     cycle = 2 * num
     fused = config.steps > cycle and 4 ** (num + 1) <= REDUCE_BLOCK
     bloch = np.empty((config.steps + 1, 3), dtype=float)

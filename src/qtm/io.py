@@ -23,6 +23,7 @@ _CSV_ROW = "%d,%d,%d,%r,%r,%r\n"
 # a point of the "points" list of json.dump(..., indent=1), comma first;
 # %s spells a float as its repr, and passes json's NaN and Infinity through
 _JSON_POINT = ",\n  [\n   %d,\n   %s,\n   %s,\n   %s\n  ]"
+_SVG_POINT = '<circle cx="%.3f" cy="%.3f" r="2"/>\n'
 
 
 def step_labels(num_points: int, tape_size: int):
@@ -60,21 +61,20 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def _flat_blocks(bloch, *labels):
-    """(rows, flat) for every block of REDUCE_BLOCK rows of bloch: flat
-    holds m, labels[0][m], ..., x, y, z of each row in turn, as Python
-    ints and floats. Rows are converted one block at a time, so a long
-    trajectory never exists as Python objects all at once."""
-    width = 4 + len(labels)
+def _row_blocks(bloch, template, columns):
+    """template filled in for every row of bloch, as one string per block
+    of REDUCE_BLOCK rows: columns(s, block) gives the columns of the block
+    that starts at row s as sequences of Python numbers, and one %-format
+    of template repeated once per row takes them row by row. Rows are
+    converted one block at a time, so a long trajectory never exists as
+    Python objects or text all at once."""
     for s in range(0, len(bloch), REDUCE_BLOCK):
         block = bloch[s:s + REDUCE_BLOCK]
-        rows = len(block)
-        flat = [0] * (width * rows)
-        flat[0::width] = range(s, s + rows)
-        for j, col in enumerate([lab[s:s + rows] for lab in labels]
-                                + list(block.T), 1):
-            flat[j::width] = col.tolist()
-        yield rows, flat
+        cols = columns(s, block)
+        flat = [0] * (len(cols) * len(block))
+        for j, col in enumerate(cols):
+            flat[j::len(cols)] = col
+        yield template * len(block) % tuple(flat)
 
 
 def write_trajectory_csv(traj, path) -> None:
@@ -83,8 +83,9 @@ def write_trajectory_csv(traj, path) -> None:
     n, p = step_labels(len(traj.bloch), traj.num_tape_spins)
     with _open_out(path) as fh:
         fh.write(CSV_HEADER + "\n")
-        for rows, flat in _flat_blocks(traj.bloch, n, p):
-            fh.write(_CSV_ROW * rows % tuple(flat))
+        fh.writelines(_row_blocks(traj.bloch, _CSV_ROW, lambda s, b: [
+            range(s, s + len(b)), n[s:s + len(b)].tolist(),
+            p[s:s + len(b)].tolist(), *b.T.tolist()]))
 
 
 def write_trajectory_json(traj, manifest: dict, path) -> None:
@@ -95,47 +96,39 @@ def write_trajectory_json(traj, manifest: dict, path) -> None:
     floats by float.__repr__ and non-finite ones as json spells them
     (NaN, Infinity)."""
     head = json.dumps({"manifest": manifest, "points": []}, indent=1)
-    finite = np.isfinite(traj.bloch).all()
+    spell = ((lambda col: col) if np.isfinite(traj.bloch).all()
+             else (lambda col: map(json.dumps, col)))
     with _open_out(path) as fh:
         if not len(traj.bloch):  # json spells an empty list []
             fh.write(head + "\n")
             return
-        fh.write(head[:-len("[]\n}")] + "[")
-        skip = 1  # the first point has no comma before it
-        for rows, flat in _flat_blocks(traj.bloch):
-            if not finite:
-                for j in (1, 2, 3):
-                    flat[j::4] = map(json.dumps, flat[j::4])
-            fh.write((_JSON_POINT * rows % tuple(flat))[skip:])
-            skip = 0
+        blocks = _row_blocks(traj.bloch, _JSON_POINT, lambda s, b: [
+            range(s, s + len(b)), *map(spell, b.T.tolist())])
+        # the first point has no comma before it
+        fh.write(head[:-len("[]\n}")] + "[" + next(blocks)[1:])
+        fh.writelines(blocks)
         fh.write("\n ]\n}\n")
 
 
-def trajectory_svg(traj) -> str:
-    """Scatter of the yz trajectory on a fixed square canvas.
+def write_trajectory_svg(traj, path) -> None:
+    """Scatter of the yz trajectory on a fixed square canvas, one circle
+    per step, written with one %-format per block of REDUCE_BLOCK rows.
 
     Minimal on purpose: enough to eyeball the generated pattern, not
     publication graphics. Deterministic for a given trajectory.
     """
     scale = SVG_SIZE / (2.0 * SVG_SPAN)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
-        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
-        '<g fill="#1f4e79" fill-opacity="0.75">',
-    ]
-    for row in traj.bloch:
-        cx = (row[1] + SVG_SPAN) * scale
-        cy = (SVG_SPAN - row[2]) * scale  # bloch z points up, svg y points down
-        parts.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="2"/>')
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def write_trajectory_svg(traj, path) -> None:
     with _open_out(path) as fh:
-        fh.write(trajectory_svg(traj))
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+            f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
+            f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n'
+            '<g fill="#1f4e79" fill-opacity="0.75">\n')
+        # bloch z points up, svg y points down
+        fh.writelines(_row_blocks(traj.bloch, _SVG_POINT, lambda s, b: [
+            ((b[:, 1] + SVG_SPAN) * scale).tolist(),
+            ((SVG_SPAN - b[:, 2]) * scale).tolist()]))
+        fh.write("</g>\n</svg>\n")
 
 
 def write_manifest(manifest: dict, out_path: str) -> str:

@@ -31,8 +31,8 @@ import numpy as np
 from .engine import MachineConfig, Trajectory
 from .errors import ConfigurationError
 from .gates import VARIANT_X
-from .state import (check_fits, normalize_tape_spec, spelled_over,
-                    tape_amplitudes)
+from .state import (check_count, check_fits, normalize_tape_spec,
+                    spelled_over, tape_amplitudes)
 
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
@@ -46,8 +46,7 @@ def normalize_pattern(pattern: str) -> str:
 
 def all_patterns(num_tape_spins: int) -> list[str]:
     """The 2**M sign patterns in canonical (lexicographic) order."""
-    if num_tape_spins < 1:
-        raise ConfigurationError("need at least one tape spin")
+    check_count(num_tape_spins, 1, "need at least one tape spin")
     # a string object of 49 + M bytes and about 64 bytes of list and dict
     # slots around it: the census holds 125 bytes per pattern at M=16
     check_fits((num_tape_spins + 113) << num_tape_spins,
@@ -145,8 +144,12 @@ def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray
         raise ConfigurationError("empty pattern batch")
     if any(len(p) != len(pats[0]) for p in pats):
         raise ConfigurationError("patterns in a batch must share one tape size")
-    if steps < 0:
-        raise ConfigurationError("step count must be >= 0")
+    check_count(steps, 0, "step count must be >= 0")
+    # per pattern and step, a float64 kappa, its angle and the tot*phi0
+    # term _angles adds, and an int8 tot: 25 bytes; run_primitive then holds
+    # the angles, its trajectory row of 3 doubles and a sine or cosine: 40
+    check_fits(40 * len(pats) * (steps + 1),
+               f"{steps} steps of the primitive angles, {len(pats)} per step,")
     sign, offset = _run_table(_pattern_signs(pats), phi0, alpha, steps)
     tot, kappa = _keys(sign, offset,
                        np.arange(steps // (sign.shape[1] - 1) + 1))
@@ -155,7 +158,6 @@ def evolve_angles(patterns, phi0: float, alpha: float, steps: int) -> np.ndarray
 
 def run_primitive(pattern: str, phi0: float, alpha: float, steps: int) -> Trajectory:
     """Trajectory of a single primitive; every point is pure with x = 0."""
-    pattern = normalize_pattern(pattern)
     phis = evolve_angles([pattern], phi0, alpha, steps)[0]
     bloch = np.zeros((steps + 1, 3))
     bloch[:, 1] = np.sin(phis)
@@ -235,8 +237,7 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol):
     in windows of steps that double, unless one check batch holds them
     all. A row leaves at the smallest candidate that passes, checked in
     batches of at most CENSUS_WINDOW angles."""
-    if max_cycles < 2:
-        raise ConfigurationError("need max_cycles >= 2")
+    check_count(max_cycles, 2, "need max_cycles >= 2")
     cycle = 2 * signs.shape[1]
     # a check of the last candidate, step horizon, reads one cycle past it
     sign, offset = _run_table(signs, phi0, alpha, cycle * (max_cycles + 1))
@@ -397,8 +398,7 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
         raise ConfigurationError("weight vector must have length 2**M, M >= 1")
     if not (weights.min() >= -1e-15 and abs(weights.sum() - 1.0) <= 1e-12):
         raise ConfigurationError("weights must be nonnegative and sum to 1")
-    if steps < 0:
-        raise ConfigurationError("step count must be >= 0")
+    check_count(steps, 0, "step count must be >= 0")
     num = weights.size.bit_length() - 1
     used = np.flatnonzero(weights)
     sign, offset = _run_table(_signs(used, num), phi0, alpha, steps)
@@ -420,7 +420,7 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     for lo in range(0, cycles, per_block):
         sigma, k = _cycle_starts(sign, offset,
                                  np.arange(lo, min(lo + per_block, cycles)))
-        theta = sigma * phi0 + k * alpha
+        theta = _angles(sigma, k, phi0, alpha)
         yz[lo:lo + per_block] = np.vstack([np.sin(theta), np.cos(theta)]).T @ coef
     bloch = np.zeros((steps + 1, 3))
     yz = yz.reshape(-1, 2, 2 * num).transpose(0, 2, 1).reshape(-1, 2)
@@ -437,9 +437,12 @@ def run(config: MachineConfig) -> Trajectory:
             "the primitives engine covers the plain flip variant only")
     # per pattern: superpose's two table rows of 4M floats, as much again
     # for the cycle table and per-step rows, and 12 bytes of weights; one
-    # step peaks at 4.39 MB (M=12) and 20.2 MB (M=14) under tracemalloc
-    num = config.num_tape_spins
-    check_fits((2 * 2 * 4 * num * 8 + 12) << num,
-               f"the primitive superposition of {num} tape spins")
+    # step peaks at 4.39 MB (M=12) and 20.2 MB (M=14) under tracemalloc.
+    # Per step: its rows of y and z (16 bytes), their copy in step order
+    # (16) and the trajectory row of 3 doubles (24)
+    num, steps = config.num_tape_spins, config.steps
+    check_fits(((2 * 2 * 4 * num * 8 + 12) << num) + 56 * (steps + 1),
+               f"{steps} steps of the primitive superposition of {num} "
+               "tape spins")
     return superpose(decompose(config.resolved_initial()), config.phi0,
-                     config.uniform_alpha(), config.steps)
+                     config.uniform_alpha(), steps)

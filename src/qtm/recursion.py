@@ -37,7 +37,7 @@ import numpy as np
 from .engine import MachineConfig, Trajectory
 from .errors import ConfigurationError
 from .gates import VARIANT_X
-from .state import BlochVector
+from .state import BlochVector, check_count, check_fits
 
 APERIODIC_M1 = "aperiodic"
 PERIODIC_M1 = "periodic"
@@ -61,10 +61,15 @@ class HeadRecursion:
     def trajectory(self, steps: int, num_tape_spins: int) -> np.ndarray:
         """Head Bloch vectors at steps 0..steps for the all-zeros tape, as
         an array of shape (steps+1, 3); x is 0."""
-        if steps < 0:
-            raise ConfigurationError("step count must be >= 0")
-        if num_tape_spins < 1:
-            raise ConfigurationError("need at least one tape spin")
+        check_count(steps, 0, "step count must be >= 0")
+        check_count(num_tape_spins, 1, "need at least one tape spin")
+        # per step, each table of sizes M, M-2, ... holds a list slot (9
+        # bytes with the list's spare room), a 2-tuple (56) and two floats
+        # (48), and the slice of the table (8), the trajectory row of 3
+        # doubles (24) and np.asarray's rows with their scratch (48) add 80
+        check_fits((113 * ((num_tape_spins + 1) // 2) + 80) * (steps + 1),
+                   f"{steps} steps of the recursion of {num_tape_spins} "
+                   "tape spins")
         self._fill(num_tape_spins, steps)
         tab = self._tables[num_tape_spins][: steps + 1]
         bloch = np.zeros((steps + 1, 3))
@@ -143,8 +148,7 @@ def m1_closed_form(kind: str, m: int, phi0: float, alpha: float) -> BlochVector:
     reflects the angle, closing a 4-step orbit
     phi0, phi0+alpha, -(phi0+alpha), -phi0 for every alpha.
     """
-    if m < 0:
-        raise ConfigurationError("step index must be >= 0")
+    check_count(m, 0, "step index must be >= 0")
     if kind == APERIODIC_M1:
         phi = phi0 + ((m + 1) // 2) * alpha
     elif kind == PERIODIC_M1:

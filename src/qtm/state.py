@@ -25,6 +25,7 @@ with Bloch vector (0, sin(phi), -cos(phi)).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from typing import NamedTuple
 
@@ -60,8 +61,8 @@ def normalize_tape_spec(spec: str, num_tape_spins: int | None = None) -> str:
     Accepts the shorthands "zeros" and "ones" (requires num_tape_spins),
     maps the unicode minus sign to ASCII '-', and validates the alphabet.
     """
-    if num_tape_spins is not None and num_tape_spins < 1:
-        raise ConfigurationError("need at least one tape spin")
+    if num_tape_spins is not None:
+        check_count(num_tape_spins, 1, "need at least one tape spin")
     fill = {"zeros": "0", "ones": "1"}.get(spec)
     if fill:
         if num_tape_spins is None:
@@ -100,8 +101,7 @@ class StateVector:
     __slots__ = ("num_tape_spins", "amplitudes")
 
     def __init__(self, num_tape_spins: int, amplitudes: np.ndarray):
-        if num_tape_spins < 1:
-            raise ConfigurationError("need at least one tape spin")
+        check_count(num_tape_spins, 1, "need at least one tape spin")
         amplitudes = np.asarray(amplitudes, dtype=complex)
         size = 2 ** (num_tape_spins + 1)
         if amplitudes.ndim not in (1, 2) or amplitudes.shape[-1] != size:
@@ -152,6 +152,16 @@ def check_fits(need: int, what: str) -> None:
             f"{what} need {need / 2**20:,.0f} MiB, "
             f"more than the {have / 2**20:,.0f} MiB of {of}"
         )
+
+
+def check_count(value, least: int, refusal: str) -> None:
+    """Refuse a count (a tape size, a step count, a bound on cycles or
+    circles) unless it is an integer, a Python or numpy one, of at least
+    least; refusal is the message for one below least."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{value!r} is not an integer: {refusal}")
+    if value < least:
+        raise ConfigurationError(refusal)
 
 
 def check_state_fits(num_tape_spins: int) -> None:

@@ -2,8 +2,9 @@
 reference forms of the kernels, of the engine loop and of the primitive
 superposition, a check of the |-> tape identity against the package's own
 flip, step-by-step references for the primitive angles and the period
-search, and readers the tests check the package's results with (state
-overlaps, distance from fitted circles, trajectory CSV files).
+search, a per-row form of the SVG writer, and readers the tests check the
+package's results with (state overlaps, distance from fitted circles,
+trajectory CSV files).
 
 Everything here is deliberately naive. Gates are built as full 2**(M+1)
 square matrices by tensoring single-site operators, states evolve by plain
@@ -23,7 +24,7 @@ from qtm.analysis import X_PLANE_TOL
 from qtm.engine import Trajectory
 from qtm.errors import ConfigurationError
 from qtm.gates import apply_head_rotation, apply_qcnot
-from qtm.io import CSV_HEADER
+from qtm.io import CSV_HEADER, SVG_SIZE, SVG_SPAN
 from qtm.primitives import _cycle_starts, _cycle_table, _signs
 from qtm.state import head_bloch, make_state
 
@@ -259,6 +260,25 @@ def invariant_residual(circles, point):
         raise ConfigurationError(f"point leaves the x=0 plane (lambda_x = {x:.3e})")
     d = np.hypot(*(circles.centers - np.array([y, z])).T)
     return float(np.abs(d - circles.radius).min())
+
+
+def per_row_svg(traj) -> str:
+    """The SVG scatter of a trajectory built one f-string per row, the
+    bytes the package's block writer must reproduce."""
+    scale = SVG_SIZE / (2.0 * SVG_SPAN)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
+        '<g fill="#1f4e79" fill-opacity="0.75">',
+    ]
+    for row in traj.bloch:
+        cx = (row[1] + SVG_SPAN) * scale
+        cy = (SVG_SPAN - row[2]) * scale  # bloch z points up, svg y down
+        parts.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="2"/>')
+    parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def read_trajectory_csv(path):

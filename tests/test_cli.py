@@ -382,6 +382,34 @@ def test_primitive_guards_use_their_estimates(monkeypatch, tmp_path):
     assert main(sim + ["10"]) == 2
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["simulate", "--tape-size", "3", "--steps", "100000"],
+     "100000 steps of 3 tape spins"),
+    (["simulate", "--engine", "primitives", "--tape-size", "3", "--steps",
+      "100000"],
+     "100000 steps of the primitive superposition of 3 tape spins"),
+    (["primitives", "--pattern=+-", "--steps", "100000"],
+     "100000 steps of the primitive angles, 1 per step,"),
+    (["simulate", "--engine", "recursion", "--tape-size", "3", "--steps",
+      "100000"], "100000 steps of the recursion of 3 tape spins"),
+    (["spectrum", "--pattern=+-", "--steps", "10000"],
+     "the spectrum of 10001 points"),
+], ids=["statevector", "primitives-engine", "primitives", "recursion",
+        "spectrum"])
+def test_run_longer_than_memory_is_a_usage_error(argv, what, monkeypatch,
+                                                  tmp_path, capsys):
+    # with 1 MiB available every path refuses its step count on its
+    # estimate before allocating the trajectory; the spectrum's 10,001
+    # points fit as a trajectory (40 bytes each) but not as a transform
+    helpers.one_mib_available(monkeypatch)
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--alpha", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qtm: error: {what} need ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["transmogrify"])

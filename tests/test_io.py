@@ -130,12 +130,15 @@ def _per_row_csv(traj):
         fmt(m, n[m], p[m], *r) for m, r in enumerate(rows))).encode()
 
 
-@pytest.mark.parametrize("rows", [0, 1, REDUCE_BLOCK, REDUCE_BLOCK + 1])
+@pytest.mark.parametrize("rows", [0, 1, REDUCE_BLOCK - 1, REDUCE_BLOCK,
+                                  REDUCE_BLOCK + 1])
 def test_block_wise_writers_equal_one_pass(rows, tmp_path):
     # the writers format REDUCE_BLOCK rows at a time; rows salted with
     # signed zeros, subnormals, NaN and infinities must come out as the
-    # per-row CSV form and as json.dump gives them, byte for byte, also
-    # for 0 rows, where json.dump writes "points": [] on one line
+    # per-row CSV and SVG forms and as json.dump gives them, byte for
+    # byte, also for 0 rows, where json.dump writes "points": [] on one
+    # line; the SVG's scaling overflows the largest double to inf, which
+    # both SVG forms print
     rng = np.random.default_rng(rows + 7)
     traj = Trajectory(_salted_rows(rows, FINITE_SALT + SPECIAL_SALT, rng), 3)
     manifest = {"purpose": "test"}
@@ -144,6 +147,10 @@ def test_block_wise_writers_equal_one_pass(rows, tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == _per_row_csv(traj)
     assert (tmp_path / "t.json").read_bytes() == _json_dump_bytes(
         traj, manifest, tmp_path / "ref.json")
+    with np.errstate(over="ignore"):
+        qio.write_trajectory_svg(traj, str(tmp_path / "t.svg"))
+        assert (tmp_path / "t.svg").read_bytes() == helpers.per_row_svg(
+            traj).encode()
 
 
 def test_csv_blocks_equal_per_row_form_on_special_values(tmp_path):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import helpers
+from qtm.analysis import fit_invariant_circles
+from qtm.engine import MachineConfig, Trajectory
 from qtm.errors import ConfigurationError
 from qtm import primitives, state
 from qtm.gates import apply_qcnot
+from qtm.recursion import HeadRecursion, m1_closed_form
 from qtm.state import (BlochVector, StateVector, head_bloch,
                        make_product_state, make_state, normalize_tape_spec,
                        purity)
@@ -171,6 +174,35 @@ def test_tape_spec_shorthands():
     for size in (0, -1):
         with pytest.raises(ConfigurationError, match="at least one tape spin"):
             normalize_tape_spec("zeros", size)
+
+
+_LINE = Trajectory(np.zeros((9, 3)), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: primitives.evolve_angles(["+-"], 0.0, 1.0, 2.5),
+    lambda: primitives.run_primitive("+-", 0.0, 1.0, 2.5),
+    lambda: primitives.superpose([0.5, 0.5], 0.0, 1.0, 2.5),
+    lambda: HeadRecursion(1.0).trajectory(3.5, 2),
+    lambda: primitives.detect_period_numeric("+-", 0.3, 1.0, 2.5),
+    lambda: primitives.period_census(2, 0.3, 1.0, 2.5),
+    lambda: primitives.period_census(2.0, 0.3, 1.0, 10),
+    lambda: primitives.all_patterns(2.5),
+    lambda: MachineConfig.uniform(2.5, 1.0),
+    lambda: MachineConfig(2, (1.0, 1.0), steps=4.0),
+    lambda: m1_closed_form("aperiodic", 1.5, 0.0, 1.0),
+    lambda: fit_invariant_circles(_LINE, 2.5),
+    lambda: StateVector(1.0, np.ones(4) / 2),
+    lambda: normalize_tape_spec("zeros", 2.5),
+], ids=["evolve_angles", "run_primitive", "superpose", "recursion",
+        "detect_period_numeric", "census_max_cycles", "census_tape_size",
+        "all_patterns", "uniform_config", "config_steps", "m1_closed_form",
+        "fit_invariant_circles", "state_vector", "tape_spec"])
+def test_every_count_must_be_an_integer(call):
+    # a tape size, step count or bound that is not an integer is refused
+    # as a usage error, not with a TypeError or a point of a fractional step
+    with pytest.raises(ConfigurationError, match="is not an integer"):
+        call()
 
 
 def _one_mib_of_physical_memory(monkeypatch, meminfo):
