@@ -6,9 +6,10 @@ one cycle (spins 1..M) in each variant, plain and signed, and a machine
 cycle over a range of tape sizes for every available backend (compiled
 extension, numpy fallback) and prints per-call times plus the speedup.
 The two backends must agree numerically, so the benchmark also
-cross-checks the final state. Two end-to-end rows follow: the gate-by-gate
-loop of engine.run at M=8 over 20,000 steps per backend, in steps/s, and
-the CSV and JSON writers on its 20,001-row trajectory.
+cross-checks the final state. Two end-to-end rows follow: engine.run at
+M=8 over 20,000 steps per backend (its first cycle gate by gate, the rest
+in rotate-and-flip pairs, kernels.pair_kernels), in steps/s, and the CSV
+and JSON writers on its 20,001-row trajectory.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
@@ -85,8 +86,9 @@ def bench_cycle_flips(mod, num_tape_spins, repeats):
 
 def bench_loop(mod, repeats):
     """(best time, trajectory) of engine.run at M=8 on LOOP_TAPE over
-    LOOP_STEPS steps, a run too large for the cycle matrix that steps gate
-    by gate, with mod's kernels."""
+    LOOP_STEPS steps, a run too large for the cycle matrix, with mod's
+    kernels: the numpy ones make it take the fused pairs of
+    _kernels_py.pairs after its first cycle."""
     cfg = MachineConfig.uniform(len(LOOP_TAPE), math.pi / math.sqrt(3.0),
                                 initial=LOOP_TAPE, steps=LOOP_STEPS)
     names = ("rotate_head", "cnot_flip", "cnot_signed_flip")

@@ -3,7 +3,9 @@
 Covers simulate with each engine (csv, json and svg, both flip variants),
 primitives, classify --pattern and --all, decompose, spectrum and
 invariants, at the benchmark's shapes (M=3, 4 and 8 over 20,000 steps, the
-M=12 census over 200 cycles, M=18 over 100 steps) and at a few small ones,
+M=12 census over 200 cycles, M=18 over 100 steps), at M=7 over 3,000 steps
+and M=14 (the largest state of one kernel block) over 100, and at a few
+small ones,
 censuses at angles where most steps match step 0 (alpha = 0, 2*pi/3 and
 pi/50), plus configurations and angle spellings the CLI refuses.
 Every command runs in this process from inside OUTDIR with a relative
@@ -63,6 +65,11 @@ def commands():
     yield from _simulate("sim_m4_x", 4, 20000, "0110", phi0="0.5")
     for engine in ("statevector", "primitives"):
         yield from _simulate(f"sim_m8_{engine}", 8, 20000, "01101001", engine)
+    # after their first cycle, steps go in rotate-and-flip pairs: fused
+    # on a one-block state (M <= 14) with the numpy kernels
+    yield from _simulate("sim_m7_iy", 7, 3000, "+-01+-0", variant="iy",
+                         phi0="0.9", formats=("json",))
+    yield from _simulate("sim_m14_mixed", 14, 100, "+-01+-01+-01+-")
     yield from _simulate("sim_m18_zeros", 18, 100, "zeros")
     yield from _simulate("sim_m18_bits", 18, 100, "011010011100101101")
     yield from _simulate("sim_m1_ones", 1, 7, "ones", "recursion")

@@ -93,3 +93,40 @@ def cnot_signed_flip(amps, mu):
         t = b[:, :, 0].copy()
         np.negative(b[:, :, 1], out=b[:, :, 0])
         b[:, :, 1] = t
+
+
+def pairs(amps, signed):
+    """{mu: pair} for amps of at most BLOCK amplitudes: pair(c, s) is
+    rotate_head(amps, c, s) and then cnot_flip(amps, mu), or
+    cnot_signed_flip when signed, with their bits.
+
+    The halves of amps, scratch of its shape and each spin's flip views of
+    both are bound once. A pair makes rotate_head's five one-block ufunc
+    calls, but forms the new head-0 half c a0 - (i s) a1 in scratch and
+    writes it from there straight to its flipped place, so the flip makes
+    no pass and no copy of its own."""
+    half = amps.shape[-1] // 2
+    scratch = np.empty_like(amps)
+    a0, a1 = amps[..., :half], amps[..., half:]
+    t, r = scratch[..., :half], scratch[..., half:]
+
+    def pair(mu):
+        dst, src = _flip_view(amps, mu), _flip_view(scratch, mu)
+        dst0, dst1 = dst[:, :, 0], dst[:, :, 1]
+        src0, src1 = src[:, :, 0], src[:, :, 1]
+        swapped = src[:, :, ::-1]
+
+        def rotate_and_flip(c, s):
+            np.multiply(1j * s, a1, out=t)
+            np.multiply(-1j * s, a0, out=r)
+            np.multiply(c, amps, out=amps)
+            np.add(r, a1, out=a1)
+            np.subtract(a0, t, out=t)
+            if signed:
+                np.negative(src1, out=dst0)
+                np.copyto(dst1, src0)
+            else:
+                np.copyto(dst, swapped)
+        return rotate_and_flip
+
+    return {mu: pair(mu) for mu in range(1, amps.shape[-1].bit_length() - 1)}

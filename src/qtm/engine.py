@@ -19,13 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalValidationError
-from . import _kernels_py
+from . import _kernels_py, kernels
 from .gates import (VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot,
                     rotation_coefficients)
 from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
-                    check_count, check_fits, head_bloch, head_bloch_rows,
-                    head_cross, make_state, normalize_tape_spec, norm_sq_rows,
-                    tape_amplitudes)
+                    _halves, _vdot, check_count, check_fits, head_bloch,
+                    head_bloch_rows, head_cross, make_state,
+                    normalize_tape_spec, norm_sq_rows, tape_amplitudes)
 
 NORM_TOL = 1e-12
 
@@ -139,10 +139,10 @@ def run(config: MachineConfig) -> Trajectory:
     step works on amplitudes the head has not reached. An explicit amplitude tape may be
     entangled and starts at full size.
 
-    On a small tape, whose cycle matrix of 4**(M+1) entries fits in
-    REDUCE_BLOCK (M <= 5), a run longer than one cycle steps this way
-    through its first cycle only and goes on in windows of cycles
-    (_run_windows).
+    A run longer than one cycle steps this way through its first cycle
+    only. On a small tape, whose cycle matrix of 4**(M+1) entries fits in
+    REDUCE_BLOCK (M <= 5), it goes on in windows of cycles (_run_windows),
+    and on a larger one in rotate-and-flip pairs (_run_pairs).
 
     The state norm is checked at the end of every cycle (and after a final
     partial cycle, and at every cycle start a window chains); drift beyond
@@ -159,12 +159,11 @@ def run(config: MachineConfig) -> Trajectory:
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
     cycle = 2 * num
-    fused = config.steps > cycle and 4 ** (num + 1) <= REDUCE_BLOCK
     bloch = np.empty((config.steps + 1, 3), dtype=float)
     x, y, z = head_bloch(state)
     bloch[0] = x, y, z
     drift = 0.0
-    for m, (mu, turn) in zip(range(1, (cycle if fused else config.steps) + 1),
+    for m, (mu, turn) in zip(range(1, min(config.steps, cycle) + 1),
                              itertools.cycle(_schedule(config))):
         if turn:
             alpha, c, s = turn
@@ -183,8 +182,9 @@ def run(config: MachineConfig) -> Trajectory:
                 x, y, z = head_bloch(state)
                 drift = _check_norm(state.norm_sq(), m, drift)
         bloch[m] = x, y, z
-    if fused:
-        drift = _run_windows(config, state, bloch, drift)
+    if config.steps > cycle:
+        later = _run_windows if 4 ** (num + 1) <= REDUCE_BLOCK else _run_pairs
+        drift = later(config, state, bloch, drift)
     elif config.steps % cycle:
         drift = _check_norm(state.norm_sq(), config.steps, drift)
     return Trajectory(bloch, config.num_tape_spins, drift)
@@ -199,6 +199,48 @@ def _schedule(config):
     for mu, a in enumerate(config.alphas, 1):
         schedule += [(mu, (a, math.cos(a), math.sin(a))), (mu, None)]
     return schedule
+
+
+def _run_pairs(config, state, bloch, drift):
+    """Steps 2M+1 onwards of a run too large for the cycle matrix, from the
+    full state at the end of the first cycle; returns the norm drift.
+
+    Each rotation and the flip after it are one call of a pair callable
+    that kernels.pair_kernels binds to the state once per run, with every
+    site's cos and sin of the half angle computed once. The head Bloch
+    vector is carried as in run, with the cross term summed over halves
+    bound once; at every cycle end it is reduced in full and the norm is
+    checked. An odd last step is a rotation alone, and a last partial
+    cycle ends with a norm check.
+    """
+    cycle, last = 2 * config.num_tape_spins, config.steps
+    amps = state.amplitudes
+    a0, a1 = _halves(amps)
+    pair = kernels.pair_kernels(amps, config.variant)
+    sites = itertools.cycle([
+        (pair[mu], *rotation_coefficients(alpha), c, s, alpha,
+         mu == config.num_tape_spins)
+        for mu, (alpha, c, s) in _schedule(config)[::2]])
+    x, y, z = bloch[cycle].tolist()
+    for m in range(cycle + 2, last + 1, 2):
+        rotate_and_flip, half_c, half_s, c, s, _, ends = next(sites)
+        y, z = y * c - z * s, y * s + z * c
+        bloch[m - 1] = x, y, z
+        rotate_and_flip(half_c, half_s)
+        if ends:
+            x, y, z = head_bloch(state)
+            drift = _check_norm(state.norm_sq(), m, drift)
+        else:
+            cross = _vdot(a0, a1)
+            x, y = 2.0 * cross.real, -2.0 * cross.imag
+        bloch[m] = x, y, z
+    if last % 2:
+        _, _, _, c, s, alpha, _ = next(sites)
+        apply_head_rotation(state, alpha)
+        bloch[last] = x, y * c - z * s, y * s + z * c
+    if last % cycle:
+        drift = _check_norm(state.norm_sq(), last, drift)
+    return drift
 
 
 def _run_windows(config, state, bloch, drift):
@@ -340,7 +382,8 @@ def run_mixed(weights: Sequence[tuple[float, MachineConfig]]) -> Trajectory:
     if not weights:
         raise ConfigurationError("empty mixture")
     total = sum(w for w, _ in weights)
-    if any(w < 0 for w, _ in weights) or abs(total - 1.0) > 1e-12:
+    # a NaN weight fails both tests
+    if not all(w >= 0 for w, _ in weights) or not abs(total - 1.0) <= 1e-12:
         raise ConfigurationError(
             f"mixture weights must be nonnegative and sum to 1 (got {total!r})"
         )

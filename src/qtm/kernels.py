@@ -20,6 +20,33 @@ rotate_head = _impl.rotate_head
 cnot_flip = _impl.cnot_flip
 cnot_signed_flip = _impl.cnot_signed_flip
 
+_FLIPS = {"x": "cnot_flip", "iy": "cnot_signed_flip"}
+
+
+def pair_kernels(amps, variant):
+    """{mu: pair} for the tape spins mu = 1..M of amps' states: pair(c, s) does
+    rotate_head(amps, c, s) and then the flip of spin mu, cnot_flip for
+    variant "x" and cnot_signed_flip for "iy", with the same bits.
+
+    While the kernels bound here are the numpy ones and amps fits in one
+    of their blocks, the pairs are the fused ones of _kernels_py.pairs.
+    Otherwise a pair calls the two kernels by their names here, looked up
+    at call time, so a swapped or wrapped kernel still sees every call.
+    """
+    flip = _FLIPS[variant]
+    if amps.size <= _kernels_py.BLOCK and (
+            rotate_head, globals()[flip]) == (_kernels_py.rotate_head,
+                                              getattr(_kernels_py, flip)):
+        return _kernels_py.pairs(amps, variant == "iy")
+
+    def pair(mu):
+        def rotate_and_flip(c, s):
+            rotate_head(amps, c, s)
+            globals()[flip](amps, mu)
+        return rotate_and_flip
+
+    return {mu: pair(mu) for mu in range(1, amps.shape[-1].bit_length() - 1)}
+
 
 def available_backends():
     """Map backend name to kernel module, for benchmarks and tests: the

@@ -31,6 +31,7 @@ Cost is O(m * M) scalars for a trajectory of m steps, independent of 2**M.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class HeadRecursion:
 
     One instance is bound to one uniform rotation angle; tables for all tape
     sizes queried so far are kept and extended on demand. Queries on a
-    filled table are plain list lookups, so sharing an instance across
+    filled table are plain array lookups, so sharing an instance across
     readers is safe once the fill is done.
     """
 
@@ -56,56 +57,56 @@ class HeadRecursion:
         self.alpha = float(alpha)
         self.y1 = math.sin(self.alpha)
         self.z1 = -math.cos(self.alpha)
-        self._tables: dict[int, list] = {}
+        # tape size -> (Y_m, Z_m) columns of doubles for m = 0, 1, ...
+        self._tables: dict[int, tuple[array, array]] = {}
 
     def trajectory(self, steps: int, num_tape_spins: int) -> np.ndarray:
         """Head Bloch vectors at steps 0..steps for the all-zeros tape, as
         an array of shape (steps+1, 3); x is 0."""
         check_count(steps, 0, "step count must be >= 0")
         check_count(num_tape_spins, 1, "need at least one tape spin")
-        # per step, each table of sizes M, M-2, ... holds a list slot (9
-        # bytes with the list's spare room), a 2-tuple (56) and two floats
-        # (48), and the slice of the table (8), the trajectory row of 3
-        # doubles (24) and np.asarray's rows with their scratch (48) add 80
-        check_fits((113 * ((num_tape_spins + 1) // 2) + 80) * (steps + 1),
+        # per step, each table of sizes M, M-2, ... holds two doubles (16
+        # bytes, and up to 1/16 more of array's spare room), and the
+        # trajectory row of 3 doubles adds 24
+        check_fits((17 * ((num_tape_spins + 1) // 2) + 24) * (steps + 1),
                    f"{steps} steps of the recursion of {num_tape_spins} "
                    "tape spins")
         self._fill(num_tape_spins, steps)
-        tab = self._tables[num_tape_spins][: steps + 1]
+        ys, zs = self._tables[num_tape_spins]
         bloch = np.zeros((steps + 1, 3))
-        bloch[:, 1:] = np.asarray(tab)
+        bloch[:, 1] = np.frombuffer(ys, count=steps + 1)
+        bloch[:, 2] = np.frombuffer(zs, count=steps + 1)
         return bloch
 
     def _fill(self, num_tape_spins: int, m_max: int) -> None:
         sizes = list(range(num_tape_spins, 0, -2))  # M, M-2, ..., down to 1 or 2
         for size in reversed(sizes):
-            tab = self._tables.setdefault(
-                size, [(0.0, -1.0), (self.y1, self.z1)]
-            )
-            self._extend(tab, size, m_max)
+            ys, zs = self._tables.setdefault(
+                size, (array("d", (0.0, self.y1)), array("d", (-1.0, self.z1))))
+            self._extend(ys, zs, size, m_max)
 
-    def _extend(self, tab, size, m_max):
+    def _extend(self, ys, zs, size, m_max):
         y1, z1 = self.y1, self.z1
         cycle = 2 * size
         below = self._tables.get(size - 2)  # None exactly when size <= 2
-        for m in range(len(tab), m_max + 1):
+        for m in range(len(ys), m_max + 1):
             n = (m - 1) % cycle + 1
             p = (m - 1) // cycle + 1
-            ym1, zm1 = tab[m - 1]
+            ym1, zm1 = ys[m - 1], zs[m - 1]
             if n % 2:
                 y = -y1 * zm1 - z1 * ym1
                 z = -z1 * zm1 + y1 * ym1
             else:
-                ym2, zm2 = tab[m - 2]
-                z = -z1 * zm2 + y1 * ym2
+                z = -z1 * zs[m - 2] + y1 * ys[m - 2]
                 if n != cycle:
-                    z_ref = -1.0 if below is None else below[m - 4 * p + 2][1]
+                    z_ref = -1.0 if below is None else below[1][m - 4 * p + 2]
                     y = ym1 + y1 * z_ref
                 elif p % 2:
                     y = ym1 - y1 * (-z1) ** (size - 1)
                 else:
                     y = ym1
-            tab.append((y, z))
+            ys.append(y)
+            zs.append(z)
 
 
 def run(config: MachineConfig) -> Trajectory:

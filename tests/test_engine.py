@@ -22,6 +22,7 @@ from qtm import (
 )
 from qtm import recursion
 from qtm.cli import main
+from qtm.gates import rotation_coefficients
 from qtm.state import REDUCE_BLOCK
 
 ALPHA = helpers.ALPHA
@@ -167,9 +168,10 @@ def test_growing_state_matches_full_state_run(tape, variant, steps):
                                rtol=0, atol=1e-12)
 
 
-def _record_kernel_sizes(monkeypatch):
-    """The amplitude count of every kernel call, in call order."""
-    sizes = []
+def _record_kernel_sizes(monkeypatch, calls=None):
+    """The amplitude count of every kernel call, in call order, appended
+    to calls (a new list by default)."""
+    sizes = [] if calls is None else calls
     for name in ("rotate_head", "cnot_flip", "cnot_signed_flip"):
         def recorded(amps, *args, _kernel=getattr(qtm.kernels, name)):
             sizes.append(amps.size)
@@ -179,20 +181,59 @@ def _record_kernel_sizes(monkeypatch):
     return sizes
 
 
+def _record_pairs(monkeypatch, calls):
+    """Append ("bind", amplitude count) to calls for every pair_kernels
+    call, and (mu, c, s, amplitude count) for every call of a pair it
+    returned, in call order."""
+    pair_kernels = qtm.kernels.pair_kernels
+
+    def recorded(amps, variant):
+        calls.append(("bind", amps.size))
+
+        def wrap(mu, pair):
+            def rotate_and_flip(c, s):
+                calls.append((mu, c, s, amps.size))
+                pair(c, s)
+            return rotate_and_flip
+
+        return {mu: wrap(mu, pair)
+                for mu, pair in pair_kernels(amps, variant).items()}
+
+    monkeypatch.setattr(qtm.kernels, "pair_kernels", recorded)
+
+
+def _later_pairs(alphas, steps):
+    """What _record_pairs records for a run of steps > 2M steps: one bind
+    of the full state, then one pair per rotation and flip after the
+    first cycle, mu in schedule order with the cos and sin of half of
+    alpha_mu."""
+    num = len(alphas)
+    size = 2 ** (num + 1)
+    return [("bind", size)] + [
+        (k % num + 1, *rotation_coefficients(alphas[k % num]), size)
+        for k in range((steps - 2 * num) // 2)]
+
+
 @pytest.mark.parametrize("variant", ["x", "iy"])
 def test_first_cycle_holds_only_the_spins_the_head_reached(monkeypatch, variant):
-    # one kernel call per step; step m of the first cycle is on spin
+    # one kernel call per step of the first cycle; step m of it is on spin
     # mu = (m+1)//2, and until spin mu is flipped the state holds at most
-    # the head and spins 1..mu
+    # the head and spins 1..mu. Later steps go in rotate-and-flip pairs on
+    # the full state
     num = 6
-    sizes = _record_kernel_sizes(monkeypatch)
+    calls = []
+    _record_kernel_sizes(monkeypatch, calls)
+    _record_pairs(monkeypatch, calls)
     run(MachineConfig.uniform(num, ALPHA, variant=variant, initial="+01-10",
                               steps=3 * num))
-    assert len(sizes) == 3 * num
-    for m, size in enumerate(sizes[:2 * num], start=1):
+    sizes = calls[:2 * num]
+    for m, size in enumerate(sizes, start=1):
         assert size <= 2 ** ((m + 1) // 2 + 1)
-    assert sizes[1:2 * num:2] == [2 ** (mu + 1) for mu in range(1, num + 1)]
-    assert sizes[2 * num:] == [2 ** (num + 1)] * num
+    assert sizes[1::2] == [2 ** (mu + 1) for mu in range(1, num + 1)]
+    later = calls[2 * num:]
+    assert [c for c in later if isinstance(c, tuple)] == _later_pairs(
+        (ALPHA,) * num, 3 * num)
+    assert all(c == 2 ** (num + 1) for c in later if not isinstance(c, tuple))
 
 
 def test_amplitude_tape_runs_at_full_size_from_step_zero(monkeypatch):
@@ -262,19 +303,27 @@ def test_fused_run_builds_u_once_and_replays_one_window(monkeypatch):
 
 
 def test_six_spins_keep_the_loop(monkeypatch):
-    # U of M=6 has 4**7 > REDUCE_BLOCK entries: one full-size call per step
-    sizes = _record_kernel_sizes(monkeypatch)
+    # U of M=6 has 4**7 > REDUCE_BLOCK entries: one full-size kernel call
+    # per step of the first cycle, then one full-size pair per rotation
+    # and flip
+    calls = []
+    _record_kernel_sizes(monkeypatch, calls)
+    _record_pairs(monkeypatch, calls)
     run(MachineConfig.uniform(6, ALPHA, initial=_amplitude_tape(6),
                               steps=5 * 12))
-    assert sizes == [2 ** 7] * 60
+    assert calls[:12] == [2 ** 7] * 12
+    assert [c for c in calls[12:] if isinstance(c, tuple)] == _later_pairs(
+        (ALPHA,) * 6, 60)
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("num", [6, 8])
 def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
-    # the loop calls the gates through the names engine binds, once per
-    # step, so a wrapper there sees every step: step n of a cycle rotates
-    # by alpha_mu (n odd) or flips spin mu (n even), mu = (n + 1) // 2
+    # the first cycle calls the gates through the names engine binds, once
+    # per step, so a wrapper there sees every step of it: step n of a
+    # cycle rotates by alpha_mu (n odd) or flips spin mu (n even), mu =
+    # (n + 1) // 2. Later steps are one pair call per rotation and flip,
+    # and an odd last step is one more rotation
     calls = []
     for name in ("apply_head_rotation", "apply_qcnot"):
         def recorded(state, *args, _gate=getattr(qtm.engine, name)):
@@ -282,13 +331,15 @@ def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
             return _gate(state, *args)
 
         monkeypatch.setattr(qtm.engine, name, recorded)
+    _record_pairs(monkeypatch, calls)
     alphas = tuple(0.3 + 0.1 * mu for mu in range(num))
     steps = 3 * 2 * num + 5
     run(MachineConfig(num, alphas, variant=variant,
                       initial=("+-01" * 2)[:num], steps=steps))
     want = [(alphas[(n - 1) // 2],) if n % 2 else (n // 2, variant)
-            for n in ((m - 1) % (2 * num) + 1 for m in range(1, steps + 1))]
-    assert calls == want
+            for n in range(1, 2 * num + 1)]
+    # the last step, n = 5 of its cycle, rotates by alpha_3
+    assert calls == want + _later_pairs(alphas, steps) + [(alphas[2],)]
 
 
 def test_run_refuses_a_state_larger_than_memory(monkeypatch):
@@ -373,6 +424,35 @@ def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num, message):
     monkeypatch.setattr(qtm.kernels, "rotate_head", leaky)
     with pytest.raises(NumericalValidationError, match=message):
         run(MachineConfig.uniform(num, ALPHA, steps=100 * 2 * num))
+
+
+@pytest.mark.parametrize("fault, steps, step", [
+    ("leak", 100 * 12, 24), ("nan", 100 * 12, 24),
+    ("nan", 12 + 4, 16), ("nan", 12 + 5, 17)])
+def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, steps, step):
+    # after the first cycle the rotations and flips of M >= 6 are pair
+    # calls: one that leaks 1e-13 of the amplitude per call puts norm²
+    # 1.2e-12 off after the six pairs of the second cycle, and a NaN fails
+    # the check at its end too, or at the end of a last partial cycle
+    pair_kernels = qtm.kernels.pair_kernels
+
+    def broken(amps, variant):
+        def wrap(pair):
+            def rotate_and_flip(c, s):
+                pair(c, s)
+                if fault == "leak":
+                    np.multiply(amps, 1.0 + 1e-13, out=amps)
+                else:
+                    amps[0] = complex("nan")
+            return rotate_and_flip
+
+        return {mu: wrap(pair)
+                for mu, pair in pair_kernels(amps, variant).items()}
+
+    monkeypatch.setattr(qtm.kernels, "pair_kernels", broken)
+    with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
+        run(MachineConfig.uniform(6, ALPHA, initial=_amplitude_tape(6),
+                                  steps=steps))
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-7, 1.0 + 1e-7],
@@ -475,6 +555,16 @@ class TestMixtures:
         cfg = MachineConfig.uniform(1, ALPHA, steps=5)
         with pytest.raises(ConfigurationError):
             run_mixed([(0.4, cfg), (0.4, cfg)])
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.nan),
+                                         (math.inf, -math.inf)])
+    def test_weights_that_are_not_numbers_are_refused(self, weights):
+        # NaN < 0 and abs(NaN - 1) > tol are both false, so a NaN weight
+        # passed both tests and gave an all-NaN trajectory
+        a = MachineConfig.uniform(2, ALPHA, steps=5)
+        b = MachineConfig.uniform(2, ALPHA, phi0=math.pi, steps=5)
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            run_mixed(list(zip(weights, (a, b))))
 
     def test_members_must_share_machine(self):
         a = MachineConfig.uniform(2, ALPHA, steps=5)

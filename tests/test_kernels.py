@@ -151,6 +151,83 @@ def test_backends_agree_on_fused_runs(compiled, monkeypatch, variant):
     _assert_same_bits(*runs)
 
 
+def _bind(monkeypatch, mod):
+    """Bind mod's kernels to the kernels module's names."""
+    for name in ("rotate_head", "cnot_flip", "cnot_signed_flip"):
+        monkeypatch.setattr(kernels, name, getattr(mod, name))
+
+
+@pytest.mark.parametrize("variant", ["x", "iy"])
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_pairs_equal_rotate_then_flip(request, monkeypatch, backend, variant):
+    # every pair of every size, one-block (fused on numpy) and blocked,
+    # called in turn on one state with signed zeros: the same bits as
+    # rotate_head and then the flip of its spin
+    mod = (_kernels_py if backend == "numpy"
+           else request.getfixturevalue("compiled"))
+    _bind(monkeypatch, mod)
+    flip = (_kernels_py.cnot_flip if variant == "x"
+            else _kernels_py.cnot_signed_flip)
+    rng = np.random.default_rng(71)
+    for nbits in SIZES:
+        amps = _state_with_signed_zeros(nbits, rng)
+        want = amps.copy()
+        pair = kernels.pair_kernels(amps, variant)
+        assert list(pair) == list(range(1, nbits))
+        for mu in [*range(1, nbits), *range(nbits - 1, 0, -1)]:
+            angle = (0.9, -2.3)[mu % 2]
+            c, s = math.cos(angle), math.sin(angle)
+            pair[mu](c, s)
+            _kernels_py.rotate_head(want, c, s)
+            flip(want, mu)
+            _assert_same_bits(amps, want)
+
+
+def test_pairs_fuse_only_the_numpy_kernels_on_one_block(monkeypatch):
+    # _kernels_py.pairs serves a state of at most BLOCK amplitudes while
+    # the bound kernels are numpy's; a larger state, or a kernel that is
+    # not numpy's, gets pairs that look the kernels up by name when called
+    fused = []
+    monkeypatch.setattr(_kernels_py, "pairs",
+                        lambda amps, signed: fused.append((amps.size, signed)))
+    _bind(monkeypatch, _kernels_py)
+    kernels.pair_kernels(np.zeros(BLOCK, complex), "iy")
+    kernels.pair_kernels(np.zeros(BLOCK // 2, complex), "x")
+    assert fused == [(BLOCK, True), (BLOCK // 2, False)]
+    calls = []
+
+    def recorded(name):
+        def kernel(amps, *args):
+            calls.append((name, amps.size) + args)
+        return kernel
+
+    big = kernels.pair_kernels(np.zeros(2 * BLOCK, complex), "x")
+    monkeypatch.setattr(kernels, "cnot_flip", recorded("cnot_flip"))
+    small = kernels.pair_kernels(np.zeros(8, complex), "x")
+    monkeypatch.setattr(kernels, "rotate_head", recorded("rotate_head"))
+    big[2](0.6, 0.8)
+    small[2](0.6, 0.8)
+    assert len(fused) == 2
+    assert calls == [("rotate_head", 2 * BLOCK, 0.6, 0.8),
+                     ("cnot_flip", 2 * BLOCK, 2),
+                     ("rotate_head", 8, 0.6, 0.8), ("cnot_flip", 8, 2)]
+
+
+@pytest.mark.parametrize("variant", ["x", "iy"])
+def test_backends_agree_on_paired_runs(compiled, monkeypatch, variant):
+    # a run at M=7 goes in rotate-and-flip pairs after its first cycle,
+    # fused on the numpy kernels and through the kernels on the compiled
+    # ones; both give the same bits, two cycles and five steps past it
+    cfg = MachineConfig.uniform(7, helpers.ALPHA, phi0=0.9, variant=variant,
+                                initial="+-01+-0", steps=3 * 14 + 5)
+    runs = []
+    for backend in (_kernels_py, compiled):
+        _bind(monkeypatch, backend)
+        traj = run(cfg)
+        runs.append(np.append(traj.bloch, traj.norm_drift))
+    _assert_same_bits(*runs)
+
+
 def test_blocked_kernels_equal_one_shot_formulas():
     rng = np.random.default_rng(53)
     c, s = math.cos(1.1), math.sin(1.1)
