@@ -6,15 +6,20 @@ one cycle (spins 1..M) in each variant, plain and signed, and a machine
 cycle over a range of tape sizes for every available backend (compiled
 extension, numpy fallback) and prints per-call times plus the speedup.
 The two backends must agree numerically, so the benchmark also
-cross-checks the final state. Two end-to-end rows follow: engine.run at
-M=8 over 20,000 steps per backend (its first cycle gate by gate, the rest
-in rotate-and-flip pairs, kernels.pair_kernels), in steps/s, and the CSV
-and JSON writers on its 20,001-row trajectory.
+cross-checks the final state. At M=16 and 18 a pair row per backend
+times one cycle of the rotate-and-flip pairs of kernels.pair_kernels
+(fused on the numpy kernels) against rotate_head, the flip and head_cross
+called one after the other, in each variant, and checks that both leave
+the same state bits and cross terms. Two end-to-end rows follow:
+engine.run at M=8 over 20,000 steps per backend (its first cycle gate by
+gate, the rest in rotate-and-flip pairs), in steps/s, and the CSV and
+JSON writers on its 20,001-row trajectory.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
 
 import argparse
+import contextlib
 import math
 import os
 import tempfile
@@ -24,7 +29,7 @@ import numpy as np
 
 from qtm import MachineConfig, io, kernels, run
 from qtm.kernels import available_backends
-from qtm.state import make_product_state
+from qtm.state import StateVector, head_cross, make_product_state
 
 LOOP_TAPE = "11000011"
 LOOP_STEPS = 20000
@@ -84,6 +89,57 @@ def bench_cycle_flips(mod, num_tape_spins, repeats):
     return tuple(best)
 
 
+@contextlib.contextmanager
+def bound(mod):
+    """mod's kernels bound to the kernels module's names, as engine.run
+    and kernels.pair_kernels look them up."""
+    names = ("rotate_head", "cnot_flip", "cnot_signed_flip")
+    saved = [getattr(kernels, name) for name in names]
+    try:
+        for name in names:
+            setattr(kernels, name, getattr(mod, name))
+        yield
+    finally:
+        for name, kernel in zip(names, saved):
+            setattr(kernels, name, kernel)
+
+
+def bench_pairs(mod, num_tape_spins, variant, repeats):
+    """(paired, by_name, same): best times of one cycle of the pairs of
+    kernels.pair_kernels with mod's kernels bound, and of the same cycle as
+    rotate_head, the flip and head_cross one after the other, each from a
+    copy of one state; same is whether both leave the same state bits and
+    return the same cross terms."""
+    alpha = math.pi / math.sqrt(3.0)
+    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
+    start = make_product_state(0.3, ("+-01" * 5)[:num_tape_spins]).amplitudes
+    flip = getattr(mod, {"x": "cnot_flip", "iy": "cnot_signed_flip"}[variant])
+    spins = range(1, num_tape_spins + 1)
+
+    def paired(amps):
+        pair = kernels.pair_kernels(amps, variant)
+        return [pair[mu](c, s) for mu in spins]
+
+    def by_name(amps):
+        crosses = []
+        for mu in spins:
+            mod.rotate_head(amps, c, s)
+            flip(amps, mu)
+            crosses.append(head_cross(StateVector(num_tape_spins, amps)))
+        return crosses
+
+    best, out = [math.inf, math.inf], []
+    with bound(mod):
+        for i, cycle in enumerate((paired, by_name)):
+            for _ in range(repeats):
+                amps = start.copy()
+                t0 = time.perf_counter()
+                crosses = cycle(amps)
+                best[i] = min(best[i], time.perf_counter() - t0)
+            out.append(amps.tobytes() + np.array(crosses).tobytes())
+    return best[0], best[1], out[0] == out[1]
+
+
 def bench_loop(mod, repeats):
     """(best time, trajectory) of engine.run at M=8 on LOOP_TAPE over
     LOOP_STEPS steps, a run too large for the cycle matrix, with mod's
@@ -91,19 +147,12 @@ def bench_loop(mod, repeats):
     _kernels_py.pairs after its first cycle."""
     cfg = MachineConfig.uniform(len(LOOP_TAPE), math.pi / math.sqrt(3.0),
                                 initial=LOOP_TAPE, steps=LOOP_STEPS)
-    names = ("rotate_head", "cnot_flip", "cnot_signed_flip")
-    saved = [getattr(kernels, name) for name in names]
     best = math.inf
-    try:
-        for name in names:
-            setattr(kernels, name, getattr(mod, name))
+    with bound(mod):
         for _ in range(repeats):
             t0 = time.perf_counter()
             traj = run(cfg)
             best = min(best, time.perf_counter() - t0)
-    finally:
-        for name, kernel in zip(names, saved):
-            setattr(kernels, name, kernel)
     return best, traj
 
 
@@ -156,6 +205,16 @@ def main():
                   f"signed flips mu=1..M {a[5] / b[5]:8.2f} x")
             diff = float(np.abs(finals["numpy"] - finals["compiled"]).max())
             print(f"  backend disagreement: {diff:.3e}")
+
+    for m in (16, 18):
+        print(f"\nrotate-and-flip pairs, one cycle, M={m}")
+        for name, mod in backends.items():
+            for variant in ("x", "iy"):
+                paired, by_name, same = bench_pairs(mod, m, variant,
+                                                    args.repeats)
+                print(f"  {name:>8} {variant:>2}: pairs {paired * 1e3:7.2f} ms"
+                      f"   rotate+flip+head_cross {by_name * 1e3:7.2f} ms"
+                      f"   {by_name / paired:5.2f} x   bit-equal: {same}")
 
     print(f"\nengine.run, M={len(LOOP_TAPE)} on {LOOP_TAPE}, "
           f"{LOOP_STEPS:,} steps")

@@ -12,10 +12,14 @@ amplitudes at a time, so the scratch a block needs stays in cache instead
 of streaming state-sized arrays through memory. Blocking only regroups
 independent elementwise work; every amplitude gets the same operations as
 in one whole-array pass. A flip has one body for every size: an array
-that fits in one block is its own only block.
+that fits in one block is its own only block. So has pairs, which fuses a
+rotation, the flip after it and the head cross term into one sweep over
+the blocks of one state.
 """
 
 import numpy as np
+
+from .state import REDUCE_BLOCK, aligned_empty
 
 # amplitudes per block: 512 KiB of state, so a block and its scratch fit
 # in a core's L2 cache
@@ -96,37 +100,112 @@ def cnot_signed_flip(amps, mu):
 
 
 def pairs(amps, signed):
-    """{mu: pair} for amps of at most BLOCK amplitudes: pair(c, s) is
-    rotate_head(amps, c, s) and then cnot_flip(amps, mu), or
-    cnot_signed_flip when signed, with their bits.
+    """{mu: pair} for the tape spins mu = 1..M of one state amps: pair(c, s)
+    is rotate_head(amps, c, s) and then cnot_flip(amps, mu), or
+    cnot_signed_flip when signed, with their bits, and returns the cross
+    term sum(conj(a0) a1) of the new state with state.head_cross's bits.
 
-    The halves of amps, scratch of its shape and each spin's flip views of
-    both are bound once. A pair makes rotate_head's five one-block ufunc
-    calls, but forms the new head-0 half c a0 - (i s) a1 in scratch and
-    writes it from there straight to its flipped place, so the flip makes
-    no pass and no copy of its own."""
-    half = amps.shape[-1] // 2
-    scratch = np.empty_like(amps)
-    a0, a1 = amps[..., :half], amps[..., half:]
-    t, r = scratch[..., :half], scratch[..., half:]
+    A pair walks the state one block of BLOCK // 2 tape indices at a time
+    (all of them, if fewer), a block being that stretch of the head-0 half
+    a0 and of the head-1 half a1. While spin mu's runs are shorter than a
+    block, a block holds both sides of every swap its flip makes; from
+    there up each block goes with its flip partner, the block whose tape
+    indices differ in bit mu-1. For each block a pair makes rotate_head's
+    five ufunc calls while the block is in cache, leaving the new a1 in
+    place and the new a0 in scratch, and writes the new a0 from scratch
+    straight to its flipped place (for the signed flip, negating the run
+    that lands on bit 0). Once a block is final it takes np.vdot of each
+    REDUCE_BLOCK-sized chunk of (a0, a1), and the pair adds those sums in
+    chunk order starting from 0j, as state._vdot does.
+
+    Scratch is two blocks, as rotate_head's is: a partner pair forms its
+    second block's head-1 products in the first block's head-0 stretch,
+    whose new values are already in scratch. Every view a call uses is
+    bound here, once.
+    """
+    half = amps.size // 2
+    width = min(half, BLOCK // 2)
+    step = min(width, REDUCE_BLOCK)
+    scratch = aligned_empty((2, width), amps.dtype)
+    t, r = scratch
+    sums = [0j] * (half // step)
+    # per block: its rotation, as (a0 and a1 as one (2, width) view, a0,
+    # a1, where the new a0 goes, where the head-0 products go), and its
+    # chunks, as (index, a0 chunk, a1 chunk)
+    blocks = [(((ab, ab[0], ab[1], t, r),),
+               tuple((k * width // step + i // step, ab[0, i:i + step],
+                      ab[1, i:i + step]) for i in range(0, width, step)))
+              for k, ab in enumerate(amps.reshape(2, -1, width)
+                                     .swapaxes(0, 1))]
+
+    def sources(src):
+        # the views of the new a0 in src (tape bit on axis -2) that move
+        # to bit 0 and to bit 1 of their flipped place; the plain flip
+        # moves all of src at once, with the bit reversed
+        if signed:
+            return src[..., 1, :], src[..., 0, :]
+        return src[..., ::-1, :], None
+
+    def job(rotations, parts, dst, moved):
+        # (rotations, chunks, to bit 0, from, to bit 1, from), dst the
+        # flipped place (tape bit on axis -2) and moved its sources
+        if signed:
+            return (rotations, parts, dst[..., 0, :], moved[0],
+                    dst[..., 1, :], moved[1])
+        return rotations, parts, dst, moved[0], None, None
+
+    partnered = sources(scratch)
+
+    def jobs(mu):
+        run = 1 << (mu - 1)
+        if run < width:
+            # each block's flip stays in it: rotation[0][1] is its a0
+            moved = sources(t.reshape(-1, 2, run))
+            return [job(rotation, parts, rotation[0][1].reshape(-1, 2, run),
+                        moved) for rotation, parts in blocks]
+        # block k goes with block k + run // width, whose tape indices
+        # differ from its own in bit mu-1; the second one forms its head-1
+        # products in the first one's a0, whose new values are in t
+        heads = amps[:half].reshape(-1, 2, run)
+        paired = []
+        for k in range(len(blocks)):
+            if k * width & run:
+                continue
+            g, at = divmod(k * width, 2 * run)
+            ((first,), parts), ((second,), more) = (
+                blocks[k], blocks[k + run // width])
+            paired.append(job((first, second[:3] + (r, first[1])),
+                              parts + more, heads[g, :, at:at + width],
+                              partnered))
+        return paired
 
     def pair(mu):
-        dst, src = _flip_view(amps, mu), _flip_view(scratch, mu)
-        dst0, dst1 = dst[:, :, 0], dst[:, :, 1]
-        src0, src1 = src[:, :, 0], src[:, :, 1]
-        swapped = src[:, :, ::-1]
+        work = jobs(mu)
 
-        def rotate_and_flip(c, s):
-            np.multiply(1j * s, a1, out=t)
-            np.multiply(-1j * s, a0, out=r)
-            np.multiply(c, amps, out=amps)
-            np.add(r, a1, out=a1)
-            np.subtract(a0, t, out=t)
-            if signed:
-                np.negative(src1, out=dst0)
-                np.copyto(dst1, src0)
-            else:
-                np.copyto(dst, swapped)
+        # the numpy functions are bound as defaults, which saves a global
+        # and an attribute lookup per call of each
+        def rotate_and_flip(c, s, multiply=np.multiply, add=np.add,
+                            subtract=np.subtract, negative=np.negative,
+                            copyto=np.copyto, vdot=np.vdot):
+            w, u = 1j * s, -1j * s
+            for rotations, parts, to0, from0, to1, from1 in work:
+                for ab, a0, a1, new0, tmp in rotations:
+                    multiply(w, a1, out=new0)
+                    multiply(u, a0, out=tmp)
+                    multiply(c, ab, out=ab)
+                    add(tmp, a1, out=a1)
+                    subtract(a0, new0, out=new0)
+                if signed:
+                    negative(from0, out=to0)
+                    copyto(to1, from1)
+                else:
+                    copyto(to0, from0)
+                for j, x, y in parts:
+                    sums[j] = vdot(x, y)
+            total = 0j
+            for part in sums:
+                total += part
+            return complex(total)
         return rotate_and_flip
 
-    return {mu: pair(mu) for mu in range(1, amps.shape[-1].bit_length() - 1)}
+    return {mu: pair(mu) for mu in range(1, half.bit_length())}

@@ -23,7 +23,7 @@ from . import _kernels_py, kernels
 from .gates import (VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot,
                     rotation_coefficients)
 from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
-                    _halves, _vdot, check_count, check_fits, head_bloch,
+                    check_count, check_fits, head_bloch,
                     head_bloch_rows, head_cross, make_state,
                     normalize_tape_spec, norm_sq_rows, tape_amplitudes)
 
@@ -152,9 +152,14 @@ def run(config: MachineConfig) -> Trajectory:
     """
     initial = config.resolved_initial()
     num = config.num_tape_spins
-    # the state and its half-size source (check_state_fits), and a
+    # complex amplitudes held at once: the state, the half-size state it
+    # grows from (check_state_fits), the scratch of its pairs and the
+    # temporaries of a rotation, each min(size, BLOCK) of them (a two-block
+    # scratch, or the two half states of a one-block rotation); then a
     # trajectory row of 3 doubles per step
-    check_fits((24 << (num + 1)) + 24 * (config.steps + 1),
+    size = 2 ** (num + 1)
+    held = size + size // 2 + 2 * min(size, _kernels_py.BLOCK)
+    check_fits(16 * held + 24 * (config.steps + 1),
                f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
@@ -208,15 +213,13 @@ def _run_pairs(config, state, bloch, drift):
     Each rotation and the flip after it are one call of a pair callable
     that kernels.pair_kernels binds to the state once per run, with every
     site's cos and sin of the half angle computed once. The head Bloch
-    vector is carried as in run, with the cross term summed over halves
-    bound once; at every cycle end it is reduced in full and the norm is
-    checked. An odd last step is a rotation alone, and a last partial
-    cycle ends with a norm check.
+    vector is carried as in run, with the cross term the pair returns; at
+    every cycle end it is reduced in full and the norm is checked. An odd
+    last step is a rotation alone, and a last partial cycle ends with a
+    norm check.
     """
     cycle, last = 2 * config.num_tape_spins, config.steps
-    amps = state.amplitudes
-    a0, a1 = _halves(amps)
-    pair = kernels.pair_kernels(amps, config.variant)
+    pair = kernels.pair_kernels(state.amplitudes, config.variant)
     sites = itertools.cycle([
         (pair[mu], *rotation_coefficients(alpha), c, s, alpha,
          mu == config.num_tape_spins)
@@ -226,12 +229,11 @@ def _run_pairs(config, state, bloch, drift):
         rotate_and_flip, half_c, half_s, c, s, _, ends = next(sites)
         y, z = y * c - z * s, y * s + z * c
         bloch[m - 1] = x, y, z
-        rotate_and_flip(half_c, half_s)
+        cross = rotate_and_flip(half_c, half_s)
         if ends:
             x, y, z = head_bloch(state)
             drift = _check_norm(state.norm_sq(), m, drift)
         else:
-            cross = _vdot(a0, a1)
             x, y = 2.0 * cross.real, -2.0 * cross.imag
         bloch[m] = x, y, z
     if last % 2:

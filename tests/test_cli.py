@@ -342,11 +342,11 @@ def test_state_vector_takes_an_angle_the_primitive_path_refuses(tmp_path):
 
 
 def test_state_too_large_for_memory_is_a_usage_error(capsys):
-    # 16 * 2**41 bytes and the half-size state before the last spin:
-    # refused on the estimate, before any allocation
+    # 16 * 2**41 bytes, the half-size state before the last spin and 1 MiB
+    # of kernel scratch: refused on the estimate, before any allocation
     assert main(["simulate", "--tape-size", "40", "--alpha", "1",
                  "--steps", "1"]) == 2
-    assert "need 50,331,648 MiB" in capsys.readouterr().err
+    assert "need 50,331,649 MiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, what", [

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,7 @@ def _record_pairs(monkeypatch, calls):
         def wrap(mu, pair):
             def rotate_and_flip(c, s):
                 calls.append((mu, c, s, amps.size))
-                pair(c, s)
+                return pair(c, s)
             return rotate_and_flip
 
         return {mu: wrap(mu, pair)
@@ -344,11 +345,35 @@ def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
 
 def test_run_refuses_a_state_larger_than_memory(monkeypatch):
     # a 1-step run never builds the M=16 state, but the guard counts the
-    # full state, and the half-size one it grows from, before anything is
-    # allocated
+    # full state, the half-size one it grows from, and two blocks each of
+    # pair scratch and rotation temporaries, before anything is allocated
     helpers.one_mib_available(monkeypatch)
-    with pytest.raises(ConfigurationError, match="16 tape spins need 3 MiB"):
+    with pytest.raises(ConfigurationError, match="16 tape spins need 4 MiB"):
         run(MachineConfig.uniform(16, ALPHA, steps=1))
+
+
+@pytest.mark.parametrize("variant", ["x", "iy"])
+@pytest.mark.parametrize("num", [10, 14, 16])
+def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, variant):
+    # the guard's estimate is at least the traced peak of a three-cycle
+    # run: a one-block state (M=10, 14) and a blocked one (M=16). Below
+    # M=10 the peak is the guard's own read of /proc/meminfo, about 10 KiB
+    needs = []
+    check_fits = qtm.engine.check_fits
+
+    def recorded(need, what):
+        needs.append(need)
+        check_fits(need, what)
+
+    monkeypatch.setattr(qtm.engine, "check_fits", recorded)
+    tracemalloc.start()
+    try:
+        run(MachineConfig.uniform(num, ALPHA, variant=variant,
+                                  steps=3 * 2 * num))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 1 and peak <= needs[0]
 
 
 _THREADED_RUN = """
@@ -426,24 +451,30 @@ def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num, message):
         run(MachineConfig.uniform(num, ALPHA, steps=100 * 2 * num))
 
 
-@pytest.mark.parametrize("fault, steps, step", [
-    ("leak", 100 * 12, 24), ("nan", 100 * 12, 24),
-    ("nan", 12 + 4, 16), ("nan", 12 + 5, 17)])
-def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, steps, step):
+@pytest.mark.parametrize("fault, num, steps, step", [
+    pytest.param(*case, id=f"{case[0]}-{case[2]}-{case[3]}"
+                 + ("-blocked" if case[1] == 16 else ""))
+    for case in [("leak", 6, 100 * 12, 24), ("nan", 6, 100 * 12, 24),
+                 ("nan", 6, 12 + 4, 16), ("nan", 6, 12 + 5, 17),
+                 ("leak", 16, 3 * 32, 64), ("nan", 16, 3 * 32, 64)]])
+def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, num, steps,
+                                           step):
     # after the first cycle the rotations and flips of M >= 6 are pair
     # calls: one that leaks 1e-13 of the amplitude per call puts norm²
-    # 1.2e-12 off after the six pairs of the second cycle, and a NaN fails
-    # the check at its end too, or at the end of a last partial cycle
+    # 1.2e-12 off after the six pairs of the second cycle at M=6 (3.2e-12
+    # after the 16 of M=16, a state of four blocks), and a NaN fails the
+    # check at its end too, or at the end of a last partial cycle
     pair_kernels = qtm.kernels.pair_kernels
 
     def broken(amps, variant):
         def wrap(pair):
             def rotate_and_flip(c, s):
-                pair(c, s)
+                cross = pair(c, s)
                 if fault == "leak":
                     np.multiply(amps, 1.0 + 1e-13, out=amps)
                 else:
                     amps[0] = complex("nan")
+                return cross
             return rotate_and_flip
 
         return {mu: wrap(pair)
@@ -451,7 +482,7 @@ def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, steps, step):
 
     monkeypatch.setattr(qtm.kernels, "pair_kernels", broken)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
-        run(MachineConfig.uniform(6, ALPHA, initial=_amplitude_tape(6),
+        run(MachineConfig.uniform(num, ALPHA, initial=_amplitude_tape(num),
                                   steps=steps))
 
 

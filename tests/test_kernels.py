@@ -9,7 +9,8 @@ import pytest
 
 import helpers
 from qtm import MachineConfig, _kernels_py, kernels, run
-from qtm.state import REDUCE_BLOCK
+from qtm.state import (REDUCE_BLOCK, StateVector, _vdot, aligned_empty,
+                       head_cross)
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "qtm" / "_kernels_c.c"
 
@@ -160,9 +161,10 @@ def _bind(monkeypatch, mod):
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_pairs_equal_rotate_then_flip(request, monkeypatch, backend, variant):
-    # every pair of every size, one-block (fused on numpy) and blocked,
-    # called in turn on one state with signed zeros: the same bits as
-    # rotate_head and then the flip of its spin
+    # every pair of every size, one-block and blocked (fused on numpy, with
+    # partner blocks at the top spins of BLOCK_BITS + 2), called in turn on
+    # one state with signed zeros: the same bits as rotate_head and then
+    # the flip of its spin, and it returns head_cross's bits
     mod = (_kernels_py if backend == "numpy"
            else request.getfixturevalue("compiled"))
     _bind(monkeypatch, mod)
@@ -177,23 +179,25 @@ def test_pairs_equal_rotate_then_flip(request, monkeypatch, backend, variant):
         for mu in [*range(1, nbits), *range(nbits - 1, 0, -1)]:
             angle = (0.9, -2.3)[mu % 2]
             c, s = math.cos(angle), math.sin(angle)
-            pair[mu](c, s)
+            cross = pair[mu](c, s)
             _kernels_py.rotate_head(want, c, s)
             flip(want, mu)
             _assert_same_bits(amps, want)
+            _assert_same_bits(np.array([cross]), np.array(
+                [head_cross(StateVector(nbits - 1, want))]))
 
 
-def test_pairs_fuse_only_the_numpy_kernels_on_one_block(monkeypatch):
-    # _kernels_py.pairs serves a state of at most BLOCK amplitudes while
-    # the bound kernels are numpy's; a larger state, or a kernel that is
-    # not numpy's, gets pairs that look the kernels up by name when called
+def test_pairs_are_fused_whenever_the_numpy_kernels_are_bound(monkeypatch):
+    # _kernels_py.pairs serves every state size while the bound kernels
+    # are numpy's; a kernel that is not numpy's gets pairs that look the
+    # kernels up by name when called and return the halves' _vdot
     fused = []
     monkeypatch.setattr(_kernels_py, "pairs",
                         lambda amps, signed: fused.append((amps.size, signed)))
     _bind(monkeypatch, _kernels_py)
-    kernels.pair_kernels(np.zeros(BLOCK, complex), "iy")
-    kernels.pair_kernels(np.zeros(BLOCK // 2, complex), "x")
-    assert fused == [(BLOCK, True), (BLOCK // 2, False)]
+    for size, variant in ((8, "x"), (BLOCK, "iy"), (4 * BLOCK, "x")):
+        kernels.pair_kernels(np.zeros(size, complex), variant)
+    assert fused == [(8, False), (BLOCK, True), (4 * BLOCK, False)]
     calls = []
 
     def recorded(name):
@@ -201,16 +205,31 @@ def test_pairs_fuse_only_the_numpy_kernels_on_one_block(monkeypatch):
             calls.append((name, amps.size) + args)
         return kernel
 
-    big = kernels.pair_kernels(np.zeros(2 * BLOCK, complex), "x")
     monkeypatch.setattr(kernels, "cnot_flip", recorded("cnot_flip"))
-    small = kernels.pair_kernels(np.zeros(8, complex), "x")
+    amps = np.array([0.5, 0, 0.5j, 0, 0.5, 0, 0.5, 0])
+    pair = kernels.pair_kernels(amps, "x")
     monkeypatch.setattr(kernels, "rotate_head", recorded("rotate_head"))
-    big[2](0.6, 0.8)
-    small[2](0.6, 0.8)
-    assert len(fused) == 2
-    assert calls == [("rotate_head", 2 * BLOCK, 0.6, 0.8),
-                     ("cnot_flip", 2 * BLOCK, 2),
-                     ("rotate_head", 8, 0.6, 0.8), ("cnot_flip", 8, 2)]
+    cross = pair[2](0.6, 0.8)
+    assert len(fused) == 3
+    assert calls == [("rotate_head", 8, 0.6, 0.8), ("cnot_flip", 8, 2)]
+    assert cross == _vdot(amps[:4], amps[4:]) == 0.25 - 0.25j
+
+
+def test_pair_scratch_is_two_blocks_on_a_cache_line(monkeypatch):
+    # the fused pairs' scratch is two blocks of BLOCK // 2 tape indices
+    # (two halves of a smaller state), from state.aligned_empty
+    made = []
+
+    def recorded(shape, dtype=complex):
+        made.append(aligned_empty(shape, dtype))
+        return made[-1]
+
+    monkeypatch.setattr(_kernels_py, "aligned_empty", recorded)
+    for size in (8, BLOCK, 4 * BLOCK):
+        _kernels_py.pairs(np.zeros(size, complex), size == BLOCK)
+    assert [a.shape for a in made] == [(2, 4), (2, BLOCK // 2),
+                                       (2, BLOCK // 2)]
+    assert all(a.ctypes.data % 64 == 0 for a in made)
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])

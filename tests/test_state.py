@@ -141,6 +141,30 @@ def test_make_state_with_amplitude_tape():
     np.testing.assert_allclose(s.amplitudes, t.amplitudes, atol=1e-15)
 
 
+@pytest.mark.parametrize("num", [1, 3, 10, 16])
+def test_states_start_on_a_cache_line(num):
+    # the states make_state and add_tape_spin build, and aligned_empty's
+    # buffers, start on a 64-byte boundary; the products keep the bits of
+    # the broadcast forms (np.kron's order)
+    rng = np.random.default_rng(num)
+    tape = helpers.random_state(num, rng)
+    spec = "+-01" * 4
+    states = [make_state(0.7, tape).amplitudes,
+              make_state(0.7, spec[:num]).amplitudes,
+              state.add_tape_spin(tape, "-")]
+    states += [state.aligned_empty(shape, dtype)
+               for shape, dtype in (((3, 5), complex), (7, np.clongdouble))]
+    assert all(a.ctypes.data % 64 == 0 for a in states)
+    unit = tape / math.sqrt(state.tape_amplitudes(tape)[1])
+    want = (unit[None, :] * state.head_vector(0.7)[:, None]).reshape(-1)
+    np.testing.assert_array_equal(states[0].view(np.uint64),
+                                  want.view(np.uint64))
+    site = np.array([1, -1], dtype=complex) / math.sqrt(2.0)
+    want = (site[None, :, None] * tape.reshape(2, 1, -1)).reshape(-1)
+    np.testing.assert_array_equal(states[2].view(np.uint64),
+                                  want.view(np.uint64))
+
+
 def test_make_state_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         make_product_state(0.0, "02")
