@@ -13,7 +13,10 @@ called one after the other, in each variant, and checks that both leave
 the same state bits and cross terms. Two end-to-end rows follow:
 engine.run at M=8 over 20,000 steps per backend (its first cycle gate by
 gate, the rest in rotate-and-flip pairs), in steps/s, and the CSV and
-JSON writers on its 20,001-row trajectory.
+JSON writers on its 20,001-row trajectory. Last, a census row at M=12
+and M=14: primitives.period_census over CENSUS_CYCLES cycles and
+io.write_census on its periods, the two halves of classify --all, each
+with its best time and the minor page faults (ru_minflt) of each call.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
@@ -22,17 +25,19 @@ import argparse
 import contextlib
 import math
 import os
+import resource
 import tempfile
 import time
 
 import numpy as np
 
-from qtm import MachineConfig, io, kernels, run
+from qtm import MachineConfig, io, kernels, primitives, run
 from qtm.kernels import available_backends
 from qtm.state import StateVector, head_cross, make_product_state
 
 LOOP_TAPE = "11000011"
 LOOP_STEPS = 20000
+CENSUS_CYCLES = 200
 
 
 def bench_backend(mod, num_tape_spins, repeats):
@@ -172,6 +177,32 @@ def bench_writers(traj, repeats):
     return tuple(best)
 
 
+def bench_census(num_tape_spins, repeats):
+    """((census, writer), (census faults, writer faults)): best times of
+    period_census(M, 0.3, pi/sqrt(3), CENSUS_CYCLES) and of write_census
+    on its periods into a temporary directory, as classify --all calls
+    them, and the minor page faults of every call."""
+    alpha = math.pi / math.sqrt(3.0)
+    best, faults = [math.inf, math.inf], ([], [])
+
+    def timed(i, call):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        result = call()
+        best[i] = min(best[i], time.perf_counter() - t0)
+        faults[i].append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return result
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "census.csv")
+        for _ in range(repeats):
+            periods = timed(0, lambda: primitives.period_census(
+                num_tape_spins, 0.3, alpha, CENSUS_CYCLES))
+            timed(1, lambda: io.write_census(path, periods))
+    return tuple(best), faults
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-tape-size", type=int, default=20)
@@ -228,6 +259,14 @@ def main():
     csv_s, json_s = bench_writers(trajs["numpy"], args.repeats)
     print(f"\nwriters, {LOOP_STEPS + 1:,} rows: csv {csv_s * 1e3:.1f} ms   "
           f"json {json_s * 1e3:.1f} ms")
+
+    print(f"\ncensus over {CENSUS_CYCLES} cycles, classify --all's two halves,"
+          " minor page faults per call")
+    for m in (12, 14):
+        (census_s, write_s), faults = bench_census(m, args.repeats)
+        print(f"  M={m}: period_census {census_s * 1e3:7.1f} ms "
+              f"(faults {faults[0]})   write_census {write_s * 1e3:6.1f} ms "
+              f"(faults {faults[1]})")
 
 
 if __name__ == "__main__":

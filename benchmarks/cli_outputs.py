@@ -5,7 +5,7 @@ primitives, classify --pattern and --all, decompose, spectrum and
 invariants, at the benchmark's shapes (M=3, 4 and 8 over 20,000 steps, the
 M=12 census over 200 cycles, M=18 over 100 steps), at M=7 over 3,000 steps,
 M=14 (the largest state of one kernel block) over 100, M=16 (four blocks,
-signed flips) over 101, and at a few small ones,
+signed flips) over 101, and at a few small ones (censuses of M=1 and 2),
 censuses at angles where most steps match step 0 (alpha = 0, 2*pi/3 and
 pi/50), plus configurations and angle spellings the CLI refuses.
 Every command runs in this process from inside OUTDIR with a relative
@@ -86,6 +86,11 @@ def commands():
                                     "--max-cycles", "50"])
     yield ("classify_aperiodic.csv", ["classify", "--pattern=++-", "--tape-size",
                                       "3", "--max-cycles", "50"])
+    # the smallest censuses: one-digit fields, and rows with no period
+    for tape_size in (1, 2):
+        yield (f"census_m{tape_size}.csv", ["classify", "--all", "--tape-size",
+                                            str(tape_size), "--max-cycles",
+                                            "10"])
     yield ("census_m4.csv", ["classify", "--all", "--tape-size", "4",
                              "--max-cycles", "10"])
     yield ("census_m12.csv", ["classify", "--all", "--tape-size", "12", ALPHA,

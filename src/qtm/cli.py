@@ -175,11 +175,16 @@ def cmd_primitives(args):
     return 0
 
 
-def _write_csv(args, header, lines):
-    io.write_csv(args.out, header, lines)
+def _manifest_beside(args):
+    """Exit code 0, after a manifest is written beside a file --out names."""
     if args.out != "-":
         io.write_manifest(_manifest(args), args.out)
     return 0
+
+
+def _write_csv(args, header, lines):
+    io.write_csv(args.out, header, lines)
+    return _manifest_beside(args)
 
 
 def _pattern(args):
@@ -200,14 +205,8 @@ def cmd_classify(args):
             raise ConfigurationError("--all needs --tape-size")
         periods = primitives.period_census(
             args.tape_size, args.phi0, args.alpha, args.max_cycles)
-
-    def row(pat, period):
-        cls = primitives.classify(pat)
-        return (f"{pat},{cls.kind},{cls.q},{';'.join(map(str, cls.gaps))},"
-                f"{'' if period is None else period}")
-
-    return _write_csv(args, "pattern,kind,q,gaps,period",
-                      (row(pat, period) for pat, period in periods.items()))
+    io.write_census(args.out, periods)
+    return _manifest_beside(args)
 
 
 def cmd_decompose(args):

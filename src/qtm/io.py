@@ -1,4 +1,5 @@
-"""Trajectory export: CSV, JSON, SVG scatter, and run manifests.
+"""Trajectory export: CSV, JSON, SVG scatter, the classify table, and run
+manifests.
 
 Floats are serialized with repr(), the shortest representation that parses
 back to the identical double, so a written file re-read equals the
@@ -9,14 +10,18 @@ inputs; writing the same trajectory twice produces identical bytes.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import sys
 
 import numpy as np
 
+from .primitives import gap_rule
 from .state import REDUCE_BLOCK
 
 CSV_HEADER = "m,n,p,lambda_x,lambda_y,lambda_z"
+CENSUS_HEADER = "pattern,kind,q,gaps,period"
+CENSUS_ROWS = 1024  # classify rows laid out at a time
 SVG_SIZE = 600
 SVG_SPAN = 1.1  # the viewport covers [-1.1, 1.1]² in the yz plane
 _CSV_ROW = "%d,%d,%d,%r,%r,%r\n"
@@ -129,6 +134,62 @@ def write_trajectory_svg(traj, path) -> None:
             ((b[:, 1] + SVG_SPAN) * scale).tolist(),
             ((SVG_SPAN - b[:, 2]) * scale).tolist()]))
         fh.write("</g>\n</svg>\n")
+
+
+def _digits(values):
+    """ASCII decimal digits of integers >= 0, one row each, right-aligned
+    in the width of the largest: 0 bytes stand before the leading digit,
+    and a value 0 is 0 bytes only."""
+    tens = 10 ** np.arange(len(str(max(int(values.max(initial=0)), 1))))[::-1]
+    out = (values[:, None] // tens % 10 + ord("0")).astype(np.uint8)
+    out[values[:, None] < tens] = 0
+    return out
+
+
+def write_census(path, periods) -> None:
+    """The classify table: CENSUS_HEADER, then one row
+    pattern,kind,q,gaps,period per entry of periods, a {pattern: period
+    in steps, or None for an empty field} mapping of patterns of one tape
+    size, in its order.
+
+    CENSUS_ROWS rows at a time are laid out as ASCII in one uint8 array,
+    each field in fixed columns with 0 bytes where a row's text is
+    shorter, and written with the 0 bytes dropped by one mask. The
+    pattern is its own bytes; kind, q and the gaps are those of
+    primitives.gap_rule on the +-1 signs the bytes spell ('+' is 43, '-'
+    45). q and the gaps take their digits from a table of 0..M: a gap
+    slot is a gap's digits and ';', blank past gap q, and the slot of gap
+    q ends in the ',' before the period instead. The only Python work per
+    row is reading its pattern and its period."""
+    num = len(next(iter(periods), ""))  # the tape size all patterns share
+    kinds = np.array([b"aperiodic", b"periodic"]).view(np.uint8).reshape(2, -1)
+    digits = _digits(np.arange(num + 1))
+    digits[0, -1] = ord("0")
+    # a gap slot by gap + 1: row 0 blank, row g + 1 the digits of g and ';'
+    slots = np.zeros((num + 2, digits.shape[1] + 1), np.uint8)
+    slots[1:, :-1], slots[1:, -1] = digits, ord(";")
+    pats, values = iter(periods), iter(periods.values())
+    with _open_out(path) as fh:
+        fh.write(CENSUS_HEADER + "\n")
+        for lo in range(0, len(periods), CENSUS_ROWS):
+            rows = min(CENSUS_ROWS, len(periods) - lo)
+            pattern = np.frombuffer("".join(itertools.islice(pats, rows))
+                                    .encode("ascii"), np.uint8)
+            pattern = pattern.reshape(rows, num)
+            # ',' - '+' is 1 and ',' - '-' is 255, -1 as int8
+            q, gaps, periodic = gap_rule((ord(",") - pattern).view(np.int8))
+            # in intp, so that gap + 1 does not wrap where a uint8 gap is 255
+            field = np.take(slots, (gaps + np.intp(1))
+                            * (np.arange(num + 1) <= q[:, None]), axis=0)
+            field[np.arange(rows), q, -1] = ord(",")
+            comma = np.full((rows, 1), ord(","), np.uint8)
+            text = np.hstack([
+                pattern, comma, kinds[periodic.view(np.uint8)], comma,
+                digits[q], comma, field.reshape(rows, -1),
+                _digits(np.fromiter((p or 0 for p in itertools.islice(
+                    values, rows)), np.int64, rows)),
+                np.full((rows, 1), ord("\n"), np.uint8)])
+            fh.write(text[text != 0].tobytes().decode("ascii"))
 
 
 def write_manifest(manifest: dict, out_path: str) -> str:

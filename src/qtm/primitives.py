@@ -85,12 +85,21 @@ def _cycle_table(signs):
 
 def _run_table(signs, phi0, alpha, steps):
     """_cycle_table of signs for steps 0..steps of a run, refused when
-    |phi0| + |kappa|*|alpha| at one of them overflows a double. kappa =
-    s*k_p + offset is linear in k_p, which is p*K or alternates 0 and K,
-    so |kappa| peaks in cycle 0, 1 or last-1, or in the last, partial
-    one."""
+    |phi0| + |kappa|*|alpha| at one of them overflows a double.
+
+    kappa = s*k_p + offset, with |s| = 1 and k_p either p*K or alternating
+    0 and K. Step 2i's offset is c_i times a sum of i spin signs and step
+    2i-1's is one more than step 2i-2's, so |offset| <= M, and K, the
+    offset of step 2M, has |K| <= M: up to cycle last, |kappa| <=
+    M*(last + 1). A run whose |phi0| + (M*(last + 1) + 1)*|alpha| is
+    finite is taken on that bound alone. Any other is scanned: |kappa| is
+    linear in k_p, so it peaks in cycle 0, 1 or last-1, or in the last,
+    partial one, and the run is refused on that peak."""
     sign, offset = _cycle_table(signs)
     last, part = divmod(steps, sign.shape[1] - 1)
+    if math.isfinite(abs(float(phi0)) + (signs.shape[1] * (last + 1) + 1)
+                     * abs(float(alpha))):
+        return sign, offset
     top = max(float(np.abs(_keys(sign, offset, np.arange(p, p + 1))[1][
         :, :part + 1 if p == last else None]).max())
         for p in {0, min(1, last), max(last - 1, 0), last})
@@ -176,6 +185,22 @@ class PeriodicityClass:
         return self.kind == PERIODIC
 
 
+def gap_rule(signs):
+    """classify's rule for rows of +-1 spin signs, from the '-' positions
+    alone: (q, gaps, periodic) with q the '-' count of each row, gaps a
+    (rows, M+1) array of the smallest unsigned type that holds M (uint8
+    below M = 256), 0 past gap q, and periodic a bool per row. A '+'
+    belongs to the gap numbered by the '-' signs before it."""
+    rows, num = signs.shape
+    minus = signs < 0
+    q = minus.sum(axis=1)
+    # at a '+', the number of its gap, counted on from row to row
+    at = np.cumsum(minus, axis=1) + (num + 1) * np.arange(rows)[:, None]
+    gaps = np.bincount(at[~minus], minlength=rows * (num + 1))
+    gaps = gaps.reshape(rows, num + 1).astype(np.min_scalar_type(num))
+    return q, gaps, (q % 2 == 1) | (2 * gaps[:, ::2].sum(axis=1) == num - q)
+
+
 def classify(pattern: str) -> PeriodicityClass:
     """Decide periodicity of a primitive orbit from the sign pattern alone.
 
@@ -189,16 +214,12 @@ def classify(pattern: str) -> PeriodicityClass:
     orbit closes for all alpha only when c vanishes, i.e. when the
     even-index gaps sum to (M - q)/2. Anything else drifts (aperiodic for
     generic alpha). The all-plus pattern (q = 0) is aperiodic for every
-    M >= 1 since the single gap n_0 = M can never equal (M - 0)/2.
+    M >= 1 since the single gap n_0 = M can never equal (M - 0)/2. This is
+    one row of gap_rule.
     """
-    pattern = normalize_pattern(pattern)
-    gaps = tuple(len(plus) for plus in pattern.split("-"))
-    q = len(gaps) - 1
-    if q % 2 == 1:
-        return PeriodicityClass(PERIODIC, q, gaps)
-    if 2 * sum(gaps[0::2]) == len(pattern) - q:
-        return PeriodicityClass(PERIODIC, q, gaps)
-    return PeriodicityClass(APERIODIC, q, gaps)
+    q, gaps, periodic = gap_rule(_pattern_signs([normalize_pattern(pattern)]))
+    return PeriodicityClass(PERIODIC if periodic[0] else APERIODIC, int(q[0]),
+                            tuple(gaps[0, :q[0] + 1].tolist()))
 
 
 def detect_period_numeric(pattern: str, phi0: float, alpha: float,
@@ -213,11 +234,13 @@ def detect_period_numeric(pattern: str, phi0: float, alpha: float,
     period in steps, or None.
     """
     signs = _pattern_signs([normalize_pattern(pattern)])
-    return _find_periods(signs, phi0, alpha, max_cycles, tol)[0]
+    return _find_periods(signs, phi0, alpha, max_cycles, tol)[0][0]
 
 
-def _find_periods(signs, phi0, alpha, max_cycles, tol):
-    """detect_period_numeric for rows of +-1 spin signs of one tape size.
+def _find_periods(signs, phi0, alpha, max_cycles, tol, codes=None):
+    """detect_period_numeric for rows of +-1 spin signs of one tape size,
+    and the codes that match step 0 (see below) for the next batch of a
+    census: (periods, codes).
 
     The chord test 2*|sin(d/2)| < tol is |w| < 2*asin(tol/2) for d wrapped
     to w = d - 2*pi*rint(d/(2*pi)), so no transcendental is taken per step.
@@ -230,13 +253,17 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol):
     cycles and a row with K = 0 each cycle, so only the rows that drift
     (S = +1, K != 0) go on. A step's angle is a function of its _keys
     alone, so it matches step 0 by its code 2*kappa + (tot < 0), and each
-    code those rows reach is matched once. A cycle moves their codes by
-    2*K*s_j, so the steps b + 2M*r of a class b = 1..2M have codes a + d*r,
-    and a class's candidates are the r whose code is among the sorted
-    codes that match. Classes without one drop out; the rest are expanded
-    in windows of steps that double, unless one check batch holds them
-    all. A row leaves at the smallest candidate that passes, checked in
-    batches of at most CENSUS_WINDOW angles."""
+    code those rows reach is matched once: codes, (hits, low, high), holds
+    the sorted codes low..high-1 that match, from earlier batches of a
+    census, and only the codes of this batch's range outside low..high-1
+    are matched and added. Codes outside a batch's range leave every count of
+    its classes unchanged. A cycle moves the codes by 2*K*s_j, so the
+    steps b + 2M*r of a class b = 1..2M have codes a + d*r, and a class's
+    candidates are the r whose code is among the sorted codes that match.
+    Classes without one drop out; the rest are expanded in windows of
+    steps that double, unless one check batch holds them all. A row leaves
+    at the smallest candidate that passes, checked in batches of at most
+    CENSUS_WINDOW angles."""
     check_count(max_cycles, 2, "need max_cycles >= 2")
     cycle = 2 * signs.shape[1]
     # a check of the last candidate, step horizon, reads one cycle past it
@@ -287,10 +314,18 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol):
     top = int(np.abs([a, a + d * ((horizon - span[1:]) // cycle)]).max(
         initial=0)) // 2
     chunk = max(4 * cycle, CENSUS_WINDOW // 4)  # codes matched at a time
-    hits = np.concatenate([  # the codes that match, sorted
-        c[match(_angles(1 - 2 * (c & 1), c // 2, phi0, alpha) - ref[0, 0])]
-        for c in (np.arange(lo, min(lo + chunk, 2 * top + 2))
-                  for lo in range(-2 * top, 2 * top + 2, chunk))])
+    hits, low, high = codes or (np.empty(0, np.int64), 0, 0)
+
+    def matched(start, stop):
+        """The codes start..stop-1 that match, sorted, chunk at a time."""
+        return [c[match(_angles(1 - 2 * (c & 1), c // 2, phi0, alpha)
+                        - ref[0, 0])]
+                for c in (np.arange(s, min(s + chunk, stop))
+                          for s in range(start, stop, chunk))]
+
+    hits = np.concatenate([*matched(-2 * top, low), hits,
+                           *matched(high, 2 * top + 2)])
+    codes = hits, min(low, -2 * top), max(high, 2 * top + 2)
 
     def count(base, a, d, lo, hi):
         """First r, first hit and hits of classes in steps lo..hi-1."""
@@ -317,7 +352,7 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol):
             leave(row[c], base[c] + cycle * (ra[c] + h // d[c]))
         cls = cls[:, best[row] > horizon]
         lo, hi = hi, min(3 * hi - 2 * lo, horizon + 1)
-    return [int(p) if p <= horizon else None for p in best]
+    return [int(p) if p <= horizon else None for p in best], codes
 
 
 def period_census(num_tape_spins: int, phi0: float, alpha: float,
@@ -325,16 +360,18 @@ def period_census(num_tape_spins: int, phi0: float, alpha: float,
     """detect_period_numeric for every pattern of a tape size at once.
 
     Patterns go through in batches whose keys of four cycles, the most
-    _find_periods holds per pattern, fill CENSUS_WINDOW. Returns
-    {pattern: period or None} in canonical order.
+    _find_periods holds per pattern, fill CENSUS_WINDOW, and each batch
+    passes the codes that match on to the next. Returns {pattern: period
+    or None} in canonical order.
     """
     pats = all_patterns(num_tape_spins)
     batch = max(1, CENSUS_WINDOW // (8 * num_tape_spins))
-    periods = []
+    periods, codes = [], None
     for lo in range(0, len(pats), batch):
         index = np.arange(lo, min(lo + batch, len(pats)))
-        periods += _find_periods(_signs(index, num_tape_spins), phi0, alpha,
-                                 max_cycles, tol)
+        # the slice extends periods, so no batch's list outlives its call
+        periods[len(periods):], codes = _find_periods(
+            _signs(index, num_tape_spins), phi0, alpha, max_cycles, tol, codes)
     return dict(zip(pats, periods))
 
 

@@ -127,6 +127,69 @@ def test_classify_single_pattern(capsys):
     assert lines[1] == "--+,aperiodic,2,0;0;1,"
 
 
+def _classify_row(pat, period):
+    """A classify row as the CLI wrote it one pattern at a time, its gap
+    rule read off the pattern's text."""
+    gaps = [len(plus) for plus in pat.split("-")]
+    q = len(gaps) - 1
+    periodic = q % 2 == 1 or 2 * sum(gaps[0::2]) == len(pat) - q
+    return (f"{pat},{'periodic' if periodic else 'aperiodic'},{q},"
+            f"{';'.join(map(str, gaps))},{'' if period is None else period}\n")
+
+
+@pytest.mark.parametrize("alpha, max_cycles", [
+    ("pi/sqrt(3)", 20), ("0", 20), ("pi/50", 120)],
+    ids=["pi-sqrt3", "zero", "pi-50"])
+@pytest.mark.parametrize("num", range(1, 11))
+def test_census_bytes_are_the_per_pattern_rows(num, alpha, max_cycles,
+                                               tmp_path):
+    # the census is written in blocks of uint8 text; its bytes are those
+    # of one formatted row per pattern (pi/50: periods of 3 digits)
+    out = tmp_path / "c.csv"
+    assert main(["classify", "--all", "--tape-size", str(num),
+                 f"--alpha={alpha}", "--max-cycles", str(max_cycles),
+                 "--out", str(out)]) == 0
+    census = qtm.period_census(num, 0.3, qtm.parse_angle(alpha), max_cycles)
+    assert out.read_bytes() == ("pattern,kind,q,gaps,period\n" + "".join(
+        _classify_row(p, v) for p, v in census.items())).encode()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 32])
+def test_census_blocks_join_without_a_seam(rows, monkeypatch, capsys):
+    # blocks of 1, 3 and all 32 rows of M=5, written to stdout
+    monkeypatch.setattr(qio, "CENSUS_ROWS", rows)
+    assert main(["classify", "--all", "--tape-size", "5",
+                 "--max-cycles", "30"]) == 0
+    census = qtm.period_census(5, 0.3, ALPHA, 30)
+    assert capsys.readouterr().out == "pattern,kind,q,gaps,period\n" + "".join(
+        _classify_row(p, v) for p, v in census.items())
+
+
+@pytest.mark.parametrize("pattern", [
+    "+" * 255, "+" * 254 + "-", "+" * 300, "-+" * 150],
+    ids=["gap-255", "gap-254", "gap-300", "q-150"])
+def test_classify_row_of_a_long_pattern(pattern, capsys):
+    # gaps and q past one byte, and digits past the table of one-digit M
+    assert main(["classify", f"--pattern={pattern}", "--max-cycles", "2"]) == 0
+    period = qtm.detect_period_numeric(pattern, 0.3, ALPHA, 2)
+    assert capsys.readouterr().out.splitlines()[1] == _classify_row(
+        pattern, period)[:-1]
+
+
+def test_an_angle_past_the_cheap_bound_is_scanned_exactly(tmp_path, capsys):
+    # over 1,001 cycles of M=1 the bound (M*(last + 1) + 1)*|alpha|
+    # overflows at alpha = 1e306, so the exact scan decides: '-' turns
+    # back each cycle, its |kappa| stays at most 1, and it runs; '+'
+    # drifts to |kappa| = 1,001 and is refused
+    out = tmp_path / "c.csv"
+    argv = ["classify", "--alpha=1e306", "--max-cycles", "1000"]
+    assert main(argv + ["--pattern=-", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1]
+    assert row.startswith("-,periodic,1,0;0,") and row.split(",")[4].isdigit()
+    assert main(argv + ["--pattern=+"]) == 2
+    assert "overflows a double" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_cycles", ["1", "0", "-3"])
 def test_classify_all_needs_two_cycles(max_cycles, capsys):
     assert main(["classify", "--all", "--tape-size", "3",

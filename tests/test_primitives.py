@@ -196,6 +196,36 @@ def test_cycle_table_peaks_under_three_offsets():
     assert peak <= 3 * offset.nbytes
 
 
+@settings(max_examples=500, deadline=None)
+@given(pattern=st.text("+-", min_size=1, max_size=24))
+def test_classify_is_the_gap_rule_of_its_docstring(pattern):
+    # the rule as classify's docstring states it, on the pattern's text:
+    # plus-runs n_0..n_q around the q minus signs, periodic when q is odd
+    # or the even-index runs sum to (M - q)/2
+    gaps = tuple(len(plus) for plus in pattern.split("-"))
+    q = len(gaps) - 1
+    periodic = q % 2 == 1 or 2 * sum(gaps[0::2]) == len(pattern) - q
+    cls = classify(pattern)
+    assert (cls.q, cls.gaps, cls.periodic) == (q, gaps, periodic)
+    assert cls.kind == (primitives.PERIODIC if periodic
+                        else primitives.APERIODIC)
+    assert all(type(n) is int for n in (cls.q, *cls.gaps))
+
+
+@pytest.mark.parametrize("num", [1, 5, 12])
+def test_gap_rule_rows_are_classify_rows(num):
+    # the census's rule over canonical sign rows, one call, equals
+    # classify pattern by pattern; gaps are uint8, 0 past gap q
+    pats = all_patterns(num)
+    q, gaps, periodic = primitives.gap_rule(
+        primitives._signs(np.arange(len(pats)), num))
+    assert gaps.dtype == np.uint8 and gaps.shape == (len(pats), num + 1)
+    for row, p in enumerate(pats):
+        cls = classify(p)
+        assert (q[row], periodic[row]) == (cls.q, cls.periodic), p
+        assert gaps[row].tolist() == [*cls.gaps] + [0] * (num - cls.q), p
+
+
 class TestClassifier:
     def test_single_spin(self):
         assert not classify("+").periodic
@@ -212,6 +242,9 @@ class TestClassifier:
     def test_gap_bookkeeping(self):
         cls = classify("++-+-")
         assert cls.q == 2 and cls.gaps == (2, 1, 0)
+        # gaps past a byte take a wider type
+        assert classify("+" * 300).gaps == (300,)
+        assert classify("+" * 256 + "-+").gaps == (256, 1)
         for num in range(1, 7):
             for p in all_patterns(num):
                 c = classify(p)
