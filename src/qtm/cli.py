@@ -260,6 +260,15 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse of Python 3.10 to 3.12 (3.13 no longer) reads the value of
+    # --flag=-- as its end-of-options marker and hands over [] for it; no
+    # flag takes a list
+    for name, value in vars(args).items():
+        if value == []:
+            if name not in ("pattern", "initial", "out"):
+                parser.error(f"argument --{name.replace('_', '-')}: "
+                             "expected one argument")
+            setattr(args, name, "--")
     args._argv = list(argv)
     try:
         return args.func(args)

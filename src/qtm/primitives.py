@@ -83,30 +83,35 @@ def _cycle_table(signs):
     return sign, offset.astype(float)
 
 
-def _run_table(signs, phi0, alpha, steps):
-    """_cycle_table of signs for steps 0..steps of a run, refused when
-    |phi0| + |kappa|*|alpha| at one of them overflows a double.
+def _run_table(signs, phi0, alpha, steps, most=math.inf):
+    """_cycle_table of signs for steps 0..steps of a run, refused unless
+    |phi0| + |kappa|*|alpha| stays below most at each of them; most is
+    infinite by default, so that only an overflow is refused.
 
     kappa = s*k_p + offset, with |s| = 1 and k_p either p*K or alternating
     0 and K. Step 2i's offset is c_i times a sum of i spin signs and step
     2i-1's is one more than step 2i-2's, so |offset| <= M, and K, the
     offset of step 2M, has |K| <= M: up to cycle last, |kappa| <=
-    M*(last + 1). A run whose |phi0| + (M*(last + 1) + 1)*|alpha| is
-    finite is taken on that bound alone. Any other is scanned: |kappa| is
+    M*(last + 1). A run whose |phi0| + (M*(last + 1) + 1)*|alpha| is below
+    most is taken on that bound alone. Any other is scanned: |kappa| is
     linear in k_p, so it peaks in cycle 0, 1 or last-1, or in the last,
     partial one, and the run is refused on that peak."""
     sign, offset = _cycle_table(signs)
     last, part = divmod(steps, sign.shape[1] - 1)
-    if math.isfinite(abs(float(phi0)) + (signs.shape[1] * (last + 1) + 1)
-                     * abs(float(alpha))):
+    if (abs(float(phi0)) + (signs.shape[1] * (last + 1) + 1)
+            * abs(float(alpha)) < most):
         return sign, offset
     top = max(float(np.abs(_keys(sign, offset, np.arange(p, p + 1))[1][
         :, :part + 1 if p == last else None]).max())
         for p in {0, min(1, last), max(last - 1, 0), last})
-    if not math.isfinite(abs(float(phi0)) + top * abs(float(alpha))):
+    reach = abs(float(phi0)) + top * abs(float(alpha))
+    if not reach < most:
         raise ConfigurationError(
             f"head angles of the primitive path reach |phi0| + "
-            f"{top:.0f}*|alpha|, which overflows a double")
+            f"{top:.0f}*|alpha|, which " + (
+                "overflows a double" if math.isinf(reach) else
+                f"is {reach:.3g}, past {most:.3g}, where their rounding "
+                f"cannot resolve the period test's tolerance"))
     return sign, offset
 
 
@@ -263,13 +268,32 @@ def _find_periods(signs, phi0, alpha, max_cycles, tol, codes=None):
     Classes without one drop out; the rest are expanded in windows of
     steps that double, unless one check batch holds them all. A row leaves
     at the smallest candidate that passes, checked in batches of at most
-    CENSUS_WINDOW angles."""
+    CENSUS_WINDOW angles.
+
+    Angles are doubles, so the test rounds. With u = 2**-53 and A the
+    largest |phi0| + |kappa|*|alpha| of the run, an angle
+    fl(fl(kappa*alpha) + tot*phi0) is within 2uA of its exact value, and a
+    difference of two within 6uA: 4uA carried and 2uA from its own
+    rounding. Scaling it by fl(0.5/pi) rounds twice more, by at most
+    u*2A/(2*pi) each, and the wrap is exact, so w is within 5uA/pi turns of
+    its exact value, to first order in u. While that is below limit, a
+    step whose exact angle is step 0's passes, so no period of the exact
+    orbit is missed. Past it the test cannot resolve limit (beyond
+    A = 2**52*2*pi every difference is a whole number of turns and every
+    step matches), so a run whose A is not below pi*limit/(5u), about
+    9e5 at tol = 1e-9, is refused; so is a horizon past int64."""
     check_count(max_cycles, 2, "need max_cycles >= 2")
     cycle = 2 * signs.shape[1]
     # a check of the last candidate, step horizon, reads one cycle past it
-    sign, offset = _run_table(signs, phi0, alpha, cycle * (max_cycles + 1))
-    horizon = cycle * max_cycles
+    steps = cycle * (int(max_cycles) + 1)
+    if steps > np.iinfo(np.int64).max:
+        raise ConfigurationError(
+            f"max_cycles {max_cycles} puts the last step checked, "
+            f"2M*(max_cycles + 1) = {steps}, past the range of int64")
     limit = math.asin(min(tol / 2, 1.0)) / math.pi  # in turns
+    sign, offset = _run_table(signs, phi0, alpha, steps,
+                              math.pi * limit / (5 * 2.0 ** -53))
+    horizon = cycle * max_cycles
 
     def match(d):  # overwrites d
         d *= 0.5 / math.pi

@@ -179,15 +179,71 @@ def test_classify_row_of_a_long_pattern(pattern, capsys):
 def test_an_angle_past_the_cheap_bound_is_scanned_exactly(tmp_path, capsys):
     # over 1,001 cycles of M=1 the bound (M*(last + 1) + 1)*|alpha|
     # overflows at alpha = 1e306, so the exact scan decides: '-' turns
-    # back each cycle, its |kappa| stays at most 1, and it runs; '+'
-    # drifts to |kappa| = 1,001 and is refused
+    # back each cycle, its |kappa| stays at most 1, and its trajectory
+    # runs; '+' drifts to |kappa| = 1,001 and is refused
     out = tmp_path / "c.csv"
-    argv = ["classify", "--alpha=1e306", "--max-cycles", "1000"]
+    argv = ["primitives", "--alpha=1e306", "--steps", "2002"]
     assert main(argv + ["--pattern=-", "--out", str(out)]) == 0
-    row = out.read_text().splitlines()[1]
-    assert row.startswith("-,periodic,1,0;0,") and row.split(",")[4].isdigit()
+    assert len(out.read_text().splitlines()) == 2004
     assert main(argv + ["--pattern=+"]) == 2
     assert "overflows a double" in capsys.readouterr().err
+    # classify scans the same way, but refuses '-' too: angles of 1e306
+    # are whole turns apart, so every step used to match step 0
+    argv = ["classify", "--alpha=1e306", "--max-cycles", "1000"]
+    assert main(argv + ["--pattern=+"]) == 2
+    assert "overflows a double" in capsys.readouterr().err
+    assert main(argv + ["--pattern=-"]) == 2
+    assert "cannot resolve" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ["1e306", "1e308"])
+def test_classify_refuses_angles_too_coarse_for_its_tolerance(alpha, capsys):
+    # '-' keeps |kappa| <= 1, so nothing overflows, but at these angles
+    # every difference is whole turns: 1e306 printed period 1 and 1e308
+    # overflowed in the wrap with RuntimeWarnings, both with exit 0
+    assert main(["classify", "--pattern=-", f"--alpha={alpha}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot resolve" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pattern, max_cycles, code", [
+    ("-+", "10000000000000000000", 2),
+    # 2M*(max_cycles + 1) at 2**63 - 4 and at 2**63
+    ("--", str(2 ** 61 - 2), 0), ("--", str(2 ** 61 - 1), 2)])
+def test_classify_horizon_past_int64_is_a_usage_error(pattern, max_cycles,
+                                                      code, capsys):
+    # it used to end in an OverflowError traceback, exit 1
+    assert main(["classify", f"--pattern={pattern}",
+                 "--max-cycles", max_cycles]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "past the range of int64" in err
+    else:
+        assert out.splitlines()[1] == "--,periodic,2,0;0;0,4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["primitives", "--alpha", "1", "--steps", "5"],
+    ["spectrum", "--alpha", "1", "--steps", "8"],
+], ids=["classify", "primitives", "spectrum"])
+def test_pattern_of_two_minus_signs_in_the_equals_form(argv, capsys):
+    # argparse of Python 3.10-3.12 hands over [] for --pattern=--, which
+    # ended in an AttributeError traceback; it is the pattern spelled
+    # with unicode minus signs
+    assert main(argv + ["--pattern=--"]) == 0
+    out = capsys.readouterr().out
+    assert main(argv + ["--pattern=\u2212\u2212"]) == 0
+    assert out and capsys.readouterr().out == out
+
+
+def test_a_flag_that_cannot_be_two_dashes_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--tape-size", "1", "--alpha=--", "--steps", "2"])
+    assert info.value.code == 2
+    assert "--alpha: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_cycles", ["1", "0", "-3"])

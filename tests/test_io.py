@@ -1,9 +1,12 @@
 """File-format round trips and determinism of the writers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from qtm import ConfigurationError, MachineConfig, run
@@ -166,6 +169,76 @@ def test_csv_blocks_equal_per_row_form_on_special_values(tmp_path):
     qio.write_trajectory_csv(traj, str(path))
     assert path.read_bytes() == _per_row_csv(traj)
     assert b",nan," in path.read_bytes() and b",1e-05," in path.read_bytes()
+
+
+def _spelled(values, nonfinite=repr):
+    """The text io._floats lays out for each of values."""
+    text = qio._floats(np.asarray(values, float), nonfinite)
+    return [row[row != 0].tobytes().decode("ascii") for row in text]
+
+
+@given(st.lists(st.floats(), max_size=40))
+def test_float_text_is_repr_for_every_double(values):
+    assert _spelled(values) == list(map(repr, values))
+
+
+@given(st.lists(st.floats(1e-4, 1, exclude_max=True)
+                | st.floats(-1, -1e-4, exclude_min=True), max_size=40))
+def test_float_text_is_repr_in_the_computed_range(values):
+    assert _spelled(values) == list(map(repr, values))
+
+
+def _ties():
+    """Up to 2,000 doubles from the foot of each binade [2**(e-1), 2**e)
+    that meets [1e-4, 1), of the form (2j+1)*2**-(q+1) with q the writer's
+    decimal scale there: x*10**q ends in exactly .5, so where the digits
+    stop at the units of x*10**q, two decimals are equally near."""
+    for e in range(-13, 1):
+        q = math.ceil((53 - e) * math.log10(2))
+        j = np.arange(2 ** (q + e - 1), 2 ** (q + e))[:2000]
+        yield np.ldexp(2 * j + 1.0, -(q + 1))
+
+
+SHORT = np.array([float(f"{i}e-{k}") for k in range(1, 7)
+                  for i in range(1, 10 ** min(k, 4))])
+EDGES = {
+    "powers-of-two": 2.0 ** np.arange(-1074, 1024),
+    "power-of-two-neighbours": np.nextafter(2.0 ** np.arange(-30, 5),
+                                            [[0.0], [np.inf]]).ravel(),
+    "short-decimals": SHORT,
+    "below-short-decimals": np.nextafter(SHORT, 0),
+    "above-short-decimals": np.nextafter(SHORT, 1),
+    "1e-4-and-1": np.array([1e-4, np.nextafter(1e-4, 0),
+                            np.nextafter(1e-4, 1), np.nextafter(1.0, 0),
+                            1.0, np.nextafter(1.0, 2)]),
+    "ties": np.concatenate(list(_ties())),
+}
+
+
+@pytest.mark.parametrize("values", EDGES.values(), ids=EDGES.keys())
+def test_float_text_is_repr_on_edges(values):
+    for signed in (values, -values):
+        assert _spelled(signed) == list(map(repr, signed.tolist()))
+
+
+def test_float_text_spells_nonfinite_values_as_asked():
+    special = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0]
+    assert _spelled(special) == ["nan", "inf", "-inf", "0.0", "-0.0"]
+    assert _spelled(special, json.dumps) == [
+        "NaN", "Infinity", "-Infinity", "0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_equals_a_file(fmt, tmp_path, capsys):
+    # two blocks, salted with every kind of double
+    rng = np.random.default_rng(11)
+    traj = Trajectory(_salted_rows(REDUCE_BLOCK + 3,
+                                   FINITE_SALT + SPECIAL_SALT, rng), 3)
+    write = {"csv": qio.write_trajectory_csv,
+             "json": lambda t, p: qio.write_trajectory_json(t, {}, p)}[fmt]
+    write(traj, "-")
+    write(traj, str(tmp_path / "t"))
+    assert capsys.readouterr().out.encode() == (tmp_path / "t").read_bytes()
 
 
 def test_svg_deterministic_and_bounded(traj, tmp_path):

@@ -284,6 +284,16 @@ class TestPeriodDetection:
     def test_single_minus_has_period_four(self, alpha):
         assert detect_period_numeric("-", 0.3, alpha, 10) == 4
 
+    def test_angles_are_refused_where_rounding_reaches_the_tolerance(self):
+        # '-' at phi0 = 0 has largest angle |alpha|; the refusal sits at
+        # pi*limit/(5u) = asin(tol/2)*2**53/5, about 9.007e5 at tol = 1e-9
+        bound = math.asin(0.5e-9) * 2.0 ** 53 / 5
+        assert detect_period_numeric("-", 0.0, 0.99 * bound, 10) == 4
+        with pytest.raises(ConfigurationError, match="cannot resolve"):
+            detect_period_numeric("-", 0.0, 1.01 * bound, 10)
+        # a looser tolerance admits larger angles in proportion
+        assert detect_period_numeric("-", 0.0, 1.01 * bound, 10, 2e-9) == 4
+
     def test_all_plus_closes_only_at_special_angles(self):
         assert detect_period_numeric("+", 0.0, math.pi / 2, 10) == 8
         assert detect_period_numeric("+", 0.3, ALPHA, 10_000) is None
