@@ -12,8 +12,10 @@ times one cycle of the rotate-and-flip pairs of kernels.pair_kernels
 called one after the other, in each variant, and checks that both leave
 the same state bits and cross terms. Two end-to-end rows follow:
 engine.run at M=8 over 20,000 steps per backend (its first cycle gate by
-gate, the rest in rotate-and-flip pairs), in steps/s, and the CSV and
-JSON writers on its 20,001-row trajectory. Last, a census row at M=12
+gate, the rest in rotate-and-flip pairs), in steps/s, and the writers:
+CSV and JSON on its 20,001-row trajectory and on its first 101 rows,
+where a call's fixed cost shows, and the spectrum CSV of its first
+4,096 rows. Last, a census row at M=12
 and M=14: primitives.period_census over CENSUS_CYCLES cycles and
 io.write_census on its periods, the two halves of classify --all, each
 with its best time and the minor page faults (ru_minflt) of each call.
@@ -31,12 +33,15 @@ import time
 
 import numpy as np
 
-from qtm import MachineConfig, io, kernels, primitives, run
+from qtm import MachineConfig, analysis, io, kernels, primitives, run
+from qtm.engine import Trajectory
 from qtm.kernels import available_backends
 from qtm.state import StateVector, head_cross, make_product_state
 
 LOOP_TAPE = "11000011"
 LOOP_STEPS = 20000
+WIDE_ROWS = 101  # perfbench's wide_tape runs write 21 and 101 rows
+SPECTRUM_ROWS = 4096  # as perfbench's long_horizon spectrum
 CENSUS_CYCLES = 200
 
 
@@ -162,19 +167,36 @@ def bench_loop(mod, repeats):
 
 
 def bench_writers(traj, repeats):
-    """Best times of write_trajectory_csv and write_trajectory_json on
-    traj, written into a temporary directory."""
-    best = [math.inf, math.inf]
+    """{case: best time} of the table writers into a temporary directory:
+    write_trajectory_csv and write_trajectory_json on traj's rows and on
+    its first WIDE_ROWS, the size of a wide-tape run's file, where the
+    fixed cost of a call shows, and write_table on the spectrum of its
+    first SPECTRUM_ROWS rows, as the spectrum command writes it."""
+    short = Trajectory(traj.bloch[:WIDE_ROWS], traj.num_tape_spins)
+    spec = analysis.spectrum(Trajectory(traj.bloch[:SPECTRUM_ROWS],
+                                        traj.num_tape_spins))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t")
-        writers = (lambda: io.write_trajectory_csv(traj, path),
-                   lambda: io.write_trajectory_json(traj, {}, path))
+        writers = {
+            f"csv, {len(traj.bloch):,} rows":
+                lambda: io.write_trajectory_csv(traj, path),
+            f"json, {len(traj.bloch):,} rows":
+                lambda: io.write_trajectory_json(traj, {}, path),
+            f"csv, {WIDE_ROWS} rows":
+                lambda: io.write_trajectory_csv(short, path),
+            f"json, {WIDE_ROWS} rows":
+                lambda: io.write_trajectory_json(short, {}, path),
+            f"spectrum csv, {SPECTRUM_ROWS:,} rows":
+                lambda: io.write_table(
+                    path, "frequency,magnitude_y,magnitude_z",
+                    [spec.frequencies, spec.magnitude_y, spec.magnitude_z])}
+        best = dict.fromkeys(writers, math.inf)
         for _ in range(repeats):
-            for i, write in enumerate(writers):
+            for name, write in writers.items():
                 t0 = time.perf_counter()
                 write()
-                best[i] = min(best[i], time.perf_counter() - t0)
-    return tuple(best)
+                best[name] = min(best[name], time.perf_counter() - t0)
+    return best
 
 
 def bench_census(num_tape_spins, repeats):
@@ -256,9 +278,9 @@ def main():
               f"{LOOP_STEPS / best:12,.0f} steps/s")
     same = len({t.bloch.tobytes() for t in trajs.values()}) == 1
     print(f"  trajectories bit-equal across backends: {same}")
-    csv_s, json_s = bench_writers(trajs["numpy"], args.repeats)
-    print(f"\nwriters, {LOOP_STEPS + 1:,} rows: csv {csv_s * 1e3:.1f} ms   "
-          f"json {json_s * 1e3:.1f} ms")
+    print("\nwriters")
+    for name, best in bench_writers(trajs["numpy"], args.repeats).items():
+        print(f"  {name:>26}: {best * 1e3:7.2f} ms")
 
     print(f"\ncensus over {CENSUS_CYCLES} cycles, classify --all's two halves,"
           " minor page faults per call")

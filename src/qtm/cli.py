@@ -182,11 +182,6 @@ def _manifest_beside(args):
     return 0
 
 
-def _write_csv(args, header, lines):
-    io.write_csv(args.out, header, lines)
-    return _manifest_beside(args)
-
-
 def _pattern(args):
     """--pattern normalized, refused if --tape-size gives another length."""
     pat = primitives.normalize_pattern(args.pattern)
@@ -213,9 +208,9 @@ def cmd_decompose(args):
     weights = primitives.decompose(
         normalize_tape_spec(args.initial, args.tape_size)
     )
-    pats = primitives.all_patterns(args.tape_size)
-    return _write_csv(args, "pattern,weight",
-                      (f"{pat},{w!r}" for pat, w in zip(pats, weights.tolist())))
+    io.write_table(args.out, "pattern,weight", [weights],
+                   primitives.all_patterns(args.tape_size))
+    return _manifest_beside(args)
 
 
 def cmd_spectrum(args):
@@ -231,10 +226,9 @@ def cmd_spectrum(args):
             raise ConfigurationError("spectrum needs --pattern or --tape-size")
         traj = engine.run(_machine_config(args, args.variant))
     spec = analysis.spectrum(traj)
-    rows = zip(spec.frequencies.tolist(), spec.magnitude_y.tolist(),
-               spec.magnitude_z.tolist())
-    return _write_csv(args, "frequency,magnitude_y,magnitude_z",
-                      (f"{f!r},{my!r},{mz!r}" for f, my, mz in rows))
+    io.write_table(args.out, "frequency,magnitude_y,magnitude_z",
+                   [spec.frequencies, spec.magnitude_y, spec.magnitude_z])
+    return _manifest_beside(args)
 
 
 def cmd_invariants(args):

@@ -13,9 +13,10 @@ import pytest
 
 import helpers
 import qtm
-from qtm import MachineConfig, run
+from qtm import MachineConfig, cli, run
 from qtm import io as qio
 from qtm.cli import main
+from qtm.state import REDUCE_BLOCK, normalize_tape_spec
 
 ALPHA = helpers.ALPHA
 ALPHA_SRC = "pi/sqrt(3)"
@@ -297,6 +298,46 @@ def test_decompose_zeros(tmp_path):
     assert len(lines) == 17
     for line in lines[1:]:
         assert float(line.split(",")[1]) == 0.0625
+
+
+@pytest.mark.parametrize("initial, num", [
+    ("zeros", 1), ("ones", 3), ("+-01", 4), ("0+1-0+", 6), ("-", 1)])
+def test_decompose_bytes_are_the_per_row_form(initial, num, tmp_path):
+    # the rows are laid out in blocks of uint8 text; their bytes are those
+    # of one f-string per pattern
+    out = tmp_path / "d.csv"
+    assert main(["decompose", f"--initial={initial}", "--tape-size",
+                 str(num), "--out", str(out)]) == 0
+    weights = qtm.primitives.decompose(normalize_tape_spec(initial, num))
+    assert out.read_bytes() == ("pattern,weight\n" + "".join(
+        f"{pat},{w!r}\n" for pat, w in zip(qtm.all_patterns(num),
+                                          weights.tolist()))).encode()
+
+
+@pytest.mark.parametrize("source, steps", [
+    (["--tape-size", "1"], 300), (["--tape-size", "2", "--initial=+1"], 300),
+    (["--tape-size", "3", "--variant", "iy", "--initial=0+1"], 255),
+    (["--tape-size", "4", "--phi0=0.4"], 400),
+    (["--pattern=-+"], 255), (["--tape-size", "1"], REDUCE_BLOCK + 10)],
+    ids=["m1", "m2", "m3-iy", "m4", "pattern", "m1-two-blocks"])
+def test_spectrum_bytes_are_the_per_row_form(source, steps, tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["spectrum", "--alpha", ALPHA_SRC, "--steps", str(steps), *source]
+    assert main(argv + ["--out", str(out)]) == 0
+    args = cli.build_parser().parse_args(argv)
+    if args.pattern:
+        traj = qtm.primitives.run_primitive(args.pattern, args.phi0,
+                                            args.alpha, args.steps)
+    else:
+        traj = run(MachineConfig.uniform(
+            args.tape_size, args.alpha, phi0=args.phi0, variant=args.variant,
+            initial=args.initial, steps=args.steps))
+    spec = qtm.analysis.spectrum(traj)
+    rows = zip(spec.frequencies.tolist(), spec.magnitude_y.tolist(),
+               spec.magnitude_z.tolist())
+    expected = "frequency,magnitude_y,magnitude_z\n" + "".join(
+        f"{f!r},{my!r},{mz!r}\n" for f, my, mz in rows)
+    assert out.read_bytes() == expected.encode()
 
 
 def test_spectrum_pattern(tmp_path):

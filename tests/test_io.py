@@ -172,9 +172,9 @@ def test_csv_blocks_equal_per_row_form_on_special_values(tmp_path):
 
 
 def _spelled(values, nonfinite=repr):
-    """The text io._floats lays out for each of values."""
-    text = qio._floats(np.asarray(values, float), nonfinite)
-    return [row[row != 0].tobytes().decode("ascii") for row in text]
+    """The text io._ascii lays out for each of values, one float a row."""
+    return qio._ascii([], [(b"\n", np.asarray(values, float))],
+                      nonfinite).split("\n")[1:]
 
 
 @given(st.lists(st.floats(), max_size=40))
@@ -188,17 +188,29 @@ def test_float_text_is_repr_in_the_computed_range(values):
     assert _spelled(values) == list(map(repr, values))
 
 
+@given(st.lists(st.builds(lambda e, sign: sign * 10.0 ** e,
+                          st.floats(-8, 17, exclude_max=True),
+                          st.sampled_from([1.0, -1.0])), max_size=40))
+def test_float_text_is_repr_log_uniform_around_the_computed_range(values):
+    # [1e-8, 1e17): exponent form below 2**-21 and from 1e16 through repr,
+    # the rest computed
+    assert _spelled(values) == list(map(repr, values))
+
+
 def _ties():
     """Up to 2,000 doubles from the foot of each binade [2**(e-1), 2**e)
-    that meets [1e-4, 1), of the form (2j+1)*2**-(q+1) with q the writer's
-    decimal scale there: x*10**q ends in exactly .5, so where the digits
-    stop at the units of x*10**q, two decimals are equally near."""
-    for e in range(-13, 1):
+    of [2**-21, 1e16) where they exist, of the form (2j+1)*2**-(q+1) with
+    q the writer's decimal scale there: x*10**q ends in exactly .5, so
+    where the digits stop at the units of x*10**q, two decimals are
+    equally near. From e = 52 on, the ulp of x exceeds 2**-(q+1)."""
+    for e in range(-20, 52):
         q = math.ceil((53 - e) * math.log10(2))
-        j = np.arange(2 ** (q + e - 1), 2 ** (q + e))[:2000]
+        j = 2 ** (q + e - 1) + np.arange(min(2000, 2 ** (q + e - 1)))
         yield np.ldexp(2 * j + 1.0, -(q + 1))
 
 
+RANGE_ENDS = np.array([2.0 ** -21, 1e-7, 1e-6, 1e-5, 1.0, 2.0 ** 53,
+                       9999999999999998.0, 1e16])
 SHORT = np.array([float(f"{i}e-{k}") for k in range(1, 7)
                   for i in range(1, 10 ** min(k, 4))])
 EDGES = {
@@ -211,6 +223,10 @@ EDGES = {
     "1e-4-and-1": np.array([1e-4, np.nextafter(1e-4, 0),
                             np.nextafter(1e-4, 1), np.nextafter(1.0, 0),
                             1.0, np.nextafter(1.0, 2)]),
+    # where the computed range, the exponent form and the integers begin
+    # and end, and both neighbours of each
+    "range-ends": np.concatenate([RANGE_ENDS, *np.nextafter(
+        RANGE_ENDS, [[0.0], [np.inf]])]),
     "ties": np.concatenate(list(_ties())),
 }
 
