@@ -153,7 +153,7 @@ def _write_trajectory(args, traj):
 
 
 def _machine_config(args, variant=VARIANT_X):
-    return engine.MachineConfig.uniform(
+    return engine.MachineConfig(
         args.tape_size, args.alpha, phi0=args.phi0, variant=variant,
         initial=args.initial, steps=args.steps,
     )

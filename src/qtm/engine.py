@@ -2,10 +2,11 @@
 
 One machine cycle is 2M steps. Step n of a cycle (1-based) is
 
-    n odd  : head rotation by alpha_mu with mu = (n+1)/2
+    n odd  : head rotation by alpha
     n even : controlled flip of tape spin mu = n/2
 
 so the head visits the tape spins in order, rotating before each visit.
+One angle alpha serves every site.
 The global step index is m = n + 2M*(p-1) where p counts cycles from 1.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,13 +37,15 @@ NORM_TOL = 1e-12
 class MachineConfig:
     """Everything that determines a run.
 
-    `initial` specifies the tape only (spec string over 0/1/+/- or an
-    explicit array of 2**M tape amplitudes); the head always starts at
-    Bloch angle phi0. The shorthands "zeros" and "ones" are accepted.
+    alpha is the one rotation angle of the machine, the same at every
+    site, and phi0 the head's starting Bloch angle; both are finite real
+    numbers, stored as floats. `initial` specifies the tape only (spec
+    string over 0/1/+/- or an explicit array of 2**M tape amplitudes). The
+    shorthands "zeros" and "ones" are accepted.
     """
 
     num_tape_spins: int
-    alphas: tuple
+    alpha: float
     phi0: float = 0.0
     variant: str = VARIANT_X
     initial: object = "zeros"
@@ -48,25 +53,24 @@ class MachineConfig:
 
     def __post_init__(self):
         check_count(self.num_tape_spins, 1, "need at least one tape spin")
-        if len(self.alphas) != self.num_tape_spins:
-            raise ConfigurationError(
-                f"{len(self.alphas)} rotation angles for "
-                f"{self.num_tape_spins} tape spins"
-            )
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if not all(map(math.isfinite, self.alphas + (self.phi0,))):
-            raise ConfigurationError("rotation angles and phi0 must be finite")
+        for name, value in (("alpha", self.alpha), ("phi0", self.phi0)):
+            # compared exactly, so NaN, the infinities and an integer past
+            # the doubles all fail, and float() below cannot overflow
+            if not (isinstance(value, numbers.Real)
+                    and abs(value) <= sys.float_info.max):
+                raise ConfigurationError(
+                    f"{name}={value!r}: angles must be finite real numbers, "
+                    "one rotation angle for every site and one head angle")
+            object.__setattr__(self, name, float(value))
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown gate variant {self.variant!r}")
         check_count(self.steps, 0, "step count must be >= 0")
 
     @classmethod
-    def uniform(cls, num_tape_spins, alpha, phi0=0.0, variant=VARIANT_X,
-                initial="zeros", steps=0):
-        """Config with the same rotation angle at every site."""
-        check_count(num_tape_spins, 1, "need at least one tape spin")
-        return cls(num_tape_spins, (float(alpha),) * num_tape_spins,
-                   phi0, variant, initial, steps)
+    def uniform(cls, *args, **kwargs):
+        """MachineConfig(*args, **kwargs): the same constructor, under the
+        name that scripts and benchmarks call."""
+        return cls(*args, **kwargs)
 
     def resolved_initial(self):
         """Tape spec with shorthands expanded, or the amplitude tape as
@@ -75,12 +79,6 @@ class MachineConfig:
             return normalize_tape_spec(self.initial, self.num_tape_spins)
         tape_amplitudes(self.initial, self.num_tape_spins)
         return self.initial
-
-    def uniform_alpha(self) -> float:
-        a = self.alphas[0]
-        if any(b != a for b in self.alphas):
-            raise ConfigurationError("rotation angles are not uniform")
-        return a
 
 
 @dataclass
@@ -123,8 +121,8 @@ def run(config: MachineConfig) -> Trajectory:
     The head Bloch vector is carried from step to step rather than reduced
     from the whole state every time:
 
-    - a rotation turns it rigidly about the x axis (the formula in gates.py),
-      so it is updated in O(1) without reading the state;
+    - a rotation turns it rigidly about the x axis by alpha (the formula in
+      gates.py), so it is updated in O(1) without reading the state;
     - a flip only permutes head-0 amplitudes, so the head populations and z
       stay put, and x and y come from the one cross term head_cross;
     - at the end of every cycle it is reduced in full (head_bloch), which
@@ -168,13 +166,13 @@ def run(config: MachineConfig) -> Trajectory:
     x, y, z = head_bloch(state)
     bloch[0] = x, y, z
     drift = 0.0
-    for m, (mu, turn) in zip(range(1, min(config.steps, cycle) + 1),
-                             itertools.cycle(_schedule(config))):
-        if turn:
-            alpha, c, s = turn
-            apply_head_rotation(state, alpha)
+    c, s = math.cos(config.alpha), math.sin(config.alpha)
+    for m in range(1, min(config.steps, cycle) + 1):
+        if m % 2:
+            apply_head_rotation(state, config.alpha)
             y, z = y * c - z * s, y * s + z * c
         else:
+            mu = m // 2
             if mu > state.num_tape_spins:
                 # the head's first visit to spin mu
                 state = StateVector(
@@ -195,51 +193,37 @@ def run(config: MachineConfig) -> Trajectory:
     return Trajectory(bloch, config.num_tape_spins, drift)
 
 
-def _schedule(config):
-    """Steps 1..2M of a cycle (see the module docstring) as (mu, turn):
-    turn is (alpha_mu, cos, sin) for the rotation by alpha_mu, which
-    turns the head's Bloch vector by alpha_mu about x, and None for the
-    flip of spin mu."""
-    schedule = []
-    for mu, a in enumerate(config.alphas, 1):
-        schedule += [(mu, (a, math.cos(a), math.sin(a))), (mu, None)]
-    return schedule
-
-
 def _run_pairs(config, state, bloch, drift):
     """Steps 2M+1 onwards of a run too large for the cycle matrix, from the
     full state at the end of the first cycle; returns the norm drift.
 
     Each rotation and the flip after it are one call of a pair callable
-    that kernels.pair_kernels binds to the state once per run, with every
-    site's cos and sin of the half angle computed once. The head Bloch
-    vector is carried as in run, with the cross term the pair returns; at
-    every cycle end it is reduced in full and the norm is checked. An odd
-    last step is a rotation alone, and a last partial cycle ends with a
-    norm check.
+    that kernels.pair_kernels binds to the state once per run, with the
+    cos and sin of the half angle computed once. The head Bloch vector is
+    carried as in run, with the cross term the pair returns; at every
+    cycle end it is reduced in full and the norm is checked. An odd last
+    step is a rotation alone, and a last partial cycle ends with a norm
+    check.
     """
     cycle, last = 2 * config.num_tape_spins, config.steps
-    pair = kernels.pair_kernels(state.amplitudes, config.variant)
-    sites = itertools.cycle([
-        (pair[mu], *rotation_coefficients(alpha), c, s, alpha,
-         mu == config.num_tape_spins)
-        for mu, (alpha, c, s) in _schedule(config)[::2]])
+    pairs = kernels.pair_kernels(state.amplitudes, config.variant).values()
+    half_c, half_s = rotation_coefficients(config.alpha)
+    c, s = math.cos(config.alpha), math.sin(config.alpha)
     x, y, z = bloch[cycle].tolist()
-    for m in range(cycle + 2, last + 1, 2):
-        rotate_and_flip, half_c, half_s, c, s, _, ends = next(sites)
+    for m, rotate_and_flip in zip(range(cycle + 1, last + 1, 2),
+                                  itertools.cycle(pairs)):
         y, z = y * c - z * s, y * s + z * c
-        bloch[m - 1] = x, y, z
-        cross = rotate_and_flip(half_c, half_s)
-        if ends:
-            x, y, z = head_bloch(state)
-            drift = _check_norm(state.norm_sq(), m, drift)
-        else:
-            x, y = 2.0 * cross.real, -2.0 * cross.imag
         bloch[m] = x, y, z
-    if last % 2:
-        _, _, _, c, s, alpha, _ = next(sites)
-        apply_head_rotation(state, alpha)
-        bloch[last] = x, y * c - z * s, y * s + z * c
+        if m == last:
+            apply_head_rotation(state, config.alpha)
+            break
+        cross = rotate_and_flip(half_c, half_s)
+        if (m + 1) % cycle:
+            x, y = 2.0 * cross.real, -2.0 * cross.imag
+        else:
+            x, y, z = head_bloch(state)
+            drift = _check_norm(state.norm_sq(), m + 1, drift)
+        bloch[m + 1] = x, y, z
     if last % cycle:
         drift = _check_norm(state.norm_sq(), last, drift)
     return drift
@@ -293,7 +277,7 @@ def _cycle_matrix(config, size):
     every cycle would add up its own rounding, fixed once, coherently. So
     U is the exact product of the gates, computed by the numpy kernels in
     extended precision and divided by the scaling: the unitary of the same
-    rotation angles. The state is never rescaled.
+    rotation angle. The state is never rescaled.
 
     The gate kernels build U once more on the basis states in double,
     through the same calls as every step. Each rotation rounds every real
@@ -308,16 +292,16 @@ def _cycle_matrix(config, size):
     exact = np.eye(size, dtype=np.clongdouble)
     flip = (_kernels_py.cnot_flip if config.variant == VARIANT_X
             else _kernels_py.cnot_signed_flip)
+    c, s = (np.longdouble(v) for v in rotation_coefficients(config.alpha))
     scale = np.longdouble(1.0)
-    for mu, turn in _schedule(config):
-        if turn:
-            apply_head_rotation(images, turn[0])
-            c, s = (np.longdouble(v) for v in rotation_coefficients(turn[0]))
+    for n in range(1, 2 * num + 1):
+        if n % 2:
+            apply_head_rotation(images, config.alpha)
             _kernels_py.rotate_head(exact, c, s)
             scale *= c * c + s * s
         else:
-            apply_qcnot(images, mu, config.variant)
-            flip(exact, mu)
+            apply_qcnot(images, n // 2, config.variant)
+            flip(exact, n // 2)
     dev = float(np.abs(images.amplitudes - exact).max())
     bound = math.sqrt(2.0) * num * (_gamma2(float) + _gamma2(np.longdouble))
     if not dev <= bound:  # a NaN fails this test too
@@ -341,15 +325,15 @@ def _replay(config, stack, first, bloch):
     cycle = 2 * config.num_tape_spins
     rows = len(stack)
     last_n = len(bloch) - 1 - first - (rows - 1) * cycle
-    for n, (mu, turn) in enumerate(_schedule(config), 1):
+    for n in range(1, cycle + 1):
         active = rows if n <= last_n else rows - 1
         if not active:
             break
         states = StateVector(config.num_tape_spins, stack[:active])
-        if turn:
-            apply_head_rotation(states, turn[0])
+        if n % 2:
+            apply_head_rotation(states, config.alpha)
         else:
-            apply_qcnot(states, mu, config.variant)
+            apply_qcnot(states, n // 2, config.variant)
         bloch[first + n:first + n + active * cycle:cycle] = head_bloch_rows(
             stack[:active])
 
@@ -391,8 +375,8 @@ def run_mixed(weights: Sequence[tuple[float, MachineConfig]]) -> Trajectory:
         )
     first = weights[0][1]
     for _, cfg in weights[1:]:
-        if (cfg.num_tape_spins, cfg.alphas, cfg.variant, cfg.steps) != (
-            first.num_tape_spins, first.alphas, first.variant, first.steps
+        if (cfg.num_tape_spins, cfg.alpha, cfg.variant, cfg.steps) != (
+            first.num_tape_spins, first.alpha, first.variant, first.steps
         ):
             raise ConfigurationError(
                 "mixture components may differ only in their initial state"

@@ -491,8 +491,8 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
 
 def run(config: MachineConfig) -> Trajectory:
     """Primitive superposition for a MachineConfig, as a drop-in for the
-    state-vector engine. Valid only for uniform alpha and the plain flip
-    variant; any tape, spec string or amplitude array, is decomposed."""
+    state-vector engine. Valid only for the plain flip variant; any tape,
+    spec string or amplitude array, is decomposed."""
     if config.variant != VARIANT_X:
         raise ConfigurationError(
             "the primitives engine covers the plain flip variant only")
@@ -506,4 +506,4 @@ def run(config: MachineConfig) -> Trajectory:
                f"{steps} steps of the primitive superposition of {num} "
                "tape spins")
     return superpose(decompose(config.resolved_initial()), config.phi0,
-                     config.uniform_alpha(), steps)
+                     config.alpha, steps)

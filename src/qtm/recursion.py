@@ -1,4 +1,4 @@
-"""Closed-form head evolution for computational tapes and uniform alpha.
+"""Closed-form head evolution for computational tapes.
 
 For a head starting at phi0 = 0 over any all-computational tape (every spin
 |0> or |1>), the head Bloch vector (0, Y_m, Z_m) obeys a two-term recursion
@@ -113,13 +113,12 @@ def run(config: MachineConfig) -> Trajectory:
     """Closed-form trajectory for a MachineConfig, as a drop-in for the
     state-vector engine.
 
-    Valid only for uniform alpha, the plain flip variant, an
-    all-computational tape spec, and phi0 of exactly 0 or pi. The head
+    Valid only for the plain flip variant, an all-computational tape
+    spec, and phi0 of exactly 0 or pi. The head
     pattern is the same for every computational tape of a given size (the
     sign-basis weights of any such tape are all equal); starting the head
     at pi negates the whole trajectory.
     """
-    alpha = config.uniform_alpha()
     if config.variant != VARIANT_X:
         raise ConfigurationError("closed form covers the plain flip variant only")
     initial = config.resolved_initial()
@@ -135,7 +134,7 @@ def run(config: MachineConfig) -> Trajectory:
         raise ConfigurationError(
             "closed form needs the head at angle 0 or pi exactly"
         )
-    rec = HeadRecursion(alpha)
+    rec = HeadRecursion(config.alpha)
     bloch = sign * rec.trajectory(config.steps, config.num_tape_spins)
     return Trajectory(bloch, config.num_tape_spins)
 

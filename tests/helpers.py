@@ -90,21 +90,18 @@ def dense_head_bloch(amps):
 
 def dense_run(phi0, tape, alpha, steps, variant="x"):
     """Full trajectory by dense matrix products; tape is a spec string or
-    an array of tape amplitudes.
-
-    alpha may be a scalar (same angle everywhere) or one angle per site.
-    """
+    an array of tape amplitudes, and alpha the rotation angle of every
+    site."""
     num = len(tape) if isinstance(tape, str) else len(tape).bit_length() - 1
     nbits = num + 1
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (num,))
     psi = dense_product_state(phi0, tape)
-    rots = {mu: dense_rotation(alphas[mu - 1], nbits) for mu in range(1, num + 1)}
+    rot = dense_rotation(alpha, nbits)
     cnots = {mu: dense_qcnot(mu, nbits, variant) for mu in range(1, num + 1)}
     bloch = np.empty((steps + 1, 3))
     bloch[0] = dense_head_bloch(psi)
     for m in range(1, steps + 1):
         n = (m - 1) % (2 * num) + 1
-        psi = (rots[(n + 1) // 2] if n % 2 else cnots[n // 2]) @ psi
+        psi = (rot if n % 2 else cnots[n // 2]) @ psi
         bloch[m] = dense_head_bloch(psi)
     return bloch
 
@@ -181,7 +178,7 @@ def per_step_run(config):
     for m in range(1, config.steps + 1):
         n = (m - 1) % cycle + 1
         if n % 2:
-            apply_head_rotation(state, config.alphas[(n - 1) // 2])
+            apply_head_rotation(state, config.alpha)
         else:
             apply_qcnot(state, n // 2, config.variant)
         bloch[m] = head_bloch(state)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,25 +62,11 @@ def test_engine_matches_dense_oracle(tape, variant):
     expected = helpers.dense_run(phi0, tape, ALPHA, 60, variant)
     cfg = MachineConfig(
         num_tape_spins=len(tape),
-        alphas=(ALPHA,) * len(tape),
+        alpha=ALPHA,
         phi0=phi0,
         variant=variant,
         initial=tape,
         steps=60,
-    )
-    np.testing.assert_allclose(run(cfg).bloch, expected, atol=1e-12)
-
-
-def test_distinct_angles_match_dense_oracle():
-    alphas = (0.7, 1.9, ALPHA)
-    expected = helpers.dense_run(0.3, "000", alphas, 40, "x")
-    cfg = MachineConfig(
-        num_tape_spins=3,
-        alphas=alphas,
-        phi0=0.3,
-        variant="x",
-        initial="000",
-        steps=40,
     )
     np.testing.assert_allclose(run(cfg).bloch, expected, atol=1e-12)
 
@@ -99,14 +86,14 @@ def test_runs_are_deterministic():
 def test_cycle_against_dense_cycle_matrix():
     # one full cycle applied by the engine == the dense product of its gates
     tape = "01"
-    alphas = (0.9, 1.3)
+    alpha = 0.7
     psi = helpers.dense_product_state(0.4, tape)
     u = np.eye(8, dtype=complex)
     for n in range(1, 5):
         if n % 2 == 1:
             g = helpers.op_on_bit(
-                math.cos(alphas[(n - 1) // 2] / 2) * helpers.I2
-                - 1j * math.sin(alphas[(n - 1) // 2] / 2) * helpers.LX,
+                math.cos(alpha / 2) * helpers.I2
+                - 1j * math.sin(alpha / 2) * helpers.LX,
                 2,  # the head, the top bit of 3
                 3,
             )
@@ -115,7 +102,7 @@ def test_cycle_against_dense_cycle_matrix():
         u = g @ u
     cfg = MachineConfig(
         num_tape_spins=2,
-        alphas=alphas,
+        alpha=alpha,
         phi0=0.4,
         variant="x",
         initial=tape,
@@ -133,21 +120,24 @@ def _amplitude_tape(num_tape_spins):
     return amps / np.linalg.norm(amps)
 
 
-@pytest.mark.parametrize("variant, alphas, phi0, initial, steps", [
-    ("x", (ALPHA,) * 2, 0.0, "01", 20000),
-    ("iy", (ALPHA,) * 2, 0.0, "10", 20000),
-    ("x", (0.7, 1.9, ALPHA), 1.234, "+-0", 20001),
-    ("iy", (0.7, 1.9, ALPHA), 2.9, "-+1", 20003),
-    ("x", (0.3, ALPHA, 2.2, 1.1), 0.8, "amplitudes", 20005),
-    ("iy", (ALPHA,) * 4, 1.234, "+-01", 20000),
+@pytest.mark.parametrize("variant, num, alpha, phi0, initial, steps", [
+    ("x", 2, ALPHA, 0.0, "01", 20000),
+    ("iy", 2, ALPHA, 0.0, "10", 20000),
+    ("x", 3, 0.7, 1.234, "+-0", 20001),
+    ("iy", 3, 1.9, 2.9, "-+1", 20003),
+    ("x", 4, 1.9, 0.8, "amplitudes", 20005),
+    ("iy", 4, ALPHA, 1.234, "+-01", 20000),
+    ("iy", 6, 0.7, 2.9, "+-01+-", 41),
+    ("x", 7, 1.9, 0.8, "amplitudes", 43),
 ])
-def test_carried_bloch_matches_per_step_reduction(variant, alphas, phi0,
+def test_carried_bloch_matches_per_step_reduction(variant, num, alpha, phi0,
                                                   initial, steps):
     # engine.run carries the head vector through rotations and flips and
-    # reduces in full once per cycle; the plain loop reduces every step
+    # reduces in full once per cycle; the plain loop reduces every step.
+    # M >= 6 runs go on in rotate-and-flip pairs, here ending on a rotation
     if initial == "amplitudes":
-        initial = _amplitude_tape(len(alphas))
-    cfg = MachineConfig(num_tape_spins=len(alphas), alphas=alphas, phi0=phi0,
+        initial = _amplitude_tape(num)
+    cfg = MachineConfig(num_tape_spins=num, alpha=alpha, phi0=phi0,
                         variant=variant, initial=initial, steps=steps)
     np.testing.assert_allclose(run(cfg).bloch, helpers.per_step_run(cfg).bloch,
                                rtol=0, atol=1e-12)
@@ -163,8 +153,9 @@ GROWTH_M = 4
 def test_growing_state_matches_full_state_run(tape, variant, steps):
     # engine.run adds tape spin mu when the head first reaches it; the
     # plain loop builds the full state at step 0
-    cfg = MachineConfig(num_tape_spins=GROWTH_M, alphas=(0.7, 1.9, ALPHA, 2.6),
-                        phi0=1.1, variant=variant, initial=tape, steps=steps)
+    alpha = {"01+-": 0.7, "+-10": 1.9}[tape]
+    cfg = MachineConfig(num_tape_spins=GROWTH_M, alpha=alpha, phi0=1.1,
+                        variant=variant, initial=tape, steps=steps)
     np.testing.assert_allclose(run(cfg).bloch, helpers.per_step_run(cfg).bloch,
                                rtol=0, atol=1e-12)
 
@@ -203,15 +194,14 @@ def _record_pairs(monkeypatch, calls):
     monkeypatch.setattr(qtm.kernels, "pair_kernels", recorded)
 
 
-def _later_pairs(alphas, steps):
-    """What _record_pairs records for a run of steps > 2M steps: one bind
-    of the full state, then one pair per rotation and flip after the
-    first cycle, mu in schedule order with the cos and sin of half of
-    alpha_mu."""
-    num = len(alphas)
+def _later_pairs(num, alpha, steps):
+    """What _record_pairs records for a run of steps > 2M steps on M = num
+    tape spins: one bind of the full state, then one pair per rotation and
+    flip after the first cycle, mu in schedule order with the cos and sin
+    of half of alpha."""
     size = 2 ** (num + 1)
     return [("bind", size)] + [
-        (k % num + 1, *rotation_coefficients(alphas[k % num]), size)
+        (k % num + 1, *rotation_coefficients(alpha), size)
         for k in range((steps - 2 * num) // 2)]
 
 
@@ -233,7 +223,7 @@ def test_first_cycle_holds_only_the_spins_the_head_reached(monkeypatch, variant)
     assert sizes[1::2] == [2 ** (mu + 1) for mu in range(1, num + 1)]
     later = calls[2 * num:]
     assert [c for c in later if isinstance(c, tuple)] == _later_pairs(
-        (ALPHA,) * num, 3 * num)
+        num, ALPHA, 3 * num)
     assert all(c == 2 ** (num + 1) for c in later if not isinstance(c, tuple))
 
 
@@ -253,7 +243,7 @@ FUSED_WINDOW = REDUCE_BLOCK // 2 ** 6  # cycle starts per window at M=5
 
 def _fused_config(num, variant, tape, steps):
     initial = _amplitude_tape(num) if tape == "amplitudes" else tape
-    return MachineConfig(num, (0.7, 1.9, ALPHA, 2.6, 0.4)[:num], phi0=1.1,
+    return MachineConfig(num, (0.7, 1.9, ALPHA)[num % 3], phi0=1.1,
                          variant=variant, initial=initial, steps=steps)
 
 
@@ -263,7 +253,7 @@ def _assert_matches_references(cfg):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         traj.bloch, helpers.dense_run(cfg.phi0, cfg.resolved_initial(),
-                                      cfg.alphas, cfg.steps, cfg.variant),
+                                      cfg.alpha, cfg.steps, cfg.variant),
         rtol=0, atol=1e-12)
     assert traj.norm_drift <= 1e-12
 
@@ -314,7 +304,7 @@ def test_six_spins_keep_the_loop(monkeypatch):
                               steps=5 * 12))
     assert calls[:12] == [2 ** 7] * 12
     assert [c for c in calls[12:] if isinstance(c, tuple)] == _later_pairs(
-        (ALPHA,) * 6, 60)
+        6, ALPHA, 60)
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
@@ -322,9 +312,9 @@ def test_six_spins_keep_the_loop(monkeypatch):
 def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
     # the first cycle calls the gates through the names engine binds, once
     # per step, so a wrapper there sees every step of it: step n of a
-    # cycle rotates by alpha_mu (n odd) or flips spin mu (n even), mu =
-    # (n + 1) // 2. Later steps are one pair call per rotation and flip,
-    # and an odd last step is one more rotation
+    # cycle rotates by alpha (n odd) or flips spin n // 2 (n even). Later
+    # steps are one pair call per rotation and flip, and an odd last step
+    # is one more rotation
     calls = []
     for name in ("apply_head_rotation", "apply_qcnot"):
         def recorded(state, *args, _gate=getattr(qtm.engine, name)):
@@ -333,14 +323,14 @@ def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
 
         monkeypatch.setattr(qtm.engine, name, recorded)
     _record_pairs(monkeypatch, calls)
-    alphas = tuple(0.3 + 0.1 * mu for mu in range(num))
+    alpha = {6: 0.7, 8: 1.9}[num]
     steps = 3 * 2 * num + 5
-    run(MachineConfig(num, alphas, variant=variant,
+    run(MachineConfig(num, alpha, variant=variant,
                       initial=("+-01" * 2)[:num], steps=steps))
-    want = [(alphas[(n - 1) // 2],) if n % 2 else (n // 2, variant)
+    want = [(alpha,) if n % 2 else (n // 2, variant)
             for n in range(1, 2 * num + 1)]
-    # the last step, n = 5 of its cycle, rotates by alpha_3
-    assert calls == want + _later_pairs(alphas, steps) + [(alphas[2],)]
+    # the last step, n = 5 of its cycle, is a rotation
+    assert calls == want + _later_pairs(num, alpha, steps) + [(alpha,)]
 
 
 def test_run_refuses_a_state_larger_than_memory(monkeypatch):
@@ -605,17 +595,6 @@ class TestMixtures:
 
 
 class TestConfigValidation:
-    def test_alpha_count_must_match(self):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(
-                num_tape_spins=2,
-                alphas=(1.0,),
-                phi0=0.0,
-                variant="x",
-                initial="00",
-                steps=5,
-            )
-
     def test_bad_variant(self):
         with pytest.raises(ConfigurationError):
             MachineConfig.uniform(2, 1.0, variant="z", steps=5)
@@ -635,7 +614,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="must be finite"):
             MachineConfig.uniform(2, alpha, phi0=phi0, steps=5)
         with pytest.raises(ConfigurationError, match="must be finite"):
-            MachineConfig(2, (1.0, alpha), phi0=phi0, steps=5)
+            MachineConfig(2, alpha, phi0=phi0, steps=5)
+
+    @pytest.mark.parametrize("alpha, phi0", [
+        (None, 0.0), (1.0, "0.3"), ("1", 0.0), (1j, 0.0), (1.0, None),
+        pytest.param(10 ** 400, 0.0, id="int-past-the-doubles"),
+        pytest.param(1.0, Fraction(-10 ** 400, 3),
+                     id="fraction-past-the-doubles")])
+    def test_angles_must_be_real_numbers(self, alpha, phi0):
+        # a string is refused, not converted, and so is a complex number or
+        # a real number that no double holds
+        with pytest.raises(ConfigurationError, match="finite real numbers"):
+            MachineConfig.uniform(2, alpha, phi0=phi0, steps=5)
+
+    @pytest.mark.parametrize("alphas", [(1.0, "x"), (1.0, 1.0), [0.5]])
+    def test_one_angle_per_machine(self, alphas):
+        with pytest.raises(ConfigurationError, match="one rotation angle"):
+            MachineConfig(2, alphas)
+
+    def test_angles_are_stored_as_floats(self):
+        cfg = MachineConfig(2, np.float64(1.5), phi0=1, steps=5)
+        assert type(cfg.alpha) is float and type(cfg.phi0) is float
+        assert (cfg.alpha, cfg.phi0) == (1.5, 1.0)
+
+    def test_uniform_is_the_same_constructor(self):
+        tape = _amplitude_tape(2)
+        args = (2, ALPHA)
+        kwargs = dict(phi0=0.4, variant="iy", initial=tape, steps=7)
+        assert MachineConfig.uniform(*args, **kwargs) == MachineConfig(
+            *args, **kwargs)
+        assert MachineConfig.uniform(3, 1.9, 0.2, "x", "0+1", 9) == (
+            MachineConfig(3, 1.9, 0.2, "x", "0+1", 9))
 
     def test_fractional_steps(self):
         with pytest.raises(ConfigurationError, match="not an integer"):

@@ -672,8 +672,6 @@ class TestSuperpose:
     def test_run_covers_uniform_plain_flips_only(self):
         with pytest.raises(ConfigurationError, match="plain flip"):
             primitives.run(MachineConfig.uniform(2, ALPHA, variant="iy"))
-        with pytest.raises(ConfigurationError, match="not uniform"):
-            primitives.run(MachineConfig(2, (ALPHA, 1.0)))
 
     def test_weight_validation(self):
         with pytest.raises(ConfigurationError):

@@ -104,12 +104,6 @@ class TestRunAdapter:
             recursion_mod.run(down).bloch, engine_run(down).bloch, atol=1e-9
         )
 
-    def test_rejects_nonuniform_angles(self):
-        cfg = MachineConfig(num_tape_spins=2, alphas=(0.5, 0.6), phi0=0.0,
-                            variant="x", initial="00", steps=10)
-        with pytest.raises(ConfigurationError):
-            recursion_mod.run(cfg)
-
     def test_rejects_tilted_head(self):
         with pytest.raises(ConfigurationError):
             recursion_mod.run(MachineConfig.uniform(2, 1.0, phi0=0.5, steps=10))

@@ -213,7 +213,7 @@ _LINE = Trajectory(np.zeros((9, 3)), 1)
     lambda: primitives.period_census(2.0, 0.3, 1.0, 10),
     lambda: primitives.all_patterns(2.5),
     lambda: MachineConfig.uniform(2.5, 1.0),
-    lambda: MachineConfig(2, (1.0, 1.0), steps=4.0),
+    lambda: MachineConfig(2, 1.0, steps=4.0),
     lambda: m1_closed_form("aperiodic", 1.5, 0.0, 1.0),
     lambda: fit_invariant_circles(_LINE, 2.5),
     lambda: StateVector(1.0, np.ones(4) / 2),
