@@ -6,19 +6,20 @@ one cycle (spins 1..M) in each variant, plain and signed, and a machine
 cycle over a range of tape sizes for every available backend (compiled
 extension, numpy fallback) and prints per-call times plus the speedup.
 The two backends must agree numerically, so the benchmark also
-cross-checks the final state. At M=16 and 18 a pair row per backend
-times one cycle of the rotate-and-flip pairs of kernels.pair_kernels
-(fused on the numpy kernels) against rotate_head, the flip and head_cross
-called one after the other, in each variant, and checks that both leave
-the same state bits and cross terms. Two end-to-end rows follow:
-engine.run at M=8 over 20,000 steps per backend (its first cycle gate by
-gate, the rest in rotate-and-flip pairs), in steps/s, and the writers:
-CSV and JSON on its 20,001-row trajectory and on its first 101 rows,
-where a call's fixed cost shows, and the spectrum CSV of its first
-4,096 rows. Last, a census row at M=12
-and M=14: primitives.period_census over CENSUS_CYCLES cycles and
-io.write_census on its periods, the two halves of classify --all, each
-with its best time and the minor page faults (ru_minflt) of each call.
+cross-checks the final state. At M=8, where a pair's cost is its calls,
+and at M=16 and 18, a pair row per backend times one cycle of the
+rotate-and-flip pairs of kernels.pair_kernels (fused on the numpy
+kernels) against rotate_head, the flip and head_cross called one after
+the other, in each variant, and checks that both leave the same state
+bits and cross terms; the run exits non-zero if they do not. Two
+end-to-end rows follow: engine.run at M=8 over 20,000 steps per backend
+(its first cycle gate by gate, the rest in rotate-and-flip pairs), in
+steps/s, and the writers: CSV and JSON on its 20,001-row trajectory and
+on its first 101 rows, where a call's fixed cost shows, and the spectrum
+CSV of its first 4,096 rows. Last, a census row at M=12 and M=14:
+primitives.period_census over CENSUS_CYCLES cycles and io.write_census on
+its periods, the two halves of classify --all, each with its best time
+and the minor page faults (ru_minflt) of each call.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
@@ -119,7 +120,8 @@ def bench_pairs(mod, num_tape_spins, variant, repeats):
     kernels.pair_kernels with mod's kernels bound, and of the same cycle as
     rotate_head, the flip and head_cross one after the other, each from a
     copy of one state; same is whether both leave the same state bits and
-    return the same cross terms."""
+    return the same cross terms. The binding, once per run, is not
+    timed."""
     alpha = math.pi / math.sqrt(3.0)
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     start = make_product_state(0.3, ("+-01" * 5)[:num_tape_spins]).amplitudes
@@ -127,24 +129,27 @@ def bench_pairs(mod, num_tape_spins, variant, repeats):
     spins = range(1, num_tape_spins + 1)
 
     def paired(amps):
-        pair = kernels.pair_kernels(amps, variant)
-        return [pair[mu](c, s) for mu in spins]
+        pair = kernels.pair_kernels(amps, variant, c, s)
+        return lambda: [pair[mu]() for mu in spins]
 
     def by_name(amps):
-        crosses = []
-        for mu in spins:
-            mod.rotate_head(amps, c, s)
-            flip(amps, mu)
-            crosses.append(head_cross(StateVector(num_tape_spins, amps)))
-        return crosses
+        def cycle():
+            crosses = []
+            for mu in spins:
+                mod.rotate_head(amps, c, s)
+                flip(amps, mu)
+                crosses.append(head_cross(StateVector(num_tape_spins, amps)))
+            return crosses
+        return cycle
 
     best, out = [math.inf, math.inf], []
     with bound(mod):
-        for i, cycle in enumerate((paired, by_name)):
+        for i, bind in enumerate((paired, by_name)):
             for _ in range(repeats):
                 amps = start.copy()
+                cycle = bind(amps)
                 t0 = time.perf_counter()
-                crosses = cycle(amps)
+                crosses = cycle()
                 best[i] = min(best[i], time.perf_counter() - t0)
             out.append(amps.tobytes() + np.array(crosses).tobytes())
     return best[0], best[1], out[0] == out[1]
@@ -259,15 +264,18 @@ def main():
             diff = float(np.abs(finals["numpy"] - finals["compiled"]).max())
             print(f"  backend disagreement: {diff:.3e}")
 
-    for m in (16, 18):
+    unequal = []
+    for m in (8, 16, 18):
         print(f"\nrotate-and-flip pairs, one cycle, M={m}")
         for name, mod in backends.items():
             for variant in ("x", "iy"):
                 paired, by_name, same = bench_pairs(mod, m, variant,
                                                     args.repeats)
-                print(f"  {name:>8} {variant:>2}: pairs {paired * 1e3:7.2f} ms"
-                      f"   rotate+flip+head_cross {by_name * 1e3:7.2f} ms"
+                print(f"  {name:>8} {variant:>2}: pairs {paired * 1e3:8.3f} ms"
+                      f"   rotate+flip+head_cross {by_name * 1e3:8.3f} ms"
                       f"   {by_name / paired:5.2f} x   bit-equal: {same}")
+                if not same:
+                    unequal.append(f"{name} {variant} M={m}")
 
     print(f"\nengine.run, M={len(LOOP_TAPE)} on {LOOP_TAPE}, "
           f"{LOOP_STEPS:,} steps")
@@ -289,6 +297,9 @@ def main():
         print(f"  M={m}: period_census {census_s * 1e3:7.1f} ms "
               f"(faults {faults[0]})   write_census {write_s * 1e3:6.1f} ms "
               f"(faults {faults[1]})")
+    if unequal:
+        raise SystemExit("pairs and rotate+flip+head_cross differ in bits: "
+                         + ", ".join(unequal))
 
 
 if __name__ == "__main__":

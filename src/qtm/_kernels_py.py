@@ -14,7 +14,9 @@ independent elementwise work; every amplitude gets the same operations as
 in one whole-array pass. A flip has one body for every size: an array
 that fits in one block is its own only block. So has pairs, which fuses a
 rotation, the flip after it and the head cross term into one sweep over
-the blocks of one state.
+the blocks of one state, with the rotation's coefficients and every view
+bound once per run, so a call of a mid-size state's pair is a handful of
+ufunc calls and no other work.
 """
 
 import numpy as np
@@ -99,9 +101,9 @@ def cnot_signed_flip(amps, mu):
         b[:, :, 1] = t
 
 
-def pairs(amps, signed):
-    """{mu: pair} for the tape spins mu = 1..M of one state amps: pair(c, s)
-    is rotate_head(amps, c, s) and then cnot_flip(amps, mu), or
+def pairs(amps, signed, c, s):
+    """{mu: pair} for the tape spins mu = 1..M of one state amps: pair() is
+    rotate_head(amps, c, s) and then cnot_flip(amps, mu), or
     cnot_signed_flip when signed, with their bits, and returns the cross
     term sum(conj(a0) a1) of the new state with state.head_cross's bits.
 
@@ -120,8 +122,9 @@ def pairs(amps, signed):
 
     Scratch is two blocks, as rotate_head's is: a partner pair forms its
     second block's head-1 products in the first block's head-0 stretch,
-    whose new values are already in scratch. Every view a call uses is
-    bound here, once.
+    whose new values are already in scratch. The coefficients c, 1j*s and
+    -1j*s are bound once, as 0-d arrays, which a ufunc call takes faster
+    than Python scalars, and so is every view a call uses.
     """
     half = amps.size // 2
     width = min(half, BLOCK // 2)
@@ -129,40 +132,32 @@ def pairs(amps, signed):
     scratch = aligned_empty((2, width), amps.dtype)
     t, r = scratch
     sums = [0j] * (half // step)
+    c, w, u = (np.array(v, amps.dtype) for v in (c, 1j * s, -1j * s))
     # per block: its rotation, as (a0 and a1 as one (2, width) view, a0,
     # a1, where the new a0 goes, where the head-0 products go), and its
     # chunks, as (index, a0 chunk, a1 chunk)
-    blocks = [(((ab, ab[0], ab[1], t, r),),
+    blocks = [((ab, ab[0], ab[1], t, r),
                tuple((k * width // step + i // step, ab[0, i:i + step],
                       ab[1, i:i + step]) for i in range(0, width, step)))
               for k, ab in enumerate(amps.reshape(2, -1, width)
                                      .swapaxes(0, 1))]
 
-    def sources(src):
-        # the views of the new a0 in src (tape bit on axis -2) that move
-        # to bit 0 and to bit 1 of their flipped place; the plain flip
-        # moves all of src at once, with the bit reversed
-        if signed:
-            return src[..., 1, :], src[..., 0, :]
-        return src[..., ::-1, :], None
-
-    def job(rotations, parts, dst, moved):
-        # (rotations, chunks, to bit 0, from, to bit 1, from), dst the
-        # flipped place (tape bit on axis -2) and moved its sources
-        if signed:
-            return (rotations, parts, dst[..., 0, :], moved[0],
-                    dst[..., 1, :], moved[1])
-        return rotations, parts, dst, moved[0], None, None
-
-    partnered = sources(scratch)
+    def job(rotations, parts, dst, src):
+        # (rotations, negated moves, copied moves, chunks): the new a0 in
+        # src goes to its flipped place dst, both (groups, 2, run) with the
+        # tape bit on axis 1, in moves (from, to)
+        if not signed:
+            return rotations, (), ((src[:, ::-1], dst),), parts
+        return (rotations, ((src[:, 1], dst[:, 0]),),
+                ((src[:, 0], dst[:, 1]),), parts)
 
     def jobs(mu):
         run = 1 << (mu - 1)
         if run < width:
-            # each block's flip stays in it: rotation[0][1] is its a0
-            moved = sources(t.reshape(-1, 2, run))
-            return [job(rotation, parts, rotation[0][1].reshape(-1, 2, run),
-                        moved) for rotation, parts in blocks]
+            # each block's flip stays in it: rotation[1] is its a0
+            src = t.reshape(-1, 2, run)
+            return [job((rotation,), parts, rotation[1].reshape(-1, 2, run),
+                        src) for rotation, parts in blocks]
         # block k goes with block k + run // width, whose tape indices
         # differ from its own in bit mu-1; the second one forms its head-1
         # products in the first one's a0, whose new values are in t
@@ -172,34 +167,33 @@ def pairs(amps, signed):
             if k * width & run:
                 continue
             g, at = divmod(k * width, 2 * run)
-            ((first,), parts), ((second,), more) = (
-                blocks[k], blocks[k + run // width])
+            (first, parts), (second, more) = (blocks[k],
+                                              blocks[k + run // width])
             paired.append(job((first, second[:3] + (r, first[1])),
-                              parts + more, heads[g, :, at:at + width],
-                              partnered))
+                              parts + more, heads[g:g + 1, :, at:at + width],
+                              scratch[None]))
         return paired
 
     def pair(mu):
         work = jobs(mu)
 
         # the numpy functions are bound as defaults, which saves a global
-        # and an attribute lookup per call of each
-        def rotate_and_flip(c, s, multiply=np.multiply, add=np.add,
+        # and an attribute lookup per call of each, and every out is
+        # passed positionally
+        def rotate_and_flip(multiply=np.multiply, add=np.add,
                             subtract=np.subtract, negative=np.negative,
                             copyto=np.copyto, vdot=np.vdot):
-            w, u = 1j * s, -1j * s
-            for rotations, parts, to0, from0, to1, from1 in work:
+            for rotations, negated, copied, parts in work:
                 for ab, a0, a1, new0, tmp in rotations:
-                    multiply(w, a1, out=new0)
-                    multiply(u, a0, out=tmp)
-                    multiply(c, ab, out=ab)
-                    add(tmp, a1, out=a1)
-                    subtract(a0, new0, out=new0)
-                if signed:
-                    negative(from0, out=to0)
-                    copyto(to1, from1)
-                else:
-                    copyto(to0, from0)
+                    multiply(w, a1, new0)
+                    multiply(u, a0, tmp)
+                    multiply(c, ab, ab)
+                    add(tmp, a1, a1)
+                    subtract(a0, new0, new0)
+                for x, out in negated:
+                    negative(x, out)
+                for x, out in copied:
+                    copyto(out, x)
                 for j, x, y in parts:
                     sums[j] = vdot(x, y)
             total = 0j

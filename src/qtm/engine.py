@@ -12,7 +12,6 @@ The global step index is m = n + 2M*(p-1) where p counts cycles from 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
@@ -140,7 +139,8 @@ def run(config: MachineConfig) -> Trajectory:
     A run longer than one cycle steps this way through its first cycle
     only. On a small tape, whose cycle matrix of 4**(M+1) entries fits in
     REDUCE_BLOCK (M <= 5), it goes on in windows of cycles (_run_windows),
-    and on a larger one in rotate-and-flip pairs (_run_pairs).
+    and on a larger one in rotate-and-flip pairs (_run_pairs), whose
+    carried Bloch vectors are filled in by columns after the last pair.
 
     The state norm is checked at the end of every cycle (and after a final
     partial cycle, and at every cycle start a window chains); drift beyond
@@ -154,10 +154,14 @@ def run(config: MachineConfig) -> Trajectory:
     # grows from (check_state_fits), the scratch of its pairs and the
     # temporaries of a rotation, each min(size, BLOCK) of them (a two-block
     # scratch, or the two half states of a one-block rotation); then a
-    # trajectory row of 3 doubles per step
+    # trajectory row of 3 doubles per step and, where _run_pairs runs, the
+    # temporaries of its column fill, three doubles per cycle
     size = 2 ** (num + 1)
     held = size + size // 2 + 2 * min(size, _kernels_py.BLOCK)
-    check_fits(16 * held + 24 * (config.steps + 1),
+    windows = 4 ** (num + 1) <= REDUCE_BLOCK
+    doubles = 3 * (config.steps + 1) + (
+        0 if windows else 3 * (config.steps // (2 * num)))
+    check_fits(16 * held + 8 * doubles,
                f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
@@ -186,7 +190,7 @@ def run(config: MachineConfig) -> Trajectory:
                 drift = _check_norm(state.norm_sq(), m, drift)
         bloch[m] = x, y, z
     if config.steps > cycle:
-        later = _run_windows if 4 ** (num + 1) <= REDUCE_BLOCK else _run_pairs
+        later = _run_windows if windows else _run_pairs
         drift = later(config, state, bloch, drift)
     elif config.steps % cycle:
         drift = _check_norm(state.norm_sq(), config.steps, drift)
@@ -198,34 +202,51 @@ def _run_pairs(config, state, bloch, drift):
     full state at the end of the first cycle; returns the norm drift.
 
     Each rotation and the flip after it are one call of a pair callable
-    that kernels.pair_kernels binds to the state once per run, with the
-    cos and sin of the half angle computed once. The head Bloch vector is
-    carried as in run, with the cross term the pair returns; at every
-    cycle end it is reduced in full and the norm is checked. An odd last
-    step is a rotation alone, and a last partial cycle ends with a norm
-    check.
+    that kernels.pair_kernels binds to the state and to the cos and sin of
+    the half angle once per run. The loop only calls the pairs, cycle by
+    cycle, writing each cross term into the x and y of its flip's row, and
+    at every cycle end reduces the state in full (head_bloch) into that
+    row and checks the norm. An odd last step is a rotation alone, and a
+    last partial cycle ends with a norm check.
+
+    The carried head Bloch vector of run is then filled in by columns, one
+    step of the cycle at a time over every cycle: a flip row's x and y are
+    2 Re and -2 Im of its cross term and its z the row before's, a
+    rotation row's x is the row before's and its (y, z) that row's turned
+    by alpha. These are the scalar carry's operations on the same values,
+    so they give its bits. Their temporaries, at most three columns of a
+    double per cycle, are what run's memory estimate counts beside bloch.
     """
     cycle, last = 2 * config.num_tape_spins, config.steps
-    pairs = kernels.pair_kernels(state.amplitudes, config.variant).values()
-    half_c, half_s = rotation_coefficients(config.alpha)
-    c, s = math.cos(config.alpha), math.sin(config.alpha)
-    x, y, z = bloch[cycle].tolist()
-    for m, rotate_and_flip in zip(range(cycle + 1, last + 1, 2),
-                                  itertools.cycle(pairs)):
-        y, z = y * c - z * s, y * s + z * c
-        bloch[m] = x, y, z
-        if m == last:
-            apply_head_rotation(state, config.alpha)
-            break
-        cross = rotate_and_flip(half_c, half_s)
-        if (m + 1) % cycle:
-            x, y = 2.0 * cross.real, -2.0 * cross.imag
-        else:
-            x, y, z = head_bloch(state)
-            drift = _check_norm(state.norm_sq(), m + 1, drift)
-        bloch[m + 1] = x, y, z
+    pairs = tuple(kernels.pair_kernels(
+        state.amplitudes, config.variant,
+        *rotation_coefficients(config.alpha)).values())
+    # x and y of every flip row after the first cycle, as one complex each
+    crosses = bloch[cycle + 2::2, :2].view(complex)[:, 0]
+    for k in range(0, len(crosses), len(pairs)):
+        row = crosses[k:k + len(pairs)]
+        for j, pair in zip(range(len(row)), pairs):
+            row[j] = pair()
+        end = 2 * (cycle + k)
+        if end <= last:
+            bloch[end] = head_bloch(state)
+            drift = _check_norm(state.norm_sq(), end, drift)
+    if last % 2:
+        apply_head_rotation(state, config.alpha)
     if last % cycle:
         drift = _check_norm(state.norm_sq(), last, drift)
+    c, s = math.cos(config.alpha), math.sin(config.alpha)
+    for n in range(1, cycle):  # n = 2M is a cycle end, reduced in full
+        rows = bloch[cycle + n::cycle]
+        x, y, z = bloch[cycle + n - 1::cycle][:len(rows)].T
+        if n % 2:
+            rows[:, 0] = x
+            rows[:, 1] = y * c - z * s
+            rows[:, 2] = y * s + z * c
+        else:
+            rows[:, 0] *= 2.0
+            rows[:, 1] *= -2.0
+            rows[:, 2] = z
     return drift
 
 

@@ -24,26 +24,27 @@ cnot_signed_flip = _impl.cnot_signed_flip
 _FLIPS = {"x": "cnot_flip", "iy": "cnot_signed_flip"}
 
 
-def pair_kernels(amps, variant):
-    """{mu: pair} for the tape spins mu = 1..M of the state amps: pair(c, s)
-    does rotate_head(amps, c, s) and then the flip of spin mu, cnot_flip
-    for variant "x" and cnot_signed_flip for "iy", with the same bits, and
-    returns the cross term of the new state, head_cross's bits.
+def pair_kernels(amps, variant, c, s):
+    """{mu: pair} for the tape spins mu = 1..M of the state amps, bound to
+    one rotation's coefficients c, s: pair() does rotate_head(amps, c, s)
+    and then the flip of spin mu, cnot_flip for variant "x" and
+    cnot_signed_flip for "iy", with the same bits, and returns the cross
+    term of the new state, head_cross's bits.
 
     While the kernels bound here are the numpy ones, the pairs are the
     fused ones of _kernels_py.pairs. Otherwise a pair calls the two
-    kernels by their names here, looked up at call time, so a swapped or
-    wrapped kernel still sees every call, and then sums the cross term
-    over the halves of amps.
+    kernels by their names here, looked up at call time, with c and s as
+    given, so a swapped or wrapped kernel still sees every call, and then
+    sums the cross term over the halves of amps.
     """
     flip = _FLIPS[variant]
     if (rotate_head, globals()[flip]) == (_kernels_py.rotate_head,
                                           getattr(_kernels_py, flip)):
-        return _kernels_py.pairs(amps, variant == "iy")
+        return _kernels_py.pairs(amps, variant == "iy", c, s)
     a0, a1 = _halves(amps)
 
     def pair(mu):
-        def rotate_and_flip(c, s):
+        def rotate_and_flip():
             rotate_head(amps, c, s)
             globals()[flip](amps, mu)
             return _vdot(a0, a1)

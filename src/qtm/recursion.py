@@ -86,27 +86,37 @@ class HeadRecursion:
             self._extend(ys, zs, size, m_max)
 
     def _extend(self, ys, zs, size, m_max):
+        # Whole cycles, each shifted by one step: cycle p's flips n = 2,
+        # ..., 2M, each with the rotation after it, from the values of its
+        # steps n = 0 and 1, carried in locals from cycle to cycle. A table
+        # that ends inside a cycle is cut back to that cycle's step 1 and
+        # the cycle recomputed, with the same bits. The last cycle may run
+        # past m_max, where the table of size M-2 ends; the steps past
+        # m_max are cut off, so its values there are never kept.
+        if len(ys) > m_max:
+            return
         y1, z1 = self.y1, self.z1
         cycle = 2 * size
         below = self._tables.get(size - 2)  # None exactly when size <= 2
-        for m in range(len(ys), m_max + 1):
-            n = (m - 1) % cycle + 1
-            p = (m - 1) // cycle + 1
-            ym1, zm1 = ys[m - 1], zs[m - 1]
-            if n % 2:
-                y = -y1 * zm1 - z1 * ym1
-                z = -z1 * zm1 + y1 * ym1
-            else:
-                z = -z1 * zs[m - 2] + y1 * ys[m - 2]
-                if n != cycle:
-                    z_ref = -1.0 if below is None else below[1][m - 4 * p + 2]
-                    y = ym1 + y1 * z_ref
-                elif p % 2:
-                    y = ym1 - y1 * (-z1) ** (size - 1)
-                else:
-                    y = ym1
-            ys.append(y)
-            zs.append(z)
+        turn = y1 * (-z1) ** (size - 1)  # the cycle end's term, odd p
+        p = (len(ys) - 2) // cycle + 1
+        first = (p - 1) * cycle  # step n = 0 of cycle p
+        del ys[first + 2:], zs[first + 2:]
+        y2, z2, y, z = ys[first], zs[first], ys[first + 1], zs[first + 1]
+        add_y, add_z = ys.append, zs.append
+        while first < m_max - 1:
+            # Z of size M-2 at m' = m - 4p + 2 for the flips n = 2..2M-2
+            at = first - 4 * p + 4
+            for ref in (below[1][at:at + cycle - 3:2] if below
+                        else (-1.0,) * (size - 1)):
+                y2, z2 = y + y1 * ref, -z1 * z2 + y1 * y2
+                y, z = -y1 * z2 - z1 * y2, -z1 * z2 + y1 * y2
+                add_y(y2), add_z(z2), add_y(y), add_z(z)
+            y2, z2 = y - turn if p % 2 else y, -z1 * z2 + y1 * y2
+            y, z = -y1 * z2 - z1 * y2, -z1 * z2 + y1 * y2
+            add_y(y2), add_z(z2), add_y(y), add_z(z)
+            p, first = p + 1, first + cycle
+        del ys[m_max + 1:], zs[m_max + 1:]
 
 
 def run(config: MachineConfig) -> Trajectory:

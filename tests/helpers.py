@@ -1,5 +1,7 @@
 """Shared test support: a dense-matrix oracle for the machine, one-shot
-reference forms of the kernels, of the engine loop and of the primitive
+reference forms of the kernels, of the engine loop, of the engine's
+rotate-and-flip pairs with a step-by-step carry, of the closed-form
+recursion's table filled step by step and of the primitive
 superposition, a check of the |-> tape identity against the package's own
 flip, step-by-step references for the primitive angles and the period
 search, a per-row form of the SVG writer, and readers the tests check the
@@ -17,15 +19,20 @@ mu at bit mu-1 of t and the head at bit M, the top bit, so raw amplitudes
 compare directly.
 """
 
+import itertools
+import math
+
 import numpy as np
 
+import qtm.kernels
 import qtm.state
 from qtm.analysis import X_PLANE_TOL
-from qtm.engine import Trajectory
+from qtm.engine import Trajectory, _check_norm
 from qtm.errors import ConfigurationError
-from qtm.gates import apply_head_rotation, apply_qcnot
+from qtm.gates import apply_head_rotation, apply_qcnot, rotation_coefficients
 from qtm.io import CSV_HEADER, SVG_SIZE, SVG_SPAN
 from qtm.primitives import _cycle_starts, _cycle_table, _signs
+from qtm.recursion import HeadRecursion
 from qtm.state import head_bloch, make_state
 
 I2 = np.eye(2, dtype=complex)
@@ -183,6 +190,65 @@ def per_step_run(config):
             apply_qcnot(state, n // 2, config.variant)
         bloch[m] = head_bloch(state)
     return Trajectory(bloch, config.num_tape_spins)
+
+
+def scalar_carry_pairs(config, state, bloch, drift):
+    """engine._run_pairs with the head Bloch vector carried from step to
+    step in Python floats and every row written as the loop reaches it,
+    as the engine did before it filled the rows by columns after its
+    loop; the engine must give the same bits and the same norm drift."""
+    cycle, last = 2 * config.num_tape_spins, config.steps
+    pairs = qtm.kernels.pair_kernels(state.amplitudes, config.variant,
+                                     *rotation_coefficients(config.alpha))
+    c, s = math.cos(config.alpha), math.sin(config.alpha)
+    x, y, z = bloch[cycle].tolist()
+    for m, rotate_and_flip in zip(range(cycle + 1, last + 1, 2),
+                                  itertools.cycle(pairs.values())):
+        y, z = y * c - z * s, y * s + z * c
+        bloch[m] = x, y, z
+        if m == last:
+            apply_head_rotation(state, config.alpha)
+            break
+        cross = rotate_and_flip()
+        if (m + 1) % cycle:
+            x, y = 2.0 * cross.real, -2.0 * cross.imag
+        else:
+            x, y, z = head_bloch(state)
+            drift = _check_norm(state.norm_sq(), m + 1, drift)
+        bloch[m + 1] = x, y, z
+    if last % cycle:
+        drift = _check_norm(state.norm_sq(), last, drift)
+    return drift
+
+
+class StepwiseRecursion(HeadRecursion):
+    """HeadRecursion with its tables filled one step at a time: each
+    step's place in the cycle computed afresh and the two steps before it
+    read back from the table, as the package did before it walked whole
+    cycles; the package must equal it bit for bit."""
+
+    def _extend(self, ys, zs, size, m_max):
+        y1, z1 = self.y1, self.z1
+        cycle = 2 * size
+        below = self._tables.get(size - 2)
+        for m in range(len(ys), m_max + 1):
+            n = (m - 1) % cycle + 1
+            p = (m - 1) // cycle + 1
+            ym1, zm1 = ys[m - 1], zs[m - 1]
+            if n % 2:
+                y = -y1 * zm1 - z1 * ym1
+                z = -z1 * zm1 + y1 * ym1
+            else:
+                z = -z1 * zs[m - 2] + y1 * ys[m - 2]
+                if n != cycle:
+                    z_ref = -1.0 if below is None else below[1][m - 4 * p + 2]
+                    y = ym1 + y1 * z_ref
+                elif p % 2:
+                    y = ym1 - y1 * (-z1) ** (size - 1)
+                else:
+                    y = ym1
+            ys.append(y)
+            zs.append(z)
 
 
 def integer_angles(pattern, steps):

@@ -174,35 +174,34 @@ def _record_kernel_sizes(monkeypatch, calls=None):
 
 
 def _record_pairs(monkeypatch, calls):
-    """Append ("bind", amplitude count) to calls for every pair_kernels
-    call, and (mu, c, s, amplitude count) for every call of a pair it
-    returned, in call order."""
+    """Append ("bind", amplitude count, c, s) to calls for every
+    pair_kernels call, and (mu, amplitude count) for every call of a pair
+    it returned, in call order."""
     pair_kernels = qtm.kernels.pair_kernels
 
-    def recorded(amps, variant):
-        calls.append(("bind", amps.size))
+    def recorded(amps, variant, c, s):
+        calls.append(("bind", amps.size, c, s))
 
         def wrap(mu, pair):
-            def rotate_and_flip(c, s):
-                calls.append((mu, c, s, amps.size))
-                return pair(c, s)
+            def rotate_and_flip():
+                calls.append((mu, amps.size))
+                return pair()
             return rotate_and_flip
 
         return {mu: wrap(mu, pair)
-                for mu, pair in pair_kernels(amps, variant).items()}
+                for mu, pair in pair_kernels(amps, variant, c, s).items()}
 
     monkeypatch.setattr(qtm.kernels, "pair_kernels", recorded)
 
 
 def _later_pairs(num, alpha, steps):
     """What _record_pairs records for a run of steps > 2M steps on M = num
-    tape spins: one bind of the full state, then one pair per rotation and
-    flip after the first cycle, mu in schedule order with the cos and sin
-    of half of alpha."""
+    tape spins: one bind of the full state to the cos and sin of half of
+    alpha, then one pair per rotation and flip after the first cycle, mu
+    in schedule order."""
     size = 2 ** (num + 1)
-    return [("bind", size)] + [
-        (k % num + 1, *rotation_coefficients(alpha), size)
-        for k in range((steps - 2 * num) // 2)]
+    return [("bind", size, *rotation_coefficients(alpha))] + [
+        (k % num + 1, size) for k in range((steps - 2 * num) // 2)]
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
@@ -333,6 +332,25 @@ def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
     assert calls == want + _later_pairs(num, alpha, steps) + [(alpha,)]
 
 
+@pytest.mark.parametrize("variant", ["x", "iy"])
+@pytest.mark.parametrize("num", [6, 7, 8, 9])
+def test_pairs_fill_the_scalar_carrys_bits(monkeypatch, num, variant):
+    # after the pairs, _run_pairs fills the carried Bloch vector by
+    # columns: the bits and the norm drift of a step-by-step carry, for
+    # runs that end on a rotation, inside a cycle and on a cycle end
+    for steps in (2 * num + 1, 4 * num - 1, 4 * num, 4 * num + 1,
+                  6 * num + 3, 3000):
+        cfg = MachineConfig(num, (0.7, 1.9, ALPHA)[num % 3], phi0=1.1,
+                            variant=variant, initial=("+-01" * 3)[:num],
+                            steps=steps)
+        traj = run(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(qtm.engine, "_run_pairs", helpers.scalar_carry_pairs)
+            want = run(cfg)
+        assert traj.bloch.tobytes() == want.bloch.tobytes()
+        assert traj.norm_drift == want.norm_drift
+
+
 def test_run_refuses_a_state_larger_than_memory(monkeypatch):
     # a 1-step run never builds the M=16 state, but the guard counts the
     # full state, the half-size one it grows from, and two blocks each of
@@ -343,11 +361,16 @@ def test_run_refuses_a_state_larger_than_memory(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
-@pytest.mark.parametrize("num", [10, 14, 16])
-def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, variant):
+@pytest.mark.parametrize("num, steps", [
+    pytest.param(10, 60, id="10"), pytest.param(14, 84, id="14"),
+    pytest.param(16, 96, id="16"), (8, 20000)])
+def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, steps,
+                                                 variant):
     # the guard's estimate is at least the traced peak of a three-cycle
     # run: a one-block state (M=10, 14) and a blocked one (M=16). Below
-    # M=10 the peak is the guard's own read of /proc/meminfo, about 10 KiB
+    # M=10 a short run's peak is the guard's own read of /proc/meminfo,
+    # about 10 KiB; a long one at M=8 holds the trajectory and the
+    # temporaries of its column fill
     needs = []
     check_fits = qtm.engine.check_fits
 
@@ -358,8 +381,7 @@ def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, variant):
     monkeypatch.setattr(qtm.engine, "check_fits", recorded)
     tracemalloc.start()
     try:
-        run(MachineConfig.uniform(num, ALPHA, variant=variant,
-                                  steps=3 * 2 * num))
+        run(MachineConfig.uniform(num, ALPHA, variant=variant, steps=steps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -456,10 +478,10 @@ def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, num, steps,
     # check at its end too, or at the end of a last partial cycle
     pair_kernels = qtm.kernels.pair_kernels
 
-    def broken(amps, variant):
+    def broken(amps, variant, c, s):
         def wrap(pair):
-            def rotate_and_flip(c, s):
-                cross = pair(c, s)
+            def rotate_and_flip():
+                cross = pair()
                 if fault == "leak":
                     np.multiply(amps, 1.0 + 1e-13, out=amps)
                 else:
@@ -468,7 +490,7 @@ def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, num, steps,
             return rotate_and_flip
 
         return {mu: wrap(pair)
-                for mu, pair in pair_kernels(amps, variant).items()}
+                for mu, pair in pair_kernels(amps, variant, c, s).items()}
 
     monkeypatch.setattr(qtm.kernels, "pair_kernels", broken)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):

@@ -174,12 +174,13 @@ def test_pairs_equal_rotate_then_flip(request, monkeypatch, backend, variant):
     for nbits in SIZES:
         amps = _state_with_signed_zeros(nbits, rng)
         want = amps.copy()
-        pair = kernels.pair_kernels(amps, variant)
-        assert list(pair) == list(range(1, nbits))
+        # one bind per angle, both on amps
+        coefs = [(math.cos(angle), math.sin(angle)) for angle in (0.9, -2.3)]
+        pairs = [kernels.pair_kernels(amps, variant, *cs) for cs in coefs]
+        assert all(list(pair) == list(range(1, nbits)) for pair in pairs)
         for mu in [*range(1, nbits), *range(nbits - 1, 0, -1)]:
-            angle = (0.9, -2.3)[mu % 2]
-            c, s = math.cos(angle), math.sin(angle)
-            cross = pair[mu](c, s)
+            c, s = coefs[mu % 2]
+            cross = pairs[mu % 2][mu]()
             _kernels_py.rotate_head(want, c, s)
             flip(want, mu)
             _assert_same_bits(amps, want)
@@ -192,12 +193,13 @@ def test_pairs_are_fused_whenever_the_numpy_kernels_are_bound(monkeypatch):
     # are numpy's; a kernel that is not numpy's gets pairs that look the
     # kernels up by name when called and return the halves' _vdot
     fused = []
-    monkeypatch.setattr(_kernels_py, "pairs",
-                        lambda amps, signed: fused.append((amps.size, signed)))
+    monkeypatch.setattr(_kernels_py, "pairs", lambda amps, signed, c, s: (
+        fused.append((amps.size, signed, c, s))))
     _bind(monkeypatch, _kernels_py)
     for size, variant in ((8, "x"), (BLOCK, "iy"), (4 * BLOCK, "x")):
-        kernels.pair_kernels(np.zeros(size, complex), variant)
-    assert fused == [(8, False), (BLOCK, True), (4 * BLOCK, False)]
+        kernels.pair_kernels(np.zeros(size, complex), variant, 0.6, 0.8)
+    assert fused == [(8, False, 0.6, 0.8), (BLOCK, True, 0.6, 0.8),
+                     (4 * BLOCK, False, 0.6, 0.8)]
     calls = []
 
     def recorded(name):
@@ -207,9 +209,9 @@ def test_pairs_are_fused_whenever_the_numpy_kernels_are_bound(monkeypatch):
 
     monkeypatch.setattr(kernels, "cnot_flip", recorded("cnot_flip"))
     amps = np.array([0.5, 0, 0.5j, 0, 0.5, 0, 0.5, 0])
-    pair = kernels.pair_kernels(amps, "x")
+    pair = kernels.pair_kernels(amps, "x", 0.6, 0.8)
     monkeypatch.setattr(kernels, "rotate_head", recorded("rotate_head"))
-    cross = pair[2](0.6, 0.8)
+    cross = pair[2]()
     assert len(fused) == 3
     assert calls == [("rotate_head", 8, 0.6, 0.8), ("cnot_flip", 8, 2)]
     assert cross == _vdot(amps[:4], amps[4:]) == 0.25 - 0.25j
@@ -226,7 +228,7 @@ def test_pair_scratch_is_two_blocks_on_a_cache_line(monkeypatch):
 
     monkeypatch.setattr(_kernels_py, "aligned_empty", recorded)
     for size in (8, BLOCK, 4 * BLOCK):
-        _kernels_py.pairs(np.zeros(size, complex), size == BLOCK)
+        _kernels_py.pairs(np.zeros(size, complex), size == BLOCK, 0.6, 0.8)
     assert [a.shape for a in made] == [(2, 4), (2, BLOCK // 2),
                                        (2, BLOCK // 2)]
     assert all(a.ctypes.data % 64 == 0 for a in made)

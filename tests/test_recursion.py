@@ -64,6 +64,20 @@ def test_query_order_does_not_matter():
     np.testing.assert_array_equal(far, b.trajectory(500, 4))
 
 
+@pytest.mark.parametrize("alpha", [ALPHA, 0.7, -2.5, -0.0])
+@pytest.mark.parametrize("num", range(1, 9))
+def test_cycle_walk_equals_the_step_by_step_table(num, alpha):
+    # the tables are filled a cycle at a time: the bits of a step-by-step
+    # fill, for one table extended from inside a cycle, from a cycle's
+    # end and past a shorter query, and for a fresh one
+    rec, ref = HeadRecursion(alpha), helpers.StepwiseRecursion(alpha)
+    for steps in (0, 2 * num + 3, 3 * num + 3, 4 * num, 7, 3000):
+        assert (rec.trajectory(steps, num).tobytes()
+                == ref.trajectory(steps, num).tobytes())
+    assert (HeadRecursion(alpha).trajectory(3000, num).tobytes()
+            == ref.trajectory(3000, num).tobytes())
+
+
 def test_points_stay_inside_the_disc():
     rec = HeadRecursion(ALPHA)
     traj = rec.trajectory(2000, 5)
