@@ -16,10 +16,15 @@ end-to-end rows follow: engine.run at M=8 over 20,000 steps per backend
 (its first cycle gate by gate, the rest in rotate-and-flip pairs), in
 steps/s, and the writers: CSV and JSON on its 20,001-row trajectory and
 on its first 101 rows, where a call's fixed cost shows, and the spectrum
-CSV of its first 4,096 rows. Last, a census row at M=12 and M=14:
+CSV of its first 4,096 rows. Then a census row at M=12 and M=14:
 primitives.period_census over CENSUS_CYCLES cycles and io.write_census on
 its periods, the two halves of classify --all, each with its best time
-and the minor page faults (ru_minflt) of each call.
+and the minor page faults (ru_minflt) of each call. Last, a windows row
+per backend at M=2-5: engine.run over WINDOW_STEPS steps on the cycle
+matrix path, split into the build of U (_cycle_matrix), the replay of the
+gates over the stacked cycle starts (_replay) and the chain (the rest of
+_run_windows: U^R's squarings and the extended-precision products of
+every R-th cycle start), with R.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
@@ -34,7 +39,7 @@ import time
 
 import numpy as np
 
-from qtm import MachineConfig, analysis, io, kernels, primitives, run
+from qtm import MachineConfig, analysis, engine, io, kernels, primitives, run
 from qtm.engine import Trajectory
 from qtm.kernels import available_backends
 from qtm.state import StateVector, head_cross, make_product_state
@@ -44,6 +49,7 @@ LOOP_STEPS = 20000
 WIDE_ROWS = 101  # perfbench's wide_tape runs write 21 and 101 rows
 SPECTRUM_ROWS = 4096  # as perfbench's long_horizon spectrum
 CENSUS_CYCLES = 200
+WINDOW_STEPS = 20000  # as perfbench's long_horizon runs at M = 3 and 4
 
 
 def bench_backend(mod, num_tape_spins, repeats):
@@ -230,6 +236,49 @@ def bench_census(num_tape_spins, repeats):
     return tuple(best), faults
 
 
+def bench_windows(mod, num_tape_spins, repeats):
+    """(R, {phase: best time}) of engine.run at M=num_tape_spins <= 5 on a
+    mixed tape over WINDOW_STEPS steps with mod's kernels: the whole run,
+    and within it U's build (_cycle_matrix), the replay (_replay) and the
+    chain, the rest of _run_windows."""
+    cfg = MachineConfig(num_tape_spins, math.pi / math.sqrt(3.0), phi0=0.3,
+                        initial=("+-01" * 2)[:num_tape_spins],
+                        steps=WINDOW_STEPS)
+    names = ("_run_windows", "_cycle_matrix", "_replay")
+    saved = {name: getattr(engine, name) for name in names}
+    spent = {}
+
+    def timed(name):
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return saved[name](*args)
+            finally:
+                spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+        return call
+
+    best = {}
+    try:
+        for name in names:
+            setattr(engine, name, timed(name))
+        with bound(mod):
+            for _ in range(repeats):
+                spent.clear()
+                t0 = time.perf_counter()
+                run(cfg)
+                phases = {"run": time.perf_counter() - t0,
+                          "U": spent["_cycle_matrix"],
+                          "chain": spent["_run_windows"]
+                          - spent["_cycle_matrix"] - spent["_replay"],
+                          "replay": spent["_replay"]}
+                for phase, took in phases.items():
+                    best[phase] = min(best.get(phase, math.inf), took)
+    finally:
+        for name, fn in saved.items():
+            setattr(engine, name, fn)
+    return engine._windows_schedule(cfg)[2], best
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-tape-size", type=int, default=20)
@@ -297,6 +346,14 @@ def main():
         print(f"  M={m}: period_census {census_s * 1e3:7.1f} ms "
               f"(faults {faults[0]})   write_census {write_s * 1e3:6.1f} ms "
               f"(faults {faults[1]})")
+    print(f"\nwindows path, engine.run over {WINDOW_STEPS:,} steps: U's "
+          "build, the chain of every R-th cycle start, the replay")
+    for m in range(2, 6):
+        for name, mod in backends.items():
+            every, best = bench_windows(mod, m, args.repeats)
+            print(f"  M={m} {name:>8}: R={every:<3} "
+                  + "   ".join(f"{phase} {took * 1e3:6.2f} ms"
+                               for phase, took in best.items()))
     if unequal:
         raise SystemExit("pairs and rotate+flip+head_cross differ in bits: "
                          + ", ".join(unequal))

@@ -87,6 +87,17 @@ def _flip_view(amps, mu):
 # copy); the signed flip swaps each block through a copy of one run,
 # negated on the way. Neither rounds, so the blocking moves no bit.
 
+def _reals(v):
+    """v, a complex view whose last axis is contiguous, as the real and
+    imaginary parts it holds, of v's own precision (longdouble for
+    _cycle_matrix's clongdouble): numpy 2.4 negates complex128 2-4.5x
+    slower than the same memory as float64, with the same bits. Runs of
+    one amplitude stay complex: numpy walks them in one strided loop, but
+    their real views in loops of two, 1.7-2.4x slower (spin 1 of a state
+    of 2**19 amplitudes, and of a 256-state stack at M=4)."""
+    return v if v.shape[-1] == 1 else v.view(v.real.dtype)
+
+
 def cnot_flip(amps, mu):
     # swap the runs of every head-0 half that differ in spin mu
     for b in _blocks(_flip_view(amps, mu)):
@@ -97,7 +108,7 @@ def cnot_signed_flip(amps, mu):
     # signed variant: (t0, t1) -> (-t1, t0) on the head-0 half
     for b in _blocks(_flip_view(amps, mu)):
         t = b[:, :, 0].copy()
-        np.negative(b[:, :, 1], out=b[:, :, 0])
+        np.negative(_reals(b[:, :, 1]), out=_reals(b[:, :, 0]))
         b[:, :, 1] = t
 
 
@@ -116,9 +127,10 @@ def pairs(amps, signed, c, s):
     five ufunc calls while the block is in cache, leaving the new a1 in
     place and the new a0 in scratch, and writes the new a0 from scratch
     straight to its flipped place (for the signed flip, negating the run
-    that lands on bit 0). Once a block is final it takes np.vdot of each
-    REDUCE_BLOCK-sized chunk of (a0, a1), and the pair adds those sums in
-    chunk order starting from 0j, as state._vdot does.
+    that lands on bit 0 as its real and imaginary parts). Once a block is
+    final it takes np.vdot of each REDUCE_BLOCK-sized chunk of (a0, a1),
+    and the pair adds those sums in chunk order starting from 0j, as
+    state._vdot does.
 
     Scratch is two blocks, as rotate_head's is: a partner pair forms its
     second block's head-1 products in the first block's head-0 stretch,
@@ -148,7 +160,7 @@ def pairs(amps, signed, c, s):
         # tape bit on axis 1, in moves (from, to)
         if not signed:
             return rotations, (), ((src[:, ::-1], dst),), parts
-        return (rotations, ((src[:, 1], dst[:, 0]),),
+        return (rotations, ((_reals(src[:, 1]), _reals(dst[:, 0])),),
                 ((src[:, 0], dst[:, 1]),), parts)
 
     def jobs(mu):

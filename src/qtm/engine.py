@@ -138,9 +138,12 @@ def run(config: MachineConfig) -> Trajectory:
 
     A run longer than one cycle steps this way through its first cycle
     only. On a small tape, whose cycle matrix of 4**(M+1) entries fits in
-    REDUCE_BLOCK (M <= 5), it goes on in windows of cycles (_run_windows),
-    and on a larger one in rotate-and-flip pairs (_run_pairs), whose
-    carried Bloch vectors are filled in by columns after the last pair.
+    REDUCE_BLOCK (M <= 5), it goes on in windows of cycles (_run_windows):
+    every R-th cycle start is chained in extended precision by U^R, and
+    the gates replay R cycles from each, R >= 1 set by a rounding bound
+    and the window size. On a larger tape it goes on in rotate-and-flip
+    pairs (_run_pairs), whose carried Bloch vectors are filled in by
+    columns after the last pair.
 
     The state norm is checked at the end of every cycle (and after a final
     partial cycle, and at every cycle start a window chains); drift beyond
@@ -154,14 +157,15 @@ def run(config: MachineConfig) -> Trajectory:
     # grows from (check_state_fits), the scratch of its pairs and the
     # temporaries of a rotation, each min(size, BLOCK) of them (a two-block
     # scratch, or the two half states of a one-block rotation); then a
-    # trajectory row of 3 doubles per step and, where _run_pairs runs, the
-    # temporaries of its column fill, three doubles per cycle
+    # trajectory row of 3 doubles per step and what the path after the
+    # first cycle holds: the matrices and the stack of _run_windows, or the
+    # temporaries of _run_pairs' column fill, three doubles per cycle
     size = 2 ** (num + 1)
     held = size + size // 2 + 2 * min(size, _kernels_py.BLOCK)
     windows = 4 ** (num + 1) <= REDUCE_BLOCK
-    doubles = 3 * (config.steps + 1) + (
-        0 if windows else 3 * (config.steps // (2 * num)))
-    check_fits(16 * held + 8 * doubles,
+    later = (_windows_bytes(config, size) if windows
+             else 24 * (config.steps // (2 * num)))
+    check_fits(16 * held + 24 * (config.steps + 1) + later,
                f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
@@ -254,38 +258,132 @@ def _run_windows(config, state, bloch, drift):
     """Steps 2M+1 onwards of a small-tape run, from the full state at the
     end of the first cycle; returns the norm drift.
 
-    Every cycle applies the same unitary U, so each cycle start is U times
-    the one before. The starts are chained in extended precision
-    (_cycle_matrix) and rounded to double one by one. A window stacks up to
-    REDUCE_BLOCK // 2**(M+1) of them, and the gates replay the cycle over
-    the whole stack at once, one kernel call per step, with the head Bloch
-    vector of every row reduced after each step. The last row's replay
-    stops at the run's last step. U is built only when a window holds more
-    than one start.
+    Every cycle applies the same unitary U, so the start of cycle k + R is
+    U^R times the start of cycle k. Every R-th cycle start, from cycle 1
+    on, is chained in extended precision and rounded to double one by
+    one: psi_1 is the state, psi_(1+jR) = U^R psi_(1+(j-1)R), with U built
+    by _cycle_matrix and U^R by squaring it in extended precision. A window
+    stacks up to REDUCE_BLOCK // 2**(M+1) chained starts, and the gates
+    replay R cycles over the whole stack at once, one kernel call per step,
+    with the head Bloch vector of every row reduced after each step. The
+    last row's replay stops at the run's last step.
 
-    The norm guard checks every chained start, the state its replayed
-    cycle starts from, and every replayed row where its replay ends: at
-    the end of its cycle, or at the run's last step.
+    Rounding. The extended chain and the one rounding of each start to
+    double are as for R = 1. The replay is what R changes: a row runs R*M
+    rotations in double from its start, each rounding every real component
+    once per product and once per sum, |err| <= sqrt(2) gamma_2 of the
+    row's norm (as _cycle_matrix derives); the flips are exact. The
+    rotations' double cos and sin scale norm² by q = c² + s² each, so the
+    replayed row is q^(RM/2) times the unitary evolution of its start. A
+    Bloch component or the norm² of a row, quadratic in the amplitudes, is
+    therefore off the exact evolution of its chained start by at most
+
+        eps(R) = 2 R M sqrt(2) gamma_2 + |q^(RM) - 1|
+
+    to first order (_replay_bound), on top of the rounding the start and
+    the reduction carry at R = 1. R is the largest power of two for which
+
+    - eps(R) <= NORM_TOL / 2: the replay takes at most half of the norm
+      guard, and leaves the other half to its chained start; and
+    - R * window <= 2 * starts: the first window is at least half full.
+      The stack keeps its height, so a full window replays R * window
+      cycles in R * 2M kernel calls, as many per cycle as at R = 1, and
+      the kernels of a half-full one work on half as many amplitudes per
+      call. This also pays for U^R: its log2(R) squarings cost
+      log2(R) 8**(M+1) extended multiply-adds, no more than the
+      (1 - 1/R) starts 4**(M+1) >= (R - 1) window 4**(M+1) / 2 the chain
+      saves, as 2**(M+1) <= window / 2 for M <= 5 and log2(R) <= R - 1.
+
+    So a run of fewer than one window of cycle starts chains every one, as
+    R = 1 always did, with its bits; so does any run of at most R + 1
+    cycles. U is built only when the run chains a second start.
+
+    The norm guard checks every chained start, and every replayed row at
+    every cycle end of its R cycles, or at the run's last step. A window's
+    failures are gathered and the one at the earliest step raises, once
+    the window is replayed: the rows' checks after one step of the replay
+    lie R cycles apart, so in check order a later row would come first.
     """
     cycle = 2 * config.num_tape_spins
     size = state.amplitudes.size
-    starts = (config.steps - 1) // cycle  # cycle k starts at step k * cycle
-    window = REDUCE_BLOCK // size
-    if starts > 1:
-        unitary = _cycle_matrix(config, size)
+    starts, window, every = _windows_schedule(config)
+    chained = range(1, starts + 1, every)
+    if len(chained) > 1:
+        leap = _cycle_matrix(config, size)
+        for _ in range(every.bit_length() - 1):
+            # numpy's dot loop, like the chain's: matmul gives the same
+            # bits in twice the time (64 x 64, clongdouble)
+            leap = np.dot(leap, leap)
     psi = state.amplitudes.astype(np.clongdouble)
-    for k0 in range(1, starts + 1, window):
-        stack = np.empty((min(window, starts + 1 - k0), size), dtype=complex)
-        for k, row in enumerate(stack, k0):
+    stack = np.empty((min(window, len(chained)), size), dtype=complex)
+    for i in range(0, len(chained), window):
+        ks = chained[i:i + window]
+        rows = stack[:len(ks)]
+        for k, row in zip(ks, rows):
             if k > 1:
-                psi = np.dot(psi, unitary)
+                psi = np.dot(psi, leap)
             row[:] = psi
-        at = (k0 + np.arange(len(stack))) * cycle
-        drift = _check_norms(norm_sq_rows(stack), at, drift)
-        _replay(config, stack, k0 * cycle, bloch)
-        drift = _check_norms(norm_sq_rows(stack),
-                             np.minimum(at + cycle, config.steps), drift)
+        at = np.array(ks) * cycle
+        faults = []
+        drift = _check_norms(norm_sq_rows(rows), at, drift, faults)
+        drift = _replay(config, rows, every, at[0], bloch, drift, faults)
+        if faults:
+            step, norm_sq = min(faults)
+            _check_norm(norm_sq, step, drift)  # raises
     return drift
+
+
+def _windows_schedule(config):
+    """(starts, window, R) of _run_windows: the cycle starts after the
+    first one (cycle k starts at step k * 2M), the rows a window stacks,
+    and R (_chain_every)."""
+    starts = (config.steps - 1) // (2 * config.num_tape_spins)
+    window = REDUCE_BLOCK // 2 ** (config.num_tape_spins + 1)
+    return starts, window, _chain_every(config, starts, window)
+
+
+def _chain_every(config, starts, window):
+    """R of _run_windows: the largest power of two whose replay bound
+    stays within NORM_TOL / 2 and whose first window of `starts` cycle
+    starts is at least half full."""
+    every = 1
+    while (every * window <= starts
+           and _replay_bound(config, 2 * every) <= NORM_TOL / 2):
+        every *= 2
+    return every
+
+
+def _replay_bound(config, cycles):
+    """eps of _run_windows: what `cycles` cycles replayed in double add, to
+    first order, to a Bloch component or the norm² of a row, 2 R M sqrt(2)
+    gamma_2 + |q^(RM) - 1| with q = c² + s² in extended precision."""
+    rotations = cycles * config.num_tape_spins
+    c, s = (np.longdouble(v) for v in rotation_coefficients(config.alpha))
+    growth = abs(float((c * c + s * s) ** rotations - 1))
+    return 2.0 * rotations * math.sqrt(2.0) * _gamma2(float) + growth
+
+
+def _windows_bytes(config, size):
+    """Bytes _run_windows holds at once beyond the state and the
+    trajectory: the larger of what building U^R and what replaying takes.
+
+    The build holds four extended matrices of size² entries (measured:
+    3.5 at M=5): _cycle_matrix's exact product and the images of the basis
+    states (half of one), the images cast to extended precision, their
+    difference and its absolute values (half of one), or the exact product
+    and its scaled copy; squaring holds two. The replay holds U^R, the
+    extended chained start, the stack, and temporaries of two stacks: the
+    one-block rotate_head's two half stacks, or head_bloch_rows' two conj
+    copies (norm_sq_rows' one conj copy is a stack), plus ten doubles of
+    per-row sums and step numbers."""
+    starts, window, every = _windows_schedule(config)
+    if starts < 1:
+        return 0
+    rows = min(window, -(-starts // every))
+    extended = np.dtype(np.clongdouble).itemsize
+    matrix = extended * size * size if starts > every else 0  # U is built
+    replay = matrix + extended * size + 3 * 16 * rows * size + 80 * rows
+    return max(4 * matrix, replay)
 
 
 def _cycle_matrix(config, size):
@@ -339,24 +437,36 @@ def _gamma2(dtype):
     return 2.0 * u / (1.0 - 2.0 * u)
 
 
-def _replay(config, stack, first, bloch):
-    """Run one cycle on every row of stack, row k starting at step
-    first + k * cycle, and record the head after each step; the last row
-    stops at the run's last step."""
+def _replay(config, stack, every, first, bloch, drift, faults):
+    """Run `every` cycles on every row of stack, row i starting at step
+    first + i * every * cycle, and record the head after each step; the
+    last row stops at the run's last step. The norm of every row is
+    checked at each of its cycle ends and where it stops, a failure
+    appended to `faults`; returns the norm drift."""
     cycle = 2 * config.num_tape_spins
+    span = every * cycle
     rows = len(stack)
-    last_n = len(bloch) - 1 - first - (rows - 1) * cycle
-    for n in range(1, cycle + 1):
-        active = rows if n <= last_n else rows - 1
+    last_t = len(bloch) - 1 - first - (rows - 1) * span
+    for t in range(1, span + 1):
+        active = rows if t <= last_t else rows - 1
         if not active:
             break
+        n = (t - 1) % cycle + 1
         states = StateVector(config.num_tape_spins, stack[:active])
         if n % 2:
             apply_head_rotation(states, config.alpha)
         else:
             apply_qcnot(states, n // 2, config.variant)
-        bloch[first + n:first + n + active * cycle:cycle] = head_bloch_rows(
+        bloch[first + t:first + t + active * span:span] = head_bloch_rows(
             stack[:active])
+        if n == cycle:
+            drift = _check_norms(norm_sq_rows(stack[:active]),
+                                 first + t + span * np.arange(active), drift,
+                                 faults)
+        elif t == last_t:
+            drift = _check_norms(norm_sq_rows(stack[-1:]), [len(bloch) - 1],
+                                 drift, faults)
+    return drift
 
 
 def _check_norm(norm_sq, m, drift):
@@ -369,12 +479,18 @@ def _check_norm(norm_sq, m, drift):
     return max(drift, abs(dev))
 
 
-def _check_norms(norm_sq, steps, drift):
+def _check_norms(norm_sq, steps, drift, faults):
     """_check_norm for the states whose norms² norm_sq are taken at steps
-    `steps`; the first that fails raises."""
+    `steps`, without its raise: if any fails, the one at the earliest step
+    is appended to `faults` as (step, norm²), for _run_windows to raise
+    the earliest of its window; returns the norm drift."""
     dev = np.abs(norm_sq - 1.0)
     bad = np.flatnonzero(~(dev <= NORM_TOL))
-    i = bad[0] if bad.size else np.argmax(dev)
+    if bad.size:
+        i = bad[np.argmin(np.take(steps, bad))]
+        faults.append((int(steps[i]), float(norm_sq[i])))
+        return drift
+    i = np.argmax(dev)
     return _check_norm(float(norm_sq[i]), int(steps[i]), drift)
 
 

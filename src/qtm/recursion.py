@@ -23,7 +23,8 @@ m = n + 2M(p-1) as in the engine schedule:
 The cross reference to tape size M-2 makes a single flat table insufficient;
 tables for M, M-2, M-4, ... are filled together, smallest first, so every
 lookup lands on an already computed row. m' = (n-2) + (2M-4)(p-1) stays
-nonnegative, so the seeds plus the size-0 base cover everything.
+nonnegative, so the seeds plus the size-0 base cover everything, and below
+m, so each smaller table is filled only as far as the size above reads it.
 
 Cost is O(m * M) scalars for a trajectory of m steps, independent of 2**M.
 """
@@ -79,11 +80,18 @@ class HeadRecursion:
         return bloch
 
     def _fill(self, num_tape_spins: int, m_max: int) -> None:
-        sizes = list(range(num_tape_spins, 0, -2))  # M, M-2, ..., down to 1 or 2
-        for size in reversed(sizes):
+        # each table of sizes M, M-2, ..., down to 1 or 2, only as far as
+        # the size above reads it: _extend walks size s to m_max in cycles
+        # p up to (m_max - 2) // 2s + 1, and cycle p reads size s-2 up to
+        # row (p - 1) 2s - 4p + 2s = p (2s - 4)
+        needs = []
+        for size in range(num_tape_spins, 0, -2):
+            needs.append((size, m_max))
+            m_max = ((m_max - 2) // (2 * size) + 1) * (2 * size - 4)
+        for size, need in reversed(needs):
             ys, zs = self._tables.setdefault(
                 size, (array("d", (0.0, self.y1)), array("d", (-1.0, self.z1))))
-            self._extend(ys, zs, size, m_max)
+            self._extend(ys, zs, size, need)
 
     def _extend(self, ys, zs, size, m_max):
         # Whole cycles, each shifted by one step: cycle p's flips n = 2,

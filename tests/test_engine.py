@@ -292,6 +292,78 @@ def test_fused_run_builds_u_once_and_replays_one_window(monkeypatch):
     assert sizes == [64] * 10 + [64 * 64] * 10 + [4 * 64] * 10
 
 
+def test_every_second_start_replays_two_cycles(monkeypatch):
+    # 128 cycle starts after the first cycle at M=5 fill one window of 128
+    # at R = 1, so R = 2: the first cycle on the state, U built on the 64
+    # basis states (and squared without a kernel call), then one window of
+    # the 64 starts of cycles 1, 3, ..., 127, replayed for two cycles each
+    assert qtm.engine._chain_every(MachineConfig(5, ALPHA, steps=1290),
+                                   128, FUSED_WINDOW) == 2
+    sizes = _record_kernel_sizes(monkeypatch)
+    run(MachineConfig(5, ALPHA, initial=_amplitude_tape(5), steps=1290))
+    assert sizes == [64] * 10 + [64 * 64] * 10 + [64 * 64] * 20
+
+
+@pytest.mark.parametrize("num, steps, every", [
+    # fewer cycle starts than a window holds: every start is chained
+    (3, 6 * 512, 1), (5, 10 * 128, 1), (1, 2 * 2048, 1),
+    # from one window of starts on, R doubles while the first window
+    # stays at least half full
+    (3, 6 * 513, 2), (3, 20000, 8), (4, 20000, 16), (5, 20000, 16),
+    (1, 20000, 8),
+    # 300,000 steps at M=5 would fill half a window at R=256, but its
+    # replay bound, 8.0e-13, is past NORM_TOL / 2
+    (5, 300000, 128)])
+def test_chained_starts_follow_the_rule(num, steps, every):
+    cfg = MachineConfig(num, ALPHA, steps=steps)
+    starts = (steps - 1) // (2 * num)
+    window = REDUCE_BLOCK // 2 ** (num + 1)
+    assert qtm.engine._chain_every(cfg, starts, window) == every
+    assert qtm.engine._replay_bound(cfg, every) <= qtm.engine.NORM_TOL / 2
+    assert (every * window > starts
+            or qtm.engine._replay_bound(cfg, 2 * every)
+            > qtm.engine.NORM_TOL / 2)
+
+
+# the largest disagreement between the windows path and the recursion
+# over 300,000 steps on the all-zeros tape when every cycle start was
+# chained (R = 1)
+CHAINED_EVERY_START = {3: 2.0e-12, 5: 1.5e-12}
+
+
+@pytest.mark.parametrize("num, steps, variant, tape", [
+    (3, 300000, "x", "zeros"), (5, 300000, "x", "zeros"),
+    (4, 20000, "iy", "+-01")])
+def test_windows_path_keeps_its_replay_bound(monkeypatch, num, steps,
+                                              variant, tape):
+    # against the same run with every cycle start chained (R = 1), a run
+    # that chains every R-th start is off by at most the two replays'
+    # bounds, and against the recursion or the dense oracle by that much
+    # more than R = 1 is
+    cfg = MachineConfig(num, ALPHA, phi0=0.0 if tape == "zeros" else 1.234567,
+                        variant=variant, initial=tape, steps=steps)
+    every = qtm.engine._chain_every(cfg, (steps - 1) // (2 * num),
+                                    REDUCE_BLOCK // 2 ** (num + 1))
+    assert every > 1
+    traj = run(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(qtm.engine, "_chain_every", lambda *args: 1)
+        chained = run(cfg)
+    bound = (qtm.engine._replay_bound(cfg, every)
+             + qtm.engine._replay_bound(cfg, 1))
+    assert np.abs(traj.bloch - chained.bloch).max() <= bound
+    assert traj.norm_drift <= qtm.engine.NORM_TOL
+    if variant == "x":
+        ref = recursion.run(cfg).bloch
+        limit = 2 * CHAINED_EVERY_START[num]
+    else:
+        ref = helpers.dense_run(cfg.phi0, tape, cfg.alpha, steps, variant)
+        limit = 1e-12
+    off = np.abs(traj.bloch - ref).max()
+    assert off <= np.abs(chained.bloch - ref).max() + bound
+    assert off <= limit
+
+
 def test_six_spins_keep_the_loop(monkeypatch):
     # U of M=6 has 4**7 > REDUCE_BLOCK entries: one full-size kernel call
     # per step of the first cycle, then one full-size pair per rotation
@@ -363,14 +435,16 @@ def test_run_refuses_a_state_larger_than_memory(monkeypatch):
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("num, steps", [
     pytest.param(10, 60, id="10"), pytest.param(14, 84, id="14"),
-    pytest.param(16, 96, id="16"), (8, 20000)])
+    pytest.param(16, 96, id="16"), (8, 20000), (3, 20000), (5, 20000),
+    (5, 200000)])
 def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, steps,
                                                  variant):
     # the guard's estimate is at least the traced peak of a three-cycle
     # run: a one-block state (M=10, 14) and a blocked one (M=16). Below
     # M=10 a short run's peak is the guard's own read of /proc/meminfo,
     # about 10 KiB; a long one at M=8 holds the trajectory and the
-    # temporaries of its column fill
+    # temporaries of its column fill, and one at M=3 or 5 the trajectory,
+    # the extended matrices and the stack of its windows
     needs = []
     check_fits = qtm.engine.check_fits
 
@@ -537,18 +611,44 @@ def test_norm_guard_reports_the_signed_deviation(monkeypatch, factor, num,
 ])
 def test_norm_guard_reports_a_later_nan_at_its_cycle_end(monkeypatch, bad_calls,
                                                          row, step):
+    # 123 steps chain all 20 cycle starts (R = 1)
+    _poison_rotations(monkeypatch, 123, {call: row for call in bad_calls},
+                      step)
+
+
+@pytest.mark.parametrize("poisons, step", [
+    # calls 7 and 10 are the first rotations of the two replayed cycles
+    ({7: 4}, 60), ({10: 4}, 66), ({7: 299}, 3600), ({10: 299}, 3603),
+    # row 299's NaN shows at its first cycle end, step 3,600, which the
+    # replay checks before row 4's second cycle end, step 66: the earlier
+    # step is reported
+    ({7: 299, 10: 4}, 66),
+], ids=["row4-cycle1", "row4-cycle2", "row299-cycle1", "row299-stop",
+        "row299-cycle1-and-row4-cycle2"])
+def test_norm_guard_reports_a_nan_at_a_cycle_end_inside_a_replay(
+        monkeypatch, poisons, step):
+    # 3,603 steps chain every second one of 600 cycle starts (R = 2), and
+    # replay two cycles from each: row 4 from step 54, row 299 from step
+    # 3,594 until the run's last step, three steps into its second cycle
+    _poison_rotations(monkeypatch, 3603, poisons, step)
+
+
+def _poison_rotations(monkeypatch, steps, poisons, step):
+    """Run M=3 on +-1 for steps with a NaN written into amplitude 0 of
+    state poisons[call] by each rotation call in poisons (counted from 1),
+    and check that the norm guard reports it by step `step`."""
     rotate = qtm.kernels.rotate_head
     calls = []
 
     def poisoned(amps, c, s):
         rotate(amps, c, s)
         calls.append(amps.size)
-        if len(calls) in bad_calls:  # amplitude 0 of state `row`
-            amps.reshape(-1)[row * 16] = complex("nan")
+        if len(calls) in poisons:
+            amps.reshape(-1)[poisons[len(calls)] * 16] = complex("nan")
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", poisoned)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
-        run(MachineConfig.uniform(3, ALPHA, initial="+-1", steps=123))
+        run(MachineConfig.uniform(3, ALPHA, initial="+-1", steps=steps))
     assert calls[3:6] == [16 * 16] * 3  # U, built on the 16 basis states
 
 

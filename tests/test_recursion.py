@@ -62,6 +62,14 @@ def test_query_order_does_not_matter():
     b_near = b.trajectory(17, 4)
     np.testing.assert_array_equal(a_near, b_near)
     np.testing.assert_array_equal(far, b.trajectory(500, 4))
+    # one instance asked for sizes and horizons in turn, shorter and
+    # longer, sharing lower tables that the earlier queries filled only
+    # as far as they read them, against a fresh instance per query
+    for num, steps in ((8, 500), (6, 20000), (8, 20000), (4, 3), (8, 17),
+                       (7, 999), (5, 301), (5, 30000), (3, 20000), (6, 7),
+                       (2, 30001), (8, 20001)):
+        assert (a.trajectory(steps, num).tobytes()
+                == HeadRecursion(ALPHA).trajectory(steps, num).tobytes())
 
 
 @pytest.mark.parametrize("alpha", [ALPHA, 0.7, -2.5, -0.0])
@@ -88,6 +96,24 @@ def test_internal_tables_follow_the_size_chain():
     rec = HeadRecursion(ALPHA)
     rec.trajectory(2000, 6)
     assert set(rec._tables) == {6, 4, 2}
+
+
+@pytest.mark.parametrize("num, steps, rows", [
+    # size M to steps; cycle p of size s reads size s-2 up to row p (2s - 4),
+    # the last p being (steps - 2) // 2s + 1
+    (8, 20000, {8: 20001, 6: 15001, 4: 10001, 2: 5001}),
+    (3, 20000, {3: 20001, 1: 6669}),
+    (5, 300000, {5: 300001, 3: 180001, 1: 60001}),
+    (7, 13, {7: 14, 5: 11, 3: 7, 1: 3}),
+    # the last cycle is read in full, past the steps asked for
+    (4, 3, {4: 4, 2: 5}),
+    (2, 7, {2: 8}),
+    # the seeds of steps 0 and 1 are always there
+    (6, 0, {6: 2, 4: 2, 2: 2})])
+def test_lower_tables_end_where_the_size_above_reads(num, steps, rows):
+    rec = HeadRecursion(ALPHA)
+    rec.trajectory(steps, num)
+    assert {size: len(ys) for size, (ys, _) in rec._tables.items()} == rows
 
 
 @pytest.mark.parametrize("steps, num", [(10, 0), (10, -2), (-1, 2)])
