@@ -166,8 +166,8 @@ def bench_loop(mod, repeats):
     LOOP_STEPS steps, a run too large for the cycle matrix, with mod's
     kernels: the numpy ones make it take the fused pairs of
     _kernels_py.pairs after its first cycle."""
-    cfg = MachineConfig.uniform(len(LOOP_TAPE), math.pi / math.sqrt(3.0),
-                                initial=LOOP_TAPE, steps=LOOP_STEPS)
+    cfg = MachineConfig(len(LOOP_TAPE), math.pi / math.sqrt(3.0),
+                        initial=LOOP_TAPE, steps=LOOP_STEPS)
     best = math.inf
     with bound(mod):
         for _ in range(repeats):

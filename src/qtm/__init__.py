@@ -9,9 +9,8 @@ analytic periodicity classifier) and cross-checks them against each other.
 
 __version__ = "0.1.0"
 
-from .analysis import (CircleSet, PointSet, Spectrum, distinct_points,
-                       fit_invariant_circles, spectrum)
-from .engine import MachineConfig, Trajectory, run, run_mixed
+from .analysis import CircleSet, Spectrum, fit_invariant_circles, spectrum
+from .engine import MachineConfig, Trajectory, run
 from .errors import (CircleFitError, ConfigurationError,
                      NumericalValidationError, QtmError)
 from .exprs import parse_angle
@@ -20,22 +19,21 @@ from .kernels import BACKEND
 from .primitives import (PeriodicityClass, all_patterns, classify, decompose,
                          detect_period_numeric, evolve_angles, period_census,
                          run_primitive, superpose)
-from .recursion import HeadRecursion, m1_closed_form
+from .recursion import HeadRecursion
 from .state import (BlochVector, StateVector, head_bloch, make_product_state,
-                    make_state, purity)
+                    make_state)
 
 __all__ = [
     "__version__", "BACKEND",
     "BlochVector", "StateVector", "head_bloch", "make_product_state",
-    "make_state", "purity",
+    "make_state",
     "apply_head_rotation", "apply_qcnot",
-    "MachineConfig", "Trajectory", "run", "run_mixed",
+    "MachineConfig", "Trajectory", "run",
     "PeriodicityClass", "all_patterns", "classify", "decompose",
     "detect_period_numeric", "evolve_angles", "period_census",
     "run_primitive", "superpose",
-    "HeadRecursion", "m1_closed_form",
-    "CircleSet", "PointSet", "Spectrum", "distinct_points",
-    "fit_invariant_circles", "spectrum",
+    "HeadRecursion",
+    "CircleSet", "Spectrum", "fit_invariant_circles", "spectrum",
     "parse_angle",
     "QtmError", "ConfigurationError", "NumericalValidationError",
     "CircleFitError",

@@ -24,14 +24,12 @@ RESIDUAL_TOL = 1e-6  # largest miss of a point from its fitted circle
 class CircleSet:
     """A shared-radius family of circles covering a trajectory.
 
-    assignments[i] is the circle index of trajectory point i;
     residues[j] lists the step residues (mod 2 cycles) merged into circle j,
     so a circle that absorbed a coincident partner has more than one entry.
     """
 
     radius: float
     centers: np.ndarray  # shape (k, 2)
-    assignments: np.ndarray  # shape (npoints,)
     residues: list
     residual: float
 
@@ -104,12 +102,10 @@ def fit_invariant_circles(traj, max_circles) -> CircleSet:
     centers = np.array([_refit_center(yz[g], c, radius)
                         for (c, _), g in zip(circles, groups)])
 
-    assignments = np.empty(len(yz), dtype=int)
     worst_val = 0.0
     worst_pts = []
-    for j, g in enumerate(groups):
-        assignments[g] = j
-        err = np.abs(np.hypot(*(yz[g] - centers[j]).T) - radius)
+    for g, center in zip(groups, centers):
+        err = np.abs(np.hypot(*(yz[g] - center).T) - radius)
         k = int(np.argmax(err))
         worst_pts.append((float(err[k]), g[k]))
         worst_val = max(worst_val, float(err[k]))
@@ -124,7 +120,7 @@ def fit_invariant_circles(traj, max_circles) -> CircleSet:
             f"(worst at steps {[m for m, _, _ in offenders]})",
             residual=worst_val, worst=offenders, num_circles=len(groups),
         )
-    return CircleSet(radius, centers, assignments, residues, worst_val)
+    return CircleSet(radius, centers, residues, worst_val)
 
 
 def _refit_center(pts, center, radius):
@@ -174,36 +170,3 @@ def spectrum(traj) -> Spectrum:
         np.abs(np.fft.fft(bloch[:, 1])) * scale,
         np.abs(np.fft.fft(bloch[:, 2])) * scale,
     )
-
-
-@dataclass
-class PointSet:
-    points: np.ndarray  # shape (k, 2), yz plane, in first-visit order
-    counts: np.ndarray  # visits per retained point
-
-
-def distinct_points(traj, tol: float = 1e-9) -> PointSet:
-    """Greedy dedup of the yz trajectory in visit order.
-
-    A point within tol of an already retained point increments that point's
-    count; otherwise it starts a new entry. For a periodic orbit the set
-    stops growing once the orbit has closed, however far the trajectory is
-    extended.
-    """
-    if tol <= 0:
-        raise ConfigurationError("dedup tolerance must be positive")
-    bloch = traj.bloch
-    kept = np.empty((len(bloch), 2))
-    counts = []
-    k = 0
-    for p in bloch[:, 1:]:
-        if k:
-            d = np.hypot(*(kept[:k] - p).T)
-            j = int(np.argmin(d))
-            if d[j] <= tol:
-                counts[j] += 1
-                continue
-        kept[k] = p
-        counts.append(1)
-        k += 1
-    return PointSet(kept[:k].copy(), np.array(counts))

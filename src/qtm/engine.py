@@ -16,7 +16,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +29,13 @@ from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
                     normalize_tape_spec, norm_sq_rows, tape_amplitudes)
 
 NORM_TOL = 1e-12
+
+# _cycle_matrix's extended rotations and its check take U in blocks of
+# rows of at most this many entries (32 KiB). Up to M=4 U is one block, so
+# the build makes no more kernel calls; at M=5 it is four, whose
+# temporaries take 2.5 blocks (80 KiB), where the whole U's took 2 U
+# (256 KiB) on top of U and the images
+_BUILD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,9 @@ class MachineConfig:
 
     @classmethod
     def uniform(cls, *args, **kwargs):
-        """MachineConfig(*args, **kwargs): the same constructor, under the
-        name that scripts and benchmarks call."""
+        """MachineConfig(*args, **kwargs): the same constructor, kept
+        under this name for its one remaining caller,
+        perfbench/test_checks.py."""
         return cls(*args, **kwargs)
 
     def resolved_initial(self):
@@ -159,12 +166,16 @@ def run(config: MachineConfig) -> Trajectory:
     # scratch, or the two half states of a one-block rotation); then a
     # trajectory row of 3 doubles per step and what the path after the
     # first cycle holds: the matrices and the stack of _run_windows, or the
-    # temporaries of _run_pairs' column fill, three doubles per cycle
+    # temporaries of _run_pairs' column fill, three doubles per cycle, and
+    # its pair callables with the views they bind, 1.5 KiB per spin
+    # (tracemalloc of kernels.pair_kernels less its scratch read 0.66-1.28
+    # KB per spin at M = 6-14, either variant; up to 8.4 KB at M = 18,
+    # where the freed half-size state leaves far more room)
     size = 2 ** (num + 1)
     held = size + size // 2 + 2 * min(size, _kernels_py.BLOCK)
     windows = 4 ** (num + 1) <= REDUCE_BLOCK
     later = (_windows_bytes(config, size) if windows
-             else 24 * (config.steps // (2 * num)))
+             else 24 * (config.steps // (2 * num)) + 1536 * num)
     check_fits(16 * held + 24 * (config.steps + 1) + later,
                f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
@@ -367,23 +378,27 @@ def _windows_bytes(config, size):
     """Bytes _run_windows holds at once beyond the state and the
     trajectory: the larger of what building U^R and what replaying takes.
 
-    The build holds four extended matrices of size² entries (measured:
-    3.5 at M=5): _cycle_matrix's exact product and the images of the basis
-    states (half of one), the images cast to extended precision, their
-    difference and its absolute values (half of one), or the exact product
-    and its scaled copy; squaring holds two. The replay holds U^R, the
-    extended chained start, the stack, and temporaries of two stacks: the
-    one-block rotate_head's two half stacks, or head_bloch_rows' two conj
-    copies (norm_sq_rows' one conj copy is a stack), plus ten doubles of
-    per-row sums and step numbers."""
+    The build holds one and a half extended matrices of size² entries,
+    _cycle_matrix's exact product and the images of the basis states in
+    double, and on top of them the larger of the images' rotation
+    temporaries (one more) and those of the extended rotations and the
+    check, which take a block of _BUILD_BLOCK entries at a time: two and
+    a half blocks (measured: 2.52 matrices at M=5, 3.57 at M=4, where the
+    block is the whole matrix). Squaring holds two matrices. The replay
+    holds U^R, the extended chained start, the stack, and temporaries of
+    two stacks: the one-block rotate_head's two half stacks, or
+    head_bloch_rows' two conj copies (norm_sq_rows' one conj copy is a
+    stack), plus ten doubles of per-row sums and step numbers."""
     starts, window, every = _windows_schedule(config)
     if starts < 1:
         return 0
     rows = min(window, -(-starts // every))
     extended = np.dtype(np.clongdouble).itemsize
     matrix = extended * size * size if starts > every else 0  # U is built
+    block = min(matrix, extended * max(size, _BUILD_BLOCK))
+    build = 3 * matrix // 2 + max(matrix, 5 * block // 2)
     replay = matrix + extended * size + 3 * 16 * rows * size + 80 * rows
-    return max(4 * matrix, replay)
+    return max(build, replay)
 
 
 def _cycle_matrix(config, size):
@@ -413,21 +428,27 @@ def _cycle_matrix(config, size):
             else _kernels_py.cnot_signed_flip)
     c, s = (np.longdouble(v) for v in rotation_coefficients(config.alpha))
     scale = np.longdouble(1.0)
+    rows = max(1, _BUILD_BLOCK // size)
+    blocks = range(0, size, rows)
     for n in range(1, 2 * num + 1):
         if n % 2:
             apply_head_rotation(images, config.alpha)
-            _kernels_py.rotate_head(exact, c, s)
+            for i in blocks:
+                _kernels_py.rotate_head(exact[i:i + rows], c, s)
             scale *= c * c + s * s
         else:
             apply_qcnot(images, n // 2, config.variant)
             flip(exact, n // 2)
-    dev = float(np.abs(images.amplitudes - exact).max())
+    dev = float(np.max([
+        np.abs(images.amplitudes[i:i + rows] - exact[i:i + rows]).max()
+        for i in blocks]))
     bound = math.sqrt(2.0) * num * (_gamma2(float) + _gamma2(np.longdouble))
     if not dev <= bound:  # a NaN fails this test too
         raise NumericalValidationError(
             f"gate kernels build the cycle matrix {dev:.3e} off its exact "
             f"product (rounding allows {bound:.3e}) by step {2 * num}")
-    return exact / np.sqrt(scale)
+    exact /= np.sqrt(scale)
+    return exact
 
 
 def _gamma2(dtype):
@@ -492,36 +513,3 @@ def _check_norms(norm_sq, steps, drift, faults):
         return drift
     i = np.argmax(dev)
     return _check_norm(float(norm_sq[i]), int(steps[i]), drift)
-
-
-def run_mixed(weights: Sequence[tuple[float, MachineConfig]]) -> Trajectory:
-    """Convex combination of runs that differ only in their initial state.
-
-    `weights` is a list of (weight, config) pairs; weights must be
-    nonnegative and sum to 1 within 1e-12. The result is the pointwise
-    weighted sum of the component Bloch trajectories (the head of a
-    statistical mixture).
-    """
-    if not weights:
-        raise ConfigurationError("empty mixture")
-    total = sum(w for w, _ in weights)
-    # a NaN weight fails both tests
-    if not all(w >= 0 for w, _ in weights) or not abs(total - 1.0) <= 1e-12:
-        raise ConfigurationError(
-            f"mixture weights must be nonnegative and sum to 1 (got {total!r})"
-        )
-    first = weights[0][1]
-    for _, cfg in weights[1:]:
-        if (cfg.num_tape_spins, cfg.alpha, cfg.variant, cfg.steps) != (
-            first.num_tape_spins, first.alpha, first.variant, first.steps
-        ):
-            raise ConfigurationError(
-                "mixture components may differ only in their initial state"
-            )
-    out = None
-    drift = 0.0
-    for w, cfg in weights:
-        traj = run(cfg)
-        drift = max(drift, traj.norm_drift)
-        out = w * traj.bloch if out is None else out + w * traj.bloch
-    return Trajectory(out, first.num_tape_spins, drift)

@@ -39,10 +39,7 @@ import numpy as np
 from .engine import MachineConfig, Trajectory
 from .errors import ConfigurationError
 from .gates import VARIANT_X
-from .state import BlochVector, check_count, check_fits
-
-APERIODIC_M1 = "aperiodic"
-PERIODIC_M1 = "periodic"
+from .state import check_count, check_fits
 
 
 class HeadRecursion:
@@ -66,10 +63,13 @@ class HeadRecursion:
         an array of shape (steps+1, 3); x is 0."""
         check_count(steps, 0, "step count must be >= 0")
         check_count(num_tape_spins, 1, "need at least one tape spin")
-        # per step, each table of sizes M, M-2, ... holds two doubles (16
-        # bytes, and up to 1/16 more of array's spare room), and the
-        # trajectory row of 3 doubles adds 24
-        check_fits((17 * ((num_tape_spins + 1) // 2) + 24) * (steps + 1),
+        # per row, each table holds two doubles (16 bytes, and up to 1/16
+        # more of array's spare room), up to a cycle past the last row it
+        # keeps while its last cycle runs; per step, the trajectory row of
+        # 3 doubles adds 24
+        rows = sum(last + 2 * size
+                   for size, last in _reads(num_tape_spins, steps))
+        check_fits(17 * rows + 24 * (steps + 1),
                    f"{steps} steps of the recursion of {num_tape_spins} "
                    "tape spins")
         self._fill(num_tape_spins, steps)
@@ -80,15 +80,7 @@ class HeadRecursion:
         return bloch
 
     def _fill(self, num_tape_spins: int, m_max: int) -> None:
-        # each table of sizes M, M-2, ..., down to 1 or 2, only as far as
-        # the size above reads it: _extend walks size s to m_max in cycles
-        # p up to (m_max - 2) // 2s + 1, and cycle p reads size s-2 up to
-        # row (p - 1) 2s - 4p + 2s = p (2s - 4)
-        needs = []
-        for size in range(num_tape_spins, 0, -2):
-            needs.append((size, m_max))
-            m_max = ((m_max - 2) // (2 * size) + 1) * (2 * size - 4)
-        for size, need in reversed(needs):
+        for size, need in reversed(_reads(num_tape_spins, m_max)):
             ys, zs = self._tables.setdefault(
                 size, (array("d", (0.0, self.y1)), array("d", (-1.0, self.z1))))
             self._extend(ys, zs, size, need)
@@ -127,6 +119,19 @@ class HeadRecursion:
         del ys[m_max + 1:], zs[m_max + 1:]
 
 
+def _reads(num_tape_spins: int, m_max: int) -> list[tuple[int, int]]:
+    """(size, last row) of each table the rows 0..m_max of size M read:
+    sizes M, M-2, ..., down to 1 or 2, each only as far as the size above
+    reads it. _extend walks size s to m_max in cycles p up to
+    (m_max - 2) // 2s + 1, and cycle p reads size s-2 up to row
+    (p - 1) 2s - 4p + 2s = p (2s - 4)."""
+    reads = []
+    for size in range(num_tape_spins, 0, -2):
+        reads.append((size, m_max))
+        m_max = ((m_max - 2) // (2 * size) + 1) * (2 * size - 4)
+    return reads
+
+
 def run(config: MachineConfig) -> Trajectory:
     """Closed-form trajectory for a MachineConfig, as a drop-in for the
     state-vector engine.
@@ -155,22 +160,3 @@ def run(config: MachineConfig) -> Trajectory:
     rec = HeadRecursion(config.alpha)
     bloch = sign * rec.trajectory(config.steps, config.num_tape_spins)
     return Trajectory(bloch, config.num_tape_spins)
-
-
-def m1_closed_form(kind: str, m: int, phi0: float, alpha: float) -> BlochVector:
-    """Closed-form single-tape-spin primitive at any head angle.
-
-    kind "aperiodic" is the '+' tape: the flip is inert, the head just
-    accumulates a rotation every other step, point m sits at angle
-    phi0 + ceil(m/2)*alpha. kind "periodic" is the '-' tape: the flip
-    reflects the angle, closing a 4-step orbit
-    phi0, phi0+alpha, -(phi0+alpha), -phi0 for every alpha.
-    """
-    check_count(m, 0, "step index must be >= 0")
-    if kind == APERIODIC_M1:
-        phi = phi0 + ((m + 1) // 2) * alpha
-    elif kind == PERIODIC_M1:
-        phi = (phi0, phi0 + alpha, -(phi0 + alpha), -phi0)[m % 4]
-    else:
-        raise ConfigurationError(f"kind must be aperiodic or periodic, got {kind!r}")
-    return BlochVector(0.0, math.sin(phi), -math.cos(phi))

@@ -295,12 +295,6 @@ def _halves(amps):
     return amps[..., :half], amps[..., half:]
 
 
-def purity(b: BlochVector) -> float:
-    """Squared Bloch length; 1 for a pure head, below 1 when the head is
-    entangled with the tape."""
-    return b.x * b.x + b.y * b.y + b.z * b.z
-
-
 def _vdot(a, b) -> complex:
     """np.vdot(a, b) summed block by block, so its bits do not depend on
     the BLAS thread count (see REDUCE_BLOCK). The sum starts from 0j,

@@ -1,5 +1,8 @@
-"""Shared test support: a dense-matrix oracle for the machine, one-shot
-reference forms of the kernels, of the engine loop, of the engine's
+"""Shared test support: a dense-matrix oracle for the machine, the
+oracles the tests compare the package against (the one-tape-spin
+primitive in closed form, the head of a mixture of runs, the head's
+purity and a visit-order count of distinct points), one-shot reference
+forms of the kernels, of the engine loop, of the engine's
 rotate-and-flip pairs with a step-by-step carry, of the closed-form
 recursion's table filled step by step and of the primitive
 superposition, a check of the |-> tape identity against the package's own
@@ -21,19 +24,20 @@ compare directly.
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
 import qtm.kernels
 import qtm.state
 from qtm.analysis import X_PLANE_TOL
-from qtm.engine import Trajectory, _check_norm
+from qtm.engine import Trajectory, _check_norm, run
 from qtm.errors import ConfigurationError
 from qtm.gates import apply_head_rotation, apply_qcnot, rotation_coefficients
 from qtm.io import CSV_HEADER, SVG_SIZE, SVG_SPAN
 from qtm.primitives import _cycle_starts, _cycle_table, _signs
 from qtm.recursion import HeadRecursion
-from qtm.state import head_bloch, make_state
+from qtm.state import BlochVector, head_bloch, make_state
 
 I2 = np.eye(2, dtype=complex)
 LX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -111,6 +115,52 @@ def dense_run(phi0, tape, alpha, steps, variant="x"):
         psi = (rot if n % 2 else cnots[n // 2]) @ psi
         bloch[m] = dense_head_bloch(psi)
     return bloch
+
+
+def m1_closed_form(kind, m, phi0, alpha):
+    """Head Bloch vector of a one-tape-spin primitive at step m. Kind
+    "aperiodic" is the '+' tape: the flip is inert, so the head turns by
+    alpha every other step, to phi0 + ceil(m/2) alpha. Kind "periodic" is
+    the '-' tape: the flip reflects the angle, closing the 4-step orbit
+    phi0, phi0 + alpha, -(phi0 + alpha), -phi0 for every alpha."""
+    if kind == "aperiodic":
+        phi = phi0 + ((m + 1) // 2) * alpha
+    else:
+        phi = (phi0, phi0 + alpha, -(phi0 + alpha), -phi0)[m % 4]
+    return BlochVector(0.0, math.sin(phi), -math.cos(phi))
+
+
+def run_mixed(weights):
+    """Head of a statistical mixture of runs that differ only in their
+    initial state, for (weight, config) pairs: the weighted sum of their
+    Bloch trajectories."""
+    bloch = sum(w * run(cfg).bloch for w, cfg in weights)
+    return Trajectory(bloch, weights[0][1].num_tape_spins)
+
+
+def purity(b):
+    """Squared Bloch length: 1 for a pure head, below 1 when the head is
+    entangled with the tape."""
+    return b.x * b.x + b.y * b.y + b.z * b.z
+
+
+PointSet = namedtuple("PointSet", "points counts")
+
+
+def distinct_points(traj, tol=1e-9):
+    """The yz points of a trajectory, deduplicated greedily in visit order:
+    a point within tol of a kept one adds one to its count, any other is
+    kept. A periodic orbit stops adding points once it has closed."""
+    kept, counts = [], []
+    for p in traj.bloch[:, 1:]:
+        d = np.hypot(*(np.array(kept) - p).T) if kept else [np.inf]
+        j = int(np.argmin(d))
+        if d[j] <= tol:
+            counts[j] += 1
+        else:
+            kept.append(p)
+            counts.append(1)
+    return PointSet(np.array(kept), np.array(counts))
 
 
 def one_mib_available(monkeypatch):

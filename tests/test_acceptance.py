@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import m1_closed_form, purity, run_mixed
 from qtm import (
     HeadRecursion,
     MachineConfig,
@@ -21,11 +22,8 @@ from qtm import (
     decompose,
     fit_invariant_circles,
     head_bloch,
-    m1_closed_form,
     period_census,
-    purity,
     run,
-    run_mixed,
     run_primitive,
     superpose,
 )
@@ -46,7 +44,7 @@ def test_criterion_1_three_path_agreement():
     worst = 0.0
     for num in range(1, 7):
         for alpha in ALPHAS:
-            sv = run(MachineConfig.uniform(num, alpha, steps=2000)).bloch
+            sv = run(MachineConfig(num, alpha, steps=2000)).bloch
             ps = superpose(decompose("0" * num), 0.0, alpha, 2000).bloch
             rc = HeadRecursion(alpha).trajectory(2000, num)
             worst = max(
@@ -66,7 +64,7 @@ def test_criterion_2_single_spin_closed_forms():
     phi0 = math.pi / 6
     worst = 0.0
     for kind, tape in (("aperiodic", "+"), ("periodic", "-")):
-        cfg = MachineConfig.uniform(1, ALPHA, phi0=phi0, initial=tape, steps=6)
+        cfg = MachineConfig(1, ALPHA, phi0=phi0, initial=tape, steps=6)
         traj = run(cfg)
         for m in range(7):
             expected = np.asarray(m1_closed_form(kind, m, phi0, ALPHA))
@@ -80,7 +78,7 @@ def test_criterion_3_x_component_stays_zero():
     t0 = time.perf_counter()
     worst = 0.0
     for num in (1, 2, 3, 10):
-        traj = run(MachineConfig.uniform(num, ALPHA, steps=3000))
+        traj = run(MachineConfig(num, ALPHA, steps=3000))
         worst = max(worst, float(np.abs(traj.bloch[:, 0]).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 120.0
@@ -117,7 +115,7 @@ def test_criterion_5_circle_invariants():
     ok = True
     for num in (1, 2):
         for phi0 in (0.0, math.pi / 6):
-            traj = run(MachineConfig.uniform(num, ALPHA, phi0=phi0, steps=3000))
+            traj = run(MachineConfig(num, ALPHA, phi0=phi0, steps=3000))
             circles = fit_invariant_circles(traj, max_circles=2 ** (num + 1))
             merged = max(len(r) for r in circles.residues)
             details.append(
@@ -135,8 +133,8 @@ def test_criterion_6_head_flip_symmetry():
     worst = 0.0
     worst_mix = 0.0
     for num in (1, 2, 3):
-        up = MachineConfig.uniform(num, ALPHA, phi0=0.0, steps=500)
-        down = MachineConfig.uniform(num, ALPHA, phi0=math.pi, steps=500)
+        up = MachineConfig(num, ALPHA, phi0=0.0, steps=500)
+        down = MachineConfig(num, ALPHA, phi0=math.pi, steps=500)
         worst = max(worst, float(
             np.abs(run(down).bloch + run(up).bloch).max()
         ))
@@ -186,7 +184,7 @@ def test_criterion_8_orbit_containment():
 def test_criterion_9_performance_smoke():
     num = 20
     t0 = time.perf_counter()
-    traj = run(MachineConfig.uniform(num, ALPHA, steps=2 * num))
+    traj = run(MachineConfig(num, ALPHA, steps=2 * num))
     elapsed = time.perf_counter() - t0
     ok = elapsed < 5.0 and traj.norm_drift <= 1e-12
     _report(9, "large-tape cycle", ok,

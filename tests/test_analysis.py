@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import distinct_points
 from qtm import (
     CircleFitError,
     ConfigurationError,
     MachineConfig,
     Trajectory,
-    distinct_points,
     fit_invariant_circles,
     run,
     spectrum,
@@ -56,7 +56,7 @@ def single_spin_centers(phi0):
 
 class TestCircleFits:
     def test_single_spin_symmetric_start(self):
-        traj = run(MachineConfig.uniform(1, ALPHA, phi0=0.0, steps=3000))
+        traj = run(MachineConfig(1, ALPHA, phi0=0.0, steps=3000))
         circles = fit_invariant_circles(traj, max_circles=4)
         assert len(circles) == 3
         assert circles.radius == pytest.approx(0.5, abs=1e-9)
@@ -67,14 +67,14 @@ class TestCircleFits:
         assert_center_sets_match(circles.centers, single_spin_centers(0.0))
 
     def test_single_spin_tilted_start(self):
-        traj = run(MachineConfig.uniform(1, ALPHA, phi0=math.pi / 6, steps=3000))
+        traj = run(MachineConfig(1, ALPHA, phi0=math.pi / 6, steps=3000))
         circles = fit_invariant_circles(traj, max_circles=4)
         assert len(circles) == 4
         assert circles.radius == pytest.approx(0.5, abs=1e-9)
         assert_center_sets_match(circles.centers, single_spin_centers(math.pi / 6))
 
     def test_two_spin_symmetric_start(self):
-        traj = run(MachineConfig.uniform(2, ALPHA, phi0=0.0, steps=3000))
+        traj = run(MachineConfig(2, ALPHA, phi0=0.0, steps=3000))
         circles = fit_invariant_circles(traj, max_circles=8)
         assert len(circles) == 7
         assert circles.radius == pytest.approx(0.25, abs=1e-9)
@@ -89,7 +89,7 @@ class TestCircleFits:
         assert_center_sets_match(circles.centers, expected)
 
     def test_two_spin_tilted_start_golden(self):
-        traj = run(MachineConfig.uniform(2, ALPHA, phi0=math.pi / 6, steps=3000))
+        traj = run(MachineConfig(2, ALPHA, phi0=math.pi / 6, steps=3000))
         circles = fit_invariant_circles(traj, max_circles=8)
         assert len(circles) == 8
         assert circles.radius == pytest.approx(0.25, abs=1e-6)
@@ -106,13 +106,13 @@ class TestCircleFits:
         assert_center_sets_match(circles.centers, expected, tol=1e-6)
 
     def test_frozen_machine_collapses_to_a_point(self):
-        traj = run(MachineConfig.uniform(2, 0.0, steps=200))
+        traj = run(MachineConfig(2, 0.0, steps=200))
         circles = fit_invariant_circles(traj, max_circles=8)
         assert len(circles) == 1
         assert circles.radius == pytest.approx(0.0, abs=1e-12)
 
     def test_three_spins_break_the_circle_picture(self):
-        traj = run(MachineConfig.uniform(3, ALPHA, steps=2000))
+        traj = run(MachineConfig(3, ALPHA, steps=2000))
         with pytest.raises(CircleFitError) as info:
             fit_invariant_circles(traj, max_circles=16)
         err = info.value
@@ -141,7 +141,7 @@ class TestCircleFits:
         assert max(errs) == errs[1] and max(errs) - min(errs) < 1e-12
 
     def test_circle_budget_enforced(self):
-        traj = run(MachineConfig.uniform(1, ALPHA, phi0=math.pi / 6, steps=800))
+        traj = run(MachineConfig(1, ALPHA, phi0=math.pi / 6, steps=800))
         with pytest.raises(CircleFitError) as info:
             fit_invariant_circles(traj, max_circles=2)
         assert info.value.num_circles == 4
@@ -156,7 +156,7 @@ class TestCircleFits:
 
 class TestInvariantResidual:
     def test_scores_distance_to_the_nearest_circle(self):
-        traj = run(MachineConfig.uniform(1, ALPHA, phi0=0.3, steps=1000))
+        traj = run(MachineConfig(1, ALPHA, phi0=0.3, steps=1000))
         circles = fit_invariant_circles(traj, max_circles=4)
         probe = np.array([0.05, -0.2])
         expected = min(
@@ -168,7 +168,7 @@ class TestInvariantResidual:
         ) == pytest.approx(expected, abs=1e-12)
 
     def test_fitted_points_lie_on_the_family(self):
-        traj = run(MachineConfig.uniform(2, ALPHA, phi0=0.3, steps=2000))
+        traj = run(MachineConfig(2, ALPHA, phi0=0.3, steps=2000))
         circles = fit_invariant_circles(traj, max_circles=8)
         for m in range(0, 2001, 97):
             assert helpers.invariant_residual(circles, traj.bloch[m]) <= 1e-6
@@ -176,14 +176,14 @@ class TestInvariantResidual:
     def test_unseen_points_lie_on_the_family(self):
         # circles fitted on one run must absorb the points of a longer run:
         # the family is invariant, not an artifact of the fit window
-        short = run(MachineConfig.uniform(2, ALPHA, phi0=0.3, steps=1500))
+        short = run(MachineConfig(2, ALPHA, phi0=0.3, steps=1500))
         circles = fit_invariant_circles(short, max_circles=8)
-        longer = run(MachineConfig.uniform(2, ALPHA, phi0=0.3, steps=4000))
+        longer = run(MachineConfig(2, ALPHA, phi0=0.3, steps=4000))
         for m in range(1501, 4001, 53):
             assert helpers.invariant_residual(circles, longer.bloch[m]) <= 1e-6
 
     def test_rejects_out_of_plane_point(self):
-        traj = run(MachineConfig.uniform(1, ALPHA, steps=400))
+        traj = run(MachineConfig(1, ALPHA, steps=400))
         circles = fit_invariant_circles(traj, max_circles=4)
         with pytest.raises(ConfigurationError):
             helpers.invariant_residual(circles, (0.3, 0.0, -1.0))
@@ -255,8 +255,3 @@ class TestDistinctPoints:
         assert len(early.points) == len(late.points) == 9
         np.testing.assert_allclose(early.points, late.points, atol=1e-9)
         assert int(late.counts.sum()) == 3001
-
-    def test_tolerance_must_be_positive(self):
-        traj = run_primitive("-", 0.3, ALPHA, 10)
-        with pytest.raises(ConfigurationError):
-            distinct_points(traj, tol=0.0)

@@ -28,7 +28,7 @@ def test_simulate_csv_with_sidecar(tmp_path):
             "--steps", "40", "--out", str(out)]
     assert main(argv) == 0
     m, n, p, bloch = helpers.read_trajectory_csv(str(out))
-    expected = run(MachineConfig.uniform(2, ALPHA, steps=40)).bloch
+    expected = run(MachineConfig(2, ALPHA, steps=40)).bloch
     np.testing.assert_array_equal(bloch, expected)
 
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
@@ -329,7 +329,7 @@ def test_spectrum_bytes_are_the_per_row_form(source, steps, tmp_path):
         traj = qtm.primitives.run_primitive(args.pattern, args.phi0,
                                             args.alpha, args.steps)
     else:
-        traj = run(MachineConfig.uniform(
+        traj = run(MachineConfig(
             args.tape_size, args.alpha, phi0=args.phi0, variant=args.variant,
             initial=args.initial, steps=args.steps))
     spec = qtm.analysis.spectrum(traj)

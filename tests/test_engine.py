@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import run_mixed
 import qtm
 import qtm.kernels
 from qtm import (
@@ -20,7 +21,6 @@ from qtm import (
     MachineConfig,
     NumericalValidationError,
     run,
-    run_mixed,
 )
 from qtm import recursion
 from qtm.cli import main
@@ -31,7 +31,7 @@ ALPHA = helpers.ALPHA
 
 
 def test_first_step_tilts_head_by_alpha():
-    cfg = MachineConfig.uniform(2, ALPHA, steps=1)
+    cfg = MachineConfig(2, ALPHA, steps=1)
     traj = run(cfg)
     np.testing.assert_allclose(
         traj.point(1), (0.0, math.sin(ALPHA), -math.cos(ALPHA)), atol=1e-15
@@ -39,7 +39,7 @@ def test_first_step_tilts_head_by_alpha():
 
 
 def test_zero_angle_machine_is_frozen():
-    cfg = MachineConfig.uniform(3, 0.0, steps=30)
+    cfg = MachineConfig(3, 0.0, steps=30)
     traj = run(cfg)
     np.testing.assert_array_equal(traj.bloch[:, 0], np.zeros(31))
     np.testing.assert_allclose(traj.bloch[:, 1], np.zeros(31), atol=1e-15)
@@ -49,7 +49,7 @@ def test_zero_angle_machine_is_frozen():
 def test_x_component_identically_zero():
     # real-amplitude initial data and these gates keep the head pinned to
     # the y-z plane; the x readout should be exact 0.0, not merely small
-    cfg = MachineConfig.uniform(3, ALPHA, phi0=0.0, steps=200)
+    cfg = MachineConfig(3, ALPHA, phi0=0.0, steps=200)
     traj = run(cfg)
     assert np.all(traj.bloch[:, 0] == 0.0)
 
@@ -73,13 +73,13 @@ def test_engine_matches_dense_oracle(tape, variant):
 
 @pytest.mark.parametrize("tape", ["00", "01", "11"])
 def test_head_flip_negates_trajectory(tape):
-    up = MachineConfig.uniform(2, ALPHA, phi0=0.0, initial=tape, steps=80)
-    down = MachineConfig.uniform(2, ALPHA, phi0=math.pi, initial=tape, steps=80)
+    up = MachineConfig(2, ALPHA, phi0=0.0, initial=tape, steps=80)
+    down = MachineConfig(2, ALPHA, phi0=math.pi, initial=tape, steps=80)
     np.testing.assert_allclose(run(down).bloch, -run(up).bloch, atol=1e-12)
 
 
 def test_runs_are_deterministic():
-    cfg = MachineConfig.uniform(4, ALPHA, phi0=0.25, steps=120)
+    cfg = MachineConfig(4, ALPHA, phi0=0.25, steps=120)
     np.testing.assert_array_equal(run(cfg).bloch, run(cfg).bloch)
 
 
@@ -214,8 +214,8 @@ def test_first_cycle_holds_only_the_spins_the_head_reached(monkeypatch, variant)
     calls = []
     _record_kernel_sizes(monkeypatch, calls)
     _record_pairs(monkeypatch, calls)
-    run(MachineConfig.uniform(num, ALPHA, variant=variant, initial="+01-10",
-                              steps=3 * num))
+    run(MachineConfig(num, ALPHA, variant=variant, initial="+01-10",
+                      steps=3 * num))
     sizes = calls[:2 * num]
     for m, size in enumerate(sizes, start=1):
         assert size <= 2 ** ((m + 1) // 2 + 1)
@@ -229,8 +229,7 @@ def test_first_cycle_holds_only_the_spins_the_head_reached(monkeypatch, variant)
 def test_amplitude_tape_runs_at_full_size_from_step_zero(monkeypatch):
     num = 4
     sizes = _record_kernel_sizes(monkeypatch)
-    run(MachineConfig.uniform(num, ALPHA, initial=_amplitude_tape(num),
-                              steps=3 * num))
+    run(MachineConfig(num, ALPHA, initial=_amplitude_tape(num), steps=3 * num))
     assert sizes == [2 ** (num + 1)] * (3 * num)
 
 
@@ -282,13 +281,31 @@ def test_fused_windows_match_references(variant, starts, extra):
         _fused_config(5, variant, "+0-1+", 10 * (starts + 1) + extra))
 
 
+def test_building_u_holds_two_and_a_half_matrices():
+    # U of M=5 holds 64 x 64 extended entries. Its build holds U, the
+    # double images of the basis states (half of U) and the temporaries of
+    # their rotation (one U), the estimate's build term, and a few KB of
+    # array headers and Python objects; its extended rotations and its
+    # check take a quarter of the rows at a time. Taking the whole matrix
+    # at once, either peaked at 3.5 U
+    cfg = MachineConfig(5, ALPHA, steps=31)  # three later cycle starts
+    qtm.engine._cycle_matrix(cfg, 64)
+    tracemalloc.start()
+    try:
+        u = qtm.engine._cycle_matrix(cfg, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qtm.engine._windows_bytes(cfg, 64) == 5 * u.nbytes // 2
+    assert peak <= 5 * u.nbytes // 2 + 4096
+
+
 def test_fused_run_builds_u_once_and_replays_one_window(monkeypatch):
     # an amplitude tape at M=5 over five cycles: the first cycle on the
     # state, U built on the 64 basis states, then one window of the four
     # later cycle starts
     sizes = _record_kernel_sizes(monkeypatch)
-    run(MachineConfig.uniform(5, ALPHA, initial=_amplitude_tape(5),
-                              steps=50))
+    run(MachineConfig(5, ALPHA, initial=_amplitude_tape(5), steps=50))
     assert sizes == [64] * 10 + [64 * 64] * 10 + [4 * 64] * 10
 
 
@@ -371,8 +388,7 @@ def test_six_spins_keep_the_loop(monkeypatch):
     calls = []
     _record_kernel_sizes(monkeypatch, calls)
     _record_pairs(monkeypatch, calls)
-    run(MachineConfig.uniform(6, ALPHA, initial=_amplitude_tape(6),
-                              steps=5 * 12))
+    run(MachineConfig(6, ALPHA, initial=_amplitude_tape(6), steps=5 * 12))
     assert calls[:12] == [2 ** 7] * 12
     assert [c for c in calls[12:] if isinstance(c, tuple)] == _later_pairs(
         6, ALPHA, 60)
@@ -429,22 +445,23 @@ def test_run_refuses_a_state_larger_than_memory(monkeypatch):
     # pair scratch and rotation temporaries, before anything is allocated
     helpers.one_mib_available(monkeypatch)
     with pytest.raises(ConfigurationError, match="16 tape spins need 4 MiB"):
-        run(MachineConfig.uniform(16, ALPHA, steps=1))
+        run(MachineConfig(16, ALPHA, steps=1))
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("num, steps", [
     pytest.param(10, 60, id="10"), pytest.param(14, 84, id="14"),
-    pytest.param(16, 96, id="16"), (8, 20000), (3, 20000), (5, 20000),
-    (5, 200000)])
+    pytest.param(16, 96, id="16"), (6, 20000), (8, 20000), (3, 20000),
+    (5, 20000), (5, 200000)])
 def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, steps,
                                                  variant):
     # the guard's estimate is at least the traced peak of a three-cycle
     # run: a one-block state (M=10, 14) and a blocked one (M=16). Below
     # M=10 a short run's peak is the guard's own read of /proc/meminfo,
-    # about 10 KiB; a long one at M=8 holds the trajectory and the
-    # temporaries of its column fill, and one at M=3 or 5 the trajectory,
-    # the extended matrices and the stack of its windows
+    # about 10 KiB; a long one at M=6 or 8 holds the trajectory, the
+    # temporaries of its column fill and its pair callables, and one at
+    # M=3 or 5 the trajectory, the extended matrices and the stack of its
+    # windows
     needs = []
     check_fits = qtm.engine.check_fits
 
@@ -455,7 +472,7 @@ def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, steps,
     monkeypatch.setattr(qtm.engine, "check_fits", recorded)
     tracemalloc.start()
     try:
-        run(MachineConfig.uniform(num, ALPHA, variant=variant, steps=steps))
+        run(MachineConfig(num, ALPHA, variant=variant, steps=steps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,8 +488,8 @@ rows = []
 # 2000 steps on the cycle matrix
 for num, tape, steps in ((16, "zeros", 60), (3, "+-1", 2000),
                          (5, "+-01-", 2000)):
-    traj = run(MachineConfig.uniform(num, float(sys.argv[2]), initial=tape,
-                                     steps=steps))
+    traj = run(MachineConfig(num, float(sys.argv[2]), initial=tape,
+                             steps=steps))
     rows += [traj.bloch, [traj.norm_drift] * 3]
 np.save(sys.argv[1], np.vstack(rows))
 """
@@ -496,7 +513,7 @@ def test_norm_guard_trips_on_broken_kernel(monkeypatch):
         amps *= 1.0 + 1e-6
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", leaky)
-    cfg = MachineConfig.uniform(2, ALPHA, steps=8)
+    cfg = MachineConfig(2, ALPHA, steps=8)
     with pytest.raises(NumericalValidationError):
         run(cfg)
 
@@ -512,7 +529,7 @@ def test_norm_guard_trips_on_a_nan(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", poisoned)
     with pytest.raises(NumericalValidationError, match="by step 4"):
-        run(MachineConfig.uniform(2, ALPHA, steps=8))
+        run(MachineConfig(2, ALPHA, steps=8))
     out = tmp_path / "t.csv"
     assert main(["simulate", "--tape-size", "2", "--alpha", "1",
                  "--steps", "8", "--out", str(out)]) == 3
@@ -534,7 +551,7 @@ def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num, message):
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", leaky)
     with pytest.raises(NumericalValidationError, match=message):
-        run(MachineConfig.uniform(num, ALPHA, steps=100 * 2 * num))
+        run(MachineConfig(num, ALPHA, steps=100 * 2 * num))
 
 
 @pytest.mark.parametrize("fault, num, steps, step", [
@@ -568,8 +585,8 @@ def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, num, steps,
 
     monkeypatch.setattr(qtm.kernels, "pair_kernels", broken)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
-        run(MachineConfig.uniform(num, ALPHA, initial=_amplitude_tape(num),
-                                  steps=steps))
+        run(MachineConfig(num, ALPHA, initial=_amplitude_tape(num),
+                          steps=steps))
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-7, 1.0 + 1e-7],
@@ -594,7 +611,7 @@ def test_norm_guard_reports_the_signed_deviation(monkeypatch, factor, num,
     message = f"drifted to 1{dev:+.3e} by step 12"
     assert message[12] == ("-" if factor < 1 else "+")
     with pytest.raises(NumericalValidationError) as info:
-        run(MachineConfig.uniform(num, ALPHA, steps=12))
+        run(MachineConfig(num, ALPHA, steps=12))
     assert str(info.value).endswith(message)
 
 
@@ -648,12 +665,12 @@ def _poison_rotations(monkeypatch, steps, poisons, step):
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", poisoned)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
-        run(MachineConfig.uniform(3, ALPHA, initial="+-1", steps=steps))
+        run(MachineConfig(3, ALPHA, initial="+-1", steps=steps))
     assert calls[3:6] == [16 * 16] * 3  # U, built on the 16 basis states
 
 
 def test_norm_drift_is_tiny():
-    cfg = MachineConfig.uniform(3, ALPHA, steps=400)
+    cfg = MachineConfig(3, ALPHA, steps=400)
     assert run(cfg).norm_drift <= 1e-12
 
 
@@ -667,7 +684,7 @@ def test_small_tapes_run_past_the_loops_horizon(num, alpha, tape, steps):
     # to double and applied every cycle adds up its rounding: the kernels'
     # U stopped the first four at steps 49,152, 45,018, 32,800 and 34,510,
     # and the exact unitary, rounded once, stops the last at 33,888
-    cfg = MachineConfig.uniform(num, alpha, initial=tape, steps=steps)
+    cfg = MachineConfig(num, alpha, initial=tape, steps=steps)
     traj = run(cfg)
     assert traj.norm_drift <= 1e-12
     if tape == "zeros":
@@ -677,56 +694,35 @@ def test_small_tapes_run_past_the_loops_horizon(num, alpha, tape, steps):
 
 class TestMixtures:
     def test_singleton_mixture_is_the_pure_run(self):
-        cfg = MachineConfig.uniform(2, ALPHA, phi0=0.3, steps=50)
+        cfg = MachineConfig(2, ALPHA, phi0=0.3, steps=50)
         np.testing.assert_allclose(
             run_mixed([(1.0, cfg)]).bloch, run(cfg).bloch, atol=1e-15
         )
 
     def test_balanced_head_mixture_cancels(self):
-        up = MachineConfig.uniform(2, ALPHA, phi0=0.0, steps=60)
-        down = MachineConfig.uniform(2, ALPHA, phi0=math.pi, steps=60)
+        up = MachineConfig(2, ALPHA, phi0=0.0, steps=60)
+        down = MachineConfig(2, ALPHA, phi0=math.pi, steps=60)
         mixed = run_mixed([(0.5, up), (0.5, down)])
         np.testing.assert_allclose(mixed.bloch, np.zeros((61, 3)), atol=1e-12)
 
     def test_unbalanced_mixture_scales(self):
-        up = MachineConfig.uniform(1, ALPHA, phi0=0.0, steps=40)
-        down = MachineConfig.uniform(1, ALPHA, phi0=math.pi, steps=40)
+        up = MachineConfig(1, ALPHA, phi0=0.0, steps=40)
+        down = MachineConfig(1, ALPHA, phi0=math.pi, steps=40)
         mixed = run_mixed([(0.75, up), (0.25, down)])
         np.testing.assert_allclose(mixed.bloch, 0.5 * run(up).bloch, atol=1e-12)
-
-    def test_weights_must_sum_to_one(self):
-        cfg = MachineConfig.uniform(1, ALPHA, steps=5)
-        with pytest.raises(ConfigurationError):
-            run_mixed([(0.4, cfg), (0.4, cfg)])
-
-    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.nan),
-                                         (math.inf, -math.inf)])
-    def test_weights_that_are_not_numbers_are_refused(self, weights):
-        # NaN < 0 and abs(NaN - 1) > tol are both false, so a NaN weight
-        # passed both tests and gave an all-NaN trajectory
-        a = MachineConfig.uniform(2, ALPHA, steps=5)
-        b = MachineConfig.uniform(2, ALPHA, phi0=math.pi, steps=5)
-        with pytest.raises(ConfigurationError, match="nonnegative"):
-            run_mixed(list(zip(weights, (a, b))))
-
-    def test_members_must_share_machine(self):
-        a = MachineConfig.uniform(2, ALPHA, steps=5)
-        b = MachineConfig.uniform(2, 1.0, steps=5)
-        with pytest.raises(ConfigurationError):
-            run_mixed([(0.5, a), (0.5, b)])
 
 
 class TestConfigValidation:
     def test_bad_variant(self):
         with pytest.raises(ConfigurationError):
-            MachineConfig.uniform(2, 1.0, variant="z", steps=5)
+            MachineConfig(2, 1.0, variant="z", steps=5)
 
     def test_negative_steps(self):
         with pytest.raises(ConfigurationError):
-            MachineConfig.uniform(2, 1.0, steps=-1)
+            MachineConfig(2, 1.0, steps=-1)
 
     def test_tape_length_mismatch_surfaces_at_run(self):
-        cfg = MachineConfig.uniform(3, 1.0, initial="01", steps=5)
+        cfg = MachineConfig(3, 1.0, initial="01", steps=5)
         with pytest.raises(ConfigurationError):
             run(cfg)
 
@@ -747,7 +743,7 @@ class TestConfigValidation:
         # a string is refused, not converted, and so is a complex number or
         # a real number that no double holds
         with pytest.raises(ConfigurationError, match="finite real numbers"):
-            MachineConfig.uniform(2, alpha, phi0=phi0, steps=5)
+            MachineConfig(2, alpha, phi0=phi0, steps=5)
 
     @pytest.mark.parametrize("alphas", [(1.0, "x"), (1.0, 1.0), [0.5]])
     def test_one_angle_per_machine(self, alphas):
@@ -770,16 +766,16 @@ class TestConfigValidation:
 
     def test_fractional_steps(self):
         with pytest.raises(ConfigurationError, match="not an integer"):
-            MachineConfig.uniform(2, 1.0, steps=10.5)
+            MachineConfig(2, 1.0, steps=10.5)
 
     def test_numpy_integer_steps(self):
-        cfg = MachineConfig.uniform(2, ALPHA, steps=np.int64(9))
+        cfg = MachineConfig(2, ALPHA, steps=np.int64(9))
         np.testing.assert_array_equal(
-            run(cfg).bloch, run(MachineConfig.uniform(2, ALPHA, steps=9)).bloch)
+            run(cfg).bloch, run(MachineConfig(2, ALPHA, steps=9)).bloch)
 
 
 def test_zero_steps_yields_initial_point_only():
-    cfg = MachineConfig.uniform(2, ALPHA, phi0=0.7, steps=0)
+    cfg = MachineConfig(2, ALPHA, phi0=0.7, steps=0)
     traj = run(cfg)
     assert traj.steps == 0 and len(traj) == 1
     np.testing.assert_allclose(

@@ -19,7 +19,7 @@ ALPHA = helpers.ALPHA
 
 @pytest.fixture
 def traj():
-    return run(MachineConfig.uniform(2, ALPHA, phi0=0.3, steps=25))
+    return run(MachineConfig(2, ALPHA, phi0=0.3, steps=25))
 
 
 def test_step_labels_schedule():

@@ -141,8 +141,8 @@ def test_backends_agree_on_fused_runs(compiled, monkeypatch, variant):
     # cycle starts through the kernels (here two windows and three steps
     # into a cycle), so both backends give the same bits
     window = REDUCE_BLOCK // 2 ** 6
-    cfg = MachineConfig.uniform(5, helpers.ALPHA, phi0=0.9, variant=variant,
-                                initial="+-01-", steps=10 * (window + 4) + 3)
+    cfg = MachineConfig(5, helpers.ALPHA, phi0=0.9, variant=variant,
+                        initial="+-01-", steps=10 * (window + 4) + 3)
     runs = []
     for backend in (_kernels_py, compiled):
         for name in ("rotate_head", "cnot_flip", "cnot_signed_flip"):
@@ -239,8 +239,8 @@ def test_backends_agree_on_paired_runs(compiled, monkeypatch, variant):
     # a run at M=7 goes in rotate-and-flip pairs after its first cycle,
     # fused on the numpy kernels and through the kernels on the compiled
     # ones; both give the same bits, two cycles and five steps past it
-    cfg = MachineConfig.uniform(7, helpers.ALPHA, phi0=0.9, variant=variant,
-                                initial="+-01+-0", steps=3 * 14 + 5)
+    cfg = MachineConfig(7, helpers.ALPHA, phi0=0.9, variant=variant,
+                        initial="+-01+-0", steps=3 * 14 + 5)
     runs = []
     for backend in (_kernels_py, compiled):
         _bind(monkeypatch, backend)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import purity, run_mixed
 from qtm import (
     ConfigurationError,
     HeadRecursion,
@@ -24,12 +25,11 @@ from qtm import (
     primitives,
     recursion,
     run,
-    run_mixed,
     run_primitive,
     superpose,
 )
 from qtm.gates import apply_head_rotation, apply_qcnot
-from qtm.state import head_bloch, make_state, purity
+from qtm.state import head_bloch, make_state
 
 ALPHA = helpers.ALPHA
 
@@ -51,8 +51,7 @@ def test_all_patterns_order():
 @pytest.mark.parametrize("num", [1, 2, 3])
 def test_primitive_matches_engine_exhaustive(num):
     for pattern in all_patterns(num):
-        cfg = MachineConfig.uniform(num, ALPHA, phi0=0.4, initial=pattern,
-                                    steps=100)
+        cfg = MachineConfig(num, ALPHA, phi0=0.4, initial=pattern, steps=100)
         np.testing.assert_allclose(
             run_primitive(pattern, 0.4, ALPHA, 100).bloch,
             run(cfg).bloch,
@@ -66,8 +65,8 @@ def test_primitive_matches_engine_sampled(num):
     rng = np.random.default_rng(num)
     pats = rng.choice(all_patterns(num), size=5, replace=False)
     for pattern in pats:
-        cfg = MachineConfig.uniform(num, 1.0, phi0=0.0, initial=str(pattern),
-                                    steps=120)
+        cfg = MachineConfig(num, 1.0, phi0=0.0, initial=str(pattern),
+                            steps=120)
         np.testing.assert_allclose(
             run_primitive(str(pattern), 0.0, 1.0, 120).bloch,
             run(cfg).bloch,
@@ -522,7 +521,7 @@ class TestAmplitudeTapes:
     def test_length_must_match_the_tape_size(self, num, size):
         tape = np.zeros(size)
         tape[0] = 1.0
-        cfg = MachineConfig.uniform(num, ALPHA, initial=tape, steps=10)
+        cfg = MachineConfig(num, ALPHA, initial=tape, steps=10)
         for path in self.PATHS:
             with pytest.raises(ConfigurationError,
                                match=f"length 2\\*\\*{num} \\(got {size}\\)"):
@@ -530,20 +529,19 @@ class TestAmplitudeTapes:
 
     def test_nearly_normalized_tape_runs_on_every_path(self):
         tape = np.array([0.6, 0.0, 0.0, 0.8]) * math.sqrt(1 + 1e-10)
-        cfg = MachineConfig.uniform(2, ALPHA, phi0=0.4, initial=tape,
-                                    steps=500)
+        cfg = MachineConfig(2, ALPHA, phi0=0.4, initial=tape, steps=500)
         engine, prim = (path(cfg).bloch for path in self.PATHS)
         np.testing.assert_allclose(prim, engine, rtol=0, atol=1e-12)
-        exact = MachineConfig.uniform(2, ALPHA, phi0=0.4,
-                                      initial=np.array([0.6, 0, 0, 0.8]),
-                                      steps=500)
+        exact = MachineConfig(2, ALPHA, phi0=0.4,
+                              initial=np.array([0.6, 0, 0, 0.8]),
+                              steps=500)
         np.testing.assert_allclose(engine, run(exact).bloch, rtol=0,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1 + 1e-8, math.nan])
     def test_unnormalized_tape_is_refused_on_every_path(self, scale):
-        cfg = MachineConfig.uniform(2, ALPHA, initial=np.array([scale, 0, 0, 0]),
-                                    steps=5)
+        cfg = MachineConfig(2, ALPHA, initial=np.array([scale, 0, 0, 0]),
+                            steps=5)
         for path in self.PATHS:
             with pytest.raises(ConfigurationError, match="not normalized"):
                 path(cfg)
@@ -568,7 +566,7 @@ class TestSuperpose:
 
     @pytest.mark.parametrize("num", range(1, 7))
     def test_decompose_superpose_equals_engine(self, num):
-        cfg = MachineConfig.uniform(num, ALPHA, phi0=0.0, steps=200)
+        cfg = MachineConfig(num, ALPHA, phi0=0.0, steps=200)
         np.testing.assert_allclose(
             superpose(decompose("0" * num), 0.0, ALPHA, 200).bloch,
             run(cfg).bloch,
@@ -576,7 +574,7 @@ class TestSuperpose:
         )
 
     def test_mixed_tape_superposition_matches_engine(self):
-        cfg = MachineConfig.uniform(2, ALPHA, phi0=0.5, initial="0+", steps=80)
+        cfg = MachineConfig(2, ALPHA, phi0=0.5, initial="0+", steps=80)
         np.testing.assert_allclose(
             superpose(decompose("0+"), 0.5, ALPHA, 80).bloch,
             run(cfg).bloch,
@@ -593,8 +591,7 @@ class TestSuperpose:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11)
 
     def test_long_horizon_matches_engine_on_mixed_tape(self):
-        cfg = MachineConfig.uniform(4, ALPHA, phi0=1.234, initial="0+-1",
-                                    steps=20_000)
+        cfg = MachineConfig(4, ALPHA, phi0=1.234, initial="0+-1", steps=20_000)
         np.testing.assert_allclose(
             superpose(decompose("0+-1"), 1.234, ALPHA, 20_000).bloch,
             run(cfg).bloch, rtol=0, atol=1e-11)
@@ -632,7 +629,7 @@ class TestSuperpose:
         estimates = []
         monkeypatch.setattr(primitives, "check_fits",
                             lambda need, what: estimates.append(need))
-        cfg = MachineConfig.uniform(12, ALPHA, steps=1)
+        cfg = MachineConfig(12, ALPHA, steps=1)
         tracemalloc.start()
         try:
             primitives.run(cfg)
@@ -645,14 +642,12 @@ class TestSuperpose:
     def test_zero_steps_and_mid_cycle_stop(self):
         w = decompose("0+1")
         for steps in (0, 1, 7):
-            cfg = MachineConfig.uniform(3, ALPHA, phi0=0.4, initial="0+1",
-                                        steps=steps)
+            cfg = MachineConfig(3, ALPHA, phi0=0.4, initial="0+1", steps=steps)
             np.testing.assert_allclose(superpose(w, 0.4, ALPHA, steps).bloch,
                                        run(cfg).bloch, atol=1e-14)
 
     def test_run_is_decompose_then_superpose(self):
-        cfg = MachineConfig.uniform(4, ALPHA, phi0=0.4, initial="+0-1",
-                                    steps=90)
+        cfg = MachineConfig(4, ALPHA, phi0=0.4, initial="+0-1", steps=90)
         traj = primitives.run(cfg)
         np.testing.assert_array_equal(
             traj.bloch, superpose(decompose("+0-1"), 0.4, ALPHA, 90).bloch)
@@ -663,15 +658,15 @@ class TestSuperpose:
         # orthogonal, so the head sees only their weights
         rng = np.random.default_rng(7)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        cfg = MachineConfig.uniform(3, ALPHA, phi0=0.9,
-                                    initial=amps / np.linalg.norm(amps),
-                                    steps=60)
+        cfg = MachineConfig(3, ALPHA, phi0=0.9,
+                            initial=amps / np.linalg.norm(amps),
+                            steps=60)
         np.testing.assert_allclose(primitives.run(cfg).bloch, run(cfg).bloch,
                                    atol=1e-12)
 
     def test_run_covers_uniform_plain_flips_only(self):
         with pytest.raises(ConfigurationError, match="plain flip"):
-            primitives.run(MachineConfig.uniform(2, ALPHA, variant="iy"))
+            primitives.run(MachineConfig(2, ALPHA, variant="iy"))
 
     def test_weight_validation(self):
         with pytest.raises(ConfigurationError):
@@ -687,8 +682,8 @@ class TestSuperpose:
 
 
 def test_every_path_reports_its_tape_size():
-    cfg = MachineConfig.uniform(3, ALPHA, steps=12)
-    ones = MachineConfig.uniform(3, ALPHA, initial="111", steps=12)
+    cfg = MachineConfig(3, ALPHA, steps=12)
+    ones = MachineConfig(3, ALPHA, initial="111", steps=12)
     trajs = [run(cfg), run_mixed([(0.5, cfg), (0.5, ones)]),
              recursion.run(cfg), primitives.run(cfg),
              superpose(decompose("000"), 0.0, ALPHA, 12),
@@ -699,11 +694,11 @@ def test_every_path_reports_its_tape_size():
 def test_computational_tapes_share_one_trajectory():
     # every 0/1 tape decomposes into the same equal-weight mixture, so the
     # head cannot tell them apart
-    base = run(MachineConfig.uniform(3, ALPHA, phi0=0.2, initial="000",
-                                     steps=90)).bloch
+    base = run(MachineConfig(3, ALPHA, phi0=0.2, initial="000",
+                             steps=90)).bloch
     for tape in ("011", "110", "101"):
-        other = run(MachineConfig.uniform(3, ALPHA, phi0=0.2, initial=tape,
-                                          steps=90)).bloch
+        other = run(MachineConfig(3, ALPHA, phi0=0.2, initial=tape,
+                                  steps=90)).bloch
         np.testing.assert_allclose(other, base, atol=1e-12)
 
 

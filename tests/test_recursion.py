@@ -2,13 +2,16 @@
 single-tape-spin formulas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
-from qtm import ConfigurationError, HeadRecursion, MachineConfig, m1_closed_form
+from helpers import m1_closed_form
+from qtm import ConfigurationError, HeadRecursion, MachineConfig
 from qtm import recursion as recursion_mod
+from qtm import state
 from qtm.engine import run as engine_run
 from qtm.primitives import run_primitive
 
@@ -37,7 +40,7 @@ def test_first_flip_single_spin():
 @pytest.mark.parametrize("alpha", [ALPHA, 1.0, math.pi / 2])
 @pytest.mark.parametrize("num", [1, 2, 3, 4])
 def test_recursion_matches_engine(num, alpha):
-    cfg = MachineConfig.uniform(num, alpha, steps=300)
+    cfg = MachineConfig(num, alpha, steps=300)
     expected = engine_run(cfg).bloch
     got = HeadRecursion(alpha).trajectory(300, num)
     np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -116,6 +119,29 @@ def test_lower_tables_end_where_the_size_above_reads(num, steps, rows):
     assert {size: len(ys) for size, (ys, _) in rec._tables.items()} == rows
 
 
+def test_memory_estimate_counts_the_rows_the_tables_keep(monkeypatch):
+    # at M=8 over 20,000 steps the tables keep 50,004 rows, not the 80,004
+    # of four tables run to the last step: a budget between the traced
+    # peak (1.32 MB) and the estimate of full tables, 17 bytes per step
+    # and table plus 24 for the trajectory (1.84 MB), is accepted, and the
+    # estimate lies between the two
+    needs, check_fits = [], recursion_mod.check_fits
+    budget = 1400 << 10
+    assert budget < (17 * 4 + 24) * 20001
+    monkeypatch.setattr(recursion_mod, "check_fits", lambda need, what: (
+        needs.append(need), check_fits(need, what)))
+    monkeypatch.setattr(state, "_read_meminfo",
+                        lambda: f"MemAvailable: {budget >> 10} kB\n")
+    HeadRecursion(ALPHA).trajectory(10, 8)
+    tracemalloc.start()
+    try:
+        HeadRecursion(ALPHA).trajectory(20000, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[-1] <= budget
+
+
 @pytest.mark.parametrize("steps, num", [(10, 0), (10, -2), (-1, 2)])
 def test_trajectory_refuses_bad_arguments(steps, num):
     with pytest.raises(ConfigurationError):
@@ -124,19 +150,19 @@ def test_trajectory_refuses_bad_arguments(steps, num):
 
 class TestRunAdapter:
     def test_zeros_tape(self):
-        cfg = MachineConfig.uniform(3, ALPHA, steps=120)
+        cfg = MachineConfig(3, ALPHA, steps=120)
         np.testing.assert_allclose(
             recursion_mod.run(cfg).bloch, engine_run(cfg).bloch, atol=1e-9
         )
 
     def test_any_computational_tape_accepted(self):
-        ref = recursion_mod.run(MachineConfig.uniform(3, ALPHA, steps=50)).bloch
-        cfg = MachineConfig.uniform(3, ALPHA, initial="011", steps=50)
+        ref = recursion_mod.run(MachineConfig(3, ALPHA, steps=50)).bloch
+        cfg = MachineConfig(3, ALPHA, initial="011", steps=50)
         np.testing.assert_array_equal(recursion_mod.run(cfg).bloch, ref)
 
     def test_head_down_negates(self):
-        up = MachineConfig.uniform(2, ALPHA, phi0=0.0, steps=40)
-        down = MachineConfig.uniform(2, ALPHA, phi0=math.pi, steps=40)
+        up = MachineConfig(2, ALPHA, phi0=0.0, steps=40)
+        down = MachineConfig(2, ALPHA, phi0=math.pi, steps=40)
         np.testing.assert_array_equal(
             recursion_mod.run(down).bloch, -recursion_mod.run(up).bloch
         )
@@ -146,15 +172,15 @@ class TestRunAdapter:
 
     def test_rejects_tilted_head(self):
         with pytest.raises(ConfigurationError):
-            recursion_mod.run(MachineConfig.uniform(2, 1.0, phi0=0.5, steps=10))
+            recursion_mod.run(MachineConfig(2, 1.0, phi0=0.5, steps=10))
 
     def test_rejects_sign_tapes(self):
-        cfg = MachineConfig.uniform(2, 1.0, initial="+-", steps=10)
+        cfg = MachineConfig(2, 1.0, initial="+-", steps=10)
         with pytest.raises(ConfigurationError):
             recursion_mod.run(cfg)
 
     def test_rejects_signed_flip_variant(self):
-        cfg = MachineConfig.uniform(2, 1.0, variant="iy", steps=10)
+        cfg = MachineConfig(2, 1.0, variant="iy", steps=10)
         with pytest.raises(ConfigurationError):
             recursion_mod.run(cfg)
 
@@ -184,11 +210,3 @@ class TestSingleSpinClosedForm:
                 traj.bloch[m],
                 atol=1e-12,
             )
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            m1_closed_form("chaotic", 1, 0.0, 1.0)
-
-    def test_rejects_negative_step(self):
-        with pytest.raises(ConfigurationError):
-            m1_closed_form("periodic", -1, 0.0, 1.0)

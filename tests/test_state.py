@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import purity
 from qtm.analysis import fit_invariant_circles
 from qtm.engine import MachineConfig, Trajectory
 from qtm.errors import ConfigurationError
 from qtm import primitives, state
 from qtm.gates import apply_qcnot
-from qtm.recursion import HeadRecursion, m1_closed_form
+from qtm.recursion import HeadRecursion
 from qtm.state import (BlochVector, StateVector, head_bloch,
-                       make_product_state, make_state, normalize_tape_spec,
-                       purity)
+                       make_product_state, make_state, normalize_tape_spec)
 
 
 def test_all_zeros_product_state():
@@ -214,13 +214,12 @@ _LINE = Trajectory(np.zeros((9, 3)), 1)
     lambda: primitives.all_patterns(2.5),
     lambda: MachineConfig.uniform(2.5, 1.0),
     lambda: MachineConfig(2, 1.0, steps=4.0),
-    lambda: m1_closed_form("aperiodic", 1.5, 0.0, 1.0),
     lambda: fit_invariant_circles(_LINE, 2.5),
     lambda: StateVector(1.0, np.ones(4) / 2),
     lambda: normalize_tape_spec("zeros", 2.5),
 ], ids=["evolve_angles", "run_primitive", "superpose", "recursion",
         "detect_period_numeric", "census_max_cycles", "census_tape_size",
-        "all_patterns", "uniform_config", "config_steps", "m1_closed_form",
+        "all_patterns", "uniform_config", "config_steps",
         "fit_invariant_circles", "state_vector", "tape_spec"])
 def test_every_count_must_be_an_integer(call):
     # a tape size, step count or bound that is not an integer is refused
