@@ -11,10 +11,17 @@ and at M=16 and 18, a pair row per backend times one cycle of the
 rotate-and-flip pairs of kernels.pair_kernels (fused on the numpy
 kernels) against rotate_head, the flip and head_cross called one after
 the other, in each variant, and checks that both leave the same state
-bits and cross terms; the run exits non-zero if they do not. Two
-end-to-end rows follow: engine.run at M=8 over 20,000 steps per backend
-(its first cycle gate by gate, the rest in rotate-and-flip pairs), in
-steps/s, and the writers: CSV and JSON on its 20,001-row trajectory and
+bits and cross terms; the run exits non-zero if they do not. At M=6-8,
+where engine.run takes its ring of states, a ring row per backend times
+one cycle of the out-of-place pairs of kernels.ring_kernels with the
+cycle's three np.vecdot reductions (cross terms, p0 and p1, norm²)
+against one cycle of the in-place pairs with their cross terms and the
+_vdot of p0, p1 and norm², in each variant, and checks that both give
+the same state, cross terms, p0, p1 and norm² bits; the run exits
+non-zero if they do not. Two end-to-end rows follow: engine.run at M=6
+and M=8 over 20,000 steps per backend (its first cycle gate by gate, the
+rest around the ring), in steps/s, and the writers: CSV and JSON on the
+M=8 run's 20,001-row trajectory and
 on its first 101 rows, where a call's fixed cost shows, and the spectrum
 CSV of its first 4,096 rows. Then a census row at M=12 and M=14:
 primitives.period_census over CENSUS_CYCLES cycles and io.write_census on
@@ -42,7 +49,8 @@ import numpy as np
 from qtm import MachineConfig, analysis, engine, io, kernels, primitives, run
 from qtm.engine import Trajectory
 from qtm.kernels import available_backends
-from qtm.state import StateVector, head_cross, make_product_state
+from qtm.state import (StateVector, _vdot, aligned_empty, head_cross,
+                       make_product_state)
 
 LOOP_TAPE = "11000011"
 LOOP_STEPS = 20000
@@ -161,13 +169,71 @@ def bench_pairs(mod, num_tape_spins, variant, repeats):
     return best[0], best[1], out[0] == out[1]
 
 
-def bench_loop(mod, repeats):
-    """(best time, trajectory) of engine.run at M=8 on LOOP_TAPE over
-    LOOP_STEPS steps, a run too large for the cycle matrix, with mod's
-    kernels: the numpy ones make it take the fused pairs of
-    _kernels_py.pairs after its first cycle."""
-    cfg = MachineConfig(len(LOOP_TAPE), math.pi / math.sqrt(3.0),
-                        initial=LOOP_TAPE, steps=LOOP_STEPS)
+def bench_ring(mod, num_tape_spins, variant, repeats):
+    """(ring, in_place, same): best times of one cycle of engine._run_ring's
+    work, the pairs of kernels.ring_kernels around a ring of states with
+    mod's kernels bound and the cycle's three np.vecdot reductions (cross
+    terms, p0 and p1 of the cycle end, its norm²), and of
+    engine._run_pairs' work on the same cycle, the in-place pairs of
+    kernels.pair_kernels returning their cross terms and the _vdot of p0,
+    p1 and the norm², each from one state; same is whether both give the
+    same bits of the state and of those values. The binding, once per
+    run, is not timed."""
+    alpha = math.pi / math.sqrt(3.0)
+    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
+    start = make_product_state(
+        0.3, ("+-01" * 2)[:num_tape_spins]).amplitudes
+    size, half = start.size, start.size // 2
+    spins = range(1, num_tape_spins + 1)
+
+    def ring_cycle():
+        ring = aligned_empty((num_tape_spins, size))
+        ring[-1] = start
+        pair = kernels.ring_kernels(ring, variant, c, s)
+        heads = ring.reshape(num_tape_spins, 2, half)
+        crosses = np.empty(num_tape_spins, complex)
+        p, norm = np.empty(2, complex), np.empty(1, complex)
+
+        def cycle():
+            for mu in spins:
+                pair[mu]()
+            np.vecdot(heads[:, 0], heads[:, 1], crosses)
+            np.vecdot(heads[-1], heads[-1], p)
+            np.vecdot(ring[-1:], ring[-1:], norm)
+            return ring[-1], crosses + 0j, p.real, norm.real
+        return cycle
+
+    def in_place_cycle():
+        amps = aligned_empty(size)
+        amps[:] = start
+        pair = kernels.pair_kernels(amps, variant, c, s)
+        a0, a1 = amps[:half], amps[half:]
+
+        def cycle():
+            crosses = [pair[mu]() for mu in spins]
+            p = [_vdot(a0, a0).real, _vdot(a1, a1).real]
+            return amps, crosses, p, [_vdot(amps, amps).real]
+        return cycle
+
+    best, out = [math.inf, math.inf], []
+    with bound(mod):
+        for i, bind in enumerate((ring_cycle, in_place_cycle)):
+            for _ in range(repeats):
+                cycle = bind()
+                t0 = time.perf_counter()
+                result = cycle()
+                best[i] = min(best[i], time.perf_counter() - t0)
+            out.append(b"".join(np.asarray(v).tobytes() for v in result))
+    return best[0], best[1], out[0] == out[1]
+
+
+def bench_loop(mod, tape, repeats):
+    """(best time, trajectory) of engine.run on tape over LOOP_STEPS steps,
+    a run too large for the cycle matrix, with mod's kernels: at M = 6-8
+    it goes around a ring of states after its first cycle, in the fused
+    pairs of _kernels_py.ring_pairs with the numpy kernels."""
+    cfg = MachineConfig(len(tape), math.pi / math.sqrt(3.0), initial=tape,
+                        steps=LOOP_STEPS)
     best = math.inf
     with bound(mod):
         for _ in range(repeats):
@@ -326,15 +392,28 @@ def main():
                 if not same:
                     unequal.append(f"{name} {variant} M={m}")
 
-    print(f"\nengine.run, M={len(LOOP_TAPE)} on {LOOP_TAPE}, "
-          f"{LOOP_STEPS:,} steps")
-    trajs = {}
-    for name, mod in backends.items():
-        best, trajs[name] = bench_loop(mod, args.repeats)
-        print(f"  {name:>8}: {best * 1e3:9.1f} ms   "
-              f"{LOOP_STEPS / best:12,.0f} steps/s")
-    same = len({t.bloch.tobytes() for t in trajs.values()}) == 1
-    print(f"  trajectories bit-equal across backends: {same}")
+    for m in (6, 7, 8):
+        print(f"\nring of states against in-place pairs, one cycle with its"
+              f" reductions, M={m}")
+        for name, mod in backends.items():
+            for variant in ("x", "iy"):
+                ring, in_place, same = bench_ring(mod, m, variant,
+                                                  args.repeats)
+                print(f"  {name:>8} {variant:>2}: ring {ring * 1e3:8.3f} ms"
+                      f"   in place {in_place * 1e3:8.3f} ms"
+                      f"   {in_place / ring:5.2f} x   bit-equal: {same}")
+                if not same:
+                    unequal.append(f"ring {name} {variant} M={m}")
+
+    for tape in (LOOP_TAPE[:6], LOOP_TAPE):
+        print(f"\nengine.run, M={len(tape)} on {tape}, {LOOP_STEPS:,} steps")
+        trajs = {}
+        for name, mod in backends.items():
+            best, trajs[name] = bench_loop(mod, tape, args.repeats)
+            print(f"  {name:>8}: {best * 1e3:9.1f} ms   "
+                  f"{LOOP_STEPS / best:12,.0f} steps/s")
+        same = len({t.bloch.tobytes() for t in trajs.values()}) == 1
+        print(f"  trajectories bit-equal across backends: {same}")
     print("\nwriters")
     for name, best in bench_writers(trajs["numpy"], args.repeats).items():
         print(f"  {name:>26}: {best * 1e3:7.2f} ms")
@@ -355,8 +434,8 @@ def main():
                   + "   ".join(f"{phase} {took * 1e3:6.2f} ms"
                                for phase, took in best.items()))
     if unequal:
-        raise SystemExit("pairs and rotate+flip+head_cross differ in bits: "
-                         + ", ".join(unequal))
+        raise SystemExit("pairs differ in bits from rotate+flip+head_cross"
+                         " or from the ring: " + ", ".join(unequal))
 
 
 if __name__ == "__main__":

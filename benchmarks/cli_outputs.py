@@ -3,9 +3,13 @@
 Covers simulate with each engine (csv, json and svg, both flip variants),
 primitives, classify --pattern and --all, decompose, spectrum and
 invariants, at the benchmark's shapes (M=3, 4 and 8 over 20,000 steps, the
-M=12 census over 200 cycles, M=18 over 100 steps), at M=7 over 3,000 steps,
-M=14 (the largest state of one kernel block) over 100, M=16 (four blocks,
-signed flips) over 101, and at a few small ones (censuses of M=1 and 2),
+M=12 census over 200 cycles, M=18 over 100 steps), on the ring of states
+that M = 6-8 go around after their first cycle (M=6, signed flips, ending
+on an odd step inside a cycle; M=7 over 3,000 steps; M=8 on a tape of
+'+' and '-' only, every amplitude nonzero, ending on a cycle end), on the
+in-place pairs of M=14 (the largest state of one kernel block) over 100
+steps and M=16 (four blocks, signed flips) over 101, and at a few small
+ones (censuses of M=1 and 2),
 censuses at angles where most steps match step 0 (alpha = 0, 2*pi/3 and
 pi/50), plus configurations and angle spellings the CLI refuses.
 Every command runs in this process from inside OUTDIR with a relative
@@ -66,10 +70,16 @@ def commands():
     for engine in ("statevector", "primitives"):
         yield from _simulate(f"sim_m8_{engine}", 8, 20000, "01101001", engine)
     # after their first cycle, steps go in rotate-and-flip pairs, fused
-    # with the numpy kernels: on one block (M <= 14), and on four with
-    # partner blocks for the top spins, ending on an odd step
+    # with the numpy kernels: out of place around a ring of states at
+    # M = 6-8, here ending on a rotation inside a cycle (3,007 = 250 * 12 +
+    # 7) and on a cycle end (3,008 = 188 * 16); in place on one block
+    # (M <= 14), and on four with partner blocks for the top spins, ending
+    # on an odd step
+    yield from _simulate("sim_m6_iy_odd", 6, 3007, "+-01+-", variant="iy",
+                         phi0="0.9")
     yield from _simulate("sim_m7_iy", 7, 3000, "+-01+-0", variant="iy",
                          phi0="0.9", formats=("json",))
+    yield from _simulate("sim_m8_signs", 8, 3008, "+--+-++-", phi0="0.4")
     yield from _simulate("sim_m14_mixed", 14, 100, "+-01+-01+-01+-")
     yield from _simulate("sim_m16_iy", 16, 101, "+-01" * 4, variant="iy",
                          phi0="0.9")

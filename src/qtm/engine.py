@@ -23,9 +23,9 @@ from .errors import ConfigurationError, NumericalValidationError
 from . import _kernels_py, kernels
 from .gates import (VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot,
                     rotation_coefficients)
-from .state import (REDUCE_BLOCK, BlochVector, StateVector, add_tape_spin,
-                    check_count, check_fits, head_bloch,
-                    head_bloch_rows, head_cross, make_state,
+from .state import (REDUCE_BLOCK, BlochVector, StateVector, _halves, _vdot,
+                    add_tape_spin, aligned_empty, check_count, check_fits,
+                    head_bloch, head_bloch_rows, head_cross, make_state,
                     normalize_tape_spec, norm_sq_rows, tape_amplitudes)
 
 NORM_TOL = 1e-12
@@ -144,17 +144,29 @@ def run(config: MachineConfig) -> Trajectory:
     entangled and starts at full size.
 
     A run longer than one cycle steps this way through its first cycle
-    only. On a small tape, whose cycle matrix of 4**(M+1) entries fits in
-    REDUCE_BLOCK (M <= 5), it goes on in windows of cycles (_run_windows):
-    every R-th cycle start is chained in extended precision by U^R, and
-    the gates replay R cycles from each, R >= 1 set by a rounding bound
-    and the window size. On a larger tape it goes on in rotate-and-flip
-    pairs (_run_pairs), whose carried Bloch vectors are filled in by
-    columns after the last pair.
+    only, and goes on by one of three paths, picked by one rule: the
+    first of them whose working set fits in one reduction block of
+    REDUCE_BLOCK amplitudes.
+
+    - Windows (_run_windows), when the cycle matrix of 4**(M+1) entries
+      fits (M <= 5): every R-th cycle start is chained in extended
+      precision by U^R, and the gates replay R cycles from each, R >= 1
+      set by a rounding bound and the window size.
+    - The ring (_run_ring), when the cycle's M states of 2**(M+1)
+      amplitudes fit (M = 6-8): rotate-and-flip pairs write out of place
+      around a ring of M states, and each cycle is reduced once, by three
+      np.vecdot calls.
+    - In-place pairs (_run_pairs) otherwise (M >= 9): rotate-and-flip
+      pairs on the state, each returning its cross term, and the head
+      reduced at each cycle end.
+
+    The last two fill in their carried Bloch vectors by columns after the
+    last pair (_fill_columns).
 
     The state norm is checked at the end of every cycle (and after a final
     partial cycle, and at every cycle start a window chains); drift beyond
-    1e-12, or a norm that is not a number, raises NumericalValidationError.
+    1e-12, or a norm that is not a number, raises NumericalValidationError
+    for the earliest step that shows it.
     The norm is never re-imposed, a drifting norm means a broken kernel and
     renormalizing would hide it.
     """
@@ -166,16 +178,33 @@ def run(config: MachineConfig) -> Trajectory:
     # scratch, or the two half states of a one-block rotation); then a
     # trajectory row of 3 doubles per step and what the path after the
     # first cycle holds: the matrices and the stack of _run_windows, or the
-    # temporaries of _run_pairs' column fill, three doubles per cycle, and
-    # its pair callables with the views they bind, 1.5 KiB per spin
-    # (tracemalloc of kernels.pair_kernels less its scratch read 0.66-1.28
-    # KB per spin at M = 6-14, either variant; up to 8.4 KB at M = 18,
-    # where the freed half-size state leaves far more room)
+    # temporaries of the column fill, three doubles per cycle, and the pair
+    # callables with the views they bind, 1.5 KiB per spin (tracemalloc of
+    # kernels.pair_kernels less its scratch read 0.66-1.28 KB per spin at
+    # M = 6-14, either variant; up to 8.4 KB at M = 18, where the freed
+    # half-size state leaves far more room); _run_ring adds its ring of M
+    # states, the state and a half of its pairs' scratch, and 1 KiB per
+    # spin more for its pairs (tracemalloc of kernels.ring_kernels less
+    # its scratch: 1.5 KB per spin for x, 2.0 KB for iy, at M = 6-8, and
+    # up to 5 KB more while a pair runs)
     size = 2 ** (num + 1)
     held = size + size // 2 + 2 * min(size, _kernels_py.BLOCK)
     windows = 4 ** (num + 1) <= REDUCE_BLOCK
-    later = (_windows_bytes(config, size) if windows
-             else 24 * (config.steps // (2 * num)) + 1536 * num)
+    # the ring's cut-off is a working-set choice, not a bits one: vecdot
+    # gives _vdot's bits on rows of up to REDUCE_BLOCK amplitudes, and with
+    # the ring forced on at M = 9 and 10 every trajectory bit stayed the
+    # same and engine.run over 20,000 steps ran faster than the in-place
+    # pairs (2-core host, one BLAS thread, best of 9: M=9 50 against 56-58
+    # ms, M=10 72-74 against 77-80 ms, plain flip), so M = 8 is not shown
+    # to be the best last M for the ring
+    ring = num * size <= REDUCE_BLOCK
+    cycles = config.steps // (2 * num)
+    if windows:
+        later = _windows_bytes(config, size)
+    else:
+        later = 24 * cycles + 1536 * num
+        if ring:
+            later += 16 * (num * size + 3 * size // 2) + 1024 * num
     check_fits(16 * held + 24 * (config.steps + 1) + later,
                f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
@@ -205,7 +234,8 @@ def run(config: MachineConfig) -> Trajectory:
                 drift = _check_norm(state.norm_sq(), m, drift)
         bloch[m] = x, y, z
     if config.steps > cycle:
-        later = _run_windows if windows else _run_pairs
+        later = (_run_windows if windows else _run_ring if ring
+                 else _run_pairs)
         drift = later(config, state, bloch, drift)
     elif config.steps % cycle:
         drift = _check_norm(state.norm_sq(), config.steps, drift)
@@ -213,45 +243,138 @@ def run(config: MachineConfig) -> Trajectory:
 
 
 def _run_pairs(config, state, bloch, drift):
-    """Steps 2M+1 onwards of a run too large for the cycle matrix, from the
-    full state at the end of the first cycle; returns the norm drift.
+    """Steps 2M+1 onwards of a run too large for the cycle matrix and the
+    ring (M >= 9), from the full state at the end of the first cycle;
+    returns the norm drift.
 
     Each rotation and the flip after it are one call of a pair callable
     that kernels.pair_kernels binds to the state and to the cos and sin of
     the half angle once per run. The loop only calls the pairs, cycle by
     cycle, writing each cross term into the x and y of its flip's row, and
-    at every cycle end reduces the state in full (head_bloch) into that
-    row and checks the norm. An odd last step is a rotation alone, and a
-    last partial cycle ends with a norm check.
-
-    The carried head Bloch vector of run is then filled in by columns, one
-    step of the cycle at a time over every cycle: a flip row's x and y are
-    2 Re and -2 Im of its cross term and its z the row before's, a
-    rotation row's x is the row before's and its (y, z) that row's turned
-    by alpha. These are the scalar carry's operations on the same values,
-    so they give its bits. Their temporaries, at most three columns of a
-    double per cycle, are what run's memory estimate counts beside bloch.
+    at every cycle end writes the head's z, p1 - p0 as head_bloch forms
+    it, and checks the norm. An odd last step is a rotation alone, and a
+    last partial cycle ends with a norm check. The carried Bloch vector is
+    then filled in by columns (_fill_columns).
     """
     cycle, last = 2 * config.num_tape_spins, config.steps
     pairs = tuple(kernels.pair_kernels(
         state.amplitudes, config.variant,
         *rotation_coefficients(config.alpha)).values())
-    # x and y of every flip row after the first cycle, as one complex each
-    crosses = bloch[cycle + 2::2, :2].view(complex)[:, 0]
+    a0, a1 = _halves(state.amplitudes)
+    crosses = _crosses(config, bloch)
     for k in range(0, len(crosses), len(pairs)):
         row = crosses[k:k + len(pairs)]
-        for j, pair in zip(range(len(row)), pairs):
-            row[j] = pair()
+        for j in range(len(row)):
+            row[j] = pairs[j]()
         end = 2 * (cycle + k)
         if end <= last:
-            bloch[end] = head_bloch(state)
+            bloch[end, 2] = _vdot(a1, a1).real - _vdot(a0, a0).real
             drift = _check_norm(state.norm_sq(), end, drift)
+    # the pairs' scratch, a state at M <= 14, is freed before a last
+    # rotation takes its temporaries, another state
+    del pairs
     if last % 2:
         apply_head_rotation(state, config.alpha)
     if last % cycle:
         drift = _check_norm(state.norm_sq(), last, drift)
+    _fill_columns(config, bloch)
+    return drift
+
+
+def _run_ring(config, state, bloch, drift):
+    """Steps 2M+1 onwards of a run whose M states of a cycle fit in one
+    reduction block, M * 2**(M+1) <= REDUCE_BLOCK (M = 6-8), from the full
+    state at the end of the first cycle; returns the norm drift.
+
+    The pairs run out of place around a ring of M states, bound once per
+    run by kernels.ring_kernels: the pair of spin mu reads row mu-2 (row
+    M-1 for mu = 1) and writes row mu-1, so once a cycle's pairs are done
+    row j holds the state after its pair j+1, and row M-1 the cycle end,
+    which the next cycle's first pair reads. Then three np.vecdot calls
+    reduce the cycle:
+
+    - the rows' head-0 halves with their head-1 halves: the cycle's cross
+      terms, written into the x and y of their flip rows;
+    - the last row's halves with themselves: its p0 and p1;
+    - the last row with itself: its norm².
+
+    vecdot sums each row by BLAS zdotc, as np.vdot does, so these are the
+    bits of _vdot, once 0j is added to the cross terms as _vdot adds it
+    (which turns a -0.0 real part into +0.0): of head_cross, of
+    head_bloch's z and of norm_sq. The 0j is added to every cross term
+    at once after the loop. At every cycle end the loop writes the head's
+    z, p1 - p0, and checks the norm, as _run_pairs does.
+
+    A last partial cycle reduces the rows it wrote, and an odd last step
+    rotates the row of the last pair; then the norm of that row is
+    checked. The carried Bloch vector is then filled in by columns
+    (_fill_columns).
+    """
+    num = config.num_tape_spins
+    cycle, last = 2 * num, config.steps
+    half = state.amplitudes.size // 2
+    ring = aligned_empty((num, 2 * half))
+    ring[-1] = state.amplitudes
+    pairs = tuple(kernels.ring_kernels(
+        ring, config.variant, *rotation_coefficients(config.alpha)).values())
+    heads = ring.reshape(num, 2, half)
+    crosses = _crosses(config, bloch)
+    cycles, left = divmod(len(crosses), num)
+    # (p0, p1) and the norm² of a cycle end, and their real parts
+    p, norm = np.empty(2, dtype=complex), np.empty(1, dtype=complex)
+    p_re, norm_re = p.real, norm.real
+    h0, h1, end_row, end_state = heads[:, 0], heads[:, 1], heads[-1], ring[-1:]
+    vecdot = np.vecdot
+    for end, row in zip(range(2 * cycle, last + 1, cycle),
+                        crosses[:cycles * num].reshape(cycles, num)):
+        for pair in pairs:
+            pair()
+        vecdot(h0, h1, row)
+        vecdot(end_row, end_row, p)
+        vecdot(end_state, end_state, norm)
+        bloch[end, 2] = p_re[1] - p_re[0]
+        drift = _check_norm(float(norm_re[0]), end, drift)
+    for pair in pairs[:left]:
+        pair()
+    vecdot(h0[:left], h1[:left], crosses[cycles * num:])
+    np.add(crosses, 0j, out=crosses)
+    if last % cycle:
+        i = (len(crosses) - 1) % num  # the row of the last pair
+        final = ring[i:i + 1]
+        if last % 2:
+            apply_head_rotation(StateVector(num, final[0]), config.alpha)
+        vecdot(final, final, norm)
+        drift = _check_norm(float(norm_re[0]), last, drift)
+    _fill_columns(config, bloch)
+    return drift
+
+
+def _crosses(config, bloch):
+    """x and y of every flip row of bloch after the first cycle, as one
+    complex each: where the pairs' cross terms go."""
+    return bloch[2 * config.num_tape_spins + 2::2, :2].view(complex)[:, 0]
+
+
+def _fill_columns(config, bloch):
+    """Fill in the carried head Bloch vector after the first cycle, from
+    the cross term in the x and y of every flip row and the z of every
+    cycle end.
+
+    The rows are filled by columns, one step of the cycle at a time over
+    every cycle, cycle ends first: a flip row's x and y are 2 Re and -2 Im
+    of its cross term and, inside a cycle, its z the row before's; a
+    rotation row's x is the row before's and its (y, z) that row's turned
+    by alpha. These are the scalar carry's operations on the same values,
+    and at a cycle end head_bloch's, so they give their bits. Their
+    temporaries, at most three columns of a double per cycle, are what
+    run's memory estimate counts beside bloch.
+    """
+    cycle = 2 * config.num_tape_spins
     c, s = math.cos(config.alpha), math.sin(config.alpha)
-    for n in range(1, cycle):  # n = 2M is a cycle end, reduced in full
+    ends = bloch[2 * cycle::cycle]
+    ends[:, 0] *= 2.0
+    ends[:, 1] *= -2.0
+    for n in range(1, cycle):
         rows = bloch[cycle + n::cycle]
         x, y, z = bloch[cycle + n - 1::cycle][:len(rows)].T
         if n % 2:
@@ -262,7 +385,6 @@ def _run_pairs(config, state, bloch, drift):
             rows[:, 0] *= 2.0
             rows[:, 1] *= -2.0
             rows[:, 2] = z
-    return drift
 
 
 def _run_windows(config, state, bloch, drift):
@@ -386,9 +508,10 @@ def _windows_bytes(config, size):
     a half blocks (measured: 2.52 matrices at M=5, 3.57 at M=4, where the
     block is the whole matrix). Squaring holds two matrices. The replay
     holds U^R, the extended chained start, the stack, and temporaries of
-    two stacks: the one-block rotate_head's two half stacks, or
-    head_bloch_rows' two conj copies (norm_sq_rows' one conj copy is a
-    stack), plus ten doubles of per-row sums and step numbers."""
+    two stacks: the one-block rotate_head's three half stacks (its new
+    halves and numpy's buffer of a strided half), or head_bloch_rows' two
+    conj copies (norm_sq_rows' one conj copy is a stack), plus ten doubles
+    of per-row sums and step numbers."""
     starts, window, every = _windows_schedule(config)
     if starts < 1:
         return 0

@@ -6,6 +6,8 @@ callers look them up on this module at call time, so the implementation
 can be swapped (or monkeypatched in tests) in one place.
 """
 
+import numpy as np
+
 from . import _kernels_py
 from .state import _halves, _vdot
 
@@ -38,8 +40,7 @@ def pair_kernels(amps, variant, c, s):
     sums the cross term over the halves of amps.
     """
     flip = _FLIPS[variant]
-    if (rotate_head, globals()[flip]) == (_kernels_py.rotate_head,
-                                          getattr(_kernels_py, flip)):
+    if _numpy_bound(flip):
         return _kernels_py.pairs(amps, variant == "iy", c, s)
     a0, a1 = _halves(amps)
 
@@ -51,6 +52,41 @@ def pair_kernels(amps, variant, c, s):
         return rotate_and_flip
 
     return {mu: pair(mu) for mu in range(1, amps.shape[-1].bit_length() - 1)}
+
+
+def ring_kernels(ring, variant, c, s):
+    """{mu: pair} for the tape spins mu = 1..M over a ring of M >= 2
+    states, ring an (M, 2**(M+1)) array, bound to one rotation's
+    coefficients c, s: pair() writes into row mu-1 what rotate_head and
+    then the flip of spin mu make of row mu-2 (row M-1 for mu = 1), with
+    their bits, and leaves row mu-2 as it was.
+
+    The dispatch is pair_kernels': while the kernels bound here are the
+    numpy ones, the pairs are the fused ones of _kernels_py.ring_pairs.
+    Otherwise a pair copies the row and calls the two kernels on the copy
+    by their names here, looked up at call time, with c and s as given.
+    """
+    flip = _FLIPS[variant]
+    if _numpy_bound(flip):
+        return _kernels_py.ring_pairs(ring, variant == "iy", c, s)
+
+    def pair(mu):
+        src, dst = ring[mu - 2], ring[mu - 1]
+
+        def rotate_and_flip():
+            np.copyto(dst, src)
+            rotate_head(dst, c, s)
+            globals()[flip](dst, mu)
+        return rotate_and_flip
+
+    return {mu: pair(mu) for mu in range(1, len(ring) + 1)}
+
+
+def _numpy_bound(flip):
+    """Whether rotate_head and the flip named flip are, as bound here, the
+    numpy kernels, whose pairs are fused."""
+    return (rotate_head, globals()[flip]) == (_kernels_py.rotate_head,
+                                              getattr(_kernels_py, flip))
 
 
 def available_backends():

@@ -174,42 +174,44 @@ def _record_kernel_sizes(monkeypatch, calls=None):
 
 
 def _record_pairs(monkeypatch, calls):
-    """Append ("bind", amplitude count, c, s) to calls for every
-    pair_kernels call, and (mu, amplitude count) for every call of a pair
-    it returned, in call order."""
-    pair_kernels = qtm.kernels.pair_kernels
+    """Append ("bind", amplitude shape, c, s) to calls for every
+    pair_kernels call (the shape of a state) and every ring_kernels call
+    (of a ring of states), and (mu, amplitude shape) for every call of a
+    pair either returned, in call order."""
+    for name in ("pair_kernels", "ring_kernels"):
+        def recorded(amps, variant, c, s, _bind=getattr(qtm.kernels, name)):
+            calls.append(("bind", amps.shape, c, s))
 
-    def recorded(amps, variant, c, s):
-        calls.append(("bind", amps.size, c, s))
+            def wrap(mu, pair):
+                def rotate_and_flip():
+                    calls.append((mu, amps.shape))
+                    return pair()
+                return rotate_and_flip
 
-        def wrap(mu, pair):
-            def rotate_and_flip():
-                calls.append((mu, amps.size))
-                return pair()
-            return rotate_and_flip
+            return {mu: wrap(mu, pair)
+                    for mu, pair in _bind(amps, variant, c, s).items()}
 
-        return {mu: wrap(mu, pair)
-                for mu, pair in pair_kernels(amps, variant, c, s).items()}
-
-    monkeypatch.setattr(qtm.kernels, "pair_kernels", recorded)
+        monkeypatch.setattr(qtm.kernels, name, recorded)
 
 
 def _later_pairs(num, alpha, steps):
     """What _record_pairs records for a run of steps > 2M steps on M = num
-    tape spins: one bind of the full state to the cos and sin of half of
-    alpha, then one pair per rotation and flip after the first cycle, mu
-    in schedule order."""
+    tape spins: one bind to the cos and sin of half of alpha, then one
+    pair per rotation and flip after the first cycle, mu in schedule
+    order. Up to M=8 the pairs go around a ring of M states, above it in
+    place on the full state."""
     size = 2 ** (num + 1)
-    return [("bind", size, *rotation_coefficients(alpha))] + [
-        (k % num + 1, size) for k in range((steps - 2 * num) // 2)]
+    shape = (num, size) if num <= 8 else (size,)
+    return [("bind", shape, *rotation_coefficients(alpha))] + [
+        (k % num + 1, shape) for k in range((steps - 2 * num) // 2)]
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
 def test_first_cycle_holds_only_the_spins_the_head_reached(monkeypatch, variant):
     # one kernel call per step of the first cycle; step m of it is on spin
     # mu = (m+1)//2, and until spin mu is flipped the state holds at most
-    # the head and spins 1..mu. Later steps go in rotate-and-flip pairs on
-    # the full state
+    # the head and spins 1..mu. Later steps go in rotate-and-flip pairs
+    # around a ring of full states, each a kernel call on one full state
     num = 6
     calls = []
     _record_kernel_sizes(monkeypatch, calls)
@@ -383,8 +385,8 @@ def test_windows_path_keeps_its_replay_bound(monkeypatch, num, steps,
 
 def test_six_spins_keep_the_loop(monkeypatch):
     # U of M=6 has 4**7 > REDUCE_BLOCK entries: one full-size kernel call
-    # per step of the first cycle, then one full-size pair per rotation
-    # and flip
+    # per step of the first cycle, then one pair per rotation and flip
+    # around a ring of six full states
     calls = []
     _record_kernel_sizes(monkeypatch, calls)
     _record_pairs(monkeypatch, calls)
@@ -400,8 +402,8 @@ def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
     # the first cycle calls the gates through the names engine binds, once
     # per step, so a wrapper there sees every step of it: step n of a
     # cycle rotates by alpha (n odd) or flips spin n // 2 (n even). Later
-    # steps are one pair call per rotation and flip, and an odd last step
-    # is one more rotation
+    # steps are one call of a ring's pair per rotation and flip, and an odd
+    # last step is one more rotation
     calls = []
     for name in ("apply_head_rotation", "apply_qcnot"):
         def recorded(state, *args, _gate=getattr(qtm.engine, name)):
@@ -423,18 +425,31 @@ def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("num", [6, 7, 8, 9])
 def test_pairs_fill_the_scalar_carrys_bits(monkeypatch, num, variant):
-    # after the pairs, _run_pairs fills the carried Bloch vector by
-    # columns: the bits and the norm drift of a step-by-step carry, for
-    # runs that end on a rotation, inside a cycle and on a cycle end
-    for steps in (2 * num + 1, 4 * num - 1, 4 * num, 4 * num + 1,
-                  6 * num + 3, 3000):
+    # after the pairs, the carried Bloch vector is filled by columns, and
+    # up to M=8 the pairs run around a ring and reduce once per cycle: the
+    # bits and the norm drift of the in-place pairs with a step-by-step
+    # carry, for runs that end on a rotation, inside a cycle and on a
+    # cycle end
+    path = "_run_ring" if num <= 8 else "_run_pairs"
+    took = []
+    later = getattr(qtm.engine, path)
+    monkeypatch.setattr(qtm.engine, path,
+                        lambda *args: took.append(path) or later(*args))
+    # and on an amplitude tape too (entangled, every amplitude nonzero)
+    spec = ("+-01" * 3)[:num]
+    for steps, tape in ((2 * num + 1, spec), (4 * num - 1, spec),
+                        (4 * num, spec), (4 * num + 1, spec),
+                        (6 * num + 3, spec), (3000, spec),
+                        (4 * num, _amplitude_tape(num))):
         cfg = MachineConfig(num, (0.7, 1.9, ALPHA)[num % 3], phi0=1.1,
-                            variant=variant, initial=("+-01" * 3)[:num],
-                            steps=steps)
+                            variant=variant, initial=tape, steps=steps)
         traj = run(cfg)
+        assert took.pop() == path
         with monkeypatch.context() as patch:
-            patch.setattr(qtm.engine, "_run_pairs", helpers.scalar_carry_pairs)
+            for name in ("_run_ring", "_run_pairs"):
+                patch.setattr(qtm.engine, name, helpers.scalar_carry_pairs)
             want = run(cfg)
+        assert not took
         assert traj.bloch.tobytes() == want.bloch.tobytes()
         assert traj.norm_drift == want.norm_drift
 
@@ -451,17 +466,18 @@ def test_run_refuses_a_state_larger_than_memory(monkeypatch):
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("num, steps", [
     pytest.param(10, 60, id="10"), pytest.param(14, 84, id="14"),
-    pytest.param(16, 96, id="16"), (6, 20000), (8, 20000), (3, 20000),
-    (5, 20000), (5, 200000)])
+    pytest.param(16, 96, id="16"), (6, 20000), (7, 20000), (8, 20000),
+    (8, 2001), (3, 20000), (5, 20000), (5, 200000)])
 def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, steps,
                                                  variant):
     # the guard's estimate is at least the traced peak of a three-cycle
     # run: a one-block state (M=10, 14) and a blocked one (M=16). Below
     # M=10 a short run's peak is the guard's own read of /proc/meminfo,
-    # about 10 KiB; a long one at M=6 or 8 holds the trajectory, the
-    # temporaries of its column fill and its pair callables, and one at
-    # M=3 or 5 the trajectory, the extended matrices and the stack of its
-    # windows
+    # about 10 KiB; a long one at M=6-8 holds the trajectory, its ring of
+    # states with the ring's scratch, the temporaries of its column fill
+    # and its pair callables (one ending inside a cycle, on a rotation,
+    # too), and one at M=3 or 5 the trajectory, the extended matrices and
+    # the stack of its windows
     needs = []
     check_fits = qtm.engine.check_fits
 
@@ -477,6 +493,23 @@ def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, steps,
     finally:
         tracemalloc.stop()
     assert len(needs) == 1 and peak <= needs[0]
+
+
+def test_a_last_rotation_does_not_hold_the_pair_scratch():
+    # at M=14 the pairs' scratch is a state (512 KiB) and so are the
+    # temporaries of a rotation: a run ending on a rotation frees the first
+    # before it takes the second, and peaks no higher than one ending on
+    # the flip before it
+    peaks = []
+    for steps in (84, 85):
+        cfg = MachineConfig(14, ALPHA, steps=steps)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16 * 2 ** 15 // 4
 
 
 _THREADED_RUN = """
@@ -566,27 +599,34 @@ def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, num, steps,
     # calls: one that leaks 1e-13 of the amplitude per call puts norm²
     # 1.2e-12 off after the six pairs of the second cycle at M=6 (3.2e-12
     # after the 16 of M=16, a state of four blocks), and a NaN fails the
-    # check at its end too, or at the end of a last partial cycle
-    pair_kernels = qtm.kernels.pair_kernels
+    # check at its end too, or at the end of a last partial cycle. At M=6
+    # the fault goes into the ring's row that the pair wrote, at M=16 into
+    # the state the pair rotated in place
+    made = []
+    for name in ("pair_kernels", "ring_kernels"):
+        def broken(amps, variant, c, s, _bind=getattr(qtm.kernels, name)):
+            def wrap(mu, pair):
+                state = amps[mu - 1] if amps.ndim == 2 else amps
 
-    def broken(amps, variant, c, s):
-        def wrap(pair):
-            def rotate_and_flip():
-                cross = pair()
-                if fault == "leak":
-                    np.multiply(amps, 1.0 + 1e-13, out=amps)
-                else:
-                    amps[0] = complex("nan")
-                return cross
-            return rotate_and_flip
+                def rotate_and_flip():
+                    cross = pair()
+                    if fault == "leak":
+                        np.multiply(state, 1.0 + 1e-13, out=state)
+                    else:
+                        state[0] = complex("nan")
+                    return cross
+                return rotate_and_flip
 
-        return {mu: wrap(pair)
-                for mu, pair in pair_kernels(amps, variant, c, s).items()}
+            made.append(amps.shape)
+            return {mu: wrap(mu, pair)
+                    for mu, pair in _bind(amps, variant, c, s).items()}
 
-    monkeypatch.setattr(qtm.kernels, "pair_kernels", broken)
+        monkeypatch.setattr(qtm.kernels, name, broken)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
         run(MachineConfig(num, ALPHA, initial=_amplitude_tape(num),
                           steps=steps))
+    size = 2 ** (num + 1)
+    assert made == [(num, size) if num <= 8 else (size,)]
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-7, 1.0 + 1e-7],

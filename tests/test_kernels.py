@@ -2,6 +2,7 @@ import importlib.util
 import math
 import shutil
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,72 @@ def test_pairs_equal_rotate_then_flip(request, monkeypatch, backend, variant):
                 [head_cross(StateVector(nbits - 1, want))]))
 
 
+@pytest.mark.parametrize("variant", ["x", "iy"])
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_ring_pairs_equal_rotate_then_flip(request, monkeypatch, backend,
+                                           variant):
+    # rings of M = 2-8 states (engine.run takes the ring at M = 6-8), two
+    # cycles of pairs in spin order, one bind per angle, from a state with
+    # signed zeros: each pair writes into its row the bits of rotate_head
+    # and then the flip of its spin on the row before, and leaves every
+    # other row as it was
+    mod = (_kernels_py if backend == "numpy"
+           else request.getfixturevalue("compiled"))
+    _bind(monkeypatch, mod)
+    flip = (_kernels_py.cnot_flip if variant == "x"
+            else _kernels_py.cnot_signed_flip)
+    rng = np.random.default_rng(73)
+    coefs = [(math.cos(angle), math.sin(angle)) for angle in (0.9, -2.3)]
+    for num in range(2, 9):
+        ring = np.stack([_state_with_signed_zeros(num + 1, rng)
+                         for _ in range(num)])
+        want = ring[-1].copy()
+        pairs = [kernels.ring_kernels(ring, variant, *cs) for cs in coefs]
+        assert all(list(pair) == list(range(1, num + 1)) for pair in pairs)
+        for k in range(2 * num):
+            mu = k % num + 1
+            before = ring.copy()
+            assert pairs[k // num][mu]() is None
+            _kernels_py.rotate_head(want, *coefs[k // num])
+            flip(want, mu)
+            _assert_same_bits(ring[mu - 1], want)
+            others = np.arange(num) != mu - 1
+            _assert_same_bits(ring[others], before[others])
+
+
+def test_ring_pairs_are_fused_whenever_the_numpy_kernels_are_bound(
+        monkeypatch):
+    # _kernels_py.ring_pairs serves the ring while the bound kernels are
+    # numpy's; otherwise a pair copies the row before into its own row and
+    # calls the kernels by name on that copy
+    fused = []
+    monkeypatch.setattr(_kernels_py, "ring_pairs", lambda ring, signed, c, s: (
+        fused.append((ring.shape, signed, c, s))))
+    _bind(monkeypatch, _kernels_py)
+    for num, variant in ((6, "x"), (8, "iy")):
+        kernels.ring_kernels(np.zeros((num, 2 ** (num + 1)), complex),
+                             variant, 0.6, 0.8)
+    assert fused == [((6, 128), False, 0.6, 0.8), ((8, 512), True, 0.6, 0.8)]
+    calls = []
+
+    def recorded(name):
+        def kernel(amps, *args):
+            calls.append((name, amps.ctypes.data) + args)
+        return kernel
+
+    monkeypatch.setattr(kernels, "cnot_signed_flip",
+                        recorded("cnot_signed_flip"))
+    ring = np.zeros((2, 8), complex)
+    ring[0] = [0.5, 0, 0.5j, 0, 0.5, 0, 0.5, 0]
+    pair = kernels.ring_kernels(ring, "iy", 0.6, 0.8)
+    monkeypatch.setattr(kernels, "rotate_head", recorded("rotate_head"))
+    assert pair[2]() is None
+    assert len(fused) == 2
+    assert calls == [("rotate_head", ring[1].ctypes.data, 0.6, 0.8),
+                     ("cnot_signed_flip", ring[1].ctypes.data, 2)]
+    _assert_same_bits(ring[1], ring[0])
+
+
 def test_pairs_are_fused_whenever_the_numpy_kernels_are_bound(monkeypatch):
     # _kernels_py.pairs serves every state size while the bound kernels
     # are numpy's; a kernel that is not numpy's gets pairs that look the
@@ -229,24 +296,28 @@ def test_pair_scratch_is_two_blocks_on_a_cache_line(monkeypatch):
     monkeypatch.setattr(_kernels_py, "aligned_empty", recorded)
     for size in (8, BLOCK, 4 * BLOCK):
         _kernels_py.pairs(np.zeros(size, complex), size == BLOCK, 0.6, 0.8)
+    # a ring's pairs share a state and a half: w a1 and c times a state
+    _kernels_py.ring_pairs(np.zeros((6, 128), complex), True, 0.6, 0.8)
     assert [a.shape for a in made] == [(2, 4), (2, BLOCK // 2),
-                                       (2, BLOCK // 2)]
+                                       (2, BLOCK // 2), (3, 64)]
     assert all(a.ctypes.data % 64 == 0 for a in made)
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
 def test_backends_agree_on_paired_runs(compiled, monkeypatch, variant):
-    # a run at M=7 goes in rotate-and-flip pairs after its first cycle,
-    # fused on the numpy kernels and through the kernels on the compiled
-    # ones; both give the same bits, two cycles and five steps past it
-    cfg = MachineConfig(7, helpers.ALPHA, phi0=0.9, variant=variant,
-                        initial="+-01+-0", steps=3 * 14 + 5)
-    runs = []
-    for backend in (_kernels_py, compiled):
-        _bind(monkeypatch, backend)
-        traj = run(cfg)
-        runs.append(np.append(traj.bloch, traj.norm_drift))
-    _assert_same_bits(*runs)
+    # runs at M=7 and 9 go in rotate-and-flip pairs after their first
+    # cycle, around a ring at M=7 and in place at M=9, fused on the numpy
+    # kernels and through the kernels on the compiled ones; both give the
+    # same bits, two cycles and five steps past it
+    for num in (7, 9):
+        cfg = MachineConfig(num, helpers.ALPHA, phi0=0.9, variant=variant,
+                            initial=("+-01" * 3)[:num], steps=6 * num + 5)
+        runs = []
+        for backend in (_kernels_py, compiled):
+            _bind(monkeypatch, backend)
+            traj = run(cfg)
+            runs.append(np.append(traj.bloch, traj.norm_drift))
+        _assert_same_bits(*runs)
 
 
 def test_blocked_kernels_equal_one_shot_formulas():
@@ -321,6 +392,23 @@ def test_one_block_path_equals_blocked_path(compiled, monkeypatch, rows,
             b = amps.copy()
             getattr(compiled, name)(b, *args)
             _assert_same_bits(out[0], b)
+
+
+def test_one_block_stack_rotation_copies_no_strided_output():
+    # the halves of a stack are strided: the rotation forms the new ones in
+    # contiguous temporaries and copies them back, so it holds those two
+    # half stacks and numpy's buffer of a strided input half, where a
+    # ufunc writing into a strided half it reads copied both operands
+    # (four half stacks in all)
+    amps = np.zeros((128, 64), complex)
+    _kernels_py.rotate_head(amps, 0.6, 0.8)
+    tracemalloc.start()
+    try:
+        _kernels_py.rotate_head(amps, 0.6, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * amps.nbytes // 2 + 4096
 
 
 def _read_only(amps):
