@@ -1,4 +1,7 @@
-"""Numpy gate kernels, used when the compiled extension is unavailable.
+"""Numpy gate kernels: the kernels of every step when the compiled
+extension is unavailable, and with either backend the ones
+engine._cycle_matrix builds the cycle matrix U with in extended precision
+(np.clongdouble, which the compiled kernels do not take).
 
 All kernels mutate amps in place and must match the compiled versions
 (_kernels_c.c) bit for bit. The last axis of amps is one state, and any

@@ -25,8 +25,8 @@ from .gates import (VARIANTS, VARIANT_X, apply_head_rotation, apply_qcnot,
                     rotation_coefficients)
 from .state import (REDUCE_BLOCK, BlochVector, StateVector, _halves, _vdot,
                     add_tape_spin, aligned_empty, check_count, check_fits,
-                    head_bloch, head_bloch_rows, head_cross, make_state,
-                    normalize_tape_spec, norm_sq_rows, tape_amplitudes)
+                    head_bloch, head_cross, make_state, normalize_tape_spec,
+                    tape_amplitudes)
 
 NORM_TOL = 1e-12
 
@@ -151,7 +151,8 @@ def run(config: MachineConfig) -> Trajectory:
     - Windows (_run_windows), when the cycle matrix of 4**(M+1) entries
       fits (M <= 5): every R-th cycle start is chained in extended
       precision by U^R, and the gates replay R cycles from each, R >= 1
-      set by a rounding bound and the window size.
+      set by a rounding bound and the window size, the stack reduced by
+      one np.vecdot call after each flip and two at each cycle end.
     - The ring (_run_ring), when the cycle's M states of 2**(M+1)
       amplitudes fit (M = 6-8): rotate-and-flip pairs write out of place
       around a ring of M states, and each cycle is reduced once, by three
@@ -160,8 +161,9 @@ def run(config: MachineConfig) -> Trajectory:
       pairs on the state, each returning its cross term, and the head
       reduced at each cycle end.
 
-    The last two fill in their carried Bloch vectors by columns after the
-    last pair (_fill_columns).
+    Each of the three reduces only the cross term of every flip and the z
+    and norm² of every cycle end, and fills in the carried Bloch vector by
+    columns after its last step (_fill_columns).
 
     The state norm is checked at the end of every cycle (and after a final
     partial cycle, and at every cycle start a window chains); drift beyond
@@ -176,9 +178,9 @@ def run(config: MachineConfig) -> Trajectory:
     # grows from (check_state_fits), the scratch of its pairs and the
     # temporaries of a rotation, each min(size, BLOCK) of them (a two-block
     # scratch, or the two half states of a one-block rotation); then a
-    # trajectory row of 3 doubles per step and what the path after the
-    # first cycle holds: the matrices and the stack of _run_windows, or the
-    # temporaries of the column fill, three doubles per cycle, and the pair
+    # trajectory row of 3 doubles per step, the temporaries of the column
+    # fill, three doubles per cycle, and what the path after the first
+    # cycle holds: the matrices and the stack of _run_windows, or the pair
     # callables with the views they bind, 1.5 KiB per spin (tracemalloc of
     # kernels.pair_kernels less its scratch read 0.66-1.28 KB per spin at
     # M = 6-14, either variant; up to 8.4 KB at M = 18, where the freed
@@ -198,11 +200,11 @@ def run(config: MachineConfig) -> Trajectory:
     # ms, M=10 72-74 against 77-80 ms, plain flip), so M = 8 is not shown
     # to be the best last M for the ring
     ring = num * size <= REDUCE_BLOCK
-    cycles = config.steps // (2 * num)
+    later = 24 * (config.steps // (2 * num))
     if windows:
-        later = _windows_bytes(config, size)
+        later += _windows_bytes(config, size)
     else:
-        later = 24 * cycles + 1536 * num
+        later += 1536 * num
         if ring:
             later += 16 * (num * size + 3 * size // 2) + 1024 * num
     check_fits(16 * held + 24 * (config.steps + 1) + later,
@@ -299,11 +301,10 @@ def _run_ring(config, state, bloch, drift):
     - the last row with itself: its norm².
 
     vecdot sums each row by BLAS zdotc, as np.vdot does, so these are the
-    bits of _vdot, once 0j is added to the cross terms as _vdot adds it
-    (which turns a -0.0 real part into +0.0): of head_cross, of
-    head_bloch's z and of norm_sq. The 0j is added to every cross term
-    at once after the loop. At every cycle end the loop writes the head's
-    z, p1 - p0, and checks the norm, as _run_pairs does.
+    bits of _vdot, once _fill_columns adds 0j to the cross terms as _vdot
+    adds it: of head_cross, of head_bloch's z and of norm_sq. At every
+    cycle end the loop writes the head's z, p1 - p0, and checks the norm,
+    as _run_pairs does.
 
     A last partial cycle reduces the rows it wrote, and an odd last step
     rotates the row of the last pair; then the norm of that row is
@@ -337,7 +338,6 @@ def _run_ring(config, state, bloch, drift):
     for pair in pairs[:left]:
         pair()
     vecdot(h0[:left], h1[:left], crosses[cycles * num:])
-    np.add(crosses, 0j, out=crosses)
     if last % cycle:
         i = (len(crosses) - 1) % num  # the row of the last pair
         final = ring[i:i + 1]
@@ -351,7 +351,7 @@ def _run_ring(config, state, bloch, drift):
 
 def _crosses(config, bloch):
     """x and y of every flip row of bloch after the first cycle, as one
-    complex each: where the pairs' cross terms go."""
+    complex each: where the cross terms go for _fill_columns."""
     return bloch[2 * config.num_tape_spins + 2::2, :2].view(complex)[:, 0]
 
 
@@ -360,9 +360,12 @@ def _fill_columns(config, bloch):
     the cross term in the x and y of every flip row and the z of every
     cycle end.
 
-    The rows are filled by columns, one step of the cycle at a time over
-    every cycle, cycle ends first: a flip row's x and y are 2 Re and -2 Im
-    of its cross term and, inside a cycle, its z the row before's; a
+    First 0j is added to every cross term, as _vdot adds it: that turns a
+    -0.0 part into +0.0 and changes nothing else, so the in-place pairs'
+    terms, which have it already, keep their bits. Then every flip row's
+    x and y become 2 Re and -2 Im of its cross term.
+    Then the rows are filled by columns, one step of the cycle at a time
+    over every cycle: a flip row's z inside a cycle is the row before's; a
     rotation row's x is the row before's and its (y, z) that row's turned
     by alpha. These are the scalar carry's operations on the same values,
     and at a cycle end head_bloch's, so they give their bits. Their
@@ -371,9 +374,11 @@ def _fill_columns(config, bloch):
     """
     cycle = 2 * config.num_tape_spins
     c, s = math.cos(config.alpha), math.sin(config.alpha)
-    ends = bloch[2 * cycle::cycle]
-    ends[:, 0] *= 2.0
-    ends[:, 1] *= -2.0
+    crosses = _crosses(config, bloch)
+    np.add(crosses, 0j, out=crosses)
+    flips = bloch[cycle + 2::2]  # one column at a time takes no temporary
+    flips[:, 0] *= 2.0
+    flips[:, 1] *= -2.0
     for n in range(1, cycle):
         rows = bloch[cycle + n::cycle]
         x, y, z = bloch[cycle + n - 1::cycle][:len(rows)].T
@@ -382,8 +387,6 @@ def _fill_columns(config, bloch):
             rows[:, 1] = y * c - z * s
             rows[:, 2] = y * s + z * c
         else:
-            rows[:, 0] *= 2.0
-            rows[:, 1] *= -2.0
             rows[:, 2] = z
 
 
@@ -397,9 +400,12 @@ def _run_windows(config, state, bloch, drift):
     one: psi_1 is the state, psi_(1+jR) = U^R psi_(1+(j-1)R), with U built
     by _cycle_matrix and U^R by squaring it in extended precision. A window
     stacks up to REDUCE_BLOCK // 2**(M+1) chained starts, and the gates
-    replay R cycles over the whole stack at once, one kernel call per step,
-    with the head Bloch vector of every row reduced after each step. The
-    last row's replay stops at the run's last step.
+    replay R cycles over the whole stack at once, one kernel call per step
+    (_replay), reducing the rows' cross terms after each flip and their z
+    and norm² at each cycle end; a rotation reduces nothing. The last
+    row's replay stops at the run's last step. After the last window the
+    carried Bloch vector is filled in by columns (_fill_columns), as after
+    the ring and the in-place pairs.
 
     Rounding. The extended chain and the one rounding of each start to
     double are as for R = 1. The replay is what R changes: a row runs R*M
@@ -431,11 +437,12 @@ def _run_windows(config, state, bloch, drift):
     R = 1 always did, with its bits; so does any run of at most R + 1
     cycles. U is built only when the run chains a second start.
 
-    The norm guard checks every chained start, and every replayed row at
-    every cycle end of its R cycles, or at the run's last step. A window's
-    failures are gathered and the one at the earliest step raises, once
-    the window is replayed: the rows' checks after one step of the replay
-    lie R cycles apart, so in check order a later row would come first.
+    The norm guard checks every chained start, every replayed row at
+    every cycle end of its R cycles, and, after the last window, a last
+    row that stopped inside a cycle. A window's failures are gathered and
+    the one at the earliest step raises, once the window is replayed: the
+    rows' checks after one step of the replay lie R cycles apart, so in
+    check order a later row would come first.
     """
     cycle = 2 * config.num_tape_spins
     size = state.amplitudes.size
@@ -458,11 +465,15 @@ def _run_windows(config, state, bloch, drift):
             row[:] = psi
         at = np.array(ks) * cycle
         faults = []
-        drift = _check_norms(norm_sq_rows(rows), at, drift, faults)
+        drift = _check_norms(np.vecdot(rows, rows).real, at, drift, faults)
         drift = _replay(config, rows, every, at[0], bloch, drift, faults)
         if faults:
             step, norm_sq = min(faults)
             _check_norm(norm_sq, step, drift)  # raises
+    if config.steps % cycle:  # the last row stopped inside a cycle
+        drift = _check_norm(_vdot(rows[-1], rows[-1]).real, config.steps,
+                            drift)
+    _fill_columns(config, bloch)
     return drift
 
 
@@ -507,11 +518,13 @@ def _windows_bytes(config, size):
     check, which take a block of _BUILD_BLOCK entries at a time: two and
     a half blocks (measured: 2.52 matrices at M=5, 3.57 at M=4, where the
     block is the whole matrix). Squaring holds two matrices. The replay
-    holds U^R, the extended chained start, the stack, and temporaries of
-    two stacks: the one-block rotate_head's three half stacks (its new
-    halves and numpy's buffer of a strided half), or head_bloch_rows' two
-    conj copies (norm_sq_rows' one conj copy is a stack), plus ten doubles
-    of per-row sums and step numbers."""
+    holds U^R, the extended chained start, the stack, temporaries of two
+    stacks, within which the one-block rotate_head's three half stacks
+    (its new halves and numpy's buffer of a strided half) stay, and ten
+    doubles per row of np.vecdot's outputs, their differences and the
+    step numbers of the norm checks (tracemalloc of a replay beyond its
+    stack: 1.55 stacks at M=5, 2.04 at M=1, whose rows are 4 amplitudes).
+    The column fill after the last window is counted by run."""
     starts, window, every = _windows_schedule(config)
     if starts < 1:
         return 0
@@ -583,32 +596,34 @@ def _gamma2(dtype):
 
 def _replay(config, stack, every, first, bloch, drift, faults):
     """Run `every` cycles on every row of stack, row i starting at step
-    first + i * every * cycle, and record the head after each step; the
-    last row stops at the run's last step. The norm of every row is
-    checked at each of its cycle ends and where it stops, a failure
-    appended to `faults`; returns the norm drift."""
+    first + i * every * cycle; the last row stops at the run's last step.
+
+    A rotation reduces nothing. After a flip one np.vecdot of the rows'
+    head halves writes each row's cross term into the x and y of its flip
+    row, and at a cycle end np.vecdot gives each row's p0 and p1, whose
+    p1 - p0 is written into its z, and its norm², which is checked, a
+    failure appended to `faults`. Returns the norm drift."""
     cycle = 2 * config.num_tape_spins
     span = every * cycle
-    rows = len(stack)
-    last_t = len(bloch) - 1 - first - (rows - 1) * span
+    last_t = len(bloch) - 1 - first - (len(stack) - 1) * span
     for t in range(1, span + 1):
-        active = rows if t <= last_t else rows - 1
-        if not active:
+        live = stack if t <= last_t else stack[:-1]
+        if not len(live):
             break
+        states = StateVector(config.num_tape_spins, live)
         n = (t - 1) % cycle + 1
-        states = StateVector(config.num_tape_spins, stack[:active])
         if n % 2:
             apply_head_rotation(states, config.alpha)
-        else:
-            apply_qcnot(states, n // 2, config.variant)
-        bloch[first + t:first + t + active * span:span] = head_bloch_rows(
-            stack[:active])
+            continue
+        apply_qcnot(states, n // 2, config.variant)
+        rows = slice(first + t, first + t + len(live) * span, span)
+        np.vecdot(*_halves(live), bloch[rows, :2].view(complex)[:, 0])
         if n == cycle:
-            drift = _check_norms(norm_sq_rows(stack[:active]),
-                                 first + t + span * np.arange(active), drift,
-                                 faults)
-        elif t == last_t:
-            drift = _check_norms(norm_sq_rows(stack[-1:]), [len(bloch) - 1],
+            heads = live.reshape(len(live), 2, -1)
+            p = np.vecdot(heads, heads).real
+            bloch[rows, 2] = p[:, 1] - p[:, 0]
+            drift = _check_norms(np.vecdot(live, live).real,
+                                 np.arange(rows.start, rows.stop, span),
                                  drift, faults)
     return drift
 

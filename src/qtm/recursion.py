@@ -140,7 +140,7 @@ def run(config: MachineConfig) -> Trajectory:
     spec, and phi0 of exactly 0 or pi. The head
     pattern is the same for every computational tape of a given size (the
     sign-basis weights of any such tape are all equal); starting the head
-    at pi negates the whole trajectory.
+    at pi negates its y and z, and x stays +0.0.
     """
     if config.variant != VARIANT_X:
         raise ConfigurationError("closed form covers the plain flip variant only")
@@ -149,14 +149,12 @@ def run(config: MachineConfig) -> Trajectory:
         raise ConfigurationError(
             "closed form needs an all-computational tape spec (0/1 characters)"
         )
-    if config.phi0 == 0.0:
-        sign = 1.0
-    elif config.phi0 == math.pi:
-        sign = -1.0
-    else:
+    if config.phi0 not in (0.0, math.pi):
         raise ConfigurationError(
             "closed form needs the head at angle 0 or pi exactly"
         )
     rec = HeadRecursion(config.alpha)
-    bloch = sign * rec.trajectory(config.steps, config.num_tape_spins)
+    bloch = rec.trajectory(config.steps, config.num_tape_spins)
+    if config.phi0:
+        bloch[:, 1:] *= -1.0  # not x: -0.0 would print where others print 0.0
     return Trajectory(bloch, config.num_tape_spins)

@@ -127,6 +127,8 @@ def _amplitude_tape(num_tape_spins):
     ("iy", 3, 1.9, 2.9, "-+1", 20003),
     ("x", 4, 1.9, 0.8, "amplitudes", 20005),
     ("iy", 4, ALPHA, 1.234, "+-01", 20000),
+    ("x", 1, 0.7, 0.3, "+", 20001),
+    ("iy", 5, 1.9, 2.9, "+-01-", 20000),
     ("iy", 6, 0.7, 2.9, "+-01+-", 41),
     ("x", 7, 1.9, 0.8, "amplitudes", 43),
 ])
@@ -134,7 +136,10 @@ def test_carried_bloch_matches_per_step_reduction(variant, num, alpha, phi0,
                                                   initial, steps):
     # engine.run carries the head vector through rotations and flips and
     # reduces in full once per cycle; the plain loop reduces every step.
-    # M >= 6 runs go on in rotate-and-flip pairs, here ending on a rotation
+    # Every path after the first cycle fills the carried vector in by
+    # columns: the windows at M <= 5 (M=1 ending on a rotation inside the
+    # last row's replay), and at M >= 6 the rotate-and-flip pairs, here
+    # ending on a rotation
     if initial == "amplitudes":
         initial = _amplitude_tape(num)
     cfg = MachineConfig(num_tape_spins=num, alpha=alpha, phi0=phi0,
@@ -517,10 +522,12 @@ import sys
 import numpy as np
 from qtm import MachineConfig, run
 rows = []
-# M=16 steps gate by gate; M=3 and M=5 (the largest cycle matrix) run
-# 2000 steps on the cycle matrix
-for num, tape, steps in ((16, "zeros", 60), (3, "+-1", 2000),
-                         (5, "+-01-", 2000)):
+# M=16 steps gate by gate and M=8 around the ring; M=3 and M=5 (the
+# largest cycle matrix) run 2000 steps on the cycle matrix, one start per
+# window row (R = 1), and M=3 20,000 steps, eight cycles per row (R = 8)
+for num, tape, steps in ((16, "zeros", 60), (8, "+-01+-01", 2001),
+                         (3, "+-1", 2000), (5, "+-01-", 2000),
+                         (3, "+-1", 20000)):
     traj = run(MachineConfig(num, float(sys.argv[2]), initial=tape,
                              steps=steps))
     rows += [traj.bloch, [traj.norm_drift] * 3]
@@ -529,6 +536,8 @@ np.save(sys.argv[1], np.vstack(rows))
 
 
 def test_trajectory_bits_do_not_depend_on_blas_threads(tmp_path):
+    assert qtm.engine._windows_schedule(
+        MachineConfig(3, ALPHA, initial="+-1", steps=20000))[2] == 8
     src = str(Path(qtm.__file__).resolve().parents[1])
     results = []
     for threads in ("1", "2"):
@@ -688,6 +697,20 @@ def test_norm_guard_reports_a_nan_at_a_cycle_end_inside_a_replay(
     # replay two cycles from each: row 4 from step 54, row 299 from step
     # 3,594 until the run's last step, three steps into its second cycle
     _poison_rotations(monkeypatch, 3603, poisons, step)
+
+
+def test_norm_guard_checks_every_chained_start(monkeypatch):
+    # a cycle matrix 1e-9 too long lengthens every chained start after the
+    # first. 3,603 steps at M=3 chain every second cycle start (R = 2), so
+    # the second chained start, cycle 3's at step 18, fails its own check
+    # before its replay reaches a cycle end
+    build = qtm.engine._cycle_matrix
+    monkeypatch.setattr(qtm.engine, "_cycle_matrix",
+                        lambda config, size: build(config, size) * (1 + 1e-9))
+    cfg = MachineConfig(3, ALPHA, initial="+-1", steps=3603)
+    assert qtm.engine._windows_schedule(cfg)[2] == 2
+    with pytest.raises(NumericalValidationError, match="by step 18$"):
+        run(cfg)
 
 
 def _poison_rotations(monkeypatch, steps, poisons, step):

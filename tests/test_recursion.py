@@ -170,6 +170,14 @@ class TestRunAdapter:
             recursion_mod.run(down).bloch, engine_run(down).bloch, atol=1e-9
         )
 
+    def test_head_down_keeps_x_a_positive_zero(self):
+        # the head down negates y and z only: x is +0.0 bit for bit, as
+        # the state-vector engine writes it, not -0.0
+        cfg = MachineConfig(3, ALPHA, phi0=math.pi, steps=40)
+        x = recursion_mod.run(cfg).bloch[:, 0]
+        assert x.tobytes() == np.zeros(41).tobytes()
+        assert x.tobytes() == engine_run(cfg).bloch[:, 0].tobytes()
+
     def test_rejects_tilted_head(self):
         with pytest.raises(ConfigurationError):
             recursion_mod.run(MachineConfig(2, 1.0, phi0=0.5, steps=10))
