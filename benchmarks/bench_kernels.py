@@ -31,7 +31,8 @@ per backend at M=2-5: engine.run over WINDOW_STEPS steps on the cycle
 matrix path, split into the build of U (_cycle_matrix), the replay of the
 gates over the stacked cycle starts (_replay) and the chain (the rest of
 _run_windows: U^R's squarings, the extended-precision products of every
-R-th cycle start and the column fill after the last window), with R.
+R-th cycle start, each window's norm check and the column fill after the
+last window), with R.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
@@ -306,7 +307,8 @@ def bench_windows(mod, num_tape_spins, repeats):
     """(R, {phase: best time}) of engine.run at M=num_tape_spins <= 5 on a
     mixed tape over WINDOW_STEPS steps with mod's kernels: the whole run,
     and within it U's build (_cycle_matrix), the replay (_replay) and the
-    chain, the rest of _run_windows (with its column fill)."""
+    chain, the rest of _run_windows (with its norm checks and its column
+    fill)."""
     cfg = MachineConfig(num_tape_spins, math.pi / math.sqrt(3.0), phi0=0.3,
                         initial=("+-01" * 2)[:num_tape_spins],
                         steps=WINDOW_STEPS)
@@ -426,8 +428,8 @@ def main():
               f"(faults {faults[0]})   write_census {write_s * 1e3:6.1f} ms "
               f"(faults {faults[1]})")
     print(f"\nwindows path, engine.run over {WINDOW_STEPS:,} steps: U's "
-          "build, the chain of every R-th cycle start with the column "
-          "fill, the replay")
+          "build, the chain of every R-th cycle start with the norm "
+          "checks and the column fill, the replay")
     for m in range(2, 6):
         for name, mod in backends.items():
             every, best = bench_windows(mod, m, args.repeats)

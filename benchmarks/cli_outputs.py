@@ -6,7 +6,9 @@ invariants, at the benchmark's shapes (M=3, 4 and 8 over 20,000 steps, the
 M=12 census over 200 cycles, M=18 over 100 steps), on the ring of states
 that M = 6-8 go around after their first cycle (M=6, signed flips, ending
 on an odd step inside a cycle; M=7 over 3,000 steps; M=8 on a tape of
-'+' and '-' only, every amplitude nonzero, ending on a cycle end), on the
+'+' and '-' only, every amplitude nonzero, ending on a cycle end; M=6
+over 70,000 steps and, at alpha = 1, over 30,000, whose norm² drifts
+past 1e-12), on the
 in-place pairs of M=14 (the largest state of one kernel block) over 100
 steps and M=16 (four blocks, signed flips) over 101, and at a few small
 ones (censuses of M=1 and 2),
@@ -146,9 +148,13 @@ def commands():
             ("classify", ["classify", "--pattern=+-"]),
             ("census", ["classify", "--all", "--tape-size", "2"])):
         yield (f"refused_overflow_{name}.csv", argv + ["--alpha=1e308"])
-    # the flat norm guard stops this correct run at step 64,020 (exit 3)
-    yield ("refused_norm_m6.csv", ["simulate", "--tape-size", "6", ALPHA,
-                                   "--steps", "70000"])
+    # long runs at M=6 whose norm² drifts past 1e-12 as q^r, q = c² + s²
+    # of the double cos and sin of alpha/2, and stays within the rounding
+    # the norm check allows around q^r
+    yield ("sim_m6_70000.csv", ["simulate", "--tape-size", "6", ALPHA,
+                                "--steps", "70000"])
+    yield ("sim_m6_alpha1_30000.csv", ["simulate", "--tape-size", "6",
+                                       "--alpha=1", "--steps", "30000"])
     for name, extra in (("iy", ["--variant", "iy"]),
                         ("initial", ["--initial=01"]),
                         ("tape_size", ["--tape-size", "3"])):

@@ -28,7 +28,10 @@ from .state import (REDUCE_BLOCK, BlochVector, StateVector, _halves, _vdot,
                     head_bloch, head_cross, make_state, normalize_tape_spec,
                     tape_amplitudes)
 
-NORM_TOL = 1e-12
+# the replay's accuracy budget: _run_windows replays R cycles from each
+# chained cycle start only while what the replay adds to a Bloch component
+# or a norm² stays within this (_chain_every)
+REPLAY_BUDGET = 5e-13
 
 # _cycle_matrix's extended rotations and its check take U in blocks of
 # rows of at most this many entries (32 KiB). Up to M=4 U is one block, so
@@ -165,12 +168,16 @@ def run(config: MachineConfig) -> Trajectory:
     and norm² of every cycle end, and fills in the carried Bloch vector by
     columns after its last step (_fill_columns).
 
-    The state norm is checked at the end of every cycle (and after a final
-    partial cycle, and at every cycle start a window chains); drift beyond
-    1e-12, or a norm that is not a number, raises NumericalValidationError
-    for the earliest step that shows it.
-    The norm is never re-imposed, a drifting norm means a broken kernel and
-    renormalizing would hide it.
+    The state norm² is checked at the end of every cycle, after a last
+    partial cycle, and at every cycle start a window chains, by one check
+    (_check_norms) per path: once for the first cycle, once per window,
+    once per run of the ring or the pairs. Every rotation made with the
+    double cos and sin of alpha/2 scales norm² by q = c² + s², so after r
+    of them a correct run's norm² is q^r up to the rounding that
+    _norm_bound derives gate by gate. A norm² further from q^r, or one
+    that is not a number, raises NumericalValidationError for the
+    earliest step that shows it. The norm is never re-imposed: a drifting
+    norm means a broken kernel, and renormalizing would hide it.
     """
     initial = config.resolved_initial()
     num = config.num_tape_spins
@@ -180,7 +187,9 @@ def run(config: MachineConfig) -> Trajectory:
     # scratch, or the two half states of a one-block rotation); then a
     # trajectory row of 3 doubles per step, the temporaries of the column
     # fill, three doubles per cycle, and what the path after the first
-    # cycle holds: the matrices and the stack of _run_windows, or the pair
+    # cycle holds: the matrices and the stack of _run_windows, or the norm²
+    # of every cycle end with its step and its share of their check, 64
+    # bytes a cycle (tracemalloc: 59-64 at 2,000-20,000 cycles), and the pair
     # callables with the views they bind, 1.5 KiB per spin (tracemalloc of
     # kernels.pair_kernels less its scratch read 0.66-1.28 KB per spin at
     # M = 6-14, either variant; up to 8.4 KB at M = 18, where the freed
@@ -200,22 +209,21 @@ def run(config: MachineConfig) -> Trajectory:
     # ms, M=10 72-74 against 77-80 ms, plain flip), so M = 8 is not shown
     # to be the best last M for the ring
     ring = num * size <= REDUCE_BLOCK
-    later = 24 * (config.steps // (2 * num))
+    cycle = 2 * num
+    later = 24 * (config.steps // cycle)
     if windows:
         later += _windows_bytes(config, size)
     else:
-        later += 1536 * num
+        later += 64 * (config.steps // cycle) + 1536 * num
         if ring:
             later += 16 * (num * size + 3 * size // 2) + 1024 * num
     check_fits(16 * held + 24 * (config.steps + 1) + later,
                f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
-    cycle = 2 * num
     bloch = np.empty((config.steps + 1, 3), dtype=float)
     x, y, z = head_bloch(state)
     bloch[0] = x, y, z
-    drift = 0.0
     c, s = math.cos(config.alpha), math.sin(config.alpha)
     for m in range(1, min(config.steps, cycle) + 1):
         if m % 2:
@@ -233,18 +241,17 @@ def run(config: MachineConfig) -> Trajectory:
                 x, y = 2.0 * cross.real, -2.0 * cross.imag
             else:
                 x, y, z = head_bloch(state)
-                drift = _check_norm(state.norm_sq(), m, drift)
         bloch[m] = x, y, z
+    drift = _check_norms(config, np.array([state.norm_sq()]),
+                         np.array([(min(config.steps, cycle) + 1) // 2]))
     if config.steps > cycle:
         later = (_run_windows if windows else _run_ring if ring
                  else _run_pairs)
-        drift = later(config, state, bloch, drift)
-    elif config.steps % cycle:
-        drift = _check_norm(state.norm_sq(), config.steps, drift)
+        drift = max(drift, later(config, state, bloch))
     return Trajectory(bloch, config.num_tape_spins, drift)
 
 
-def _run_pairs(config, state, bloch, drift):
+def _run_pairs(config, state, bloch):
     """Steps 2M+1 onwards of a run too large for the cycle matrix and the
     ring (M >= 9), from the full state at the end of the first cycle;
     returns the norm drift.
@@ -254,9 +261,10 @@ def _run_pairs(config, state, bloch, drift):
     the half angle once per run. The loop only calls the pairs, cycle by
     cycle, writing each cross term into the x and y of its flip's row, and
     at every cycle end writes the head's z, p1 - p0 as head_bloch forms
-    it, and checks the norm. An odd last step is a rotation alone, and a
-    last partial cycle ends with a norm check. The carried Bloch vector is
-    then filled in by columns (_fill_columns).
+    it, and the norm² into the run's norms. An odd last step
+    is a rotation alone, and a last partial cycle ends with one norm²
+    more. The norms are checked once, and the carried Bloch vector is then
+    filled in by columns (_fill_columns).
     """
     cycle, last = 2 * config.num_tape_spins, config.steps
     pairs = tuple(kernels.pair_kernels(
@@ -264,6 +272,8 @@ def _run_pairs(config, state, bloch, drift):
         *rotation_coefficients(config.alpha)).values())
     a0, a1 = _halves(state.amplitudes)
     crosses = _crosses(config, bloch)
+    steps = np.minimum(np.arange(2 * cycle, last + cycle, cycle), last)
+    norms = np.empty(len(steps))
     for k in range(0, len(crosses), len(pairs)):
         row = crosses[k:k + len(pairs)]
         for j in range(len(row)):
@@ -271,19 +281,18 @@ def _run_pairs(config, state, bloch, drift):
         end = 2 * (cycle + k)
         if end <= last:
             bloch[end, 2] = _vdot(a1, a1).real - _vdot(a0, a0).real
-            drift = _check_norm(state.norm_sq(), end, drift)
+            norms[k // len(pairs)] = state.norm_sq()
     # the pairs' scratch, a state at M <= 14, is freed before a last
     # rotation takes its temporaries, another state
     del pairs
     if last % 2:
         apply_head_rotation(state, config.alpha)
-    if last % cycle:
-        drift = _check_norm(state.norm_sq(), last, drift)
+    norms[-1] = state.norm_sq()  # again, if the run ends on a cycle end
     _fill_columns(config, bloch)
-    return drift
+    return _check_norms(config, norms, (steps + 1) // 2)
 
 
-def _run_ring(config, state, bloch, drift):
+def _run_ring(config, state, bloch):
     """Steps 2M+1 onwards of a run whose M states of a cycle fit in one
     reduction block, M * 2**(M+1) <= REDUCE_BLOCK (M = 6-8), from the full
     state at the end of the first cycle; returns the norm drift.
@@ -303,13 +312,13 @@ def _run_ring(config, state, bloch, drift):
     vecdot sums each row by BLAS zdotc, as np.vdot does, so these are the
     bits of _vdot, once _fill_columns adds 0j to the cross terms as _vdot
     adds it: of head_cross, of head_bloch's z and of norm_sq. At every
-    cycle end the loop writes the head's z, p1 - p0, and checks the norm,
-    as _run_pairs does.
+    cycle end the loop writes the head's z, p1 - p0, and the norm² into
+    the run's norms, as _run_pairs does.
 
     A last partial cycle reduces the rows it wrote, and an odd last step
-    rotates the row of the last pair; then the norm of that row is
-    checked. The carried Bloch vector is then filled in by columns
-    (_fill_columns).
+    rotates the row of the last pair; then the norm² of that row is the
+    last of the norms. The norms are checked once, and the carried Bloch
+    vector is then filled in by columns (_fill_columns).
     """
     num = config.num_tape_spins
     cycle, last = 2 * num, config.steps
@@ -321,32 +330,31 @@ def _run_ring(config, state, bloch, drift):
     heads = ring.reshape(num, 2, half)
     crosses = _crosses(config, bloch)
     cycles, left = divmod(len(crosses), num)
-    # (p0, p1) and the norm² of a cycle end, and their real parts
-    p, norm = np.empty(2, dtype=complex), np.empty(1, dtype=complex)
-    p_re, norm_re = p.real, norm.real
+    # (p0, p1) of a cycle end and its real parts, and the cycle ends' norms²
+    p = np.empty(2, dtype=complex)
+    p_re = p.real
     h0, h1, end_row, end_state = heads[:, 0], heads[:, 1], heads[-1], ring[-1:]
+    steps = np.minimum(np.arange(2 * cycle, last + cycle, cycle), last)
+    norms = np.empty(len(steps), dtype=complex)
     vecdot = np.vecdot
-    for end, row in zip(range(2 * cycle, last + 1, cycle),
-                        crosses[:cycles * num].reshape(cycles, num)):
+    for k, row in enumerate(crosses[:cycles * num].reshape(cycles, num)):
         for pair in pairs:
             pair()
         vecdot(h0, h1, row)
         vecdot(end_row, end_row, p)
-        vecdot(end_state, end_state, norm)
-        bloch[end, 2] = p_re[1] - p_re[0]
-        drift = _check_norm(float(norm_re[0]), end, drift)
+        vecdot(end_state, end_state, norms[k:k + 1])
+        bloch[steps[k], 2] = p_re[1] - p_re[0]
     for pair in pairs[:left]:
         pair()
     vecdot(h0[:left], h1[:left], crosses[cycles * num:])
-    if last % cycle:
-        i = (len(crosses) - 1) % num  # the row of the last pair
-        final = ring[i:i + 1]
-        if last % 2:
-            apply_head_rotation(StateVector(num, final[0]), config.alpha)
-        vecdot(final, final, norm)
-        drift = _check_norm(float(norm_re[0]), last, drift)
+    # the row of the last pair; the cycle end again if the run ends on one
+    i = (len(crosses) - 1) % num
+    final = ring[i:i + 1]
+    if last % 2:
+        apply_head_rotation(StateVector(num, final[0]), config.alpha)
+    vecdot(final, final, norms[-1:])
     _fill_columns(config, bloch)
-    return drift
+    return _check_norms(config, norms.real, (steps + 1) // 2)
 
 
 def _crosses(config, bloch):
@@ -390,7 +398,7 @@ def _fill_columns(config, bloch):
             rows[:, 2] = z
 
 
-def _run_windows(config, state, bloch, drift):
+def _run_windows(config, state, bloch):
     """Steps 2M+1 onwards of a small-tape run, from the full state at the
     end of the first cycle; returns the norm drift.
 
@@ -422,8 +430,8 @@ def _run_windows(config, state, bloch, drift):
     to first order (_replay_bound), on top of the rounding the start and
     the reduction carry at R = 1. R is the largest power of two for which
 
-    - eps(R) <= NORM_TOL / 2: the replay takes at most half of the norm
-      guard, and leaves the other half to its chained start; and
+    - eps(R) <= REPLAY_BUDGET, 5e-13: the replay's accuracy budget, what
+      replaying may move a row off the run that chains every start; and
     - R * window <= 2 * starts: the first window is at least half full.
       The stack keeps its height, so a full window replays R * window
       cycles in R * 2M kernel calls, as many per cycle as at R = 1, and
@@ -437,12 +445,18 @@ def _run_windows(config, state, bloch, drift):
     R = 1 always did, with its bits; so does any run of at most R + 1
     cycles. U is built only when the run chains a second start.
 
-    The norm guard checks every chained start, every replayed row at
-    every cycle end of its R cycles, and, after the last window, a last
-    row that stopped inside a cycle. A window's failures are gathered and
-    the one at the earliest step raises, once the window is replayed: the
-    rows' checks after one step of the replay lie R cycles apart, so in
-    check order a later row would come first.
+    The norms² of a window, of every chained start, of every replayed
+    row at every cycle end of its R cycles and of a last row that stops
+    inside a cycle, are checked in one _check_norms call once the window
+    is replayed, which raises for the earliest step that fails. U is
+    unitary to extended rounding only, so each chained cycle counts as its
+    M rotations in extended precision, and a row's norm² is expected to
+    be q^r for the r rotations it made in double: the first cycle's M and
+    M per cycle replayed since its start (U divides q out). A last row
+    that stops early is checked at its last step as if it had gone on to
+    the cycle ends after it: each rotation it did not make adds 2 sqrt(2)
+    gamma_2 to the bound and moves q^r by |q - 1| <= 4u, which is less,
+    so the check is looser there by at most M rotations, never tighter.
     """
     cycle = 2 * config.num_tape_spins
     size = state.amplitudes.size
@@ -456,6 +470,7 @@ def _run_windows(config, state, bloch, drift):
             leap = np.dot(leap, leap)
     psi = state.amplitudes.astype(np.clongdouble)
     stack = np.empty((min(window, len(chained)), size), dtype=complex)
+    drift = 0.0
     for i in range(0, len(chained), window):
         ks = chained[i:i + window]
         rows = stack[:len(ks)]
@@ -463,16 +478,12 @@ def _run_windows(config, state, bloch, drift):
             if k > 1:
                 psi = np.dot(psi, leap)
             row[:] = psi
-        at = np.array(ks) * cycle
-        faults = []
-        drift = _check_norms(np.vecdot(rows, rows).real, at, drift, faults)
-        drift = _replay(config, rows, every, at[0], bloch, drift, faults)
-        if faults:
-            step, norm_sq = min(faults)
-            _check_norm(norm_sq, step, drift)  # raises
-    if config.steps % cycle:  # the last row stopped inside a cycle
-        drift = _check_norm(_vdot(rows[-1], rows[-1]).real, config.steps,
-                            drift)
+        norms = _replay(config, rows, every, ks[0] * cycle, bloch)
+        # column j of the row of cycle k's start: M (1 + j) rotations in
+        # double, M (k - 1) chained
+        drift = max(drift, _check_norms(
+            config, norms, cycle // 2 * np.arange(1, every + 2),
+            cycle // 2 * (np.array(ks)[:, None] - 1)))
     _fill_columns(config, bloch)
     return drift
 
@@ -488,11 +499,11 @@ def _windows_schedule(config):
 
 def _chain_every(config, starts, window):
     """R of _run_windows: the largest power of two whose replay bound
-    stays within NORM_TOL / 2 and whose first window of `starts` cycle
+    stays within REPLAY_BUDGET and whose first window of `starts` cycle
     starts is at least half full."""
     every = 1
     while (every * window <= starts
-           and _replay_bound(config, 2 * every) <= NORM_TOL / 2):
+           and _replay_bound(config, 2 * every) <= REPLAY_BUDGET):
         every *= 2
     return every
 
@@ -500,11 +511,10 @@ def _chain_every(config, starts, window):
 def _replay_bound(config, cycles):
     """eps of _run_windows: what `cycles` cycles replayed in double add, to
     first order, to a Bloch component or the norm² of a row, 2 R M sqrt(2)
-    gamma_2 + |q^(RM) - 1| with q = c² + s² in extended precision."""
+    gamma_2 + |q^(RM) - 1| (_rotation_error, _growth)."""
     rotations = cycles * config.num_tape_spins
-    c, s = (np.longdouble(v) for v in rotation_coefficients(config.alpha))
-    growth = abs(float((c * c + s * s) ** rotations - 1))
-    return 2.0 * rotations * math.sqrt(2.0) * _gamma2(float) + growth
+    return (2.0 * rotations * _rotation_error(float)
+            + abs(float(_growth(config, rotations))))
 
 
 def _windows_bytes(config, size):
@@ -520,11 +530,13 @@ def _windows_bytes(config, size):
     block is the whole matrix). Squaring holds two matrices. The replay
     holds U^R, the extended chained start, the stack, temporaries of two
     stacks, within which the one-block rotate_head's three half stacks
-    (its new halves and numpy's buffer of a strided half) stay, and ten
-    doubles per row of np.vecdot's outputs, their differences and the
-    step numbers of the norm checks (tracemalloc of a replay beyond its
-    stack: 1.55 stacks at M=5, 2.04 at M=1, whose rows are 4 amplitudes).
-    The column fill after the last window is counted by run."""
+    (its new halves and numpy's buffer of a strided half) stay, ten
+    doubles per row of np.vecdot's outputs and their differences
+    (tracemalloc of a replay beyond its stack: 1.55 stacks at M=5, 2.04
+    at M=1, whose rows are 4 amplitudes), and the R + 1 norms² of every
+    row with their share of the window's check, 40 bytes each
+    (tracemalloc: 32 at 20,000 norms², 43 at 2,000). The column fill after
+    the last window is counted by run."""
     starts, window, every = _windows_schedule(config)
     if starts < 1:
         return 0
@@ -533,7 +545,9 @@ def _windows_bytes(config, size):
     matrix = extended * size * size if starts > every else 0  # U is built
     block = min(matrix, extended * max(size, _BUILD_BLOCK))
     build = 3 * matrix // 2 + max(matrix, 5 * block // 2)
-    replay = matrix + extended * size + 3 * 16 * rows * size + 80 * rows
+    # per row: its amplitudes in three stacks, ten doubles, and 40 bytes
+    # for each of its R + 1 norms²
+    replay = matrix + extended * size + rows * (48 * size + 40 * every + 120)
     return max(build, replay)
 
 
@@ -578,7 +592,7 @@ def _cycle_matrix(config, size):
     dev = float(np.max([
         np.abs(images.amplitudes[i:i + rows] - exact[i:i + rows]).max()
         for i in blocks]))
-    bound = math.sqrt(2.0) * num * (_gamma2(float) + _gamma2(np.longdouble))
+    bound = num * (_rotation_error(float) + _rotation_error(np.longdouble))
     if not dev <= bound:  # a NaN fails this test too
         raise NumericalValidationError(
             f"gate kernels build the cycle matrix {dev:.3e} off its exact "
@@ -587,25 +601,23 @@ def _cycle_matrix(config, size):
     return exact
 
 
-def _gamma2(dtype):
-    """gamma_2 = 2u / (1 - 2u) for the unit roundoff u of dtype: the
-    relative error bound of a rounded sum of two rounded products."""
-    u = float(np.finfo(dtype).eps) / 2.0
-    return 2.0 * u / (1.0 - 2.0 * u)
-
-
-def _replay(config, stack, every, first, bloch, drift, faults):
+def _replay(config, stack, every, first, bloch):
     """Run `every` cycles on every row of stack, row i starting at step
     first + i * every * cycle; the last row stops at the run's last step.
 
     A rotation reduces nothing. After a flip one np.vecdot of the rows'
     head halves writes each row's cross term into the x and y of its flip
     row, and at a cycle end np.vecdot gives each row's p0 and p1, whose
-    p1 - p0 is written into its z, and its norm², which is checked, a
-    failure appended to `faults`. Returns the norm drift."""
+    p1 - p0 is written into its z, and its norm².
+
+    Returns the rows' norms², one row each: its start's, then that at
+    each of its cycle ends; a last row that stops early repeats the
+    norm² of its last step from there on."""
     cycle = 2 * config.num_tape_spins
     span = every * cycle
     last_t = len(bloch) - 1 - first - (len(stack) - 1) * span
+    norms = np.empty((len(stack), every + 1))
+    norms[:, 0] = np.vecdot(stack, stack).real
     for t in range(1, span + 1):
         live = stack if t <= last_t else stack[:-1]
         if not len(live):
@@ -622,32 +634,86 @@ def _replay(config, stack, every, first, bloch, drift, faults):
             heads = live.reshape(len(live), 2, -1)
             p = np.vecdot(heads, heads).real
             bloch[rows, 2] = p[:, 1] - p[:, 0]
-            drift = _check_norms(np.vecdot(live, live).real,
-                                 np.arange(rows.start, rows.stop, span),
-                                 drift, faults)
-    return drift
+            norms[:len(live), t // cycle] = np.vecdot(live, live).real
+    # a last row that stopped early: its norm² from its last step on
+    norms[-1, -(-last_t // cycle):] = np.vecdot(stack[-1], stack[-1]).real
+    return norms
 
 
-def _check_norm(norm_sq, m, drift):
-    """The larger of drift and |norm_sq - 1|, norm_sq the norm² of the
-    state at step m; past NORM_TOL it raises with norm_sq - 1 signed."""
-    dev = norm_sq - 1.0
-    if not abs(dev) <= NORM_TOL:  # a NaN norm fails this test too
+def _check_norms(config, norm_sq, rotations, chained=0):
+    """Check the norms² norm_sq of states after `rotations` rotations made
+    in double and `chained` chained in extended precision by _run_windows
+    (both broadcast to norm_sq), in step order; returns the norm drift,
+    the largest |norm² - 1|.
+
+    A norm² further from q^r, r the rotations made in double (_growth),
+    than _norm_bound allows, or one that is not a number, raises
+    NumericalValidationError for the earliest step that shows it, with
+    norm² - 1 signed. A norm² taken after r + chained rotations is at
+    step 2 (r + chained), or at the run's last step if that comes first:
+    a run ending inside a cycle, or on a rotation, is checked there."""
+    off = norm_sq - 1.0 - _growth(config, rotations)
+    bound = _norm_bound(config, rotations, chained)
+    # the first norm² past its bound, if any; a NaN fails this test too
+    i = np.unravel_index(np.argmin(np.abs(off, out=off) <= bound), off.shape)
+    if not off[i] <= bound[i]:
+        r, e = (np.broadcast_to(a, off.shape)[i] for a in (rotations, chained))
         raise NumericalValidationError(
-            f"state norm² drifted to 1{dev:+.3e} by step {m}")
-    return max(drift, abs(dev))
+            f"state norm² is {off[i]:.3e} off q^r, where rounding allows "
+            f"{bound[i]:.3e}: drifted to 1{norm_sq[i] - 1.0:+.3e} by step "
+            f"{min(2 * (r + e), config.steps)}")
+    return float(max(norm_sq.max() - 1.0, 1.0 - norm_sq.min()))
 
 
-def _check_norms(norm_sq, steps, drift, faults):
-    """_check_norm for the states whose norms² norm_sq are taken at steps
-    `steps`, without its raise: if any fails, the one at the earliest step
-    is appended to `faults` as (step, norm²), for _run_windows to raise
-    the earliest of its window; returns the norm drift."""
-    dev = np.abs(norm_sq - 1.0)
-    bad = np.flatnonzero(~(dev <= NORM_TOL))
-    if bad.size:
-        i = bad[np.argmin(np.take(steps, bad))]
-        faults.append((int(steps[i]), float(norm_sq[i])))
-        return drift
-    i = np.argmax(dev)
-    return _check_norm(float(norm_sq[i]), int(steps[i]), drift)
+def _norm_bound(config, rotations, chained=0):
+    """What rounding allows |norm² - q^r| after `rotations` rotations made
+    in double and `chained` chained in extended precision (_check_norms),
+    to first order, relative to the norm² (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3).
+
+    - Each rotation moves the state by at most _rotation_error of the
+      precision it ran in, so it moves norm² by at most twice that. The
+      flips are exact.
+    - Building the state counts as M + 1 rotations in double. The
+      head's cos and sin move its norm² by at most 4u, and each tape
+      spin's product with its site rounds every amplitude once, 2u of
+      norm², plus 1.4e-16 for a '+' or '-' site; an amplitude tape's
+      division by its norm and product with the head round it 5u in all.
+      That tape's norm is itself a sum, whose rounding is not counted:
+      up to the reduction term below in the worst case, a few 1e-16 in a
+      typical one.
+    - norm² itself is summed over 2 * 2**(M+1) squares, by blocks of
+      REDUCE_BLOCK amplitudes, as _vdot sums it: gamma_n of the double,
+      n the terms of one block's sum and the additions of the blocks."""
+    num, size = config.num_tape_spins, 2 ** (config.num_tape_spins + 1)
+    terms = 2 * min(size, REDUCE_BLOCK) + (size - 1) // REDUCE_BLOCK
+    # the terms that vary with a window's row are added last, so a window
+    # makes one array of its norms²' size here
+    return (2.0 * _rotation_error(float) * (rotations + num + 1)
+            + _gamma(terms, float)
+            + 2.0 * _rotation_error(np.longdouble) * chained)
+
+
+def _growth(config, rotations):
+    """q^r - 1 for r `rotations` made with the double cos and sin of
+    alpha/2: each scales norm² by q = c² + s², taken once in extended
+    precision, whose q - 1 is exact; expm1 and log1p carry q^r - 1 to a
+    few units of its own last place."""
+    c, s = (np.longdouble(v) for v in rotation_coefficients(config.alpha))
+    return np.expm1(rotations * math.log1p(float(c * c + s * s - 1)))
+
+
+def _rotation_error(dtype):
+    """sqrt(2) gamma_2 of dtype: how far one rotation made in dtype may
+    move a state, relative to its norm. It rounds every real component
+    once per product and once per sum, |err| <= gamma_2 (|c x| + |s y|),
+    which is at most sqrt(2) gamma_2 of the norm of (x, y)."""
+    return math.sqrt(2.0) * _gamma(2, dtype)
+
+
+def _gamma(n, dtype):
+    """gamma_n = n u / (1 - n u) for the unit roundoff u of dtype: the
+    relative error bound of n rounded operations in a row, such as a sum
+    of n products in any order."""
+    u = float(np.finfo(dtype).eps) / 2.0
+    return n * u / (1.0 - n * u)

@@ -31,7 +31,7 @@ import numpy as np
 import qtm.kernels
 import qtm.state
 from qtm.analysis import X_PLANE_TOL
-from qtm.engine import Trajectory, _check_norm, run
+from qtm.engine import Trajectory, _check_norms, run
 from qtm.errors import ConfigurationError
 from qtm.gates import apply_head_rotation, apply_qcnot, rotation_coefficients
 from qtm.io import CSV_HEADER, SVG_SIZE, SVG_SPAN
@@ -242,12 +242,13 @@ def per_step_run(config):
     return Trajectory(bloch, config.num_tape_spins)
 
 
-def scalar_carry_pairs(config, state, bloch, drift):
+def scalar_carry_pairs(config, state, bloch):
     """engine._run_pairs with the head Bloch vector carried from step to
     step in Python floats and every row written as the loop reaches it,
     as the engine did before it filled the rows by columns after its
     loop; the engine must give the same bits and the same norm drift."""
     cycle, last = 2 * config.num_tape_spins, config.steps
+    norms, steps = [], []
     pairs = qtm.kernels.pair_kernels(state.amplitudes, config.variant,
                                      *rotation_coefficients(config.alpha))
     c, s = math.cos(config.alpha), math.sin(config.alpha)
@@ -264,11 +265,13 @@ def scalar_carry_pairs(config, state, bloch, drift):
             x, y = 2.0 * cross.real, -2.0 * cross.imag
         else:
             x, y, z = head_bloch(state)
-            drift = _check_norm(state.norm_sq(), m + 1, drift)
+            norms.append(state.norm_sq())
+            steps.append(m + 1)
         bloch[m + 1] = x, y, z
     if last % cycle:
-        drift = _check_norm(state.norm_sq(), last, drift)
-    return drift
+        norms.append(state.norm_sq())
+        steps.append(last)
+    return _check_norms(config, np.array(norms), (np.array(steps) + 1) // 2)
 
 
 class StepwiseRecursion(HeadRecursion):

@@ -336,17 +336,18 @@ def test_every_second_start_replays_two_cycles(monkeypatch):
     (3, 6 * 513, 2), (3, 20000, 8), (4, 20000, 16), (5, 20000, 16),
     (1, 20000, 8),
     # 300,000 steps at M=5 would fill half a window at R=256, but its
-    # replay bound, 8.0e-13, is past NORM_TOL / 2
+    # replay bound, 8.0e-13, is past the replay's 5e-13 budget
     (5, 300000, 128)])
 def test_chained_starts_follow_the_rule(num, steps, every):
     cfg = MachineConfig(num, ALPHA, steps=steps)
     starts = (steps - 1) // (2 * num)
     window = REDUCE_BLOCK // 2 ** (num + 1)
+    assert qtm.engine.REPLAY_BUDGET == 5e-13
     assert qtm.engine._chain_every(cfg, starts, window) == every
-    assert qtm.engine._replay_bound(cfg, every) <= qtm.engine.NORM_TOL / 2
+    assert qtm.engine._replay_bound(cfg, every) <= qtm.engine.REPLAY_BUDGET
     assert (every * window > starts
             or qtm.engine._replay_bound(cfg, 2 * every)
-            > qtm.engine.NORM_TOL / 2)
+            > qtm.engine.REPLAY_BUDGET)
 
 
 # the largest disagreement between the windows path and the recursion
@@ -376,7 +377,7 @@ def test_windows_path_keeps_its_replay_bound(monkeypatch, num, steps,
     bound = (qtm.engine._replay_bound(cfg, every)
              + qtm.engine._replay_bound(cfg, 1))
     assert np.abs(traj.bloch - chained.bloch).max() <= bound
-    assert traj.norm_drift <= qtm.engine.NORM_TOL
+    assert traj.norm_drift <= 1e-12
     if variant == "x":
         ref = recursion.run(cfg).bloch
         limit = 2 * CHAINED_EVERY_START[num]
@@ -582,18 +583,69 @@ def test_norm_guard_trips_on_a_nan(monkeypatch, tmp_path, capsys):
     (3, "cycle matrix .* by step 6$"), (6, "norm² .* by step 12$")])
 def test_norm_guard_trips_on_a_slow_leak(monkeypatch, num, message):
     # a rotation that leaks 1e-13 of the amplitude per call puts norm²
-    # 1.2e-12 off after six rotations, one cycle at M=6. At M=3 the cycle
-    # matrix the kernels build after the first cycle is 1.5e-13 off its
-    # exact product, where rounding allows 9.4e-16
+    # 1.2e-12 off after six rotations, one cycle at M=6, where rounding
+    # allows 3.7e-14. At M=3 the first cycle's check would see it as
+    # well, 6e-13 off after three rotations, so there only the calls on
+    # stacks leak, the first of them on the basis states: the cycle matrix
+    # the kernels build after the first cycle is 1.5e-13 off its exact
+    # product, where rounding allows 9.4e-16
     rotate = qtm.kernels.rotate_head
 
     def leaky(amps, c, s):
         rotate(amps, c, s)
-        amps *= 1.0 + 1e-13
+        if num > 5 or amps.ndim == 2:
+            amps *= 1.0 + 1e-13
 
     monkeypatch.setattr(qtm.kernels, "rotate_head", leaky)
     with pytest.raises(NumericalValidationError, match=message):
         run(MachineConfig(num, ALPHA, steps=100 * 2 * num))
+
+
+def test_cycle_matrix_check_trips_on_a_kernel_that_keeps_the_norm(
+        monkeypatch):
+    # a rotation by alpha + 1e-9 keeps the norm, so no norm check can see
+    # it, but the cycle matrix the kernels build after the first cycle is
+    # about 1e-9 off the product of the exact rotations by alpha
+    rotate = qtm.kernels.rotate_head
+
+    def skewed(amps, c, s):
+        rotate(amps, *rotation_coefficients(2 * math.atan2(s, c) + 1e-9))
+
+    monkeypatch.setattr(qtm.kernels, "rotate_head", skewed)
+    with pytest.raises(NumericalValidationError,
+                       match="cycle matrix .* by step 6$"):
+        run(MachineConfig(3, ALPHA, steps=100))
+
+
+def _leak_pairs(monkeypatch, fault, after=0):
+    """Bind kernels.pair_kernels and ring_kernels to pairs that, after
+    their own rotation and flip, leak 1e-13 of the amplitude of the state
+    they wrote (fault "leak") or write a NaN into it ("nan"), once the
+    first `after` pair calls are made; returns the amplitude shapes they
+    were bound to. At M <= 8 the state is the ring's row that the pair
+    wrote, above it the state the pair rotated in place."""
+    made, calls = [], []
+    for name in ("pair_kernels", "ring_kernels"):
+        def broken(amps, variant, c, s, _bind=getattr(qtm.kernels, name)):
+            def wrap(mu, pair):
+                state = amps[mu - 1] if amps.ndim == 2 else amps
+
+                def rotate_and_flip():
+                    cross = pair()
+                    calls.append(mu)
+                    if len(calls) > after and fault == "leak":
+                        np.multiply(state, 1.0 + 1e-13, out=state)
+                    elif len(calls) > after:
+                        state[0] = complex("nan")
+                    return cross
+                return rotate_and_flip
+
+            made.append(amps.shape)
+            return {mu: wrap(mu, pair)
+                    for mu, pair in _bind(amps, variant, c, s).items()}
+
+        monkeypatch.setattr(qtm.kernels, name, broken)
+    return made
 
 
 @pytest.mark.parametrize("fault, num, steps, step", [
@@ -610,32 +662,62 @@ def test_norm_guard_trips_on_a_broken_pair(monkeypatch, fault, num, steps,
     # after the 16 of M=16, a state of four blocks), and a NaN fails the
     # check at its end too, or at the end of a last partial cycle. At M=6
     # the fault goes into the ring's row that the pair wrote, at M=16 into
-    # the state the pair rotated in place
-    made = []
-    for name in ("pair_kernels", "ring_kernels"):
-        def broken(amps, variant, c, s, _bind=getattr(qtm.kernels, name)):
-            def wrap(mu, pair):
-                state = amps[mu - 1] if amps.ndim == 2 else amps
-
-                def rotate_and_flip():
-                    cross = pair()
-                    if fault == "leak":
-                        np.multiply(state, 1.0 + 1e-13, out=state)
-                    else:
-                        state[0] = complex("nan")
-                    return cross
-                return rotate_and_flip
-
-            made.append(amps.shape)
-            return {mu: wrap(mu, pair)
-                    for mu, pair in _bind(amps, variant, c, s).items()}
-
-        monkeypatch.setattr(qtm.kernels, name, broken)
+    # the state the pair rotated in place. At M=16 rounding allows 1.85e-12
+    # at step 64, nearly all of it the sum of the norm² over 2**17
+    # amplitudes in blocks
+    made = _leak_pairs(monkeypatch, fault)
     with pytest.raises(NumericalValidationError, match=f"by step {step}$"):
         run(MachineConfig(num, ALPHA, initial=_amplitude_tape(num),
                           steps=steps))
     size = 2 ** (num + 1)
     assert made == [(num, size) if num <= 8 else (size,)]
+
+
+def test_norm_guard_trips_on_a_late_leak_where_it_passes_the_bound(
+        monkeypatch):
+    # at M=6 the pairs after step 40,000 leak 1e-13 of the amplitude each,
+    # so norm² is (1 + 1e-13)**(2k) - 1 off q^r after k of them: the run
+    # must stop at the first cycle end where that passes what rounding
+    # allows there. The bound grows with the rotations, about 1.26e-11 at
+    # step 40,000, and a leak of 1.2e-12 per cycle passes it within 12
+    # cycles; a bound that grew faster would let the run go on
+    num, start = 6, 40000
+    cycle = 2 * num
+    cfg = MachineConfig(num, ALPHA, steps=start + 100 * cycle)
+
+    def over(end):
+        """How far the leak at cycle end `end` is past the bound."""
+        leak = math.expm1((end - start) * math.log1p((1.0 + 1e-13) - 1.0))
+        return leak - qtm.engine._norm_bound(cfg, end // 2)
+
+    end = start + cycle - start % cycle
+    while over(end) <= 0:
+        end += cycle
+    # the run's own rounding, at most 1.2e-14 measured at M = 6-9, and
+    # the leak's, cannot move the trip to the cycle end before or after
+    assert over(end) > 1e-13 and over(end - cycle) < -1e-13
+    assert end <= start + 12 * cycle
+    _leak_pairs(monkeypatch, "leak", after=(start - cycle) // 2)
+    with pytest.raises(NumericalValidationError, match=f"by step {end}$"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("num, alpha, steps", [
+    (6, ALPHA, 70000), (6, 1.0, 30000), (8, ALPHA, 70000)])
+def test_long_correct_runs_finish(num, alpha, steps):
+    # every rotation scales norm² by q = c² + s² of the double cos and sin
+    # of alpha/2, q - 1 = -3.1e-17 at pi/sqrt(3) and +8.0e-17 at 1, so a
+    # correct run drifts coherently past 1e-12, where a flat bound of
+    # 1e-12 stopped the first two at steps 64,020 and 25,104; each agrees
+    # with the closed-form recursion to that drift and the rounding the
+    # norm check allows
+    cfg = MachineConfig(num, alpha, steps=steps)
+    traj = run(cfg)
+    rotations = (steps + 1) // 2
+    allowed = (abs(float(qtm.engine._growth(cfg, rotations)))
+               + qtm.engine._norm_bound(cfg, rotations))
+    assert 1e-12 < traj.norm_drift <= allowed
+    assert np.abs(traj.bloch - recursion.run(cfg).bloch).max() <= allowed
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-7, 1.0 + 1e-7],
