@@ -1,35 +1,31 @@
-"""Timing comparison of the gate kernel backends.
+"""Timings of the numpy gate kernels and of the paths built on them.
 
 Runs the head rotation, the controlled flip of spin 1 (runs of one
 amplitude) and of spin M (runs of a quarter of the state), the M flips of
 one cycle (spins 1..M) in each variant, plain and signed, and a machine
-cycle over a range of tape sizes for every available backend (compiled
-extension, numpy fallback) and prints per-call times plus the speedup.
-The two backends must agree numerically, so the benchmark also
-cross-checks the final state. At M=8, where a pair's cost is its calls,
-and at M=16 and 18, a pair row per backend times one cycle of the
-rotate-and-flip pairs of kernels.pair_kernels (fused on the numpy
-kernels) against rotate_head, the flip and head_cross called one after
-the other, in each variant, and checks that both leave the same state
-bits and cross terms; the run exits non-zero if they do not. At M=6-8,
-where engine.run takes its ring of states, a ring row per backend times
-one cycle of the out-of-place pairs of kernels.ring_kernels with the
-cycle's three np.vecdot reductions (cross terms, p0 and p1, norm²)
-against one cycle of the in-place pairs with their cross terms and the
-_vdot of p0, p1 and norm², in each variant, and checks that both give
-the same state, cross terms, p0, p1 and norm² bits; the run exits
-non-zero if they do not. Two end-to-end rows follow: engine.run at M=6
-and M=8 over 20,000 steps per backend (its first cycle gate by gate, the
-rest around the ring), in steps/s, and the writers: CSV and JSON on the
-M=8 run's 20,001-row trajectory and
-on its first 101 rows, where a call's fixed cost shows, and the spectrum
-CSV of its first 4,096 rows. Then a census row at M=12 and M=14:
+cycle over a range of tape sizes, and prints per-call times. At M=8,
+where a pair's cost is its calls, and at M=16 and 18, a pair row times
+one cycle of the fused rotate-and-flip pairs of kernels.pair_kernels
+against rotate_head, the flip and head_cross called one after the other,
+in each variant, and checks that both leave the same state bits and cross
+terms; the run exits non-zero if they do not. At M=6-8, where engine.run
+takes its ring of states, a ring row times one cycle of the out-of-place
+pairs of kernels.ring_kernels with the cycle's three np.vecdot
+reductions (cross terms, p0 and p1, norm²) against one cycle of the
+in-place pairs with their cross terms and the _vdot of p0, p1 and norm²,
+in each variant, and checks that both give the same state, cross terms,
+p0, p1 and norm² bits; the run exits non-zero if they do not. Two
+end-to-end rows follow: engine.run at M=6 and M=8 over 20,000 steps (its
+first cycle gate by gate, the rest around the ring), in steps/s, and the
+writers: CSV and JSON on the M=8 run's 20,001-row trajectory and on its
+first 101 rows, where a call's fixed cost shows, and the spectrum CSV of
+its first 4,096 rows. Then a census row at M=12 and M=14:
 primitives.period_census over CENSUS_CYCLES cycles and io.write_census on
 its periods, the two halves of classify --all, each with its best time
 and the minor page faults (ru_minflt) of each call. Last, a windows row
-per backend at M=2-5: engine.run over WINDOW_STEPS steps on the cycle
-matrix path, split into the build of U (_cycle_matrix), the replay of the
-gates over the stacked cycle starts (_replay) and the chain (the rest of
+at M=2-5: engine.run over WINDOW_STEPS steps on the cycle matrix path,
+split into the build of U (_cycle_matrix), the replay of the gates over
+the stacked cycle starts (_replay) and the chain (the rest of
 _run_windows: U^R's squarings, the extended-precision products of every
 R-th cycle start, each window's norm check and the column fill after the
 last window), with R.
@@ -38,7 +34,6 @@ Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
 
 import argparse
-import contextlib
 import math
 import os
 import resource
@@ -47,9 +42,9 @@ import time
 
 import numpy as np
 
-from qtm import MachineConfig, analysis, engine, io, kernels, primitives, run
+from qtm import (MachineConfig, _kernels_py, analysis, engine, io, kernels,
+                 primitives, run)
 from qtm.engine import Trajectory
-from qtm.kernels import available_backends
 from qtm.state import (StateVector, _vdot, aligned_empty, head_cross,
                        make_product_state)
 
@@ -115,32 +110,17 @@ def bench_cycle_flips(mod, num_tape_spins, repeats):
     return tuple(best)
 
 
-@contextlib.contextmanager
-def bound(mod):
-    """mod's kernels bound to the kernels module's names, as engine.run
-    and kernels.pair_kernels look them up."""
-    names = ("rotate_head", "cnot_flip", "cnot_signed_flip")
-    saved = [getattr(kernels, name) for name in names]
-    try:
-        for name in names:
-            setattr(kernels, name, getattr(mod, name))
-        yield
-    finally:
-        for name, kernel in zip(names, saved):
-            setattr(kernels, name, kernel)
-
-
-def bench_pairs(mod, num_tape_spins, variant, repeats):
-    """(paired, by_name, same): best times of one cycle of the pairs of
-    kernels.pair_kernels with mod's kernels bound, and of the same cycle as
-    rotate_head, the flip and head_cross one after the other, each from a
-    copy of one state; same is whether both leave the same state bits and
-    return the same cross terms. The binding, once per run, is not
-    timed."""
+def bench_pairs(num_tape_spins, variant, repeats):
+    """(paired, by_name, same): best times of one cycle of the fused pairs
+    of kernels.pair_kernels, and of the same cycle as rotate_head, the flip
+    and head_cross one after the other, each from a copy of one state;
+    same is whether both leave the same state bits and return the same
+    cross terms. The binding, once per run, is not timed."""
     alpha = math.pi / math.sqrt(3.0)
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     start = make_product_state(0.3, ("+-01" * 5)[:num_tape_spins]).amplitudes
-    flip = getattr(mod, {"x": "cnot_flip", "iy": "cnot_signed_flip"}[variant])
+    flip = getattr(kernels,
+                   {"x": "cnot_flip", "iy": "cnot_signed_flip"}[variant])
     spins = range(1, num_tape_spins + 1)
 
     def paired(amps):
@@ -151,30 +131,29 @@ def bench_pairs(mod, num_tape_spins, variant, repeats):
         def cycle():
             crosses = []
             for mu in spins:
-                mod.rotate_head(amps, c, s)
+                kernels.rotate_head(amps, c, s)
                 flip(amps, mu)
                 crosses.append(head_cross(StateVector(num_tape_spins, amps)))
             return crosses
         return cycle
 
     best, out = [math.inf, math.inf], []
-    with bound(mod):
-        for i, bind in enumerate((paired, by_name)):
-            for _ in range(repeats):
-                amps = start.copy()
-                cycle = bind(amps)
-                t0 = time.perf_counter()
-                crosses = cycle()
-                best[i] = min(best[i], time.perf_counter() - t0)
-            out.append(amps.tobytes() + np.array(crosses).tobytes())
+    for i, bind in enumerate((paired, by_name)):
+        for _ in range(repeats):
+            amps = start.copy()
+            cycle = bind(amps)
+            t0 = time.perf_counter()
+            crosses = cycle()
+            best[i] = min(best[i], time.perf_counter() - t0)
+        out.append(amps.tobytes() + np.array(crosses).tobytes())
     return best[0], best[1], out[0] == out[1]
 
 
-def bench_ring(mod, num_tape_spins, variant, repeats):
+def bench_ring(num_tape_spins, variant, repeats):
     """(ring, in_place, same): best times of one cycle of engine._run_ring's
-    work, the pairs of kernels.ring_kernels around a ring of states with
-    mod's kernels bound and the cycle's three np.vecdot reductions (cross
-    terms, p0 and p1 of the cycle end, its norm²), and of
+    work, the pairs of kernels.ring_kernels around a ring of states and
+    the cycle's three np.vecdot reductions (cross terms, p0 and p1 of the
+    cycle end, its norm²), and of
     engine._run_pairs' work on the same cycle, the in-place pairs of
     kernels.pair_kernels returning their cross terms and the _vdot of p0,
     p1 and the norm², each from one state; same is whether both give the
@@ -217,30 +196,28 @@ def bench_ring(mod, num_tape_spins, variant, repeats):
         return cycle
 
     best, out = [math.inf, math.inf], []
-    with bound(mod):
-        for i, bind in enumerate((ring_cycle, in_place_cycle)):
-            for _ in range(repeats):
-                cycle = bind()
-                t0 = time.perf_counter()
-                result = cycle()
-                best[i] = min(best[i], time.perf_counter() - t0)
-            out.append(b"".join(np.asarray(v).tobytes() for v in result))
+    for i, bind in enumerate((ring_cycle, in_place_cycle)):
+        for _ in range(repeats):
+            cycle = bind()
+            t0 = time.perf_counter()
+            result = cycle()
+            best[i] = min(best[i], time.perf_counter() - t0)
+        out.append(b"".join(np.asarray(v).tobytes() for v in result))
     return best[0], best[1], out[0] == out[1]
 
 
-def bench_loop(mod, tape, repeats):
+def bench_loop(tape, repeats):
     """(best time, trajectory) of engine.run on tape over LOOP_STEPS steps,
-    a run too large for the cycle matrix, with mod's kernels: at M = 6-8
-    it goes around a ring of states after its first cycle, in the fused
-    pairs of _kernels_py.ring_pairs with the numpy kernels."""
+    a run too large for the cycle matrix: at M = 6-8 it goes around a ring
+    of states after its first cycle, in the fused pairs of
+    _kernels_py.ring_pairs."""
     cfg = MachineConfig(len(tape), math.pi / math.sqrt(3.0), initial=tape,
                         steps=LOOP_STEPS)
     best = math.inf
-    with bound(mod):
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            traj = run(cfg)
-            best = min(best, time.perf_counter() - t0)
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        traj = run(cfg)
+        best = min(best, time.perf_counter() - t0)
     return best, traj
 
 
@@ -303,9 +280,9 @@ def bench_census(num_tape_spins, repeats):
     return tuple(best), faults
 
 
-def bench_windows(mod, num_tape_spins, repeats):
+def bench_windows(num_tape_spins, repeats):
     """(R, {phase: best time}) of engine.run at M=num_tape_spins <= 5 on a
-    mixed tape over WINDOW_STEPS steps with mod's kernels: the whole run,
+    mixed tape over WINDOW_STEPS steps: the whole run,
     and within it U's build (_cycle_matrix), the replay (_replay) and the
     chain, the rest of _run_windows (with its norm checks and its column
     fill)."""
@@ -329,18 +306,17 @@ def bench_windows(mod, num_tape_spins, repeats):
     try:
         for name in names:
             setattr(engine, name, timed(name))
-        with bound(mod):
-            for _ in range(repeats):
-                spent.clear()
-                t0 = time.perf_counter()
-                run(cfg)
-                phases = {"run": time.perf_counter() - t0,
-                          "U": spent["_cycle_matrix"],
-                          "chain": spent["_run_windows"]
-                          - spent["_cycle_matrix"] - spent["_replay"],
-                          "replay": spent["_replay"]}
-                for phase, took in phases.items():
-                    best[phase] = min(best.get(phase, math.inf), took)
+        for _ in range(repeats):
+            spent.clear()
+            t0 = time.perf_counter()
+            run(cfg)
+            phases = {"run": time.perf_counter() - t0,
+                      "U": spent["_cycle_matrix"],
+                      "chain": spent["_run_windows"]
+                      - spent["_cycle_matrix"] - spent["_replay"],
+                      "replay": spent["_replay"]}
+            for phase, took in phases.items():
+                best[phase] = min(best.get(phase, math.inf), took)
     finally:
         for name, fn in saved.items():
             setattr(engine, name, fn)
@@ -353,71 +329,45 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
-    backends = available_backends()
-    print(f"backends: {', '.join(backends)}")
     for m in sorted({m for m in (8, 12, 16, args.max_tape_size)
                      if m <= args.max_tape_size}):
-        row = {}
-        finals = {}
-        for name, mod in backends.items():
-            rot, flip, cyc, amps = bench_backend(mod, m, args.repeats)
-            row[name] = (rot, flip, bench_top_flip(mod, m, args.repeats), cyc,
-                         *bench_cycle_flips(mod, m, args.repeats))
-            finals[name] = amps
+        rot, flip, cyc, _ = bench_backend(_kernels_py, m, args.repeats)
+        top = bench_top_flip(_kernels_py, m, args.repeats)
+        plain, signed = bench_cycle_flips(_kernels_py, m, args.repeats)
         print(f"\nM={m} ({2 ** (m + 1)} amplitudes)")
-        for name, (rot, flip, top, cyc, plain, signed) in row.items():
-            print(f"  {name:>8}: rotate {rot * 1e6:9.1f} us   "
-                  f"flip mu=1 {flip * 1e6:9.1f} us   "
-                  f"flip mu=M {top * 1e6:9.1f} us   cycle {cyc * 1e3:8.2f} ms")
-            print(f"  {'':>8}  flips mu=1..M {plain * 1e3:8.3f} ms   "
-                  f"signed flips mu=1..M {signed * 1e3:8.3f} ms")
-        if len(row) == 2:
-            a, b = (row["numpy"], row["compiled"])
-            print(f"  speedup : rotate {a[0] / b[0]:9.2f} x   "
-                  f"flip mu=1 {a[1] / b[1]:9.2f} x   "
-                  f"flip mu=M {a[2] / b[2]:9.2f} x   cycle {a[3] / b[3]:8.2f} x")
-            print(f"  {'':>8}  flips mu=1..M {a[4] / b[4]:8.2f} x   "
-                  f"signed flips mu=1..M {a[5] / b[5]:8.2f} x")
-            diff = float(np.abs(finals["numpy"] - finals["compiled"]).max())
-            print(f"  backend disagreement: {diff:.3e}")
+        print(f"  rotate {rot * 1e6:9.1f} us   flip mu=1 {flip * 1e6:9.1f} us"
+              f"   flip mu=M {top * 1e6:9.1f} us   cycle {cyc * 1e3:8.2f} ms")
+        print(f"  flips mu=1..M {plain * 1e3:8.3f} ms   "
+              f"signed flips mu=1..M {signed * 1e3:8.3f} ms")
 
     unequal = []
     for m in (8, 16, 18):
         print(f"\nrotate-and-flip pairs, one cycle, M={m}")
-        for name, mod in backends.items():
-            for variant in ("x", "iy"):
-                paired, by_name, same = bench_pairs(mod, m, variant,
-                                                    args.repeats)
-                print(f"  {name:>8} {variant:>2}: pairs {paired * 1e3:8.3f} ms"
-                      f"   rotate+flip+head_cross {by_name * 1e3:8.3f} ms"
-                      f"   {by_name / paired:5.2f} x   bit-equal: {same}")
-                if not same:
-                    unequal.append(f"{name} {variant} M={m}")
+        for variant in ("x", "iy"):
+            paired, by_name, same = bench_pairs(m, variant, args.repeats)
+            print(f"  {variant:>2}: pairs {paired * 1e3:8.3f} ms"
+                  f"   rotate+flip+head_cross {by_name * 1e3:8.3f} ms"
+                  f"   {by_name / paired:5.2f} x   bit-equal: {same}")
+            if not same:
+                unequal.append(f"{variant} M={m}")
 
     for m in (6, 7, 8):
         print(f"\nring of states against in-place pairs, one cycle with its"
               f" reductions, M={m}")
-        for name, mod in backends.items():
-            for variant in ("x", "iy"):
-                ring, in_place, same = bench_ring(mod, m, variant,
-                                                  args.repeats)
-                print(f"  {name:>8} {variant:>2}: ring {ring * 1e3:8.3f} ms"
-                      f"   in place {in_place * 1e3:8.3f} ms"
-                      f"   {in_place / ring:5.2f} x   bit-equal: {same}")
-                if not same:
-                    unequal.append(f"ring {name} {variant} M={m}")
+        for variant in ("x", "iy"):
+            ring, in_place, same = bench_ring(m, variant, args.repeats)
+            print(f"  {variant:>2}: ring {ring * 1e3:8.3f} ms"
+                  f"   in place {in_place * 1e3:8.3f} ms"
+                  f"   {in_place / ring:5.2f} x   bit-equal: {same}")
+            if not same:
+                unequal.append(f"ring {variant} M={m}")
 
     for tape in (LOOP_TAPE[:6], LOOP_TAPE):
+        best, traj = bench_loop(tape, args.repeats)
         print(f"\nengine.run, M={len(tape)} on {tape}, {LOOP_STEPS:,} steps")
-        trajs = {}
-        for name, mod in backends.items():
-            best, trajs[name] = bench_loop(mod, tape, args.repeats)
-            print(f"  {name:>8}: {best * 1e3:9.1f} ms   "
-                  f"{LOOP_STEPS / best:12,.0f} steps/s")
-        same = len({t.bloch.tobytes() for t in trajs.values()}) == 1
-        print(f"  trajectories bit-equal across backends: {same}")
+        print(f"  {best * 1e3:9.1f} ms   {LOOP_STEPS / best:12,.0f} steps/s")
     print("\nwriters")
-    for name, best in bench_writers(trajs["numpy"], args.repeats).items():
+    for name, best in bench_writers(traj, args.repeats).items():
         print(f"  {name:>26}: {best * 1e3:7.2f} ms")
 
     print(f"\ncensus over {CENSUS_CYCLES} cycles, classify --all's two halves,"
@@ -431,11 +381,10 @@ def main():
           "build, the chain of every R-th cycle start with the norm "
           "checks and the column fill, the replay")
     for m in range(2, 6):
-        for name, mod in backends.items():
-            every, best = bench_windows(mod, m, args.repeats)
-            print(f"  M={m} {name:>8}: R={every:<3} "
-                  + "   ".join(f"{phase} {took * 1e3:6.2f} ms"
-                               for phase, took in best.items()))
+        every, best = bench_windows(m, args.repeats)
+        print(f"  M={m}: R={every:<3} "
+              + "   ".join(f"{phase} {took * 1e3:6.2f} ms"
+                           for phase, took in best.items()))
     if unequal:
         raise SystemExit("pairs differ in bits from rotate+flip+head_cross"
                          " or from the ring: " + ", ".join(unequal))

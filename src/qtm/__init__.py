@@ -15,7 +15,6 @@ from .errors import (CircleFitError, ConfigurationError,
                      NumericalValidationError, QtmError)
 from .exprs import parse_angle
 from .gates import apply_head_rotation, apply_qcnot
-from .kernels import BACKEND
 from .primitives import (PeriodicityClass, all_patterns, classify, decompose,
                          detect_period_numeric, evolve_angles, period_census,
                          run_primitive, superpose)
@@ -24,7 +23,7 @@ from .state import (BlochVector, StateVector, head_bloch, make_product_state,
                     make_state)
 
 __all__ = [
-    "__version__", "BACKEND",
+    "__version__",
     "BlochVector", "StateVector", "head_bloch", "make_product_state",
     "make_state",
     "apply_head_rotation", "apply_qcnot",

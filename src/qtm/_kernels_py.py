@@ -1,10 +1,8 @@
-"""Numpy gate kernels: the kernels of every step when the compiled
-extension is unavailable, and with either backend the ones
+"""Numpy gate kernels: the kernels of every step, in double, and the ones
 engine._cycle_matrix builds the cycle matrix U with in extended precision
-(np.clongdouble, which the compiled kernels do not take).
+(np.clongdouble).
 
-All kernels mutate amps in place and must match the compiled versions
-(_kernels_c.c) bit for bit. The last axis of amps is one state, and any
+All kernels mutate amps in place. The last axis of amps is one state, and any
 leading axes are a stack of states the kernel treats alike. A state of M
 tape spins is head-major: amplitude t + h * 2**M is head h, tape t, with
 tape spin mu at bit mu-1 of t. So the first half of a state holds its

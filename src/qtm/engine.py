@@ -187,17 +187,18 @@ def run(config: MachineConfig) -> Trajectory:
     # scratch, or the two half states of a one-block rotation); then a
     # trajectory row of 3 doubles per step, the temporaries of the column
     # fill, three doubles per cycle, and what the path after the first
-    # cycle holds: the matrices and the stack of _run_windows, or the norm²
-    # of every cycle end with its step and its share of their check, 64
-    # bytes a cycle (tracemalloc: 59-64 at 2,000-20,000 cycles), and the pair
-    # callables with the views they bind, 1.5 KiB per spin (tracemalloc of
-    # kernels.pair_kernels less its scratch read 0.66-1.28 KB per spin at
-    # M = 6-14, either variant; up to 8.4 KB at M = 18, where the freed
-    # half-size state leaves far more room); _run_ring adds its ring of M
-    # states, the state and a half of its pairs' scratch, and 1 KiB per
-    # spin more for its pairs (tracemalloc of kernels.ring_kernels less
-    # its scratch: 1.5 KB per spin for x, 2.0 KB for iy, at M = 6-8, and
-    # up to 5 KB more while a pair runs)
+    # cycle holds: on _run_windows the larger of its matrices and stack and
+    # of the fill with what outlives the replay (_windows_bytes); else the
+    # fill, the norm² of every cycle end with its step and its share of
+    # their check, 64 bytes a cycle (tracemalloc: 59-64 at 2,000-20,000
+    # cycles), and the pair callables with the views they bind, 1.5 KiB
+    # per spin (tracemalloc of kernels.pair_kernels less its scratch read
+    # 0.66-1.28 KB per spin at M = 6-14, either variant; up to 8.4 KB at
+    # M = 18, where the freed half-size state leaves far more room);
+    # _run_ring adds its ring of M states, the state and a half of its
+    # pairs' scratch, and 1 KiB per spin more for its pairs (tracemalloc
+    # of kernels.ring_kernels less its scratch: 1.5 KB per spin for x,
+    # 2.0 KB for iy, at M = 6-8, and up to 5 KB more while a pair runs)
     size = 2 ** (num + 1)
     held = size + size // 2 + 2 * min(size, _kernels_py.BLOCK)
     windows = 4 ** (num + 1) <= REDUCE_BLOCK
@@ -210,11 +211,11 @@ def run(config: MachineConfig) -> Trajectory:
     # to be the best last M for the ring
     ring = num * size <= REDUCE_BLOCK
     cycle = 2 * num
-    later = 24 * (config.steps // cycle)
+    fill = 24 * (config.steps // cycle)
     if windows:
-        later += _windows_bytes(config, size)
+        later = _windows_bytes(config, size, fill)
     else:
-        later += 64 * (config.steps // cycle) + 1536 * num
+        later = fill + 64 * (config.steps // cycle) + 1536 * num
         if ring:
             later += 16 * (num * size + 3 * size // 2) + 1024 * num
     check_fits(16 * held + 24 * (config.steps + 1) + later,
@@ -517,9 +518,10 @@ def _replay_bound(config, cycles):
             + abs(float(_growth(config, rotations))))
 
 
-def _windows_bytes(config, size):
+def _windows_bytes(config, size, fill):
     """Bytes _run_windows holds at once beyond the state and the
-    trajectory: the larger of what building U^R and what replaying takes.
+    trajectory: the largest of what building U^R, replaying and the
+    column fill take.
 
     The build holds one and a half extended matrices of size² entries,
     _cycle_matrix's exact product and the images of the basis states in
@@ -535,11 +537,15 @@ def _windows_bytes(config, size):
     (tracemalloc of a replay beyond its stack: 1.55 stacks at M=5, 2.04
     at M=1, whose rows are 4 amplitudes), and the R + 1 norms² of every
     row with their share of the window's check, 40 bytes each
-    (tracemalloc: 32 at 20,000 norms², 43 at 2,000). The column fill after
-    the last window is counted by run."""
+    (tracemalloc: 32 at 20,000 norms², 43 at 2,000). The column fill
+    after the last window, `fill` bytes, runs once the replay's
+    temporaries are freed, beside U^R, the chained start, the stack and
+    the last window's norms² (tracemalloc over 200,000 steps: the
+    estimate 1.24 times the peak at M=1, 1.15 at M=2, where fill and
+    replay added up read 1.56 and 1.34)."""
     starts, window, every = _windows_schedule(config)
     if starts < 1:
-        return 0
+        return fill
     rows = min(window, -(-starts // every))
     extended = np.dtype(np.clongdouble).itemsize
     matrix = extended * size * size if starts > every else 0  # U is built
@@ -548,7 +554,8 @@ def _windows_bytes(config, size):
     # per row: its amplitudes in three stacks, ten doubles, and 40 bytes
     # for each of its R + 1 norms²
     replay = matrix + extended * size + rows * (48 * size + 40 * every + 120)
-    return max(build, replay)
+    kept = matrix + extended * size + rows * (16 * size + 8 * every + 8)
+    return max(build, replay, kept + fill)
 
 
 def _cycle_matrix(config, size):

@@ -1,9 +1,13 @@
-"""Kernel dispatch: compiled extension if built, numpy fallback otherwise.
+"""Kernel dispatch: the numpy gate kernels of _kernels_py, bound here as
+module attributes.
 
-The active backend name is exposed as BACKEND ("compiled" or "numpy").
-The selected backend's kernels are bound here as module attributes, and
-callers look them up on this module at call time, so the implementation
-can be swapped (or monkeypatched in tests) in one place.
+Callers look the kernels up on this module at call time, so a kernel can
+be wrapped or monkeypatched in one place. While the bound kernels are
+_kernels_py's own, pair_kernels and ring_kernels hand out its fused
+pairs; once one is wrapped (perfbench's tracer wraps every kernel by
+name, and the tests wrap or swap them), they fall back to pairs that
+call the kernels by their names here, so the wrapper still sees every
+call and the bits stay the fused pairs'.
 """
 
 import numpy as np
@@ -11,17 +15,9 @@ import numpy as np
 from . import _kernels_py
 from .state import _halves, _vdot
 
-try:
-    from . import _kernels_c as _impl
-
-    BACKEND = "compiled"
-except ImportError:  # extension not built; the numpy path is fully equivalent
-    _impl = _kernels_py
-    BACKEND = "numpy"
-
-rotate_head = _impl.rotate_head
-cnot_flip = _impl.cnot_flip
-cnot_signed_flip = _impl.cnot_signed_flip
+rotate_head = _kernels_py.rotate_head
+cnot_flip = _kernels_py.cnot_flip
+cnot_signed_flip = _kernels_py.cnot_signed_flip
 
 _FLIPS = {"x": "cnot_flip", "iy": "cnot_signed_flip"}
 
@@ -90,7 +86,6 @@ def _numpy_bound(flip):
 
 
 def available_backends():
-    """Map backend name to kernel module, for benchmarks and tests: the
-    numpy kernels, and the compiled ones when the import above found
-    them."""
-    return {"numpy": _kernels_py, BACKEND: _impl}
+    """Map backend name to kernel module, for benchmarks: the numpy
+    kernels, the only backend."""
+    return {"numpy": _kernels_py}

@@ -1,9 +1,6 @@
-import importlib.util
 import math
-import shutil
-import sysconfig
 import tracemalloc
-from pathlib import Path
+import types
 
 import numpy as np
 import pytest
@@ -13,8 +10,6 @@ from qtm import MachineConfig, _kernels_py, kernels, run
 from qtm.state import (REDUCE_BLOCK, StateVector, _vdot, aligned_empty,
                        head_cross)
 
-KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "qtm" / "_kernels_c.c"
-
 # states of 2 to 7 bits fit in one block of the numpy kernels; the two
 # sizes above it span 2 and 4 blocks, and their top spins have groups of
 # 2 << mu amplitudes larger than a block
@@ -23,7 +18,7 @@ SIZES = (*range(2, 8), BLOCK_BITS + 1, BLOCK_BITS + 2)
 
 
 def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "numpy")
+    assert kernels.available_backends() == {"numpy": _kernels_py}
 
 
 def test_numpy_backend_always_available():
@@ -31,37 +26,29 @@ def test_numpy_backend_always_available():
 
 
 def test_available_backends_hold_the_active_kernels():
-    found = kernels.available_backends()
-    assert list(found) == (["numpy"] if kernels.BACKEND == "numpy"
-                           else ["numpy", "compiled"])
-    assert found[kernels.BACKEND].rotate_head is kernels.rotate_head
-    assert found["numpy"] is _kernels_py
+    assert kernels.available_backends() == {"numpy": _kernels_py}
+    assert kernels.rotate_head is _kernels_py.rotate_head
+    assert kernels.cnot_flip is _kernels_py.cnot_flip
+    assert kernels.cnot_signed_flip is _kernels_py.cnot_signed_flip
 
 
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The C kernels built fresh from source into a temporary directory.
+KERNELS = ("rotate_head", "cnot_flip", "cnot_signed_flip")
 
-    Skips only when the C compiler is missing; a compile error fails.
-    """
-    from setuptools import Distribution, Extension
 
-    cc = (sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler")
-    out = tmp_path_factory.mktemp("kernels_c")
-    dist = Distribution({"ext_modules": [
-        Extension("qtm._kernels_c", [str(KERNEL_SOURCE)])]})
-    cmd = dist.get_command_obj("build_ext")
-    cmd.build_lib = str(out / "lib")
-    cmd.build_temp = str(out / "temp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(
-        "qtm._kernels_c", cmd.get_ext_fullpath("qtm._kernels_c"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+def _wrapped(calls):
+    """The numpy kernels, each behind a plain wrapper that appends its name
+    to calls, as perfbench's tracer wraps them. Bound to the kernels
+    module's names they are not _kernels_py's own, so pair_kernels and
+    ring_kernels hand out the pairs that call them by name."""
+    def wrapper(name):
+        kernel = getattr(_kernels_py, name)
+
+        def call(*args):
+            calls.append(name)
+            kernel(*args)
+        return call
+
+    return types.SimpleNamespace(**{name: wrapper(name) for name in KERNELS})
 
 
 def _state_with_signed_zeros(nbits, rng):
@@ -80,95 +67,46 @@ def _assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_backends_agree_on_rotation(compiled):
-    rng = np.random.default_rng(41)
-    for angle in (0.9, -2.3):
-        c, s = math.cos(angle), math.sin(angle)
-        for nbits in SIZES:
-            amps = _state_with_signed_zeros(nbits, rng)
-            a = amps.copy()
-            b = amps.copy()
-            _kernels_py.rotate_head(a, c, s)
-            compiled.rotate_head(b, c, s)
-            _assert_same_bits(a, b)
-
-
-def test_backends_agree_on_flips_bit_exact(compiled):
-    rng = np.random.default_rng(43)
-    for nbits in SIZES:
-        for mu in range(1, nbits):
-            amps = _state_with_signed_zeros(nbits, rng)
-            a = amps.copy()
-            b = amps.copy()
-            _kernels_py.cnot_flip(a, mu)
-            compiled.cnot_flip(b, mu)
-            _assert_same_bits(a, b)
-            _kernels_py.cnot_signed_flip(a, mu)
-            compiled.cnot_signed_flip(b, mu)
-            _assert_same_bits(a, b)
-
-
 # (states, bits per state) of 2-d stacks: a stack inside one block, one of
 # several rows per block with a short last block, and one whose rows each
 # span several blocks
 STACKS = ((7, 5), (5, BLOCK_BITS - 1), (3, BLOCK_BITS + 2))
 
 
-@pytest.mark.parametrize("rows, nbits", STACKS)
-def test_backends_agree_on_stacks(compiled, rows, nbits):
-    # every kernel, every spin and both flip variants, on a stack of states
-    # with signed zeros: numpy and compiled give the same bits, and each
-    # row gets exactly what the kernel gives that row as a 1-d state
-    rng = np.random.default_rng(61)
-    stack = np.stack([_state_with_signed_zeros(nbits, rng)
-                      for _ in range(rows)])
-    c, s = math.cos(-0.7), math.sin(-0.7)
-    calls = [("rotate_head", (c, s))] + [
-        (name, (mu,)) for mu in range(1, nbits)
-        for name in ("cnot_flip", "cnot_signed_flip")]
-    for name, args in calls:
-        a, b = stack.copy(), stack.copy()
-        getattr(_kernels_py, name)(a, *args)
-        getattr(compiled, name)(b, *args)
-        _assert_same_bits(a, b)
-        for row, want in zip(stack.copy(), a):
-            getattr(compiled, name)(row, *args)
-            _assert_same_bits(row, want)
-
-
 @pytest.mark.parametrize("variant", ["x", "iy"])
-def test_backends_agree_on_fused_runs(compiled, monkeypatch, variant):
+def test_backends_agree_on_fused_runs(monkeypatch, variant):
     # a run at M=5 builds its cycle matrix and replays windows of stacked
     # cycle starts through the kernels (here two windows and three steps
-    # into a cycle), so both backends give the same bits
+    # into a cycle), looked up by name: wrapped, they see the replay's
+    # calls, and the run keeps its bits
     window = REDUCE_BLOCK // 2 ** 6
     cfg = MachineConfig(5, helpers.ALPHA, phi0=0.9, variant=variant,
                         initial="+-01-", steps=10 * (window + 4) + 3)
-    runs = []
-    for backend in (_kernels_py, compiled):
-        for name in ("rotate_head", "cnot_flip", "cnot_signed_flip"):
-            monkeypatch.setattr(kernels, name, getattr(backend, name))
+    calls, runs = [], []
+    for mod in (_kernels_py, _wrapped(calls)):
+        _bind(monkeypatch, mod)
         traj = run(cfg)
         runs.append(np.append(traj.bloch, traj.norm_drift))
+    assert calls
     _assert_same_bits(*runs)
 
 
 def _bind(monkeypatch, mod):
     """Bind mod's kernels to the kernels module's names."""
-    for name in ("rotate_head", "cnot_flip", "cnot_signed_flip"):
+    for name in KERNELS:
         monkeypatch.setattr(kernels, name, getattr(mod, name))
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
-@pytest.mark.parametrize("backend", ["numpy", "compiled"])
-def test_pairs_equal_rotate_then_flip(request, monkeypatch, backend, variant):
-    # every pair of every size, one-block and blocked (fused on numpy, with
-    # partner blocks at the top spins of BLOCK_BITS + 2), called in turn on
-    # one state with signed zeros: the same bits as rotate_head and then
-    # the flip of its spin, and it returns head_cross's bits
-    mod = (_kernels_py if backend == "numpy"
-           else request.getfixturevalue("compiled"))
-    _bind(monkeypatch, mod)
+@pytest.mark.parametrize("backend", ["numpy", "wrapped"])
+def test_pairs_equal_rotate_then_flip(monkeypatch, backend, variant):
+    # every pair of every size, one-block and blocked (fused on the numpy
+    # kernels, with partner blocks at the top spins of BLOCK_BITS + 2; by
+    # name on wrapped ones), called in turn on one state with signed
+    # zeros: the same bits as rotate_head and then the flip of its spin,
+    # and it returns head_cross's bits
+    calls = []
+    _bind(monkeypatch, _kernels_py if backend == "numpy" else _wrapped(calls))
     flip = (_kernels_py.cnot_flip if variant == "x"
             else _kernels_py.cnot_signed_flip)
     rng = np.random.default_rng(71)
@@ -187,20 +125,20 @@ def test_pairs_equal_rotate_then_flip(request, monkeypatch, backend, variant):
             _assert_same_bits(amps, want)
             _assert_same_bits(np.array([cross]), np.array(
                 [head_cross(StateVector(nbits - 1, want))]))
+    assert bool(calls) == (backend == "wrapped")
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
-@pytest.mark.parametrize("backend", ["numpy", "compiled"])
-def test_ring_pairs_equal_rotate_then_flip(request, monkeypatch, backend,
-                                           variant):
+@pytest.mark.parametrize("backend", ["numpy", "wrapped"])
+def test_ring_pairs_equal_rotate_then_flip(monkeypatch, backend, variant):
     # rings of M = 2-8 states (engine.run takes the ring at M = 6-8), two
-    # cycles of pairs in spin order, one bind per angle, from a state with
-    # signed zeros: each pair writes into its row the bits of rotate_head
-    # and then the flip of its spin on the row before, and leaves every
-    # other row as it was
-    mod = (_kernels_py if backend == "numpy"
-           else request.getfixturevalue("compiled"))
-    _bind(monkeypatch, mod)
+    # cycles of pairs in spin order, fused on the numpy kernels and by name
+    # on wrapped ones, one bind per angle, from a state with signed zeros:
+    # each pair writes into its row the bits of rotate_head and then the
+    # flip of its spin on the row before, and leaves every other row as it
+    # was
+    calls = []
+    _bind(monkeypatch, _kernels_py if backend == "numpy" else _wrapped(calls))
     flip = (_kernels_py.cnot_flip if variant == "x"
             else _kernels_py.cnot_signed_flip)
     rng = np.random.default_rng(73)
@@ -220,6 +158,7 @@ def test_ring_pairs_equal_rotate_then_flip(request, monkeypatch, backend,
             _assert_same_bits(ring[mu - 1], want)
             others = np.arange(num) != mu - 1
             _assert_same_bits(ring[others], before[others])
+    assert bool(calls) == (backend == "wrapped")
 
 
 def test_ring_pairs_are_fused_whenever_the_numpy_kernels_are_bound(
@@ -304,19 +243,20 @@ def test_pair_scratch_is_two_blocks_on_a_cache_line(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
-def test_backends_agree_on_paired_runs(compiled, monkeypatch, variant):
+def test_backends_agree_on_paired_runs(monkeypatch, variant):
     # runs at M=7 and 9 go in rotate-and-flip pairs after their first
     # cycle, around a ring at M=7 and in place at M=9, fused on the numpy
-    # kernels and through the kernels on the compiled ones; both give the
-    # same bits, two cycles and five steps past it
+    # kernels and by name on wrapped ones; both give the same bits, two
+    # cycles and five steps past it
     for num in (7, 9):
         cfg = MachineConfig(num, helpers.ALPHA, phi0=0.9, variant=variant,
                             initial=("+-01" * 3)[:num], steps=6 * num + 5)
-        runs = []
-        for backend in (_kernels_py, compiled):
-            _bind(monkeypatch, backend)
+        calls, runs = [], []
+        for mod in (_kernels_py, _wrapped(calls)):
+            _bind(monkeypatch, mod)
             traj = run(cfg)
             runs.append(np.append(traj.bloch, traj.norm_drift))
+        assert len(calls) > 4 * num  # the pairs of the cycles after the first
         _assert_same_bits(*runs)
 
 
@@ -364,12 +304,11 @@ def _assert_same_values(a, b):
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
 @pytest.mark.parametrize("rows, size", ONE_BLOCK_SHAPES)
-def test_one_block_path_equals_blocked_path(compiled, monkeypatch, rows,
-                                            size, dtype):
+def test_one_block_path_equals_blocked_path(monkeypatch, rows, size, dtype):
     # every kernel on an array taken in one pass (BLOCK raised past its
     # size) and in blocks of at most 256 amplitudes gives the same values
     # and sign bits, in double and in the extended precision the cycle
-    # matrix is built in; in double both equal the compiled kernels
+    # matrix is built in
     rng = np.random.default_rng(67 + size + rows)
     nbits = size.bit_length() - 1
     amps = np.stack([_state_with_signed_zeros(nbits, rng)
@@ -388,10 +327,6 @@ def test_one_block_path_equals_blocked_path(compiled, monkeypatch, rows,
             getattr(_kernels_py, name)(a, *args)
             out.append(a)
         _assert_same_values(*out)
-        if dtype == np.complex128:
-            b = amps.copy()
-            getattr(compiled, name)(b, *args)
-            _assert_same_bits(out[0], b)
 
 
 def test_one_block_stack_rotation_copies_no_strided_output():
@@ -409,36 +344,6 @@ def test_one_block_stack_rotation_copies_no_strided_output():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * amps.nbytes // 2 + 4096
-
-
-def _read_only(amps):
-    amps.flags.writeable = False
-    return amps
-
-
-@pytest.mark.parametrize("kernel, amps, arg", [
-    ("rotate_head", np.zeros(8), None),
-    ("rotate_head", np.zeros(16, complex)[::2], None),
-    ("rotate_head", np.zeros(7, complex), None),
-    ("cnot_flip", np.zeros(8), 1),
-    ("cnot_flip", np.zeros(16, complex)[::2], 1),
-    ("cnot_flip", np.zeros(8, complex), 3),
-    ("cnot_signed_flip", np.zeros(8, complex), 3),
-    ("cnot_flip", np.zeros(8, complex), -1),
-    ("cnot_flip", _read_only(np.zeros(8, complex)), 1),
-    ("cnot_flip", np.zeros(8, complex), 0),
-    ("rotate_head", np.zeros((2, 2, 4), complex), None),
-    ("rotate_head", np.zeros((4, 16), complex)[:, :8], None),
-    ("cnot_flip", np.zeros((3, 4), complex), 2),
-])
-def test_compiled_kernels_reject_bad_buffers(compiled, kernel, amps, arg):
-    # the loops index raw memory unchecked: any buffer they cannot treat
-    # as writable complex128 amplitudes of a fitting length is refused
-    before = amps.copy()
-    args = (0.6, 0.8) if arg is None else (arg,)
-    with pytest.raises(ValueError):
-        getattr(compiled, kernel)(amps, *args)
-    np.testing.assert_array_equal(amps, before)
 
 
 def test_flip_kernel_is_pure_permutation():
