@@ -27,8 +27,9 @@ at M=2-5: engine.run over WINDOW_STEPS steps on the cycle matrix path,
 split into the build of U (_cycle_matrix), the replay of the gates over
 the stacked cycle starts (_replay) and the chain (the rest of
 _run_windows: U^R's squarings, the extended-precision products of every
-R-th cycle start, each window's norm check and the column fill after the
-last window), with R.
+R-th cycle start and each window's norm check), with R. The column fill
+runs in engine.run after _run_windows returns, inside the whole run's
+time and outside the three parts.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
@@ -284,8 +285,7 @@ def bench_windows(num_tape_spins, repeats):
     """(R, {phase: best time}) of engine.run at M=num_tape_spins <= 5 on a
     mixed tape over WINDOW_STEPS steps: the whole run,
     and within it U's build (_cycle_matrix), the replay (_replay) and the
-    chain, the rest of _run_windows (with its norm checks and its column
-    fill)."""
+    chain, the rest of _run_windows (with its norm checks)."""
     cfg = MachineConfig(num_tape_spins, math.pi / math.sqrt(3.0), phi0=0.3,
                         initial=("+-01" * 2)[:num_tape_spins],
                         steps=WINDOW_STEPS)
@@ -379,7 +379,7 @@ def main():
               f"(faults {faults[1]})")
     print(f"\nwindows path, engine.run over {WINDOW_STEPS:,} steps: U's "
           "build, the chain of every R-th cycle start with the norm "
-          "checks and the column fill, the replay")
+          "checks, the replay")
     for m in range(2, 6):
         every, best = bench_windows(m, args.repeats)
         print(f"  M={m}: R={every:<3} "

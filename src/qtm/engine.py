@@ -127,15 +127,17 @@ class Trajectory:
 def run(config: MachineConfig) -> Trajectory:
     """Evolve the full state vector and record the head Bloch vector.
 
-    The head Bloch vector is carried from step to step rather than reduced
-    from the whole state every time:
+    The head Bloch vector is reduced in full (head_bloch) only at step 0.
+    After that a run reduces only what the steps change, and fills in the
+    rest by columns once its last step is made (_fill_columns):
 
-    - a rotation turns it rigidly about the x axis by alpha (the formula in
-      gates.py), so it is updated in O(1) without reading the state;
+    - a rotation turns the vector rigidly about the x axis by alpha (the
+      formula in gates.py), so its row is filled from the row before;
     - a flip only permutes head-0 amplitudes, so the head populations and z
-      stay put, and x and y come from the one cross term head_cross;
-    - at the end of every cycle it is reduced in full (head_bloch), which
-      drops whatever rounding the updates carried.
+      stay put, and x and y come from the one cross term head_cross, which
+      goes into the x and y of the flip's row;
+    - at the end of every cycle z is reduced as well, p1 - p0 as head_bloch
+      forms it, which drops whatever rounding the filled rows carried.
 
     A tape given as a spec string is a product state, and the head reaches
     spin mu first at the flip of step 2*mu. Until then spin mu is still in
@@ -164,9 +166,9 @@ def run(config: MachineConfig) -> Trajectory:
       pairs on the state, each returning its cross term, and the head
       reduced at each cycle end.
 
-    Each of the three reduces only the cross term of every flip and the z
-    and norm² of every cycle end, and fills in the carried Bloch vector by
-    columns after its last step (_fill_columns).
+    Each of the three, like the first cycle, writes only the cross term of
+    every flip and the z and norm² of every cycle end; the one column fill
+    after whichever ran fills in every row from row 1 on.
 
     The state norm² is checked at the end of every cycle, after a last
     partial cycle, and at every cycle start a window chains, by one check
@@ -185,16 +187,17 @@ def run(config: MachineConfig) -> Trajectory:
     # grows from (check_state_fits), the scratch of its pairs and the
     # temporaries of a rotation, each min(size, BLOCK) of them (a two-block
     # scratch, or the two half states of a one-block rotation); then a
-    # trajectory row of 3 doubles per step, the temporaries of the column
-    # fill, three doubles per cycle, and what the path after the first
-    # cycle holds: on _run_windows the larger of its matrices and stack and
-    # of the fill with what outlives the replay (_windows_bytes); else the
-    # fill, the norm² of every cycle end with its step and its share of
-    # their check, 64 bytes a cycle (tracemalloc: 59-64 at 2,000-20,000
-    # cycles), and the pair callables with the views they bind, 1.5 KiB
-    # per spin (tracemalloc of kernels.pair_kernels less its scratch read
-    # 0.66-1.28 KB per spin at M = 6-14, either variant; up to 8.4 KB at
-    # M = 18, where the freed half-size state leaves far more room);
+    # trajectory row of 3 doubles per step, and the larger of what the
+    # path after the first cycle holds and of the temporaries of the
+    # column fill, three doubles per cycle, which runs once the path has
+    # returned. The path: on _run_windows the larger of its matrices and
+    # stack (_windows_bytes); else the norm² of every cycle end with its
+    # step and its share of their check, 64 bytes a cycle (tracemalloc:
+    # 59-64 at 2,000-20,000 cycles), and the pair callables with the views
+    # they bind, 1 KiB per spin and 576 bytes per spin per block of the
+    # state (tracemalloc of kernels.pair_kernels less its scratch, per
+    # spin: 0.65-0.99 KB at one block, M = 6-14, and 2.4, 8.5 and 35.1 KB
+    # at 4, 16 and 64 blocks, M = 16, 18 and 20, for iy; x takes less);
     # _run_ring adds its ring of M states, the state and a half of its
     # pairs' scratch, and 1 KiB per spin more for its pairs (tracemalloc
     # of kernels.ring_kernels less its scratch: 1.5 KB per spin for x,
@@ -211,44 +214,43 @@ def run(config: MachineConfig) -> Trajectory:
     # to be the best last M for the ring
     ring = num * size <= REDUCE_BLOCK
     cycle = 2 * num
-    fill = 24 * (config.steps // cycle)
+    later = 0  # a run that ends inside its first cycle takes no path
     if windows:
-        later = _windows_bytes(config, size, fill)
-    else:
-        later = fill + 64 * (config.steps // cycle) + 1536 * num
+        later = _windows_bytes(config, size)
+    elif config.steps > cycle:
+        blocks = max(1, size // _kernels_py.BLOCK)
+        later = 64 * (config.steps // cycle) + num * (1024 + 576 * blocks)
         if ring:
             later += 16 * (num * size + 3 * size // 2) + 1024 * num
-    check_fits(16 * held + 24 * (config.steps + 1) + later,
+    check_fits(16 * held + 24 * (config.steps + 1)
+               + max(later, 24 * (config.steps // cycle + 1)),
                f"{config.steps} steps of {num} tape spins")
     state = make_state(config.phi0,
                        initial[:1] if isinstance(initial, str) else initial)
     bloch = np.empty((config.steps + 1, 3), dtype=float)
-    x, y, z = head_bloch(state)
-    bloch[0] = x, y, z
-    c, s = math.cos(config.alpha), math.sin(config.alpha)
+    bloch[0] = head_bloch(state)
+    crosses = _crosses(bloch)
     for m in range(1, min(config.steps, cycle) + 1):
         if m % 2:
             apply_head_rotation(state, config.alpha)
-            y, z = y * c - z * s, y * s + z * c
-        else:
-            mu = m // 2
-            if mu > state.num_tape_spins:
-                # the head's first visit to spin mu
-                state = StateVector(
-                    mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
-            apply_qcnot(state, mu, config.variant)
-            if mu < num:
-                cross = head_cross(state)
-                x, y = 2.0 * cross.real, -2.0 * cross.imag
-            else:
-                x, y, z = head_bloch(state)
-        bloch[m] = x, y, z
+            continue
+        mu = m // 2
+        if mu > state.num_tape_spins:
+            # the head's first visit to spin mu
+            state = StateVector(
+                mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
+        apply_qcnot(state, mu, config.variant)
+        crosses[mu - 1] = head_cross(state)
+        if mu == num:
+            a0, a1 = _halves(state.amplitudes)
+            bloch[m, 2] = _vdot(a1, a1).real - _vdot(a0, a0).real
     drift = _check_norms(config, np.array([state.norm_sq()]),
                          np.array([(min(config.steps, cycle) + 1) // 2]))
     if config.steps > cycle:
         later = (_run_windows if windows else _run_ring if ring
                  else _run_pairs)
         drift = max(drift, later(config, state, bloch))
+    _fill_columns(config, bloch)
     return Trajectory(bloch, config.num_tape_spins, drift)
 
 
@@ -264,15 +266,15 @@ def _run_pairs(config, state, bloch):
     at every cycle end writes the head's z, p1 - p0 as head_bloch forms
     it, and the norm² into the run's norms. An odd last step
     is a rotation alone, and a last partial cycle ends with one norm²
-    more. The norms are checked once, and the carried Bloch vector is then
-    filled in by columns (_fill_columns).
+    more. The norms are checked once; run then fills in the other rows by
+    columns (_fill_columns).
     """
     cycle, last = 2 * config.num_tape_spins, config.steps
     pairs = tuple(kernels.pair_kernels(
         state.amplitudes, config.variant,
         *rotation_coefficients(config.alpha)).values())
     a0, a1 = _halves(state.amplitudes)
-    crosses = _crosses(config, bloch)
+    crosses = _crosses(bloch, cycle)
     steps = np.minimum(np.arange(2 * cycle, last + cycle, cycle), last)
     norms = np.empty(len(steps))
     for k in range(0, len(crosses), len(pairs)):
@@ -289,7 +291,6 @@ def _run_pairs(config, state, bloch):
     if last % 2:
         apply_head_rotation(state, config.alpha)
     norms[-1] = state.norm_sq()  # again, if the run ends on a cycle end
-    _fill_columns(config, bloch)
     return _check_norms(config, norms, (steps + 1) // 2)
 
 
@@ -312,14 +313,14 @@ def _run_ring(config, state, bloch):
 
     vecdot sums each row by BLAS zdotc, as np.vdot does, so these are the
     bits of _vdot, once _fill_columns adds 0j to the cross terms as _vdot
-    adds it: of head_cross, of head_bloch's z and of norm_sq. At every
+    adds it: of head_cross, of the first cycle's z and of norm_sq. At every
     cycle end the loop writes the head's z, p1 - p0, and the norm² into
     the run's norms, as _run_pairs does.
 
     A last partial cycle reduces the rows it wrote, and an odd last step
     rotates the row of the last pair; then the norm² of that row is the
-    last of the norms. The norms are checked once, and the carried Bloch
-    vector is then filled in by columns (_fill_columns).
+    last of the norms. The norms are checked once; run then fills in the
+    other rows by columns (_fill_columns).
     """
     num = config.num_tape_spins
     cycle, last = 2 * num, config.steps
@@ -329,7 +330,7 @@ def _run_ring(config, state, bloch):
     pairs = tuple(kernels.ring_kernels(
         ring, config.variant, *rotation_coefficients(config.alpha)).values())
     heads = ring.reshape(num, 2, half)
-    crosses = _crosses(config, bloch)
+    crosses = _crosses(bloch, cycle)
     cycles, left = divmod(len(crosses), num)
     # (p0, p1) of a cycle end and its real parts, and the cycle ends' norms²
     p = np.empty(2, dtype=complex)
@@ -354,43 +355,43 @@ def _run_ring(config, state, bloch):
     if last % 2:
         apply_head_rotation(StateVector(num, final[0]), config.alpha)
     vecdot(final, final, norms[-1:])
-    _fill_columns(config, bloch)
     return _check_norms(config, norms.real, (steps + 1) // 2)
 
 
-def _crosses(config, bloch):
-    """x and y of every flip row of bloch after the first cycle, as one
-    complex each: where the cross terms go for _fill_columns."""
-    return bloch[2 * config.num_tape_spins + 2::2, :2].view(complex)[:, 0]
+def _crosses(bloch, start=0):
+    """x and y of every flip row of bloch after step start, as one complex
+    each: where the cross terms go for _fill_columns."""
+    return bloch[start + 2::2, :2].view(complex)[:, 0]
 
 
 def _fill_columns(config, bloch):
-    """Fill in the carried head Bloch vector after the first cycle, from
-    the cross term in the x and y of every flip row and the z of every
-    cycle end.
+    """Fill in the head Bloch vector of every row from row 1 on, from row
+    0's, the cross term in the x and y of every flip row and the z of
+    every cycle end: what the first cycle and the path after it wrote.
 
     First 0j is added to every cross term, as _vdot adds it: that turns a
-    -0.0 part into +0.0 and changes nothing else, so the in-place pairs'
-    terms, which have it already, keep their bits. Then every flip row's
-    x and y become 2 Re and -2 Im of its cross term.
-    Then the rows are filled by columns, one step of the cycle at a time
-    over every cycle: a flip row's z inside a cycle is the row before's; a
-    rotation row's x is the row before's and its (y, z) that row's turned
-    by alpha. These are the scalar carry's operations on the same values,
-    and at a cycle end head_bloch's, so they give their bits. Their
-    temporaries, at most three columns of a double per cycle, are what
-    run's memory estimate counts beside bloch.
+    -0.0 part into +0.0 and changes nothing else, so the terms of
+    head_cross and of the in-place pairs, which have it already, keep
+    their bits. Then every flip row's x and y become 2 Re and -2 Im of its
+    cross term. Then the rows are filled by columns, one step of the cycle
+    at a time over every cycle: a flip row's z inside a cycle is the row
+    before's; a rotation row's x is the row before's and its (y, z) that
+    row's turned by alpha. These are the operations a step-by-step carry
+    in Python floats makes on the same values, and at a cycle end
+    head_bloch's, so they give their bits. Their temporaries, at most
+    three columns of a double per cycle, are what run's memory estimate
+    counts beside bloch.
     """
     cycle = 2 * config.num_tape_spins
     c, s = math.cos(config.alpha), math.sin(config.alpha)
-    crosses = _crosses(config, bloch)
+    crosses = _crosses(bloch)
     np.add(crosses, 0j, out=crosses)
-    flips = bloch[cycle + 2::2]  # one column at a time takes no temporary
+    flips = bloch[2::2]  # one column at a time takes no temporary
     flips[:, 0] *= 2.0
     flips[:, 1] *= -2.0
     for n in range(1, cycle):
-        rows = bloch[cycle + n::cycle]
-        x, y, z = bloch[cycle + n - 1::cycle][:len(rows)].T
+        rows = bloch[n::cycle]
+        x, y, z = bloch[n - 1::cycle][:len(rows)].T
         if n % 2:
             rows[:, 0] = x
             rows[:, 1] = y * c - z * s
@@ -412,9 +413,9 @@ def _run_windows(config, state, bloch):
     replay R cycles over the whole stack at once, one kernel call per step
     (_replay), reducing the rows' cross terms after each flip and their z
     and norm² at each cycle end; a rotation reduces nothing. The last
-    row's replay stops at the run's last step. After the last window the
-    carried Bloch vector is filled in by columns (_fill_columns), as after
-    the ring and the in-place pairs.
+    row's replay stops at the run's last step. Once the path has returned,
+    run fills in the other rows by columns (_fill_columns), as after the
+    ring and the in-place pairs.
 
     Rounding. The extended chain and the one rounding of each start to
     double are as for R = 1. The replay is what R changes: a row runs R*M
@@ -485,7 +486,6 @@ def _run_windows(config, state, bloch):
         drift = max(drift, _check_norms(
             config, norms, cycle // 2 * np.arange(1, every + 2),
             cycle // 2 * (np.array(ks)[:, None] - 1)))
-    _fill_columns(config, bloch)
     return drift
 
 
@@ -518,10 +518,9 @@ def _replay_bound(config, cycles):
             + abs(float(_growth(config, rotations))))
 
 
-def _windows_bytes(config, size, fill):
+def _windows_bytes(config, size):
     """Bytes _run_windows holds at once beyond the state and the
-    trajectory: the largest of what building U^R, replaying and the
-    column fill take.
+    trajectory: the larger of what building U^R and replaying take.
 
     The build holds one and a half extended matrices of size² entries,
     _cycle_matrix's exact product and the images of the basis states in
@@ -538,14 +537,10 @@ def _windows_bytes(config, size, fill):
     at M=1, whose rows are 4 amplitudes), and the R + 1 norms² of every
     row with their share of the window's check, 40 bytes each
     (tracemalloc: 32 at 20,000 norms², 43 at 2,000). The column fill
-    after the last window, `fill` bytes, runs once the replay's
-    temporaries are freed, beside U^R, the chained start, the stack and
-    the last window's norms² (tracemalloc over 200,000 steps: the
-    estimate 1.24 times the peak at M=1, 1.15 at M=2, where fill and
-    replay added up read 1.56 and 1.34)."""
+    runs in run once this path has returned and freed all of it."""
     starts, window, every = _windows_schedule(config)
     if starts < 1:
-        return fill
+        return 0
     rows = min(window, -(-starts // every))
     extended = np.dtype(np.clongdouble).itemsize
     matrix = extended * size * size if starts > every else 0  # U is built
@@ -554,8 +549,7 @@ def _windows_bytes(config, size, fill):
     # per row: its amplitudes in three stacks, ten doubles, and 40 bytes
     # for each of its R + 1 norms²
     replay = matrix + extended * size + rows * (48 * size + 40 * every + 120)
-    kept = matrix + extended * size + rows * (16 * size + 8 * every + 8)
-    return max(build, replay, kept + fill)
+    return max(build, replay)
 
 
 def _cycle_matrix(config, size):

@@ -3,7 +3,8 @@ oracles the tests compare the package against (the one-tape-spin
 primitive in closed form, the head of a mixture of runs, the head's
 purity and a visit-order count of distinct points), one-shot reference
 forms of the kernels, of the engine loop, of the engine's
-rotate-and-flip pairs with a step-by-step carry, of the closed-form
+rotate-and-flip pairs made of the kernels by name, of a whole run with a
+step-by-step carry, of the closed-form
 recursion's table filled step by step and of the primitive
 superposition, a check of the |-> tape identity against the package's own
 flip, step-by-step references for the primitive angles and the period
@@ -37,7 +38,9 @@ from qtm.gates import apply_head_rotation, apply_qcnot, rotation_coefficients
 from qtm.io import CSV_HEADER, SVG_SIZE, SVG_SPAN
 from qtm.primitives import _cycle_starts, _cycle_table, _signs
 from qtm.recursion import HeadRecursion
-from qtm.state import BlochVector, head_bloch, make_state
+from qtm.state import (REDUCE_BLOCK, BlochVector, StateVector, _halves,
+                       _vdot, add_tape_spin, head_bloch, head_cross,
+                       make_state)
 
 I2 = np.eye(2, dtype=complex)
 LX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -242,11 +245,115 @@ def per_step_run(config):
     return Trajectory(bloch, config.num_tape_spins)
 
 
-def scalar_carry_pairs(config, state, bloch):
-    """engine._run_pairs with the head Bloch vector carried from step to
-    step in Python floats and every row written as the loop reaches it,
-    as the engine did before it filled the rows by columns after its
-    loop; the engine must give the same bits and the same norm drift."""
+_FLIPS = {"x": "cnot_flip", "iy": "cnot_signed_flip"}
+
+
+def by_name_pairs(amps, variant, c, s):
+    """kernels.pair_kernels made of the kernels by name: pair() calls
+    qtm.kernels.rotate_head(amps, c, s) and then the flip of spin mu, both
+    looked up on qtm.kernels at call time, so a wrapped kernel sees every
+    call, and returns the _vdot of the halves of amps. The fused pairs
+    must give its bits."""
+    flip = _FLIPS[variant]
+    a0, a1 = _halves(amps)
+
+    def pair(mu):
+        def rotate_and_flip():
+            qtm.kernels.rotate_head(amps, c, s)
+            getattr(qtm.kernels, flip)(amps, mu)
+            return _vdot(a0, a1)
+        return rotate_and_flip
+
+    return {mu: pair(mu) for mu in range(1, amps.shape[-1].bit_length() - 1)}
+
+
+def by_name_ring(ring, variant, c, s):
+    """kernels.ring_kernels made of the kernels by name: pair() copies row
+    mu-2 (row M-1 for mu = 1) into row mu-1 and calls
+    qtm.kernels.rotate_head and then the flip of spin mu on that row, both
+    looked up at call time. The fused ring pairs must give its bits."""
+    flip = _FLIPS[variant]
+
+    def pair(mu):
+        src, dst = ring[mu - 2], ring[mu - 1]
+
+        def rotate_and_flip():
+            np.copyto(dst, src)
+            qtm.kernels.rotate_head(dst, c, s)
+            getattr(qtm.kernels, flip)(dst, mu)
+        return rotate_and_flip
+
+    return {mu: pair(mu) for mu in range(1, len(ring) + 1)}
+
+
+def scalar_carry_run(config):
+    """engine.run with the head Bloch vector carried from step to step in
+    Python floats and every row written as the loop reaches it, as the
+    engine did before it filled every row by columns after its last step:
+    gate by gate through the first cycle, a product tape's state growing
+    spin by spin, and head_bloch at its end; then, at M >= 6, in-place
+    rotate-and-flip pairs with head_bloch at every cycle end, and at
+    M <= 5 from the cross terms and cycle-end z that engine._run_windows
+    writes (its chained cycle starts give bits no step-by-step loop
+    does). The engine must give the same bits and the same norm drift."""
+    num, last = config.num_tape_spins, config.steps
+    cycle = 2 * num
+    initial = config.resolved_initial()
+    state = make_state(config.phi0,
+                       initial[:1] if isinstance(initial, str) else initial)
+    bloch = np.empty((last + 1, 3))
+    x, y, z = bloch[0] = head_bloch(state)
+    c, s = math.cos(config.alpha), math.sin(config.alpha)
+    for m in range(1, min(last, cycle) + 1):
+        if m % 2:
+            apply_head_rotation(state, config.alpha)
+            y, z = y * c - z * s, y * s + z * c
+        else:
+            mu = m // 2
+            if mu > state.num_tape_spins:
+                state = StateVector(
+                    mu, add_tape_spin(state.amplitudes, initial[mu - 1]))
+            apply_qcnot(state, mu, config.variant)
+            if mu < num:
+                cross = head_cross(state)
+                x, y = 2.0 * cross.real, -2.0 * cross.imag
+            else:
+                x, y, z = head_bloch(state)
+        bloch[m] = x, y, z
+    drift = _check_norms(config, np.array([state.norm_sq()]),
+                         np.array([(min(last, cycle) + 1) // 2]))
+    if last > cycle:
+        later = (_windows_carry if 4 ** (num + 1) <= REDUCE_BLOCK
+                 else _pairs_carry)
+        drift = max(drift, later(config, state, bloch))
+    return Trajectory(bloch, num, drift)
+
+
+def _windows_carry(config, state, bloch):
+    """The steps after the first cycle of scalar_carry_run at M <= 5:
+    engine._run_windows writes the cross term of every flip row and the z
+    of every cycle end, and the carry goes on from them; returns the
+    path's norm drift."""
+    drift = qtm.engine._run_windows(config, state, bloch)
+    cycle = 2 * config.num_tape_spins
+    c, s = math.cos(config.alpha), math.sin(config.alpha)
+    x, y, z = bloch[cycle].tolist()
+    for m in range(cycle + 1, len(bloch)):
+        if m % 2:
+            y, z = y * c - z * s, y * s + z * c
+        else:
+            cross = complex(*bloch[m, :2].tolist()) + 0j
+            x, y = 2.0 * cross.real, -2.0 * cross.imag
+            if m % cycle == 0:
+                z = float(bloch[m, 2])
+        bloch[m] = x, y, z
+    return drift
+
+
+def _pairs_carry(config, state, bloch):
+    """The steps after the first cycle of scalar_carry_run at M >= 6: the
+    in-place pairs of kernels.pair_kernels, with head_bloch at every cycle
+    end; returns the norm drift of their cycle ends and last step."""
     cycle, last = 2 * config.num_tape_spins, config.steps
     norms, steps = [], []
     pairs = qtm.kernels.pair_kernels(state.amplitudes, config.variant,

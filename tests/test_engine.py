@@ -303,7 +303,7 @@ def test_building_u_holds_two_and_a_half_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert qtm.engine._windows_bytes(cfg, 64, fill=0) == 5 * u.nbytes // 2
+    assert qtm.engine._windows_bytes(cfg, 64) == 5 * u.nbytes // 2
     assert peak <= 5 * u.nbytes // 2 + 4096
 
 
@@ -429,33 +429,34 @@ def test_the_loop_calls_one_gate_per_step(monkeypatch, num, variant):
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
-@pytest.mark.parametrize("num", [6, 7, 8, 9])
+@pytest.mark.parametrize("num", [2, 5, 6, 7, 8, 9])
 def test_pairs_fill_the_scalar_carrys_bits(monkeypatch, num, variant):
-    # after the pairs, the carried Bloch vector is filled by columns, and
-    # up to M=8 the pairs run around a ring and reduce once per cycle: the
-    # bits and the norm drift of the in-place pairs with a step-by-step
-    # carry, for runs that end on a rotation, inside a cycle and on a
-    # cycle end
-    path = "_run_ring" if num <= 8 else "_run_pairs"
+    # every row but row 0 is filled by columns once the run's last step
+    # is made, after the windows (M <= 5), the ring (M = 6-8) or the
+    # in-place pairs (M >= 9): the bits and the norm drift of a whole run
+    # with a step-by-step carry, for runs that end inside the first cycle,
+    # on its end, on a rotation, inside a later cycle, on a later cycle
+    # end and past 3,000 steps
+    path = ("_run_windows" if num <= 5 else "_run_ring" if num <= 8
+            else "_run_pairs")
     took = []
     later = getattr(qtm.engine, path)
     monkeypatch.setattr(qtm.engine, path,
                         lambda *args: took.append(path) or later(*args))
     # and on an amplitude tape too (entangled, every amplitude nonzero)
     spec = ("+-01" * 3)[:num]
-    for steps, tape in ((2 * num + 1, spec), (4 * num - 1, spec),
+    for steps, tape in ((1, spec), (2 * num - 1, spec), (2 * num, spec),
+                        (2 * num + 1, spec), (4 * num - 1, spec),
                         (4 * num, spec), (4 * num + 1, spec),
-                        (6 * num + 3, spec), (3000, spec),
+                        (6 * num + 3, spec), (3000, spec), (3001, spec),
+                        (2 * num - 1, _amplitude_tape(num)),
                         (4 * num, _amplitude_tape(num))):
         cfg = MachineConfig(num, (0.7, 1.9, ALPHA)[num % 3], phi0=1.1,
                             variant=variant, initial=tape, steps=steps)
+        took.clear()
         traj = run(cfg)
-        assert took.pop() == path
-        with monkeypatch.context() as patch:
-            for name in ("_run_ring", "_run_pairs"):
-                patch.setattr(qtm.engine, name, helpers.scalar_carry_pairs)
-            want = run(cfg)
-        assert not took
+        assert took == ([path] if steps > 2 * num else [])
+        want = helpers.scalar_carry_run(cfg)
         assert traj.bloch.tobytes() == want.bloch.tobytes()
         assert traj.norm_drift == want.norm_drift
 
@@ -472,23 +473,25 @@ def test_run_refuses_a_state_larger_than_memory(monkeypatch):
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("num, steps", [
     pytest.param(10, 60, id="10"), pytest.param(14, 84, id="14"),
-    pytest.param(16, 96, id="16"), (6, 20000), (7, 20000), (8, 20000),
+    pytest.param(16, 96, id="16"), pytest.param(18, 108, id="18"),
+    (6, 20000), (7, 20000), (8, 20000),
     (8, 2001), (3, 20000), (5, 20000), (5, 200000), (1, 200000),
     (2, 200000)])
 def test_memory_estimate_bounds_what_a_run_holds(monkeypatch, num, steps,
                                                  variant):
     # the guard's estimate is at least the traced peak of a three-cycle
-    # run: a one-block state (M=10, 14) and a blocked one (M=16). Below
-    # M=10 a short run's peak is the guard's own read of /proc/meminfo,
-    # about 10 KiB; a long one at M=6-8 holds the trajectory, its ring of
-    # states with the ring's scratch, the temporaries of its column fill
-    # and its pair callables (one ending inside a cycle, on a rotation,
-    # too), and one at M=1-5 the trajectory, the extended matrices and
-    # the stack of its windows. At M <= 2, where the trajectory and the
-    # column fill outweigh the windows, the estimate stays within 1.3
-    # times the peak, so long runs are not refused early: the fill runs
-    # after the replay's temporaries are freed, and is counted beside
-    # what it keeps alive, not on top of the replay
+    # run: a one-block state (M=10, 14) and blocked ones (M=16, and M=18,
+    # whose pairs bind views of 16 blocks for each spin). Below M=10 a
+    # short run's peak is the guard's own read of /proc/meminfo, about
+    # 10 KiB; a long one at M=6-8 holds the trajectory, its ring of
+    # states with the ring's scratch and its pair callables (one ending
+    # inside a cycle, on a rotation, too), and one at M=1-5 the
+    # trajectory, the extended matrices and the stack of its windows;
+    # then the column fill's temporaries. At M <= 2, where the trajectory
+    # and the column fill outweigh the windows, the estimate stays within
+    # 1.3 times the peak, so long runs are not refused early: the fill
+    # runs after the path has returned and freed what it held, and is
+    # counted as the larger of the two, not on top of the path
     needs = []
     check_fits = qtm.engine.check_fits
 

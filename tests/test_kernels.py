@@ -7,8 +7,7 @@ import pytest
 
 import helpers
 from qtm import MachineConfig, _kernels_py, kernels, run
-from qtm.state import (REDUCE_BLOCK, StateVector, _vdot, aligned_empty,
-                       head_cross)
+from qtm.state import REDUCE_BLOCK, StateVector, aligned_empty, head_cross
 
 # states of 2 to 7 bits fit in one block of the numpy kernels; the two
 # sizes above it span 2 and 4 blocks, and their top spins have groups of
@@ -37,9 +36,7 @@ KERNELS = ("rotate_head", "cnot_flip", "cnot_signed_flip")
 
 def _wrapped(calls):
     """The numpy kernels, each behind a plain wrapper that appends its name
-    to calls, as perfbench's tracer wraps them. Bound to the kernels
-    module's names they are not _kernels_py's own, so pair_kernels and
-    ring_kernels hand out the pairs that call them by name."""
+    to calls, as perfbench's tracer wraps them."""
     def wrapper(name):
         kernel = getattr(_kernels_py, name)
 
@@ -92,19 +89,24 @@ def test_backends_agree_on_fused_runs(monkeypatch, variant):
 
 
 def _bind(monkeypatch, mod):
-    """Bind mod's kernels to the kernels module's names."""
+    """Bind mod's kernels to the kernels module's names; for the wrapped
+    kernels, bind pair_kernels and ring_kernels to the pairs that call
+    them by name (helpers.by_name_pairs, helpers.by_name_ring)."""
     for name in KERNELS:
         monkeypatch.setattr(kernels, name, getattr(mod, name))
+    if mod is not _kernels_py:
+        monkeypatch.setattr(kernels, "pair_kernels", helpers.by_name_pairs)
+        monkeypatch.setattr(kernels, "ring_kernels", helpers.by_name_ring)
 
 
 @pytest.mark.parametrize("variant", ["x", "iy"])
 @pytest.mark.parametrize("backend", ["numpy", "wrapped"])
 def test_pairs_equal_rotate_then_flip(monkeypatch, backend, variant):
-    # every pair of every size, one-block and blocked (fused on the numpy
-    # kernels, with partner blocks at the top spins of BLOCK_BITS + 2; by
-    # name on wrapped ones), called in turn on one state with signed
-    # zeros: the same bits as rotate_head and then the flip of its spin,
-    # and it returns head_cross's bits
+    # every pair of every size, one-block and blocked (fused, with partner
+    # blocks at the top spins of BLOCK_BITS + 2; and helpers.by_name_pairs
+    # on wrapped kernels), called in turn on one state with signed zeros:
+    # the same bits as rotate_head and then the flip of its spin, and it
+    # returns head_cross's bits
     calls = []
     _bind(monkeypatch, _kernels_py if backend == "numpy" else _wrapped(calls))
     flip = (_kernels_py.cnot_flip if variant == "x"
@@ -132,11 +134,11 @@ def test_pairs_equal_rotate_then_flip(monkeypatch, backend, variant):
 @pytest.mark.parametrize("backend", ["numpy", "wrapped"])
 def test_ring_pairs_equal_rotate_then_flip(monkeypatch, backend, variant):
     # rings of M = 2-8 states (engine.run takes the ring at M = 6-8), two
-    # cycles of pairs in spin order, fused on the numpy kernels and by name
-    # on wrapped ones, one bind per angle, from a state with signed zeros:
-    # each pair writes into its row the bits of rotate_head and then the
-    # flip of its spin on the row before, and leaves every other row as it
-    # was
+    # cycles of pairs in spin order, fused, and by name on wrapped kernels
+    # (helpers.by_name_ring), one bind per angle, from a state with signed
+    # zeros: each pair writes into its row the bits of rotate_head and
+    # then the flip of its spin on the row before, and leaves every other
+    # row as it was
     calls = []
     _bind(monkeypatch, _kernels_py if backend == "numpy" else _wrapped(calls))
     flip = (_kernels_py.cnot_flip if variant == "x"
@@ -161,66 +163,25 @@ def test_ring_pairs_equal_rotate_then_flip(monkeypatch, backend, variant):
     assert bool(calls) == (backend == "wrapped")
 
 
-def test_ring_pairs_are_fused_whenever_the_numpy_kernels_are_bound(
-        monkeypatch):
-    # _kernels_py.ring_pairs serves the ring while the bound kernels are
-    # numpy's; otherwise a pair copies the row before into its own row and
-    # calls the kernels by name on that copy
-    fused = []
-    monkeypatch.setattr(_kernels_py, "ring_pairs", lambda ring, signed, c, s: (
-        fused.append((ring.shape, signed, c, s))))
-    _bind(monkeypatch, _kernels_py)
-    for num, variant in ((6, "x"), (8, "iy")):
-        kernels.ring_kernels(np.zeros((num, 2 ** (num + 1)), complex),
-                             variant, 0.6, 0.8)
-    assert fused == [((6, 128), False, 0.6, 0.8), ((8, 512), True, 0.6, 0.8)]
+@pytest.mark.parametrize("num, rotations", [(8, 9), (10, 11)])
+def test_a_wrapped_kernel_leaves_the_pairs_fused(monkeypatch, num, rotations):
+    # rotate_head wrapped by name, as perfbench's tracer wraps it, sees
+    # the rotations made gate by gate: the first cycle's M and the last
+    # step's, each on one state. The rotations after the first cycle are
+    # made by the fused pairs, around the ring at M=8 and in place at
+    # M=10, which the wrapper does not see
     calls = []
+    rotate = kernels.rotate_head
 
-    def recorded(name):
-        def kernel(amps, *args):
-            calls.append((name, amps.ctypes.data) + args)
-        return kernel
+    def traced(*args):
+        calls.append(args[0].shape)
+        return rotate(*args)
 
-    monkeypatch.setattr(kernels, "cnot_signed_flip",
-                        recorded("cnot_signed_flip"))
-    ring = np.zeros((2, 8), complex)
-    ring[0] = [0.5, 0, 0.5j, 0, 0.5, 0, 0.5, 0]
-    pair = kernels.ring_kernels(ring, "iy", 0.6, 0.8)
-    monkeypatch.setattr(kernels, "rotate_head", recorded("rotate_head"))
-    assert pair[2]() is None
-    assert len(fused) == 2
-    assert calls == [("rotate_head", ring[1].ctypes.data, 0.6, 0.8),
-                     ("cnot_signed_flip", ring[1].ctypes.data, 2)]
-    _assert_same_bits(ring[1], ring[0])
-
-
-def test_pairs_are_fused_whenever_the_numpy_kernels_are_bound(monkeypatch):
-    # _kernels_py.pairs serves every state size while the bound kernels
-    # are numpy's; a kernel that is not numpy's gets pairs that look the
-    # kernels up by name when called and return the halves' _vdot
-    fused = []
-    monkeypatch.setattr(_kernels_py, "pairs", lambda amps, signed, c, s: (
-        fused.append((amps.size, signed, c, s))))
-    _bind(monkeypatch, _kernels_py)
-    for size, variant in ((8, "x"), (BLOCK, "iy"), (4 * BLOCK, "x")):
-        kernels.pair_kernels(np.zeros(size, complex), variant, 0.6, 0.8)
-    assert fused == [(8, False, 0.6, 0.8), (BLOCK, True, 0.6, 0.8),
-                     (4 * BLOCK, False, 0.6, 0.8)]
-    calls = []
-
-    def recorded(name):
-        def kernel(amps, *args):
-            calls.append((name, amps.size) + args)
-        return kernel
-
-    monkeypatch.setattr(kernels, "cnot_flip", recorded("cnot_flip"))
-    amps = np.array([0.5, 0, 0.5j, 0, 0.5, 0, 0.5, 0])
-    pair = kernels.pair_kernels(amps, "x", 0.6, 0.8)
-    monkeypatch.setattr(kernels, "rotate_head", recorded("rotate_head"))
-    cross = pair[2]()
-    assert len(fused) == 3
-    assert calls == [("rotate_head", 8, 0.6, 0.8), ("cnot_flip", 8, 2)]
-    assert cross == _vdot(amps[:4], amps[4:]) == 0.25 - 0.25j
+    monkeypatch.setattr(kernels, "rotate_head", traced)
+    run(MachineConfig(num, helpers.ALPHA, initial=("+-01" * 3)[:num],
+                      steps=2001))
+    assert len(calls) == rotations
+    assert calls[-1] == (2 ** (num + 1),)
 
 
 def test_pair_scratch_is_two_blocks_on_a_cache_line(monkeypatch):
@@ -245,9 +206,9 @@ def test_pair_scratch_is_two_blocks_on_a_cache_line(monkeypatch):
 @pytest.mark.parametrize("variant", ["x", "iy"])
 def test_backends_agree_on_paired_runs(monkeypatch, variant):
     # runs at M=7 and 9 go in rotate-and-flip pairs after their first
-    # cycle, around a ring at M=7 and in place at M=9, fused on the numpy
-    # kernels and by name on wrapped ones; both give the same bits, two
-    # cycles and five steps past it
+    # cycle, around a ring at M=7 and in place at M=9: fused, and by name
+    # on wrapped kernels (helpers.by_name_pairs, helpers.by_name_ring);
+    # both give the same bits, two cycles and five steps past it
     for num in (7, 9):
         cfg = MachineConfig(num, helpers.ALPHA, phi0=0.9, variant=variant,
                             initial=("+-01" * 3)[:num], steps=6 * num + 5)
