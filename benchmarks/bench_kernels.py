@@ -29,7 +29,10 @@ the stacked cycle starts (_replay) and the chain (the rest of
 _run_windows: U^R's squarings, the extended-precision products of every
 R-th cycle start and each window's norm check), with R. The column fill
 runs in engine.run after _run_windows returns, inside the whole run's
-time and outside the three parts.
+time and outside the three parts. A superpose row closes: the primitive
+path's sum over the weights of an all-zeros tape over SUPERPOSE_STEPS
+steps at M=3 and 8, as perfbench's long_horizon runs it, and at M = 12,
+16 and 20 up to --max-tape-size, with its number of (S, K) classes.
 
 Usage: python benchmarks/bench_kernels.py [--max-tape-size 20] [--repeats 5]
 """
@@ -55,6 +58,7 @@ WIDE_ROWS = 101  # perfbench's wide_tape runs write 21 and 101 rows
 SPECTRUM_ROWS = 4096  # as perfbench's long_horizon spectrum
 CENSUS_CYCLES = 200
 WINDOW_STEPS = 20000  # as perfbench's long_horizon runs at M = 3 and 4
+SUPERPOSE_STEPS = 20000
 
 
 def bench_backend(mod, num_tape_spins, repeats):
@@ -323,6 +327,21 @@ def bench_windows(num_tape_spins, repeats):
     return engine._windows_schedule(cfg)[2], best
 
 
+def bench_superpose(num_tape_spins, repeats):
+    """(best time, classes) of primitives.superpose on the weights of an
+    all-zeros tape over SUPERPOSE_STEPS steps; the weights are not timed."""
+    alpha = math.pi / math.sqrt(3.0)
+    weights = primitives.decompose("0" * num_tape_spins)
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        primitives.superpose(weights, 0.0, alpha, SUPERPOSE_STEPS)
+        best = min(best, time.perf_counter() - t0)
+    big_s = primitives._classes(weights, num_tape_spins, 0.0, alpha,
+                                SUPERPOSE_STEPS)[0]
+    return best, len(big_s)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-tape-size", type=int, default=20)
@@ -385,6 +404,11 @@ def main():
         print(f"  M={m}: R={every:<3} "
               + "   ".join(f"{phase} {took * 1e3:6.2f} ms"
                            for phase, took in best.items()))
+    print(f"\nsuperpose, all-zeros tape, {SUPERPOSE_STEPS:,} steps")
+    for m in (3, 8, 12, 16, 20):
+        if m in (3, 8) or m <= args.max_tape_size:
+            best, classes = bench_superpose(m, args.repeats)
+            print(f"  M={m:<2}: {best * 1e3:8.2f} ms   {classes} classes")
     if unequal:
         raise SystemExit("pairs differ in bits from rotate+flip+head_cross"
                          " or from the ring: " + ", ".join(unequal))

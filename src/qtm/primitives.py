@@ -12,9 +12,11 @@ pure and moves on the circle x = 0, so a single angle phi (Bloch vector
 
 Any product tape decomposes over the 2**M sign patterns, and the head Bloch
 vector of the full machine is the weight-square sum of the primitive
-trajectories. That is the quantum parallelism this module exploits: cost
-O(2**M) scalars per step instead of O(2**(M+1)) amplitudes, and for a single
-primitive O(1).
+trajectories. That is the quantum parallelism this module exploits. A
+cycle maps a primitive's angle by phi -> S*phi + K*alpha, and the 2**M
+patterns fall into at most 2M such (S, K) classes, whose members share
+their cycle starts: after one pass over the weights the sum costs O(M)
+per step instead of O(2**(M+1)) amplitudes, and a single primitive O(1).
 
 Pattern order is lexicographic with '+' < '-', pattern character 0 (tape
 spin 1) most significant. decompose() and superpose() both use this order.
@@ -38,6 +40,7 @@ PERIODIC = "periodic"
 APERIODIC = "aperiodic"
 
 CENSUS_WINDOW = 1 << 15  # angles held per period_census window
+BATCH = 1 << 12  # superpose holds BATCH // M patterns or ~BATCH steps
 
 
 def normalize_pattern(pattern: str) -> str:
@@ -444,15 +447,52 @@ def _sign_basis_transform(amps, num):
     return v
 
 
+def _classes(weights, num, phi0, alpha, steps):
+    """The (S, K) classes of the patterns of nonzero weight of M = num tape
+    spins and their weighted rows: (S, K, coef), S and K of shape (G, 1)
+    like the last column of _cycle_table, and coef of shape (2G, width, 2),
+    width = min(2M, steps + 1) the steps of a cycle the run reaches. K is a
+    sum of M spin signs times S and the first sign is +1, so each S has at
+    most M values of K, and G <= 2M.
+
+    Every pattern of a class starts its cycles at the same angle theta,
+    and is at s*theta + o*alpha at step j of a cycle, s and o its column j
+    of _cycle_table. So y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o))
+    and z = sum w*(s*sin(theta)*sin(o) - cos(theta)*cos(o)) are, per class,
+    sin(theta) times its row [sum s*w*cos o | sum s*w*sin o] plus
+    cos(theta) times its row [sum w*sin o | -sum w*cos o], both held as
+    (y, z) pairs per step j. The weights are binned by (S, K, j, s, o),
+    about BATCH // M patterns at a time, and each bin meets the sin and cos
+    of its offset o once.
+    """
+    width, span = min(2 * num, steps + 1), 2 * num + 1  # |K|, |o| <= M
+    bins = np.zeros((2, span, width, 2, span))  # (S, K + M, j, s, o + M)
+    used = np.flatnonzero(weights)
+    for index in np.array_split(used, len(used) * num // BATCH + 1):
+        sign, offset = _run_table(_signs(index, num), phi0, alpha, steps)
+        flip, at = (1 - sign) // 2, offset.astype(int) + num
+        np.add.at(bins, (flip[:, -1:], at[:, -1:], np.arange(width),
+                         flip[:, :width], at[:, :width]), weights[index, None])
+    # an offset no step of the run reaches may overflow at a huge alpha
+    o = np.where(bins.any(axis=(0, 1, 2, 3)), np.arange(span) - num, 0) * alpha
+    flips, k = np.nonzero(bins.any(axis=(2, 3, 4)))
+    part = (bins @ np.stack([np.cos(o), np.sin(o)], axis=1))[flips, k]
+    return 1 - 2 * flips[:, None], k[:, None] - float(num), np.concatenate([
+        part[:, :, 0] - part[:, :, 1],  # part: class, j, s, (cos o, sin o)
+        (part[:, :, 0] + part[:, :, 1]) @ [[0, -1], [1, 0]]])
+
+
 def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
     """Head trajectory of a product state from its primitive weights.
 
     Sums the Bloch vectors of all 2**M primitives with the given weights at
     every step. Exact for any product initial state because relative
-    phases between primitives never reach the head observable. A primitive
-    at s*theta + o*alpha, theta a cycle start, has sin and cos linear in
-    those of theta, so a block of cycles is one matrix product and memory
-    is O(2**M * (2M + cycles per block)).
+    phases between primitives never reach the head observable. The
+    patterns of one (S, K) class share their cycle starts theta (see
+    _classes), so sin and cos are taken once per class and cycle start,
+    and a block of cycles is one (cycles x 2G) @ (2G x 4M) product, written
+    into the trajectory in step order. Memory is O(2**M) for the weights,
+    O(M**3) for the bins of _classes and O(steps) for the trajectory.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size < 2 or weights.size & (weights.size - 1):
@@ -461,32 +501,14 @@ def superpose(weights, phi0: float, alpha: float, steps: int) -> Trajectory:
         raise ConfigurationError("weights must be nonnegative and sum to 1")
     check_count(steps, 0, "step count must be >= 0")
     num = weights.size.bit_length() - 1
-    used = np.flatnonzero(weights)
-    sign, offset = _run_table(_signs(used, num), phi0, alpha, steps)
-    offset[:, steps + 1:-1] = 0  # steps a run stopping in cycle 0 skips
-    offset[:, :-1] *= alpha  # o; _cycle_starts reads only the last column
-    # y = sum w*(s*sin(theta)*cos(o) + cos(theta)*sin(o)) and
-    # z = sum w*(s*sin(theta)*sin(o) - cos(theta)*cos(o)): one table, its
-    # sin(theta) rows [s*w*cos o | s*w*sin o], cos(theta) rows [w*sin o | -w*cos o]
-    coef = np.empty((2, len(used), 2, 2 * num))
-    np.sin(offset[:, :-1], out=coef[1, :, 0])
-    np.cos(offset[:, :-1], out=coef[1, :, 1])
-    coef[1] *= weights[used, None, None]
-    np.multiply(sign[:, None, :-1], coef[1, :, ::-1], out=coef[0])
-    np.negative(coef[1, :, 1], out=coef[1, :, 1])
-    coef = coef.reshape(2 * len(used), 4 * num)
-    cycles = steps // (2 * num) + 1
-    per_block = max(1, (1 << 18) // len(used))  # ~8 live 2 MiB arrays a block
-    yz = np.empty((cycles, 4 * num))
-    for lo in range(0, cycles, per_block):
-        sigma, k = _cycle_starts(sign, offset,
-                                 np.arange(lo, min(lo + per_block, cycles)))
-        theta = _angles(sigma, k, phi0, alpha)
-        yz[lo:lo + per_block] = np.vstack([np.sin(theta), np.cos(theta)]).T @ coef
-    bloch = np.zeros((steps + 1, 3))
-    yz = yz.reshape(-1, 2, 2 * num).transpose(0, 2, 1).reshape(-1, 2)
-    bloch[:, 1:] = yz[:steps + 1]
-    return Trajectory(bloch, num)
+    big_s, big_k, coef = _classes(weights, num, phi0, alpha, steps)
+    # a row is a cycle, unless the run ends inside its first one
+    bloch = np.zeros((steps // (2 * num) + 1, coef.shape[1], 3))
+    for p in np.array_split(np.arange(len(bloch)), steps // BATCH + 1):
+        theta = _angles(*_cycle_starts(big_s, big_k, p), phi0, alpha)
+        bloch[p, :, 1:] = np.tensordot(
+            np.vstack([np.sin(theta), np.cos(theta)]), coef, (0, 0))
+    return Trajectory(bloch.reshape(-1, 3)[:steps + 1], num)
 
 
 def run(config: MachineConfig) -> Trajectory:
@@ -496,14 +518,17 @@ def run(config: MachineConfig) -> Trajectory:
     if config.variant != VARIANT_X:
         raise ConfigurationError(
             "the primitives engine covers the plain flip variant only")
-    # per pattern: superpose's two table rows of 4M floats, as much again
-    # for the cycle table and per-step rows, and 12 bytes of weights; one
-    # step peaks at 4.39 MB (M=12) and 20.2 MB (M=14) under tracemalloc.
-    # Per step: its rows of y and z (16 bytes), their copy in step order
-    # (16) and the trajectory row of 3 doubles (24)
+    # per pattern its weight and, if nonzero, its index (16 bytes); the bins
+    # of _classes, 4*width*(2M + 1)**2 doubles; 160 bytes per BATCH for the
+    # larger of a batch, BATCH // M patterns of 2M + 1 entries at 64 bytes
+    # an entry (measured: at most 46), and a block of about BATCH steps at
+    # 80 bytes a step (measured: 66-68), as each is freed before the other;
+    # per step the trajectory row of 3 doubles (24) and at most 4 bytes of
+    # the cycle numbers of the blocks. A few tens of KiB of fixed overhead
+    # are left out.
     num, steps = config.num_tape_spins, config.steps
-    check_fits(((2 * 2 * 4 * num * 8 + 12) << num) + 56 * (steps + 1),
-               f"{steps} steps of the primitive superposition of {num} "
-               "tape spins")
+    check_fits((16 << num) + 32 * min(2 * num, steps + 1) * (2 * num + 1) ** 2
+               + 160 * BATCH + 28 * (steps + 1), f"{steps} steps of the "
+               f"primitive superposition of {num} tape spins")
     return superpose(decompose(config.resolved_initial()), config.phi0,
                      config.alpha, steps)

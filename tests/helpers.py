@@ -445,9 +445,11 @@ def exp_find_period(phis, cycle, horizon, tol):
 
 
 def one_shot_superpose(weights, phi0, alpha, steps):
-    """primitives.superpose with its coefficient table joined by np.block
-    from separate quarter arrays, as the package built it before it filled
-    one table in place; the package must equal this bit for bit."""
+    """primitives.superpose summed per pattern, as the package summed it
+    before it grouped the patterns by (S, K) class: a coefficient table of
+    two rows per pattern, joined by np.block from separate quarter arrays.
+    The package must agree with it within the rounding of the two
+    summation orders (test_primitives)."""
     weights = np.asarray(weights, dtype=float)
     num = weights.size.bit_length() - 1
     used = np.flatnonzero(weights)

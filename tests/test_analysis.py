@@ -17,6 +17,7 @@ from helpers import distinct_points
 from qtm import (
     CircleFitError,
     ConfigurationError,
+    HeadRecursion,
     MachineConfig,
     Trajectory,
     fit_invariant_circles,
@@ -24,7 +25,7 @@ from qtm import (
     spectrum,
     superpose,
 )
-from qtm.primitives import run_primitive
+from qtm.primitives import _classes, decompose, run_primitive
 
 ALPHA = helpers.ALPHA
 
@@ -232,6 +233,30 @@ class TestSpectrum:
     def test_too_short(self):
         with pytest.raises(ConfigurationError):
             spectrum(Trajectory(np.zeros((1, 3)), 1))
+
+    @pytest.mark.parametrize("num", [2, 3, 4, 5, 8])
+    def test_largest_peaks_sit_on_the_lines_of_the_classes(self, num):
+        # a class with S = +1 and K != 0 turns its cycle starts by K*alpha
+        # per cycle of 2M steps, and each of its steps is a fixed map of
+        # them, so it draws lines at (+-|K|*alpha/(2*pi) + j)/(2M) mod 1;
+        # the closed classes repeat every two cycles, lines at j/(4M)
+        steps = 4095
+        bloch = HeadRecursion(ALPHA).trajectory(steps, num)
+        spec = spectrum(Trajectory(bloch, num))
+        big_s, big_k, _ = _classes(decompose("0" * num), num, 0.0, ALPHA,
+                                   steps)
+        drift = np.unique(np.abs(big_k[(big_s > 0) & (big_k != 0)]))
+        turns = drift * ALPHA / (2 * math.pi)
+        j = np.arange(2 * num)
+        lines = np.concatenate([(j + t) / (2 * num) for t in [*turns, *-turns]]
+                               + [np.arange(4 * num) / (4 * num)])
+        mag = spec.magnitude_y
+        peaks = np.flatnonzero((mag > np.roll(mag, 1))
+                               & (mag >= np.roll(mag, -1)))
+        top = spec.frequencies[peaks[np.argsort(mag[peaks])[-8:]]]
+        miss = np.abs((top[:, None] - lines + 0.5) % 1 - 0.5).min(axis=1)
+        assert len(top) == 8
+        assert float(miss.max()) * (steps + 1) <= 0.5
 
 
 class TestDistinctPoints:

@@ -528,8 +528,10 @@ def test_primitive_path_too_large_for_memory_is_a_usage_error(argv, what,
 
 def test_primitive_guards_use_their_estimates(monkeypatch, tmp_path):
     # with 1 MiB available: 2**13 patterns of 62+64 bytes (0.98 MiB) fit and
-    # 2**14 of 63+64 bytes (1.98 MiB) do not; the superposition of M=9
-    # needs (3*64*9 + 12) * 2**9 bytes (0.85 MiB) and fits, M=10 does not
+    # 2**14 of 63+64 bytes (1.98 MiB) do not; over one step the
+    # superposition of M=14 needs 16*2**14 bytes of weights and indices,
+    # 64*2*29**2 of bins and a batch of 64*29*292 (0.82 MiB) and fits, and
+    # M=15 needs 16*2**15 + 64*31**2 + 64*31*273 (1.08 MiB) and does not
     helpers.one_mib_available(monkeypatch)
     out = str(tmp_path / "o.csv")
     assert main(["classify", "--all", "--tape-size", "13",
@@ -538,8 +540,8 @@ def test_primitive_guards_use_their_estimates(monkeypatch, tmp_path):
                  "--max-cycles", "2", "--out", out]) == 2
     sim = ["simulate", "--alpha", "1", "--steps", "1", "--engine",
            "primitives", "--out", out, "--tape-size"]
-    assert main(sim + ["9"]) == 0
-    assert main(sim + ["10"]) == 2
+    assert main(sim + ["14"]) == 0
+    assert main(sim + ["15"]) == 2
 
 
 @pytest.mark.parametrize("argv, what", [

@@ -611,33 +611,96 @@ class TestSuperpose:
             traj.bloch, HeadRecursion(ALPHA).trajectory(2000, 14),
             rtol=0, atol=1e-11)
 
+    @staticmethod
+    def assert_within_the_summation_bound(weights, phi0, steps):
+        """superpose agrees with helpers.one_shot_superpose, its per-pattern
+        sum, within the rounding of the two summation orders.
+
+        Both sum the same products of the same doubles: the sin and cos of a
+        cycle start theta, whose angle is one double per (S, K) class and
+        so the same bits for every pattern of it, and of an offset angle
+        fl(o*alpha). Each of the n patterns of nonzero weight gives a
+        component two products, each at most its weight w in size, so the
+        products sum to at most 2*sum(w) in magnitude. The per-pattern form
+        rounds w*cos(o) once and sums 2n products: at most 2n + 1
+        roundings on each product. The class form sums the weights of a
+        bin (at most n - 1 additions), takes a dot product over the 2M + 1
+        offsets (2M + 1), the sum or difference of the two sign bins (1)
+        and a product over the 2G class rows (2G, with G <= 2M): at most
+        n + 6M + 1. A sum whose products each pass through at most k
+        roundings is within gamma_k = k*u/(1 - k*u) of its exact value
+        times the sum of their magnitudes, u = 2**-53, so the two are
+        within 2*sum(w)*(gamma_{2n+1} + gamma_{n+6M+1}) of each other.
+        """
+        def gamma(k):
+            return k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+
+        n, num = np.count_nonzero(weights), len(weights).bit_length() - 1
+        bound = 2 * weights.sum() * (gamma(2 * n + 1) + gamma(n + 6 * num + 1))
+        got = superpose(weights, phi0, ALPHA, steps).bloch
+        want = helpers.one_shot_superpose(weights, phi0, ALPHA, steps)
+        assert got.shape == want.shape
+        assert float(np.abs(got - want).max()) <= bound
+
     @pytest.mark.parametrize("num, steps", [(1, 5000), (3, 20000),
                                             (8, 3000), (12, 40)])
     @pytest.mark.parametrize("phi0", [0.0, 1.234])
     def test_table_filled_in_place_equals_the_block_form(self, num, steps,
                                                          phi0):
+        # the class sums against the per-pattern table, equal up to the
+        # rounding of the two summation orders
         rng = np.random.default_rng(num)
         weights = rng.random(2 ** num)
         weights[rng.random(2 ** num) < 0.25] = 0.0  # patterns left out
         weights[0], weights[-1] = 1.0, 0.0
         weights /= weights.sum()
+        self.assert_within_the_summation_bound(weights, phi0, steps)
+
+    @pytest.mark.parametrize("num, steps", [(3, 300_000), (5, 300_000),
+                                            (8, 60_000)])
+    def test_class_sums_agree_at_the_crosscheck_points(self, num, steps):
+        self.assert_within_the_summation_bound(decompose("0" * num), 0.0,
+                                               steps)
+
+    @pytest.mark.parametrize("num", [1, 3, 8])
+    @pytest.mark.parametrize("phi0", [0.0, -0.7])
+    def test_a_class_shares_the_cycle_starts_of_its_patterns(self, num,
+                                                              phi0):
+        # every pattern of one (S, K) class starts its cycles at the same
+        # angle bits, those of the class row that superpose evaluates
+        sign, offset = primitives._cycle_table(
+            primitives._signs(np.arange(2 ** num), num))
+        big_s, big_k, _ = primitives._classes(np.full(2 ** num, 0.5 ** num),
+                                              num, phi0, ALPHA, 4 * num)
+        row = {(s, k): i for i, (s, k) in enumerate(zip(big_s[:, 0],
+                                                        big_k[:, 0]))}
+        cycles = np.arange(0, 10 ** 6, 997)
+        each = primitives._angles(
+            *primitives._cycle_starts(sign, offset, cycles), phi0, ALPHA)
+        ours = primitives._angles(
+            *primitives._cycle_starts(big_s, big_k, cycles), phi0, ALPHA)
+        assert len(row) == len(big_s) == 2 * num
         np.testing.assert_array_equal(
-            superpose(weights, phi0, ALPHA, steps).bloch,
-            helpers.one_shot_superpose(weights, phi0, ALPHA, steps))
+            each, ours[[row[s, k] for s, k in zip(sign[:, -1],
+                                                  offset[:, -1])]])
 
     def test_memory_estimate_covers_the_measured_peak(self, monkeypatch):
+        # the largest array of each run: the trajectory at M=12 over 100,000
+        # steps, and at M=16 over one step the weights with the indices of
+        # the nonzero ones, the largest term of its estimate
         estimates = []
         monkeypatch.setattr(primitives, "check_fits",
                             lambda need, what: estimates.append(need))
-        cfg = MachineConfig(12, ALPHA, steps=1)
-        tracemalloc.start()
-        try:
-            primitives.run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        table = 2 ** 13 * 4 * 12 * 8
-        assert table < peak <= estimates[0]
+        for num, steps, largest in ((12, 100_000, 24 * 100_001),
+                                    (16, 1, 16 << 16)):
+            estimates.clear()
+            tracemalloc.start()
+            try:
+                primitives.run(MachineConfig(num, ALPHA, steps=steps))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert largest < peak <= estimates[0]
 
     def test_zero_steps_and_mid_cycle_stop(self):
         w = decompose("0+1")
